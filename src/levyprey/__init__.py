@@ -22,11 +22,8 @@ from .engine import (
     SimulationError,
     StepConfig,
     Trajectory,
-    delayed_lookup,
     init_history,
-    sample_jumps,
     simulate,
-    step,
 )
 from .ensemble import (
     EnsembleStats,
@@ -42,11 +39,7 @@ from .model import (
     ModelParams,
     NoiseSpec,
     State,
-    ValidationReport,
-    apply_jump,
-    diffusion,
     drift,
-    validate,
 )
 from .oracle import (
     ConvergenceTable,
@@ -68,20 +61,13 @@ __all__ = [
     "NoiseSpec",
     "DelaySpec",
     "HistorySpec",
-    "ValidationReport",
     "drift",
-    "diffusion",
-    "apply_jump",
-    "validate",
     # engine
     "StepConfig",
     "HistoryBuffer",
     "Trajectory",
     "SimulationError",
     "init_history",
-    "delayed_lookup",
-    "sample_jumps",
-    "step",
     "simulate",
     # analysis
     "Regime",

@@ -30,6 +30,7 @@ is predicted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,13 +102,31 @@ def time_average(traj: Trajectory) -> TimeAverageSeries:
     return TimeAverageSeries(times=t.copy(), means=means)
 
 
+def _sq(v: float) -> float:
+    # float ** raises OverflowError where float * returns inf; classify must not fault
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
+def _prey_terms(p: ModelParams, n: NoiseSpec) -> tuple[float, float, float, float]:
+    """Prey margins c1, c2 and the prey denominators 1 - r_i + 2*r_i/K_i."""
+    c1 = p.r1 - _sq(n.sigma1) / 2.0
+    c2 = p.r2 - _sq(n.sigma2) / 2.0
+    d1 = 1.0 - p.r1 + 2.0 * p.r1 / p.k1
+    d2 = 1.0 - p.r2 + 2.0 * p.r2 / p.k2
+    return (c1, c2, d1, d2)
+
+
 def extinction_coefficients(p: ModelParams, n: NoiseSpec) -> tuple[float, float, float]:
     """Net log-growth margins (c1, c2, c3); all negative certifies extinction in mean."""
     if p.r1 == 0 or p.r2 == 0:
         raise ValueError("c3 is undefined when r1 or r2 is zero (divides by the growth rate)")
-    c1 = p.r1 - n.sigma1**2 / 2.0
-    c2 = p.r2 - n.sigma2**2 / 2.0
-    c3 = p.a1 * (p.k1 / p.r1) * c1 + p.a2 * (p.k2 / p.r2) * c2 - p.delta - n.sigma3**2 / 2.0
+    c1, c2, _, _ = _prey_terms(p, n)
+    c3 = (
+        p.a1 * (p.k1 / p.r1) * c1 + p.a2 * (p.k2 / p.r2) * c2 - p.delta - _sq(n.sigma3) / 2.0
+    )
     return (c1, c2, c3)
 
 
@@ -117,12 +136,8 @@ def predator_extinction_report(p: ModelParams, n: NoiseSpec) -> tuple[float, flo
     The predator dies out while both prey persist in mean when m > 0 and
     c4 <= 0. m collects c1, c2 and the two prey denominators.
     """
-    c1 = p.r1 - n.sigma1**2 / 2.0
-    c2 = p.r2 - n.sigma2**2 / 2.0
-    c4 = p.a1 * p.k1 + p.a2 * p.k2 - p.delta - n.sigma3**2 / 2.0
-    d1 = 1.0 - p.r1 + 2.0 * p.r1 / p.k1
-    d2 = 1.0 - p.r2 + 2.0 * p.r2 / p.k2
-    return (c4, min(c1, c2, d1, d2))
+    c4 = p.a1 * p.k1 + p.a2 * p.k2 - p.delta - _sq(n.sigma3) / 2.0
+    return (c4, min(_prey_terms(p, n)))
 
 
 def persistence_report(p: ModelParams, n: NoiseSpec) -> tuple[float, float, float, bool]:
@@ -132,17 +147,16 @@ def persistence_report(p: ModelParams, n: NoiseSpec) -> tuple[float, float, floa
     Rejects parameter sets where a bound is undefined: a zero prey
     denominator, or alpha3 = 0 (it divides the predator bound).
     """
-    d1 = 1.0 - p.r1 + 2.0 * p.r1 / p.k1
-    d2 = 1.0 - p.r2 + 2.0 * p.r2 / p.k2
+    c1, c2, d1, d2 = _prey_terms(p, n)
     if d1 == 0.0:
         raise ValueError("prey-1 denominator 1 - r1 + 2*r1/K1 is zero; bound undefined")
     if d2 == 0.0:
         raise ValueError("prey-2 denominator 1 - r2 + 2*r2/K2 is zero; bound undefined")
     if p.alpha3 == 0.0:
         raise ValueError("alpha3 is zero; predator bound Lz undefined")
-    lx = (p.r1 - n.sigma1**2 / 2.0) / d1
-    ly = (p.r2 - n.sigma2**2 / 2.0) / d2
-    margin = p.a1 * lx + p.a2 * ly - p.delta - n.sigma3**2 / 2.0
+    lx = c1 / d1
+    ly = c2 / d2
+    margin = p.a1 * lx + p.a2 * ly - p.delta - _sq(n.sigma3) / 2.0
     lz = margin / p.alpha3
     ok = lx > 0.0 and ly > 0.0 and margin > 0.0 and min(d1, d2) > 0.0
     return (lx, ly, lz, ok)
@@ -151,13 +165,13 @@ def persistence_report(p: ModelParams, n: NoiseSpec) -> tuple[float, float, floa
 def boundedness_check(p: ModelParams, n: NoiseSpec) -> tuple[float, float, float, bool]:
     """Ultimate-boundedness margins (B1, B2, B3); all negative certifies
     stochastically ultimately bounded solutions."""
-    j1 = n.q1**2 * n.lam
-    j2 = n.q2**2 * n.lam
-    j3 = n.q3**2 * n.lam
-    b1 = n.sigma1**2 + j1 + 2.0 * p.r1 + p.beta * p.k2 - p.alpha1 * p.k1
-    b2 = n.sigma2**2 + j2 + 2.0 * p.r2 + p.beta * p.k1 - p.alpha2 * p.k2
+    j1 = _sq(n.q1) * n.lam
+    j2 = _sq(n.q2) * n.lam
+    j3 = _sq(n.q3) * n.lam
+    b1 = _sq(n.sigma1) + j1 + 2.0 * p.r1 + p.beta * p.k2 - p.alpha1 * p.k1
+    b2 = _sq(n.sigma2) + j2 + 2.0 * p.r2 + p.beta * p.k1 - p.alpha2 * p.k2
     b3 = (
-        n.sigma3**2
+        _sq(n.sigma3)
         + j3
         + 2.0 * p.a1 * p.k1
         + 2.0 * p.a2 * p.k2
@@ -237,8 +251,7 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
         trace.append(f"extinction margins not evaluable: {exc}")
 
     c4, prey_min = predator_extinction_report(p, n)
-    denom1 = 1.0 - p.r1 + 2.0 * p.r1 / p.k1
-    denom2 = 1.0 - p.r2 + 2.0 * p.r2 / p.k2
+    prey_c1, prey_c2, denom1, denom2 = _prey_terms(p, n)
     predator_ok = prey_min > 0.0 and c4 <= 0.0
     trace.append(
         f"predator-extinction test: c4 = {_fmt(c4)} (need <= 0), "
@@ -261,8 +274,8 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
         # the prey bounds stand on their own whenever the denominators do
         # (the predator-extinction regime quotes them even when Lz cannot
         # be formed, e.g. alpha3 = 0)
-        lx = (p.r1 - n.sigma1**2 / 2.0) / denom1 if denom1 != 0.0 else None
-        ly = (p.r2 - n.sigma2**2 / 2.0) / denom2 if denom2 != 0.0 else None
+        lx = prey_c1 / denom1 if denom1 != 0.0 else None
+        ly = prey_c2 / denom2 if denom2 != 0.0 else None
         lz = None
         trace.append(f"persistence bounds not evaluable: {exc}")
 

@@ -60,7 +60,7 @@ def _write_trajectory(path: str, cfg: RunConfig, traj: engine.Trajectory) -> Non
         "simulate",
         extra=[
             ("floor_hits", str(traj.floor_hits)),
-            ("jump_events", str(len(traj.jump_log))),
+            ("jump_events", str(traj.jump_events)),
         ],
     )
     rows = [
@@ -144,22 +144,15 @@ def _require_out(args: argparse.Namespace) -> str:
     raise ConfigError("an output path is required (--out PATH or 'output =' in the config)")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    args._cfg_output = cfg.output
-    out = _require_out(args)
-    traj = engine.simulate(
+def _simulate(cfg: RunConfig) -> engine.Trajectory:
+    return engine.simulate(
         cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config()
     )
-    _write_trajectory(out, cfg, traj)
-    print(f"wrote {out} ({len(traj.times)} points, floor_hits={traj.floor_hits})")
-    return 0
 
 
-def _cmd_ensemble(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    args._cfg_output = cfg.output
-    out = _require_out(args)
+def _ensemble(cfg: RunConfig) -> tuple[ensemble.EnsembleStats, list[str]]:
+    """Run the replicates, classify, and verify; returns the stats and the
+    summary lines: predicted regime, verdict, then the verification details."""
     p, n, d = cfg.to_params(), cfg.to_noise(), cfg.to_delays()
     stats = ensemble.run_ensemble(
         p, n, d, cfg.to_history(), cfg.to_step_config(), n_reps=cfg.n_reps, base_seed=cfg.seed
@@ -170,8 +163,25 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         verdict = "PASS" if outcome.passed else "FAIL"
     else:
         verdict = "NOT CHECKABLE"
-    summary = [f"predicted = {report.predicted.value}", f"outcome = {verdict}"]
-    summary.extend(outcome.details)
+    summary = [f"predicted = {report.predicted.value}", f"outcome = {verdict}", *outcome.details]
+    return stats, summary
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
+    args._cfg_output = cfg.output
+    out = _require_out(args)
+    traj = _simulate(cfg)
+    _write_trajectory(out, cfg, traj)
+    print(f"wrote {out} ({len(traj.times)} points, floor_hits={traj.floor_hits})")
+    return 0
+
+
+def _cmd_ensemble(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
+    args._cfg_output = cfg.output
+    out = _require_out(args)
+    stats, summary = _ensemble(cfg)
     _write_ensemble(out, cfg, stats, summary)
     for line in summary:
         print(line)
@@ -257,41 +267,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _require_out(args)
     stem = out[:-4] if out.endswith(".csv") else out
 
+    paths = [f"{stem}_{var}={value:g}.csv" for value in values]
+    clashes = sorted({p for p in paths if paths.count(p) > 1})
+    if clashes:
+        raise ConfigError(
+            f"sweep values give the same output file name: {', '.join(clashes)}"
+        )
+
     index_rows = []
-    for value in values:
+    for value, path in zip(values, paths):
         cfg_v = cfg.replaced(**{t: value for t in targets})
-        path = f"{stem}_{var}={value:g}.csv"
         if args.mode == "simulate":
-            traj = engine.simulate(
-                cfg_v.to_params(),
-                cfg_v.to_noise(),
-                cfg_v.to_delays(),
-                cfg_v.to_history(),
-                cfg_v.to_step_config(),
-            )
-            _write_trajectory(path, cfg_v, traj)
+            _write_trajectory(path, cfg_v, _simulate(cfg_v))
         else:
-            p, n, d = cfg_v.to_params(), cfg_v.to_noise(), cfg_v.to_delays()
-            stats = ensemble.run_ensemble(
-                p,
-                n,
-                d,
-                cfg_v.to_history(),
-                cfg_v.to_step_config(),
-                n_reps=cfg_v.n_reps,
-                base_seed=cfg_v.seed,
-            )
-            report = analysis.classify(p, n, d)
-            outcome = ensemble.verify_regime(stats, report)
-            verdict = (
-                ("PASS" if outcome.passed else "FAIL") if outcome.checkable else "NOT CHECKABLE"
-            )
-            _write_ensemble(
-                path,
-                cfg_v,
-                stats,
-                [f"predicted = {report.predicted.value}", f"outcome = {verdict}"],
-            )
+            stats, summary = _ensemble(cfg_v)
+            # sweep files record the prediction and verdict, not the details
+            _write_ensemble(path, cfg_v, stats, summary[:2])
         index_rows.append(f"{var},{value:g},{path}")
         print(f"wrote {path}")
 

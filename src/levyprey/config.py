@@ -7,18 +7,19 @@ name; missing keys fall back to documented defaults (the ``fig1`` scenario,
 seed 0, 100 replicates).
 
 The parser enforces the same structural constraints as the model types
-(jump marks > -1, positive capacities, nonnegative rates) plus grid
-resolvability (dt must divide every positive delay), reporting the offending
-key and line. Regime-hypothesis failures are never parse errors; the one
-soft condition surfaced here (predator death rate not exceeding predator
-competition) becomes a warning on the parsed config.
+(finite values, jump marks > -1, positive capacities, nonnegative rates) plus
+grid resolvability (dt must divide every positive delay and t_end),
+reporting the offending key and line. Regime-hypothesis failures are never
+parse errors; the one soft condition surfaced here (predator death rate not
+exceeding predator competition) becomes a warning on the parsed config.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .engine import StepConfig
+from .engine import StepConfig, grid_steps
 from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec
 from .presets import PRESETS
 
@@ -29,35 +30,37 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-# every accepted key, in canonical serialization order
-_FLOAT_KEYS = (
-    "r1",
-    "r2",
-    "K1",
-    "K2",
-    "alpha1",
-    "alpha2",
-    "alpha3",
-    "beta",
-    "delta",
-    "a1",
-    "a2",
-    "sigma1",
-    "sigma2",
-    "sigma3",
-    "q1",
-    "q2",
-    "q3",
-    "lambda",
-    "tau1",
-    "tau2",
-    "tau3",
-    "dt",
-    "t_end",
-    "x0",
-    "y0",
-    "z0",
+# every numeric key, in canonical serialization order: (config key, part of
+# the scenario it belongs to, attribute name on that part)
+_FIELDS = (
+    ("r1", "params", "r1"),
+    ("r2", "params", "r2"),
+    ("K1", "params", "k1"),
+    ("K2", "params", "k2"),
+    ("alpha1", "params", "alpha1"),
+    ("alpha2", "params", "alpha2"),
+    ("alpha3", "params", "alpha3"),
+    ("beta", "params", "beta"),
+    ("delta", "params", "delta"),
+    ("a1", "params", "a1"),
+    ("a2", "params", "a2"),
+    ("sigma1", "noise", "sigma1"),
+    ("sigma2", "noise", "sigma2"),
+    ("sigma3", "noise", "sigma3"),
+    ("q1", "noise", "q1"),
+    ("q2", "noise", "q2"),
+    ("q3", "noise", "q3"),
+    ("lambda", "noise", "lam"),
+    ("tau1", "delays", "tau1"),
+    ("tau2", "delays", "tau2"),
+    ("tau3", "delays", "tau3"),
+    ("dt", "step", "dt"),
+    ("t_end", "step", "t_end"),
+    ("x0", "history", "x"),
+    ("y0", "history", "y"),
+    ("z0", "history", "z"),
 )
+_FLOAT_KEYS = tuple(key for key, _, _ in _FIELDS)
 _INT_KEYS = ("seed", "n_reps")
 _STR_KEYS = ("preset", "output")
 KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
@@ -65,37 +68,15 @@ KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
 
 def _scenario_values(name: str) -> dict[str, float]:
     s = PRESETS[name]
-    p, n, d = s.params, s.noise, s.delays
     assert s.history.constant is not None  # presets use constant histories
-    x0, y0, z0 = s.history.constant
-    return {
-        "r1": p.r1,
-        "r2": p.r2,
-        "K1": p.k1,
-        "K2": p.k2,
-        "alpha1": p.alpha1,
-        "alpha2": p.alpha2,
-        "alpha3": p.alpha3,
-        "beta": p.beta,
-        "delta": p.delta,
-        "a1": p.a1,
-        "a2": p.a2,
-        "sigma1": n.sigma1,
-        "sigma2": n.sigma2,
-        "sigma3": n.sigma3,
-        "q1": n.q1,
-        "q2": n.q2,
-        "q3": n.q3,
-        "lambda": n.lam,
-        "tau1": d.tau1,
-        "tau2": d.tau2,
-        "tau3": d.tau3,
-        "dt": s.dt,
-        "t_end": s.t_end,
-        "x0": x0,
-        "y0": y0,
-        "z0": z0,
+    parts = {
+        "params": s.params,
+        "noise": s.noise,
+        "delays": s.delays,
+        "step": s,
+        "history": s.history.constant,
     }
+    return {key: getattr(parts[part], attr) for key, part, attr in _FIELDS}
 
 
 _DEFAULTS: dict[str, object] = {**_scenario_values("fig1"), "seed": 0, "n_reps": 100}
@@ -150,45 +131,24 @@ class RunConfig:
 
     # builders for the typed objects the engine consumes
 
+    def _part(self, part: str) -> dict[str, object]:
+        return {attr: self.values[key] for key, p, attr in _FIELDS if p == part}
+
     def to_params(self) -> ModelParams:
-        v = self.values
-        return ModelParams(
-            r1=v["r1"],
-            r2=v["r2"],
-            k1=v["K1"],
-            k2=v["K2"],
-            alpha1=v["alpha1"],
-            alpha2=v["alpha2"],
-            alpha3=v["alpha3"],
-            beta=v["beta"],
-            delta=v["delta"],
-            a1=v["a1"],
-            a2=v["a2"],
-        )
+        return ModelParams(**self._part("params"))
 
     def to_noise(self) -> NoiseSpec:
-        v = self.values
-        return NoiseSpec(
-            sigma1=v["sigma1"],
-            sigma2=v["sigma2"],
-            sigma3=v["sigma3"],
-            q1=v["q1"],
-            q2=v["q2"],
-            q3=v["q3"],
-            lam=v["lambda"],
-        )
+        return NoiseSpec(**self._part("noise"))
 
     def to_delays(self) -> DelaySpec:
-        v = self.values
-        return DelaySpec(tau1=v["tau1"], tau2=v["tau2"], tau3=v["tau3"])
+        return DelaySpec(**self._part("delays"))
 
     def to_history(self) -> HistorySpec:
-        v = self.values
-        return HistorySpec.from_constant(v["x0"], v["y0"], v["z0"])
+        h = self._part("history")
+        return HistorySpec.from_constant(h["x"], h["y"], h["z"])
 
     def to_step_config(self) -> StepConfig:
-        v = self.values
-        return StepConfig(dt=v["dt"], t_end=v["t_end"], seed=self.seed)
+        return StepConfig(**self._part("step"), seed=self.seed)
 
     def to_text(self) -> str:
         """Canonical serialization; parsing it back reproduces this config."""
@@ -211,6 +171,9 @@ def _check(values: dict[str, object], lines: dict[str, int]) -> None:
         ln = lines.get(key)
         return f" (line {ln})" if ln else ""
 
+    for key in _FLOAT_KEYS:
+        if not math.isfinite(values[key]):  # type: ignore[arg-type]
+            raise ConfigError(f"{key} must be finite{where(key)}: got {values[key]}")
     for key in ("q1", "q2", "q3"):
         if values[key] <= -1.0:  # type: ignore[operator]
             raise ConfigError(f"{key} must be > -1{where(key)}: got {values[key]}")
@@ -227,13 +190,15 @@ def _check(values: dict[str, object], lines: dict[str, int]) -> None:
     dt = float(values["dt"])  # type: ignore[arg-type]
     for key in ("tau1", "tau2", "tau3"):
         tau = float(values[key])  # type: ignore[arg-type]
-        if tau == 0:
-            continue
-        k = round(tau / dt)
-        if k < 1 or abs(k * dt - tau) > 1e-9 * max(1.0, tau):
+        if tau != 0 and grid_steps(tau, dt) is None:
             raise ConfigError(
                 f"dt = {dt:g} must divide positive delay {key} = {tau:g}{where(key)}"
             )
+    t_end = float(values["t_end"])  # type: ignore[arg-type]
+    if grid_steps(t_end, dt) is None:
+        raise ConfigError(
+            f"t_end = {t_end:g} must be a whole multiple of dt = {dt:g}{where('t_end')}"
+        )
 
 
 def parse_config(text: str) -> RunConfig:

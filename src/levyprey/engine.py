@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec, State
+from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec
 
 __all__ = [
     "StepConfig",
@@ -38,13 +38,10 @@ __all__ = [
     "Trajectory",
     "SimulationError",
     "init_history",
-    "delayed_lookup",
-    "sample_jumps",
-    "step",
     "simulate",
 ]
 
-# relative slack for "is this time on the grid" decisions
+# relative slack for every "is this value a whole number of steps" decision
 _GRID_TOL = 1e-9
 
 
@@ -77,7 +74,7 @@ class StepConfig:
 
 
 class HistoryBuffer:
-    """Grid-aligned (t, state) record covering at least [t_now - tau_max, t_now].
+    """Grid-aligned state record from the far end of the delay window onward.
 
     Samples are spaced exactly dt apart, starting at ``t_start`` (the far end
     of the initial history window). The buffer only grows; at the horizons
@@ -97,39 +94,10 @@ class HistoryBuffer:
     def __len__(self) -> int:
         return len(self.xs)
 
-    @property
-    def t_now(self) -> float:
-        return self.t_start + (len(self.xs) - 1) * self.dt
-
     def append(self, x: float, y: float, z: float) -> None:
         self.xs.append(x)
         self.ys.append(y)
         self.zs.append(z)
-
-    def state_at(self, t: float) -> State:
-        """State at time t: the stored sample when t is on the grid, else
-        linear interpolation between the two neighbors."""
-        u = (t - self.t_start) / self.dt
-        last = len(self.xs) - 1
-        i = round(u)
-        if abs(u - i) <= _GRID_TOL * max(1.0, abs(u)):
-            if i < 0 or i > last:
-                raise ValueError(
-                    f"lookup at t={t:g} outside buffered range "
-                    f"[{self.t_start:g}, {self.t_now:g}]"
-                )
-            return State(self.xs[i], self.ys[i], self.zs[i])
-        j = math.floor(u)
-        if j < 0 or j + 1 > last:
-            raise ValueError(
-                f"lookup at t={t:g} outside buffered range [{self.t_start:g}, {self.t_now:g}]"
-            )
-        w = u - j
-        return State(
-            self.xs[j] + w * (self.xs[j + 1] - self.xs[j]),
-            self.ys[j] + w * (self.ys[j + 1] - self.ys[j]),
-            self.zs[j] + w * (self.zs[j + 1] - self.zs[j]),
-        )
 
 
 @dataclass(frozen=True)
@@ -138,13 +106,13 @@ class Trajectory:
 
     times       uniform grid including t=0
     states      (n+1, 3) array of (x, y, z) per grid point, all >= 0
-    jump_log    (t, count_x, count_y, count_z) for every step with arrivals
+    jump_events number of steps with at least one jump arrival
     floor_hits  number of positivity-floor clamps across all steps
     """
 
     times: np.ndarray
     states: np.ndarray
-    jump_log: tuple[tuple[float, int, int, int], ...]
+    jump_events: int
     floor_hits: int
 
     @property
@@ -164,6 +132,15 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
 
+def grid_steps(value: float, dt: float) -> int | None:
+    """Whole number of steps k >= 1 with k*dt equal to value within the grid
+    tolerance, or None when value is not a positive multiple of dt."""
+    k = round(value / dt)
+    if k < 1 or abs(k * dt - value) > _GRID_TOL * max(1.0, value):
+        return None
+    return k
+
+
 def lag_steps(d: DelaySpec, dt: float) -> tuple[int, int, int]:
     """Delay taps in whole steps. Positive delays must sit on the grid;
     off-grid values are snapped to the nearest multiple of dt with a warning.
@@ -175,14 +152,25 @@ def lag_steps(d: DelaySpec, dt: float) -> tuple[int, int, int]:
             continue
         if dt > tau * (1.0 + _GRID_TOL):
             raise ValueError(f"dt={dt:g} exceeds positive delay {name}={tau:g}")
-        k = int(round(tau / dt))
-        if abs(k * dt - tau) > _GRID_TOL * max(1.0, tau):
+        k = grid_steps(tau, dt)
+        if k is None:
+            k = round(tau / dt)
             warnings.warn(
                 f"{name}={tau:g} is not a multiple of dt={dt:g}; snapped to {k * dt:g}",
                 stacklevel=2,
             )
         ks.append(k)
     return (ks[0], ks[1], ks[2])
+
+
+def check_history_span(h: HistorySpec, t_start: float) -> None:
+    """Reject a table history that does not cover [t_start, 0]."""
+    if h.kind == "table":
+        lo, hi = h.span()
+        if lo > t_start + _GRID_TOL or hi < -_GRID_TOL:
+            raise ValueError(
+                f"history table spans [{lo:g}, {hi:g}] but must cover [{t_start:g}, 0]"
+            )
 
 
 def init_history(h: HistorySpec, d: DelaySpec, c: StepConfig) -> HistoryBuffer:
@@ -193,37 +181,13 @@ def init_history(h: HistorySpec, d: DelaySpec, c: StepConfig) -> HistoryBuffer:
     """
     kmax = max(lag_steps(d, c.dt))
     t_start = -kmax * c.dt
-    if h.kind == "table":
-        lo, hi = h.span()
-        if lo > t_start + _GRID_TOL or hi < -_GRID_TOL:
-            raise ValueError(
-                f"history table spans [{lo:g}, {hi:g}] but must cover [{t_start:g}, 0]"
-            )
+    check_history_span(h, t_start)
     buf = HistoryBuffer(c.dt, t_start)
     for i in range(kmax + 1):
         t = (i - kmax) * c.dt
         s = h.value_at(t)
         buf.append(s.x, s.y, s.z)
     return buf
-
-
-def delayed_lookup(b: HistoryBuffer, t: float, tau: float) -> State:
-    """State at t - tau: stored sample when grid-aligned, else linear interpolation."""
-    if tau < 0:
-        raise ValueError(f"delay must be >= 0, got {tau!r}")
-    return b.state_at(t - tau)
-
-
-def sample_jumps(lam: float, dt: float, generator: np.random.Generator, size=None):
-    """Poisson(lam*dt) jump count(s) for one step, drawn from the given stream."""
-    if lam < 0:
-        raise ValueError(f"jump rate must be >= 0, got {lam!r}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    draws = generator.poisson(lam * dt, size)
-    if size is None:
-        return int(draws)
-    return draws
 
 
 def _advance(x, y, z, xd1, yd2, xd3, yd3, pp, nn, z1, z2, z3, j1, j2, j3):
@@ -270,69 +234,6 @@ def _pack_noise(n: NoiseSpec, dt: float):
     )
 
 
-def _floor_one(value: float, previous: float, floor: float) -> tuple[float, int]:
-    # exact zeros propagate: the origin is absorbing, only positive states clamp
-    if value < floor and previous > 0.0:
-        return floor, 1
-    return value, 0
-
-
-def step(
-    b: HistoryBuffer,
-    t: float,
-    p: ModelParams,
-    n: NoiseSpec,
-    d: DelaySpec,
-    c: StepConfig,
-    normals: tuple[float, float, float],
-    jumps: tuple[int, int, int],
-) -> tuple[State, int]:
-    """Advance the state at time t by one step using the given draws.
-
-    ``normals`` are the three standard-normal draws, ``jumps`` the Poisson
-    arrival counts per species (equal entries under a shared clock). Returns
-    the new state and the number of floor clamps it needed. The buffer is
-    not modified; callers append.
-    """
-    u = (t - b.t_start) / c.dt
-    m = round(u)
-    if abs(u - m) > _GRID_TOL * max(1.0, abs(u)) or m < 0 or m >= len(b):
-        raise ValueError(f"step time t={t:g} is not a buffered grid point")
-    k1, k2, k3 = lag_steps(d, c.dt)
-    if m - max(k1, k2, k3) < 0:
-        raise ValueError(f"buffer does not cover [t - tau_max, t] at t={t:g}")
-    pp = _pack_params(p, c.dt)
-    nn = _pack_noise(n, c.dt)
-    x, y, z = b.xs[m], b.ys[m], b.zs[m]
-    nx, ny, nz = _advance(
-        x,
-        y,
-        z,
-        b.xs[m - k1],
-        b.ys[m - k2],
-        b.xs[m - k3],
-        b.ys[m - k3],
-        pp,
-        nn,
-        normals[0],
-        normals[1],
-        normals[2],
-        jumps[0],
-        jumps[1],
-        jumps[2],
-    )
-    if not (math.isfinite(nx) and math.isfinite(ny) and math.isfinite(nz)):
-        raise SimulationError(
-            f"non-finite state after step at t={t:g}: state=({x:g},{y:g},{z:g}), "
-            f"normals={normals}, jumps={jumps}"
-        )
-    floor = c.positivity_floor
-    nx, h1 = _floor_one(nx, x, floor)
-    ny, h2 = _floor_one(ny, y, floor)
-    nz, h3 = _floor_one(nz, z, floor)
-    return State(nx, ny, nz), h1 + h2 + h3
-
-
 def simulate(
     p: ModelParams,
     n: NoiseSpec,
@@ -369,7 +270,7 @@ def simulate(
     nn = _pack_noise(n, dt)
     xs, ys, zs = buf.xs, buf.ys, buf.zs
     base = len(xs) - 1  # index of t = 0
-    jump_log: list[tuple[float, int, int, int]] = []
+    jump_events = 0
     floor_hits = 0
     isfinite = math.isfinite
 
@@ -416,13 +317,11 @@ def simulate(
         ys.append(ny)
         zs.append(nz)
         if j1 or j2 or j3:
-            jump_log.append(((i + 1) * dt, j1, j2, j3))
+            jump_events += 1
 
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, 3))
     states[:, 0] = xs[base:]
     states[:, 1] = ys[base:]
     states[:, 2] = zs[base:]
-    return Trajectory(
-        times=times, states=states, jump_log=tuple(jump_log), floor_hits=floor_hits
-    )
+    return Trajectory(times=times, states=states, jump_events=jump_events, floor_hits=floor_hits)

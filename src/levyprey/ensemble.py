@@ -97,7 +97,6 @@ def run_ensemble(
     n_reps: int,
     base_seed: int,
     *,
-    stats_stride: int | None = None,
     order: Sequence[int] | None = None,
 ) -> EnsembleStats:
     """Run n_reps independent replicates and aggregate their statistics.
@@ -111,10 +110,7 @@ def run_ensemble(
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     cfg = replace(c, seed=base_seed)
     n_points = cfg.n_steps + 1
-    if stats_stride is None:
-        stats_stride = max(1, math.ceil(n_points / _MAX_STAT_POINTS))
-    if stats_stride < 1:
-        raise ValueError("stats_stride must be >= 1")
+    stats_stride = max(1, math.ceil(n_points / _MAX_STAT_POINTS))
     stat_idx = np.arange(0, n_points, stats_stride)
     if stat_idx[-1] != n_points - 1:
         stat_idx = np.append(stat_idx, n_points - 1)

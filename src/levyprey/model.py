@@ -34,12 +34,7 @@ __all__ = [
     "NoiseSpec",
     "DelaySpec",
     "HistorySpec",
-    "Check",
-    "ValidationReport",
     "drift",
-    "diffusion",
-    "apply_jump",
-    "validate",
     "parameter_fingerprint",
 ]
 
@@ -132,14 +127,6 @@ class NoiseSpec:
                 raise ValueError(
                     f"NoiseSpec.{name} must be > -1 so jumps preserve positivity, got {v!r}"
                 )
-
-    @property
-    def marks(self) -> tuple[float, float, float]:
-        return (self.q1, self.q2, self.q3)
-
-    @property
-    def sigmas(self) -> tuple[float, float, float]:
-        return (self.sigma1, self.sigma2, self.sigma3)
 
 
 @dataclass(frozen=True)
@@ -260,100 +247,6 @@ def drift(state: State, delayed: DelayedState, p: ModelParams) -> tuple[float, f
     fy = p.r2 * y * (1.0 - delayed.y_tau2 / p.k2) - p.alpha2 * y * z + p.beta * x * y * z
     fz = -p.delta * z - p.alpha3 * z * z + p.a1 * delayed.x_tau3 * z + p.a2 * delayed.y_tau3 * z
     return (fx, fy, fz)
-
-
-def diffusion(state: State, n: NoiseSpec) -> tuple[float, float, float]:
-    """Multiplicative Brownian scale per species: (sigma1*x, sigma2*y, sigma3*z)."""
-    for label, v in zip(("state.x", "state.y", "state.z"), state):
-        _require_finite(v, label)
-    return (n.sigma1 * state.x, n.sigma2 * state.y, n.sigma3 * state.z)
-
-
-def apply_jump(state: State, which: Iterable[str], n: NoiseSpec) -> State:
-    """Apply one jump event to the given species subset: s -> s*(1+q).
-
-    Species outside the subset are unchanged. Marks q > -1 (enforced at
-    NoiseSpec construction) keep strictly positive values strictly positive;
-    zero is absorbing.
-    """
-    subset = set(which)
-    unknown = subset - set(_SPECIES)
-    if unknown:
-        raise ValueError(f"unknown species in jump subset: {sorted(unknown)}")
-    marks = dict(zip(_SPECIES, n.marks))
-    return State(
-        *(s * (1.0 + marks[name]) if name in subset else s for name, s in zip(_SPECIES, state))
-    )
-
-
-class Check(NamedTuple):
-    """One named validation predicate with its outcome."""
-
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of every parameter-level validity check; failures are entries, not faults."""
-
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def validate(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> ValidationReport:
-    """Evaluate every structural predicate plus the unique-global-solution condition.
-
-    The report passes overall iff every listed check passes; nothing is
-    hidden. Type constructors already reject structurally invalid values, so
-    on constructed inputs only the delta > alpha3 condition can fail.
-    """
-    checks: list[Check] = []
-    checks.append(
-        Check(
-            "delta > alpha3 (unique global solution condition)",
-            p.delta > p.alpha3,
-            f"delta = {p.delta:g}, alpha3 = {p.alpha3:g}",
-        )
-    )
-    nonneg = all(getattr(p, f.name) >= 0 for f in fields(p))
-    checks.append(Check("model rates nonnegative", nonneg, "all ModelParams fields >= 0"))
-    checks.append(
-        Check(
-            "carrying capacities positive",
-            p.k1 > 0 and p.k2 > 0,
-            f"k1 = {p.k1:g}, k2 = {p.k2:g}",
-        )
-    )
-    checks.append(
-        Check(
-            "jump marks > -1",
-            all(q > -1.0 for q in n.marks),
-            f"q = ({n.q1:g}, {n.q2:g}, {n.q3:g})",
-        )
-    )
-    checks.append(
-        Check(
-            "noise intensities nonnegative",
-            all(s >= 0 for s in n.sigmas) and n.lam >= 0,
-            f"sigma = ({n.sigma1:g}, {n.sigma2:g}, {n.sigma3:g}), lambda = {n.lam:g}",
-        )
-    )
-    checks.append(
-        Check(
-            "delays nonnegative",
-            all(t >= 0 for t in d.taus),
-            f"tau = ({d.tau1:g}, {d.tau2:g}, {d.tau3:g})",
-        )
-    )
-    return ValidationReport(checks=tuple(checks))
 
 
 def parameter_fingerprint(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> str:

@@ -13,15 +13,17 @@ four despite the limited smoothness of delay problems:
   initial history function directly.
 
 Zero delays degenerate to ordinary RK4 (stage values feed back into the
-taps). This solver shares only the model's rate function with the stochastic
-engine; the integration machinery is separate on purpose, so it can serve as
-the engine's convergence oracle.
+taps). This solver shares only the model's rate function and the grid
+conventions (step count, grid tolerance) with the stochastic engine; the
+integration machinery is separate on purpose, so it can serve as the
+engine's convergence oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,8 +46,6 @@ __all__ = [
     "convergence_study",
     "rk4_self_convergence",
 ]
-
-_GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,8 @@ class ReferenceSolution:
 def _exact_lags(d: DelaySpec, dt: float) -> tuple[int, int, int]:
     ks = []
     for name, tau in zip(("tau1", "tau2", "tau3"), d.taus):
-        if tau == 0.0:
-            ks.append(0)
-            continue
-        k = round(tau / dt)
-        if k < 1 or abs(k * dt - tau) > _GRID_TOL * max(1.0, tau):
+        k = 0 if tau == 0.0 else _engine.grid_steps(tau, dt)
+        if k is None:
             raise ValueError(f"dt={dt:g} must divide positive delay {name}={tau:g} exactly")
         ks.append(k)
     return (ks[0], ks[1], ks[2])
@@ -106,24 +103,21 @@ def _cubic_interp(series: list[float], u: float, lo_bound: int, hi_bound: int) -
 def solve_deterministic(
     p: ModelParams, d: DelaySpec, h: HistorySpec, dt: float, t_end: float
 ) -> ReferenceSolution:
-    """Integrate the noise-free delayed system over [0, t_end] with RK4."""
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be > 0")
+    """Integrate the noise-free delayed system over [0, t_end] with RK4.
+
+    Raises SimulationError (a RuntimeError) when the solution stops being
+    finite, as the stochastic engine does.
+    """
+    n_steps = _engine.StepConfig(dt=dt, t_end=t_end).n_steps
     k1_lag, k2_lag, k3_lag = _exact_lags(d, dt)
     kmax = max(k1_lag, k2_lag, k3_lag)
-    n_steps = max(1, int(round(t_end / dt)))
 
     # prefill history on the grid; runtime queries at s <= 0 go straight to
     # the history function, so the stored prefix is only read at grid nodes
     xs: list[float] = []
     ys: list[float] = []
     zs: list[float] = []
-    if h.kind == "table":
-        lo, hi = h.span()
-        if lo > -kmax * dt + _GRID_TOL or hi < -_GRID_TOL:
-            raise ValueError(
-                f"history table spans [{lo:g}, {hi:g}] but must cover [{-kmax * dt:g}, 0]"
-            )
+    _engine.check_history_span(h, -kmax * dt)
     for i in range(kmax + 1):
         s = h.value_at((i - kmax) * dt)
         xs.append(s.x)
@@ -138,11 +132,12 @@ def solve_deterministic(
             gs = math.gcd(gs, k)
 
     series = (xs, ys, zs)
+    grid_tol = _engine._GRID_TOL
 
     def tap(which: int, u: float) -> float:
         # u is a fractional grid index; integers are direct samples
         r = round(u)
-        if abs(u - r) <= _GRID_TOL:
+        if abs(u - r) <= grid_tol:
             return series[which][r]
         if u <= base:
             t = (u - base) * dt
@@ -169,22 +164,29 @@ def solve_deterministic(
         m = base + i
         y0 = State(xs[m], ys[m], zs[m])
 
-        f1 = drift(y0, delayed_at(m, y0), p)
+        try:
+            f1 = drift(y0, delayed_at(m, y0), p)
 
-        y1 = State(y0.x + half * f1[0], y0.y + half * f1[1], y0.z + half * f1[2])
-        f2 = drift(y1, delayed_at(m + 0.5, y1), p)
+            y1 = State(y0.x + half * f1[0], y0.y + half * f1[1], y0.z + half * f1[2])
+            f2 = drift(y1, delayed_at(m + 0.5, y1), p)
 
-        y2 = State(y0.x + half * f2[0], y0.y + half * f2[1], y0.z + half * f2[2])
-        f3 = drift(y2, delayed_at(m + 0.5, y2), p)
+            y2 = State(y0.x + half * f2[0], y0.y + half * f2[1], y0.z + half * f2[2])
+            f3 = drift(y2, delayed_at(m + 0.5, y2), p)
 
-        y3 = State(y0.x + dt * f3[0], y0.y + dt * f3[1], y0.z + dt * f3[2])
-        f4 = drift(y3, delayed_at(m + 1.0, y3), p)
+            y3 = State(y0.x + dt * f3[0], y0.y + dt * f3[1], y0.z + dt * f3[2])
+            f4 = drift(y3, delayed_at(m + 1.0, y3), p)
+        except ValueError as exc:  # drift rejects a non-finite stage value
+            raise _engine.SimulationError(
+                f"reference solver produced non-finite stage at t={(i + 1) * dt:g}: {exc}"
+            ) from exc
 
         nx = y0.x + sixth * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
         ny = y0.y + sixth * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
         nz = y0.z + sixth * (f1[2] + 2.0 * f2[2] + 2.0 * f3[2] + f4[2])
         if not (math.isfinite(nx) and math.isfinite(ny) and math.isfinite(nz)):
-            raise RuntimeError(f"reference solver produced non-finite state at t={(i + 1) * dt:g}")
+            raise _engine.SimulationError(
+                f"reference solver produced non-finite state at t={(i + 1) * dt:g}"
+            )
         xs.append(nx)
         ys.append(ny)
         zs.append(nz)
@@ -232,13 +234,33 @@ def _order_table(dts: list[float], errs: list[float]) -> ConvergenceTable:
 def _max_err_on_coarse_grid(
     coarse_states: np.ndarray, coarse_dt: float, ref: ReferenceSolution
 ) -> float:
-    ratio = coarse_dt / ref.dt
-    k = round(ratio)
-    if k < 1 or abs(ratio - k) > _GRID_TOL * max(1.0, ratio):
+    k = _engine.grid_steps(coarse_dt, ref.dt)
+    if k is None:
         raise ValueError(f"reference dt={ref.dt:g} must divide dt={coarse_dt:g}")
     ref_states = ref.states[:: k]
     m = min(len(coarse_states), len(ref_states))
     return float(np.max(np.abs(coarse_states[:m] - ref_states[:m])))
+
+
+def _study(
+    p: ModelParams,
+    d: DelaySpec,
+    h: HistorySpec,
+    dt_list: list[float],
+    t_end: float,
+    ref_dt: float | None,
+    states_at: Callable[[float], np.ndarray],
+) -> ConvergenceTable:
+    """Max-norm error of states_at(dt) against a fine reference solution, per dt."""
+    if len(dt_list) == 0:
+        raise ValueError("dt_list must be nonempty")
+    if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
+        raise ValueError("dt_list must be strictly descending")
+    if ref_dt is None:
+        ref_dt = min(dt_list) / 4.0
+    ref = solve_deterministic(p, d, h, ref_dt, t_end)
+    errs = [_max_err_on_coarse_grid(states_at(dt), dt, ref) for dt in dt_list]
+    return _order_table(list(dt_list), errs)
 
 
 def convergence_study(
@@ -253,20 +275,13 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Max-norm error of the engine's noise-off path against the reference,
     for each step size in descending dt_list, with observed order."""
-    if len(dt_list) == 0:
-        raise ValueError("dt_list must be nonempty")
-    if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
-        raise ValueError("dt_list must be strictly descending")
-    if ref_dt is None:
-        ref_dt = min(dt_list) / 4.0
-    ref = solve_deterministic(p, d, h, ref_dt, t_end)
     noise_off = NoiseSpec(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, lam=0.0)
-    errs = []
-    for dt in dt_list:
+
+    def engine_states(dt: float) -> np.ndarray:
         cfg = _engine.StepConfig(dt=dt, t_end=t_end, seed=seed)
-        traj = _engine.simulate(p, noise_off, d, h, cfg)
-        errs.append(_max_err_on_coarse_grid(traj.states, dt, ref))
-    return _order_table(list(dt_list), errs)
+        return _engine.simulate(p, noise_off, d, h, cfg).states
+
+    return _study(p, d, h, dt_list, t_end, ref_dt, engine_states)
 
 
 def rk4_self_convergence(
@@ -279,15 +294,7 @@ def rk4_self_convergence(
     ref_dt: float | None = None,
 ) -> ConvergenceTable:
     """Self-convergence of the reference solver against its own fine-dt run."""
-    if len(dt_list) == 0:
-        raise ValueError("dt_list must be nonempty")
-    if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
-        raise ValueError("dt_list must be strictly descending")
-    if ref_dt is None:
-        ref_dt = min(dt_list) / 4.0
-    ref = solve_deterministic(p, d, h, ref_dt, t_end)
-    errs = []
-    for dt in dt_list:
-        sol = solve_deterministic(p, d, h, dt, t_end)
-        errs.append(_max_err_on_coarse_grid(sol.states, dt, ref))
-    return _order_table(list(dt_list), errs)
+    return _study(
+        p, d, h, dt_list, t_end, ref_dt,
+        lambda dt: solve_deterministic(p, d, h, dt, t_end).states,
+    )

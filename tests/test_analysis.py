@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyprey import (
     DelaySpec,
@@ -21,7 +23,8 @@ from levyprey import (
 
 def _traj(times, states):
     states = np.asarray(states, dtype=float)
-    return Trajectory(times=np.asarray(times, dtype=float), states=states, jump_log=(), floor_hits=0)
+    times = np.asarray(times, dtype=float)
+    return Trajectory(times=times, states=states, jump_events=0, floor_hits=0)
 
 
 def _params(**kw):
@@ -268,3 +271,37 @@ class TestCoefficientProperties:
                 p_a = dataclasses.replace(p, a1=p.a1 + 0.05)
                 lz_hi = persistence_report(p_a, n)[2]
                 assert lz_hi > lz
+
+
+_RATE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_MARK = st.floats(min_value=-1.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _any_valid_inputs(draw):
+    """Any parameter set the types accept, with the degenerate cases the
+    classifier must survive drawn often: r = 0, alpha3 = 0, and r = 2,
+    K = 4, which makes the prey denominator 1 - r + 2r/K exactly zero."""
+    rate = _RATE | st.just(0.0)
+    kw = {name: draw(rate) for name in (
+        "alpha1", "alpha2", "alpha3", "beta", "delta", "a1", "a2")}
+    for r, k in (("r1", "k1"), ("r2", "k2")):
+        if draw(st.booleans()):
+            kw[r], kw[k] = 2.0, 4.0
+        else:
+            kw[r] = draw(rate)
+            kw[k] = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    p = ModelParams(**kw)
+    n = NoiseSpec(*(draw(rate) for _ in range(3)), *(draw(_MARK) for _ in range(3)),
+                  lam=draw(rate), shared_clock=draw(st.booleans()))
+    d = DelaySpec(*(draw(rate) for _ in range(3)))
+    return p, n, d
+
+
+class TestClassifyProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_any_valid_inputs())
+    def test_never_raises(self, inputs):
+        rep = classify(*inputs)
+        assert rep.predicted in Regime
+        assert rep.well_posed_ok == (inputs[0].delta > inputs[0].alpha3)

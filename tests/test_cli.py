@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import pytest
 
 from levyprey.cli import main
 
@@ -142,6 +143,16 @@ class TestSweep:
     def test_sweep_requires_var_or_preset(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_colliding_file_names_rejected_before_writing(self, tmp_path, capsys):
+        # both values print as 0.123456 under {value:g}
+        cfg = _write(tmp_path, "sw.cfg", "preset = fig3\nt_end = 2\n")
+        out = str(tmp_path / "sw.csv")
+        rc = main(["sweep", "--config", cfg, "--out", out,
+                   "--var", "r1", "--values", "0.1234561,0.1234564"])
+        assert rc == 1
+        assert "sw_r1=0.123456.csv" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.cfg"]
+
 
 class TestErrors:
     def test_config_error_exit_code(self, tmp_path):
@@ -157,3 +168,17 @@ class TestErrors:
         cfg = _write(tmp_path, "boom.cfg", "preset = fig3\nx0 = 10\ny0 = 10\nz0 = 5\nt_end = 10\nseed = 2\n")
         out = str(tmp_path / "x.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--dts", "1e-2", "--ref-dt", "1e-2"]])
+    def test_oracle_divergence_is_runtime_fault(self, tmp_path, capsys, extra):
+        # the fig3 core explodes near t = 20; the reference solver must report
+        # it as a runtime fault, whether the end-of-step check or a stage
+        # evaluation sees the overflow first
+        cfg = _write(tmp_path, "f3.cfg", "preset = fig3\nt_end = 200\n")
+        out = str(tmp_path / "c.csv")
+        assert main(["convergence", "--config", cfg, "--out", out, *extra]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [ln for ln in err if not ln.startswith("warning:")] == [
+            ln for ln in err if ln.startswith("runtime fault: reference solver")
+        ]
+        assert len(err) == 2

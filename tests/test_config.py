@@ -1,7 +1,10 @@
 """Unit tests for the key=value config parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from levyprey import PRESETS
 from levyprey.config import ConfigError, parse_config
 
 
@@ -54,6 +57,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="tau1"):
             parse_config("tau1 = 0.5\ndt = 0.3\n")
 
+    def test_t_end_must_be_multiple_of_dt(self):
+        with pytest.raises(ConfigError, match="t_end.*line 2"):
+            parse_config("dt = 0.01\nt_end = 1.005\n")
+        assert parse_config("dt = 0.01\nt_end = 1.01\n")["t_end"] == 1.01
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_key_and_line(self, value):
+        with pytest.raises(ConfigError, match="r1 must be finite.*line 2"):
+            parse_config(f"seed = 1\nr1 = {value}\n")
+
     def test_integer_keys_reject_floats(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config("seed = 1.5\n")
@@ -86,8 +99,70 @@ class TestCanonicalForm:
         assert cfg2["r1"] == cfg["r1"]
         assert cfg2["beta"] == cfg["beta"]
 
+    def test_keys_map_to_their_fields_both_ways(self):
+        cfg = parse_config(
+            "K1 = 3\nK2 = 5\nlambda = 0.25\nx0 = 1\ny0 = 2\nz0 = 4\n"
+            "tau1 = 0.5\ntau2 = 1\ntau3 = 2\ndt = 0.5\nt_end = 1.5\n"
+        )
+        assert (cfg.to_params().k1, cfg.to_params().k2) == (3, 5)
+        assert cfg.to_noise().lam == 0.25
+        assert cfg.to_history().constant == (1, 2, 4)
+        assert cfg.to_delays().taus == (0.5, 1, 2)
+        assert (cfg.to_step_config().dt, cfg.to_step_config().t_end) == (0.5, 1.5)
+        scn = PRESETS["fig3"]  # distinct x0, y0, z0
+        cfg = parse_config("preset = fig3\n")
+        assert cfg.to_params() == scn.params
+        assert cfg.to_noise() == scn.noise
+        assert cfg.to_delays() == scn.delays
+        assert cfg.to_history() == scn.history
+        assert (cfg["dt"], cfg["t_end"]) == (scn.dt, scn.t_end)
+
     def test_replaced_validates(self):
         cfg = parse_config("")
         with pytest.raises(ConfigError):
             cfg.replaced(q1=-3.0)
         assert cfg.replaced(seed=5).seed == 5
+
+
+_NONNEG = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_POS = st.floats(min_value=1e-300, allow_nan=False, allow_infinity=False)
+_MARK = st.floats(min_value=-1.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_configs(draw):
+    """A RunConfig built from a random preset (or none) plus random overrides
+    of every value, all of which pass validation."""
+    preset = draw(st.sampled_from([None, *sorted(PRESETS)]))
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.025, 0.1, 0.5]))
+    values = {key: draw(_NONNEG) for key in (
+        "r1", "r2", "alpha1", "alpha2", "alpha3", "beta", "delta", "a1", "a2",
+        "sigma1", "sigma2", "sigma3", "lambda", "x0", "y0", "z0")}
+    values.update({key: draw(_POS) for key in ("K1", "K2")})
+    values.update({key: draw(_MARK) for key in ("q1", "q2", "q3")})
+    steps = st.integers(min_value=1, max_value=10_000)
+    values.update({key: draw(st.sampled_from([0, 1]) | steps) * dt
+                   for key in ("tau1", "tau2", "tau3")})
+    values.update(dt=dt, t_end=draw(steps) * dt)
+    values.update(seed=draw(st.integers(min_value=0, max_value=2**63)),
+                  n_reps=draw(st.integers(min_value=1, max_value=10**6)))
+    text = f"preset = {preset}\n" if preset else ""
+    output = draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True))
+    if output is not None:
+        text += f"output = {output}\n"
+    return parse_config(text).replaced(**values)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_configs())
+    def test_to_text_parses_back_to_the_same_config(self, cfg):
+        text = cfg.to_text()
+        again = parse_config(text)
+        assert again == cfg
+        assert again.to_text() == text
+        assert again.to_params() == cfg.to_params()
+        assert again.to_noise() == cfg.to_noise()
+        assert again.to_delays() == cfg.to_delays()
+        assert again.to_history() == cfg.to_history()
+        assert again.to_step_config() == cfg.to_step_config()

@@ -13,12 +13,9 @@ from levyprey import (
     NoiseSpec,
     State,
     StepConfig,
-    delayed_lookup,
     drift,
     init_history,
-    sample_jumps,
     simulate,
-    step,
 )
 from levyprey import rng as lrng
 
@@ -29,6 +26,13 @@ FIG1_PARAMS = ModelParams(
 FIG1_NOISE = NoiseSpec(sigma1=1e-4, sigma2=2e-4, sigma3=2e-4, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
 TABLE_DELAYS = DelaySpec(0.5, 1.0, 1.5)
 NOISE_OFF = NoiseSpec(0, 0, 0, 0, 0, 0, lam=0.0)
+# no drift at all: only the noise terms move the state
+ZERO_RATES = ModelParams(r1=0, r2=0, k1=1, k2=1, alpha1=0, alpha2=0,
+                         alpha3=0, beta=0, delta=0, a1=0, a2=0)
+
+
+def _nonzero_rows(counts):
+    return int(np.count_nonzero(np.asarray(counts).reshape(len(counts), -1).any(axis=1)))
 
 
 class TestHistory:
@@ -37,20 +41,20 @@ class TestHistory:
         buf = init_history(HistorySpec.from_constant(50, 50, 10), TABLE_DELAYS, c)
         assert len(buf) == 151  # tau_max = 1.5 at dt = 0.01
         assert buf.t_start == pytest.approx(-1.5)
-        assert buf.state_at(-1.5) == (50, 50, 10)
-        assert buf.state_at(0.0) == (50, 50, 10)
+        assert (buf.xs[0], buf.ys[0], buf.zs[0]) == (50, 50, 10)
+        assert (buf.xs[-1], buf.ys[-1], buf.zs[-1]) == (50, 50, 10)
 
     def test_table_fill_linear_midpoint(self):
         c = StepConfig(dt=0.5, t_end=1.0)
         h = HistorySpec.from_table([(-1, 0, 0, 0), (0, 10, 10, 10)])
         buf = init_history(h, DelaySpec(1.0, 0, 0), c)
-        assert buf.state_at(-0.5) == pytest.approx((5, 5, 5))
+        assert (buf.xs[1], buf.ys[1], buf.zs[1]) == pytest.approx((5, 5, 5))  # t = -0.5
 
     def test_no_delay_single_sample(self):
         c = StepConfig(dt=0.01, t_end=1.0)
         buf = init_history(HistorySpec.from_constant(1, 2, 3), DelaySpec(0, 0, 0), c)
         assert len(buf) == 1
-        assert buf.state_at(0.0) == (1, 2, 3)
+        assert (buf.xs[0], buf.ys[0], buf.zs[0]) == (1, 2, 3)
 
     def test_table_must_span_window(self):
         c = StepConfig(dt=0.1, t_end=1.0)
@@ -60,100 +64,105 @@ class TestHistory:
 
 
 class TestDelayedLookup:
-    def _buffer(self):
-        c = StepConfig(dt=0.01, t_end=1.0)
-        buf = init_history(HistorySpec.from_constant(2, 2, 2), DelaySpec(0.02, 0, 0), c)
-        # overwrite with a recognizable ramp: x = 2, 3, 4 at t = -0.02, -0.01, 0
-        buf.xs[:] = [2.0, 3.0, 4.0]
-        return buf
-
     def test_zero_delay_returns_current(self):
-        buf = self._buffer()
-        assert delayed_lookup(buf, 0.0, 0.0).x == 4.0
+        # the history before t = 0 differs from x(0); zero delays must tap
+        # the current state, never the history
+        h = HistorySpec.from_table([(-1.0, 1, 1, 1), (0.0, 30, 20, 4)])
+        sc = StepConfig(dt=0.01, t_end=0.02)
+        traj = simulate(FIG1_PARAMS, NOISE_OFF, DelaySpec(0, 0, 0), h, sc)
+        xs = [State(30.0, 20.0, 4.0)]
+        for _ in range(2):
+            s = xs[-1]
+            f = drift(s, DelayedState(s.x, s.y, s.x, s.y), FIG1_PARAMS)
+            xs.append(State(s.x + 0.01 * f[0], s.y + 0.01 * f[1], s.z + 0.01 * f[2]))
+        assert np.allclose(traj.states, np.array(xs), rtol=1e-13, atol=0)
 
     def test_grid_aligned_is_bit_exact(self):
-        buf = self._buffer()
-        assert delayed_lookup(buf, 0.0, 0.01).x == 3.0
-        assert delayed_lookup(buf, 0.0, 0.02).x == 2.0
-
-    def test_linear_midpoint(self):
-        buf = self._buffer()
-        assert delayed_lookup(buf, 0.0, 0.005).x == pytest.approx(3.5)
-
-    def test_before_start_faults_with_time(self):
-        buf = self._buffer()
-        with pytest.raises(ValueError, match="-0.03"):
-            delayed_lookup(buf, 0.0, 0.03)
+        # x = 2, 3, 4 at t = -0.02, -0.01, 0; the tau1 = 0.02 tap must read
+        # the stored 2 exactly: fx = r1*x*(1 - 2/K1) = 1*4*(1 - 0.5) = 2
+        p = ModelParams(r1=1.0, r2=0, k1=4.0, k2=1, alpha1=0, alpha2=0,
+                        alpha3=0, beta=0, delta=0, a1=0, a2=0)
+        h = HistorySpec.from_table([(-0.02, 2, 1, 1), (0.0, 4, 1, 1)])
+        traj = simulate(p, NOISE_OFF, DelaySpec(0.02, 0, 0), h, StepConfig(dt=0.01, t_end=0.01))
+        assert traj.x[-1] == 4.0 + 2.0 * 0.01
 
 
 class TestSampleJumps:
+    """The jump clock the engine draws from: Poisson(lam*dt) per step."""
+
     def test_zero_rate_always_zero(self):
-        g = lrng.stream(0, 0, lrng.JUMPS)
-        assert all(sample_jumps(0.0, 0.01, g) == 0 for _ in range(100))
+        n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=0.0)
+        traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec.from_constant(10, 10, 5),
+                        StepConfig(dt=0.01, t_end=1.0))
+        assert traj.jump_events == 0
 
     def test_poisson_mean(self):
-        # closed-form moments: mean = var = lam*dt = 0.01
-        g = lrng.stream(1, 0, lrng.JUMPS)
-        draws = sample_jumps(1.0, 0.01, g, size=1_000_000)
+        # closed-form moments: mean = var = lam*dt = 0.01, drawn the way the
+        # shared clock draws its counts
+        draws = lrng.stream(1, 0, lrng.JUMPS).poisson(1.0 * 0.01, 1_000_000)
         se = math.sqrt(0.01 / 1_000_000)
         assert abs(draws.mean() - 0.01) < 3 * se
 
     def test_poisson_tail(self):
-        # P(count >= 1) = 1 - exp(-0.01), binomial 3-sigma band
-        g = lrng.stream(2, 0, lrng.JUMPS)
-        draws = sample_jumps(1.0, 0.01, g, size=1_000_000)
-        p = 1.0 - math.exp(-0.01)
-        se = math.sqrt(p * (1 - p) / 1_000_000)
-        assert abs((draws >= 1).mean() - p) < 3 * se
+        # share of steps with an arrival is P(count >= 1) = 1 - exp(-lam*dt),
+        # binomial 3-sigma band
+        n_steps, lam, dt = 50_000, 10.0, 0.01
+        n = NoiseSpec(0, 0, 0, 0, 0, 0, lam=lam)
+        traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec.from_constant(1, 1, 1),
+                        StepConfig(dt=dt, t_end=n_steps * dt, seed=2))
+        p = 1.0 - math.exp(-lam * dt)
+        se = math.sqrt(p * (1 - p) / n_steps)
+        assert abs(traj.jump_events / n_steps - p) < 3 * se
 
     def test_negative_rate_rejected(self):
-        g = lrng.stream(0, 0, lrng.JUMPS)
-        with pytest.raises(ValueError):
-            sample_jumps(-1.0, 0.01, g)
+        with pytest.raises(ValueError, match="lam"):
+            NoiseSpec(0, 0, 0, 0, 0, 0, lam=-1.0)
 
 
 class TestStep:
+    """Single steps, driven through simulate with t_end = dt."""
+
     def test_hand_computed_step(self):
         # drift example plus jump compensator -q_i*lam*S_i*dt with dN = 0:
         #   x' = 50 - 130*0.01 + (-0.04)*50*(-0.01) = 48.72
         #   y' = 50 - 156.25*0.01 + (-0.006)*50*(-0.01) = 48.4405
         #   z' = 10 - 1*0.01 + (-0.008)*10*(-0.01) = 9.9908
-        c = StepConfig(dt=0.01, t_end=1.0)
-        buf = init_history(HistorySpec.from_constant(50, 50, 10), TABLE_DELAYS, c)
-        # make every delay tap 50 (history z is irrelevant to the taps used)
-        buf.xs[:] = [50.0] * len(buf.xs)
-        buf.ys[:] = [50.0] * len(buf.ys)
-        s, hits = step(buf, 0.0, FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, c, (0, 0, 0), (0, 0, 0))
-        assert hits == 0
-        assert s.x == pytest.approx(48.72, abs=1e-12)
-        assert s.y == pytest.approx(48.4405, abs=1e-12)
-        assert s.z == pytest.approx(9.9908, abs=1e-12)
+        assert lrng.stream(0, 0, lrng.JUMPS).poisson(0.01, 1)[0] == 0
+        n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
+        c = StepConfig(dt=0.01, t_end=0.01, seed=0)
+        traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec.from_constant(50, 50, 10), c)
+        assert traj.floor_hits == 0
+        assert traj.jump_events == 0
+        assert traj.x[-1] == pytest.approx(48.72, abs=1e-12)
+        assert traj.y[-1] == pytest.approx(48.4405, abs=1e-12)
+        assert traj.z[-1] == pytest.approx(9.9908, abs=1e-12)
 
     def test_noise_off_equals_explicit_euler(self):
-        c = StepConfig(dt=0.01, t_end=1.0)
-        buf = init_history(HistorySpec.from_constant(30, 20, 4), TABLE_DELAYS, c)
-        s, _ = step(buf, 0.0, FIG1_PARAMS, NOISE_OFF, TABLE_DELAYS, c, (0.3, -0.5, 1.0), (0, 0, 0))
+        c = StepConfig(dt=0.01, t_end=0.01)
+        h = HistorySpec.from_constant(30, 20, 4)
+        traj = simulate(FIG1_PARAMS, NOISE_OFF, TABLE_DELAYS, h, c)
         f = drift(State(30, 20, 4), DelayedState(30, 20, 30, 20), FIG1_PARAMS)
-        assert s.x == pytest.approx(30 + 0.01 * f[0], rel=1e-15)
-        assert s.y == pytest.approx(20 + 0.01 * f[1], rel=1e-15)
-        assert s.z == pytest.approx(4 + 0.01 * f[2], rel=1e-15)
+        assert traj.x[-1] == pytest.approx(30 + 0.01 * f[0], rel=1e-15)
+        assert traj.y[-1] == pytest.approx(20 + 0.01 * f[1], rel=1e-15)
+        assert traj.z[-1] == pytest.approx(4 + 0.01 * f[2], rel=1e-15)
 
     def test_origin_stays_at_origin(self):
-        c = StepConfig(dt=0.01, t_end=1.0)
-        buf = init_history(HistorySpec.from_constant(0, 0, 0), TABLE_DELAYS, c)
-        s, hits = step(buf, 0.0, FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, c, (1.0, -2.0, 0.5), (3, 3, 3))
-        assert s == (0.0, 0.0, 0.0)
-        assert hits == 0
+        hot = NoiseSpec(1.0, 2.0, 0.5, q1=-0.04, q2=-0.006, q3=-0.008, lam=50.0)
+        c = StepConfig(dt=0.01, t_end=1.0, seed=3)
+        traj = simulate(FIG1_PARAMS, hot, TABLE_DELAYS, HistorySpec.from_constant(0, 0, 0), c)
+        assert traj.jump_events > 0
+        assert np.all(traj.states == 0.0)
+        assert traj.floor_hits == 0
 
     def test_overshoot_clamps_to_floor_and_counts(self):
         # predation strong enough that x + fx*dt < 0 in one step
         p = ModelParams(r1=0, r2=0, k1=1, k2=1, alpha1=1.0, alpha2=0,
                         alpha3=0, beta=0, delta=0, a1=0, a2=0)
-        c = StepConfig(dt=0.1, t_end=1.0)
-        buf = init_history(HistorySpec.from_constant(1, 0, 100), DelaySpec(0, 0, 0), c)
-        s, hits = step(buf, 0.0, p, NOISE_OFF, DelaySpec(0, 0, 0), c, (0, 0, 0), (0, 0, 0))
-        assert s.x == 1e-12
-        assert hits == 1
+        c = StepConfig(dt=0.1, t_end=0.1)
+        traj = simulate(p, NOISE_OFF, DelaySpec(0, 0, 0), HistorySpec.from_constant(1, 0, 100), c)
+        assert traj.x[-1] == 1e-12
+        assert traj.y[-1] == 0.0  # a true zero is not clamped upward
+        assert traj.floor_hits == 1
 
 
 class TestSimulate:
@@ -173,27 +182,8 @@ class TestSimulate:
         b = simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, h, sc)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.times, b.times)
-        assert a.jump_log == b.jump_log
+        assert a.jump_events == b.jump_events
         assert a.floor_hits == b.floor_hits
-
-    def test_step_iteration_matches_simulate_bitwise(self):
-        # drive the public step() with the exact draws simulate consumes
-        sc = StepConfig(dt=0.01, t_end=0.5, seed=9)
-        h = HistorySpec.from_constant(10, 10, 5)
-        traj = simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, h, sc)
-
-        n = sc.n_steps
-        normals = lrng.stream(9, 0, lrng.GAUSSIAN).standard_normal((n, 3))
-        counts = lrng.stream(9, 0, lrng.JUMPS).poisson(FIG1_NOISE.lam * sc.dt, n)
-        buf = init_history(h, TABLE_DELAYS, sc)
-        for i in range(n):
-            s, _ = step(
-                buf, i * sc.dt, FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, sc,
-                tuple(normals[i]), (int(counts[i]),) * 3,
-            )
-            buf.append(s.x, s.y, s.z)
-        manual = np.column_stack([buf.xs, buf.ys, buf.zs])[-(n + 1):]
-        assert np.array_equal(manual, traj.states)
 
     def test_toggling_jumps_keeps_brownian_path(self):
         # q = 0 makes the jump term exactly zero; disjoint streams mean the
@@ -213,28 +203,31 @@ class TestSimulate:
         b = simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, h, sc, replicate=1)
         assert not np.array_equal(a.states, b.states)
 
-    def test_jump_log_records_arrivals(self):
-        sc = StepConfig(dt=0.1, t_end=2.0, seed=1)
-        h = HistorySpec.from_constant(10, 10, 5)
-        hot = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=20.0)
-        traj = simulate(FIG1_PARAMS, hot, TABLE_DELAYS, h, sc)
-        assert len(traj.jump_log) > 0
-        for t, j1, j2, j3 in traj.jump_log:
-            assert j1 == j2 == j3  # shared clock
-            assert j1 >= 1
-            assert t in traj.times
-        cold = simulate(FIG1_PARAMS, NOISE_OFF, TABLE_DELAYS, h, sc)
-        assert cold.jump_log == ()
-
-    def test_independent_clocks(self):
+    def test_jump_events_counts_arrival_steps(self):
+        # one event per step with at least one arrival, read from the
+        # replicate's own jump stream, under both clock layouts
         sc = StepConfig(dt=0.1, t_end=5.0, seed=1)
         h = HistorySpec.from_constant(10, 10, 5)
-        hot = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0, shared_clock=False)
-        traj = simulate(FIG1_PARAMS, hot, TABLE_DELAYS, h, sc)
-        counts = np.array([(j1, j2, j3) for _, j1, j2, j3 in traj.jump_log])
-        assert len(counts) > 0
-        # with independent clocks the three species must desynchronize somewhere
-        assert np.any(counts.std(axis=1) > 0)
+        for shared, size in ((True, 50), (False, (50, 3))):
+            hot = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0, shared_clock=shared)
+            traj = simulate(FIG1_PARAMS, hot, TABLE_DELAYS, h, sc, replicate=2)
+            counts = lrng.stream(1, 2, lrng.JUMPS).poisson(5.0 * 0.1, size)
+            assert 0 < traj.jump_events < 50
+            assert traj.jump_events == _nonzero_rows(counts)
+        cold = simulate(FIG1_PARAMS, NOISE_OFF, TABLE_DELAYS, h, sc)
+        assert cold.jump_events == 0
+
+    def test_independent_clocks(self):
+        # equal marks on equal states: a shared clock keeps the species equal,
+        # independent clocks must desynchronize them somewhere
+        sc = StepConfig(dt=0.1, t_end=5.0, seed=1)
+        h = HistorySpec.from_constant(10, 10, 10)
+        shared = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.04, q3=-0.04, lam=5.0)
+        indep = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.04, q3=-0.04, lam=5.0, shared_clock=False)
+        a = simulate(ZERO_RATES, shared, DelaySpec(0, 0, 0), h, sc)
+        b = simulate(ZERO_RATES, indep, DelaySpec(0, 0, 0), h, sc)
+        assert np.all(a.x == a.y) and np.all(a.y == a.z)
+        assert np.any(b.x != b.y) or np.any(b.y != b.z)
 
     def test_noise_off_simulate_equals_manual_euler(self):
         # hand-rolled explicit Euler over the same grid, built on drift()
@@ -276,7 +269,7 @@ class TestSimulate:
         a = simulate(FIG1_PARAMS, n, TABLE_DELAYS, h, sc)
         b = simulate(FIG1_PARAMS, n, TABLE_DELAYS, h, sc)
         assert np.array_equal(a.states, b.states)
-        assert a.jump_log == b.jump_log
+        assert a.jump_events == b.jump_events
 
     def test_snap_warning_for_off_grid_delay(self):
         sc = StepConfig(dt=0.01, t_end=1.0)

@@ -77,10 +77,13 @@ class TestRunEnsemble:
             run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=0, base_seed=0)
 
     def test_stats_stride_includes_endpoint(self):
-        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=2, base_seed=0,
-                             stats_stride=7)
+        # 2004 grid points decimate with stride 2, which skips the last point
+        # unless it is appended
+        cfg = StepConfig(dt=0.01, t_end=20.03, seed=0)
+        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, cfg, n_reps=2, base_seed=0)
         assert stats.stat_times[0] == 0.0
-        assert stats.stat_times[-1] == pytest.approx(5.0)
+        assert stats.stat_times[-1] == pytest.approx(20.03)
+        assert len(stats.stat_times) == 1003
 
     def test_long_horizon_decimates_stats_grid(self):
         # 20000 integration steps decimate to <= ~2000 stats points; the

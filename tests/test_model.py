@@ -12,11 +12,12 @@ from levyprey import (
     ModelParams,
     NoiseSpec,
     State,
-    apply_jump,
-    diffusion,
+    StepConfig,
+    classify,
     drift,
-    validate,
+    simulate,
 )
+from levyprey import rng as lrng
 
 # published simulation column used throughout (extinction flavor), with the
 # package-assumed transformation rates
@@ -26,6 +27,20 @@ FIG1_PARAMS = ModelParams(
 )
 FIG1_NOISE = NoiseSpec(sigma1=1e-4, sigma2=2e-4, sigma3=2e-4, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
 TABLE_DELAYS = DelaySpec(0.5, 1.0, 1.5)
+# no drift at all: only the noise terms move the state
+ZERO_RATES = ModelParams(r1=0, r2=0, k1=1, k2=1, alpha1=0, alpha2=0,
+                         alpha3=0, beta=0, delta=0, a1=0, a2=0)
+DT = 0.01
+# the first jump count of replicate 0 at lam*dt = 0.01 is 1 under this seed
+ONE_ARRIVAL_SEED = 64
+
+
+def _one_step(n, state, seed=0):
+    """(normals, state after one engine step of size DT) from a constant history."""
+    traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec.from_constant(*state),
+                    StepConfig(dt=DT, t_end=DT, seed=seed))
+    normals = lrng.stream(seed, 0, lrng.GAUSSIAN).standard_normal((1, 3))[0]
+    return normals, State(*traj.states[-1])
 
 
 class TestDrift:
@@ -65,44 +80,59 @@ class TestDrift:
 
 
 class TestDiffusion:
+    """Brownian increment sigma_i * S_i * sqrt(dt) * Z_i of one engine step."""
+
     def test_vanishes_at_origin(self):
-        assert diffusion(State(0, 0, 0), FIG1_NOISE) == (0.0, 0.0, 0.0)
+        _, out = _one_step(NoiseSpec(0.1, 0.2, 0.3, 0, 0, 0, lam=0.0), (0, 0, 0))
+        assert out == (0.0, 0.0, 0.0)
 
     def test_direct_multiplication(self):
-        n = NoiseSpec(0.1, 0.2, 0.3, 0, 0, 0)
-        assert diffusion(State(10, 10, 10), n) == (1.0, 2.0, 3.0)
+        zs, out = _one_step(NoiseSpec(0.1, 0.2, 0.3, 0, 0, 0, lam=0.0), (10, 10, 10), seed=5)
+        scale = math.sqrt(DT)
+        for v, sigma, z in zip(out, (0.1, 0.2, 0.3), zs):
+            assert v - 10 == pytest.approx(sigma * 10 * scale * z, rel=1e-12)
 
     def test_fig1_intensities(self):
-        g = diffusion(State(50, 50, 10), FIG1_NOISE)
-        assert g == pytest.approx((5e-3, 1e-2, 2e-3), rel=1e-12)
+        n = NoiseSpec(1e-4, 2e-4, 2e-4, 0, 0, 0, lam=0.0)
+        zs, out = _one_step(n, (50, 50, 10), seed=5)
+        g = [(v - s) / (math.sqrt(DT) * z) for v, s, z in zip(out, (50, 50, 10), zs)]
+        assert g == pytest.approx((5e-3, 1e-2, 2e-3), rel=1e-9)
 
 
 class TestApplyJump:
+    """A step with one arrival sends S -> S * (1 + q*(1 - lam*dt)), the jump
+    and its compensator."""
+
     def test_all_species_table_marks(self):
-        out = apply_jump(State(10, 10, 10), ("x", "y", "z"), FIG1_NOISE)
-        assert out == pytest.approx((9.6, 9.94, 9.92), rel=1e-12)
+        assert lrng.stream(ONE_ARRIVAL_SEED, 0, lrng.JUMPS).poisson(0.01, 1)[0] == 1
+        n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
+        _, out = _one_step(n, (10, 10, 10), seed=ONE_ARRIVAL_SEED)
+        assert out == pytest.approx((9.604, 9.9406, 9.9208), rel=1e-12)
 
     def test_empty_subset_is_identity(self):
-        assert apply_jump(State(10, 10, 10), (), FIG1_NOISE) == (10, 10, 10)
+        # no arrivals and no compensator: the marks leave the state alone
+        n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=0.0)
+        _, out = _one_step(n, (10, 10, 10), seed=ONE_ARRIVAL_SEED)
+        assert out == (10, 10, 10)
 
     def test_zero_is_absorbing(self):
-        out = apply_jump(State(0.0, 5.0, 5.0), ("x", "y", "z"), FIG1_NOISE)
+        n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
+        _, out = _one_step(n, (0.0, 5.0, 5.0), seed=ONE_ARRIVAL_SEED)
         assert out.x == 0.0
-        assert out.y == pytest.approx(5 * (1 - 0.006))
-        assert out.z == pytest.approx(5 * (1 - 0.008))
+        assert out.y == pytest.approx(5 * (1 - 0.006 * 0.99))
+        assert out.z == pytest.approx(5 * (1 - 0.008 * 0.99))
 
     def test_positivity_preserved_for_random_marks(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             q = rng.uniform(-0.999, 4.0, 3)
-            n = NoiseSpec(0, 0, 0, q1=q[0], q2=q[1], q3=q[2])
-            s = State(*rng.uniform(1e-8, 100.0, 3))
-            out = apply_jump(s, ("x", "y", "z"), n)
-            assert all(v > 0 for v in out)
-
-    def test_unknown_species_rejected(self):
-        with pytest.raises(ValueError, match="unknown species"):
-            apply_jump(State(1, 1, 1), ("w",), FIG1_NOISE)
+            n = NoiseSpec(0, 0, 0, q1=q[0], q2=q[1], q3=q[2], lam=1.0)
+            traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0),
+                            HistorySpec.from_constant(*rng.uniform(1e-8, 100.0, 3)),
+                            StepConfig(dt=DT, t_end=DT, seed=ONE_ARRIVAL_SEED))
+            assert traj.jump_events == 1
+            assert traj.floor_hits == 0
+            assert np.all(traj.states > 0)
 
 
 class TestTypeInvariants:
@@ -146,17 +176,17 @@ class TestTypeInvariants:
 
 
 class TestValidate:
+    """The unique-global-solution condition delta > alpha3, as classify reports it."""
+
     def test_fig1_fails_unique_solution_condition(self):
-        report = validate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS)
-        assert not report.ok
-        failed = report.failed()
-        assert len(failed) == 1
-        assert "delta > alpha3" in failed[0].name
+        report = classify(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS)
+        assert not report.well_posed_ok
+        assert any("delta > alpha3" in line and "fails" in line for line in report.trace)
 
     def test_passes_when_delta_exceeds_alpha3(self):
         p = ModelParams(r1=0.7, r2=0.65, k1=100, k2=100, alpha1=0.3, alpha2=0.35,
                         alpha3=0.5, beta=1e-4, delta=0.6, a1=0.05, a2=0.05)
-        assert validate(p, FIG1_NOISE, TABLE_DELAYS).ok
+        assert classify(p, FIG1_NOISE, TABLE_DELAYS).well_posed_ok
 
     def test_overall_pass_iff_every_check_passes(self):
         rng = np.random.default_rng(3)
@@ -168,5 +198,4 @@ class TestValidate:
                 alpha3=rng.uniform(0, 1), beta=rng.uniform(0, 0.01),
                 delta=rng.uniform(0, 1), a1=rng.uniform(0, 0.2), a2=rng.uniform(0, 0.2),
             )
-            report = validate(p, FIG1_NOISE, TABLE_DELAYS)
-            assert report.ok == all(c.passed for c in report.checks)
+            assert classify(p, FIG1_NOISE, TABLE_DELAYS).well_posed_ok == (p.delta > p.alpha3)
