@@ -10,11 +10,7 @@ from .analysis import (
     Regime,
     RegimeReport,
     TimeAverageSeries,
-    boundedness_check,
     classify,
-    extinction_coefficients,
-    persistence_report,
-    predator_extinction_report,
     time_average,
 )
 from .engine import (
@@ -43,7 +39,6 @@ from .model import (
 )
 from .oracle import (
     ConvergenceTable,
-    ReferenceSolution,
     convergence_study,
     rk4_self_convergence,
     solve_deterministic,
@@ -74,10 +69,6 @@ __all__ = [
     "RegimeReport",
     "TimeAverageSeries",
     "time_average",
-    "extinction_coefficients",
-    "predator_extinction_report",
-    "persistence_report",
-    "boundedness_check",
     "classify",
     # ensemble
     "EnsembleStats",
@@ -86,7 +77,6 @@ __all__ = [
     "run_ensemble",
     "verify_regime",
     # oracle
-    "ReferenceSolution",
     "ConvergenceTable",
     "solve_deterministic",
     "convergence_study",

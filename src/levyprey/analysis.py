@@ -26,6 +26,11 @@ are constant per species (see NoiseSpec).
 Parameter sets satisfying none of the three hypotheses are reported as
 Indeterminate: the sufficient conditions simply do not apply, and no regime
 is predicted.
+
+``classify`` is the one place these terms are computed: a single pass
+evaluates each once and returns them all in a RegimeReport. A term that is
+undefined for the parameters (c3 when r_i = 0, a prey bound with a zero
+denominator, Lz when alpha3 = 0) is None there, and the trace says why.
 """
 
 from __future__ import annotations
@@ -44,10 +49,6 @@ __all__ = [
     "RegimeReport",
     "TimeAverageSeries",
     "time_average",
-    "extinction_coefficients",
-    "predator_extinction_report",
-    "persistence_report",
-    "boundedness_check",
     "classify",
 ]
 
@@ -110,78 +111,6 @@ def _sq(v: float) -> float:
         return math.inf
 
 
-def _prey_terms(p: ModelParams, n: NoiseSpec) -> tuple[float, float, float, float]:
-    """Prey margins c1, c2 and the prey denominators 1 - r_i + 2*r_i/K_i."""
-    c1 = p.r1 - _sq(n.sigma1) / 2.0
-    c2 = p.r2 - _sq(n.sigma2) / 2.0
-    d1 = 1.0 - p.r1 + 2.0 * p.r1 / p.k1
-    d2 = 1.0 - p.r2 + 2.0 * p.r2 / p.k2
-    return (c1, c2, d1, d2)
-
-
-def extinction_coefficients(p: ModelParams, n: NoiseSpec) -> tuple[float, float, float]:
-    """Net log-growth margins (c1, c2, c3); all negative certifies extinction in mean."""
-    if p.r1 == 0 or p.r2 == 0:
-        raise ValueError("c3 is undefined when r1 or r2 is zero (divides by the growth rate)")
-    c1, c2, _, _ = _prey_terms(p, n)
-    c3 = (
-        p.a1 * (p.k1 / p.r1) * c1 + p.a2 * (p.k2 / p.r2) * c2 - p.delta - _sq(n.sigma3) / 2.0
-    )
-    return (c1, c2, c3)
-
-
-def predator_extinction_report(p: ModelParams, n: NoiseSpec) -> tuple[float, float]:
-    """Predator recruitment margin c4 and the prey-side minimum m.
-
-    The predator dies out while both prey persist in mean when m > 0 and
-    c4 <= 0. m collects c1, c2 and the two prey denominators.
-    """
-    c4 = p.a1 * p.k1 + p.a2 * p.k2 - p.delta - _sq(n.sigma3) / 2.0
-    return (c4, min(_prey_terms(p, n)))
-
-
-def persistence_report(p: ModelParams, n: NoiseSpec) -> tuple[float, float, float, bool]:
-    """Asymptotic lower bounds (Lx, Ly, Lz) for the time averages and whether
-    the full-persistence hypothesis holds.
-
-    Rejects parameter sets where a bound is undefined: a zero prey
-    denominator, or alpha3 = 0 (it divides the predator bound).
-    """
-    c1, c2, d1, d2 = _prey_terms(p, n)
-    if d1 == 0.0:
-        raise ValueError("prey-1 denominator 1 - r1 + 2*r1/K1 is zero; bound undefined")
-    if d2 == 0.0:
-        raise ValueError("prey-2 denominator 1 - r2 + 2*r2/K2 is zero; bound undefined")
-    if p.alpha3 == 0.0:
-        raise ValueError("alpha3 is zero; predator bound Lz undefined")
-    lx = c1 / d1
-    ly = c2 / d2
-    margin = p.a1 * lx + p.a2 * ly - p.delta - _sq(n.sigma3) / 2.0
-    lz = margin / p.alpha3
-    ok = lx > 0.0 and ly > 0.0 and margin > 0.0 and min(d1, d2) > 0.0
-    return (lx, ly, lz, ok)
-
-
-def boundedness_check(p: ModelParams, n: NoiseSpec) -> tuple[float, float, float, bool]:
-    """Ultimate-boundedness margins (B1, B2, B3); all negative certifies
-    stochastically ultimately bounded solutions."""
-    j1 = _sq(n.q1) * n.lam
-    j2 = _sq(n.q2) * n.lam
-    j3 = _sq(n.q3) * n.lam
-    b1 = _sq(n.sigma1) + j1 + 2.0 * p.r1 + p.beta * p.k2 - p.alpha1 * p.k1
-    b2 = _sq(n.sigma2) + j2 + 2.0 * p.r2 + p.beta * p.k1 - p.alpha2 * p.k2
-    b3 = (
-        _sq(n.sigma3)
-        + j3
-        + 2.0 * p.a1 * p.k1
-        + 2.0 * p.a2 * p.k2
-        - p.delta
-        - p.alpha1 * p.k1
-        - p.alpha2 * p.k2
-    )
-    return (b1, b2, b3, b1 < 0.0 and b2 < 0.0 and b3 < 0.0)
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     """Every threshold value, which hypotheses hold, and the predicted regime.
@@ -226,8 +155,7 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
     contrived parameters) the precedence is extinction > full persistence >
     predator extinction, and the overlap is flagged.
     """
-    trace: list[str] = []
-    trace.append(f"delays: tau = ({d.tau1:g}, {d.tau2:g}, {d.tau3:g}) days")
+    trace = [f"delays: tau = ({d.tau1:g}, {d.tau2:g}, {d.tau3:g}) days"]
 
     well_posed = p.delta > p.alpha3
     trace.append(
@@ -235,23 +163,31 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
         f"{p.delta:.10g} > {p.alpha3:.10g} -> {'holds' if well_posed else 'fails'}"
     )
 
-    c1: float | None
-    c2: float | None
-    c3: float | None
+    # terms shared by several hypotheses, each computed once
+    sq1, sq2, sq3 = _sq(n.sigma1), _sq(n.sigma2), _sq(n.sigma3)
+    c1 = p.r1 - sq1 / 2.0
+    c2 = p.r2 - sq2 / 2.0
+    half_s3 = sq3 / 2.0
+    denom1 = 1.0 - p.r1 + 2.0 * p.r1 / p.k1
+    denom2 = 1.0 - p.r2 + 2.0 * p.r2 / p.k2
+
+    c3: float | None = None
     extinction_ok = False
-    try:
-        c1, c2, c3 = extinction_coefficients(p, n)
+    if p.r1 == 0 or p.r2 == 0:
+        trace.append(
+            "extinction margins not evaluable: c3 is undefined when r1 or r2 is zero "
+            "(divides by the growth rate)"
+        )
+    else:
+        c3 = p.a1 * (p.k1 / p.r1) * c1 + p.a2 * (p.k2 / p.r2) * c2 - p.delta - half_s3
         extinction_ok = max(c1, c2, c3) < 0.0
         trace.append(
             f"extinction margins: c1 = {_fmt(c1)}, c2 = {_fmt(c2)}, c3 = {_fmt(c3)}; "
             f"max < 0 -> {'holds' if extinction_ok else 'fails'}"
         )
-    except ValueError as exc:
-        c1 = c2 = c3 = None
-        trace.append(f"extinction margins not evaluable: {exc}")
 
-    c4, prey_min = predator_extinction_report(p, n)
-    prey_c1, prey_c2, denom1, denom2 = _prey_terms(p, n)
+    c4 = p.a1 * p.k1 + p.a2 * p.k2 - p.delta - half_s3
+    prey_min = min(c1, c2, denom1, denom2)
     predator_ok = prey_min > 0.0 and c4 <= 0.0
     trace.append(
         f"predator-extinction test: c4 = {_fmt(c4)} (need <= 0), "
@@ -259,49 +195,57 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
         f"-> {'holds' if predator_ok else 'fails'}"
     )
 
-    lx: float | None
-    ly: float | None
-    lz: float | None
+    # the prey bounds stand on their own whenever their denominators do (the
+    # predator-extinction regime quotes them even when Lz cannot be formed)
+    lx = c1 / denom1 if denom1 != 0.0 else None
+    ly = c2 / denom2 if denom2 != 0.0 else None
+    lz: float | None = None
     persistence_ok = False
-    try:
-        lx, ly, lz, persistence_ok = persistence_report(p, n)
+    undefined = "persistence bounds not evaluable: "
+    if lx is None:
+        trace.append(undefined + "prey-1 denominator 1 - r1 + 2*r1/K1 is zero; bound undefined")
+    elif ly is None:
+        trace.append(undefined + "prey-2 denominator 1 - r2 + 2*r2/K2 is zero; bound undefined")
+    elif p.alpha3 == 0.0:
+        trace.append(undefined + "alpha3 is zero; predator bound Lz undefined")
+    else:
+        margin = p.a1 * lx + p.a2 * ly - p.delta - half_s3
+        lz = margin / p.alpha3
+        persistence_ok = lx > 0.0 and ly > 0.0 and margin > 0.0 and min(denom1, denom2) > 0.0
         trace.append(
             f"persistence bounds: Lx = {_fmt(lx)}, Ly = {_fmt(ly)}, Lz = {_fmt(lz)}; "
             f"all positive with positive denominators -> "
             f"{'holds' if persistence_ok else 'fails'}"
         )
-    except ValueError as exc:
-        # the prey bounds stand on their own whenever the denominators do
-        # (the predator-extinction regime quotes them even when Lz cannot
-        # be formed, e.g. alpha3 = 0)
-        lx = prey_c1 / denom1 if denom1 != 0.0 else None
-        ly = prey_c2 / denom2 if denom2 != 0.0 else None
-        lz = None
-        trace.append(f"persistence bounds not evaluable: {exc}")
 
-    b1, b2, b3, bounded = boundedness_check(p, n)
+    # jump marks integrate against the arrival measure to q^2 * lambda
+    b1 = sq1 + _sq(n.q1) * n.lam + 2.0 * p.r1 + p.beta * p.k2 - p.alpha1 * p.k1
+    b2 = sq2 + _sq(n.q2) * n.lam + 2.0 * p.r2 + p.beta * p.k1 - p.alpha2 * p.k2
+    b3 = (
+        sq3
+        + _sq(n.q3) * n.lam
+        + 2.0 * p.a1 * p.k1
+        + 2.0 * p.a2 * p.k2
+        - p.delta
+        - p.alpha1 * p.k1
+        - p.alpha2 * p.k2
+    )
+    bounded = b1 < 0.0 and b2 < 0.0 and b3 < 0.0
     trace.append(
         f"boundedness margins: B1 = {_fmt(b1)}, B2 = {_fmt(b2)}, B3 = {_fmt(b3)}; "
         f"all < 0 -> {'holds' if bounded else 'fails'}"
     )
 
-    holding = []
-    if extinction_ok:
-        holding.append(Regime.EXTINCTION_ALL.value)
-    if persistence_ok:
-        holding.append(Regime.ALL_PERSIST.value)
-    if predator_ok:
-        holding.append(Regime.PREDATOR_EXTINCT_PREY_PERSIST.value)
-
-    if extinction_ok:
-        predicted = Regime.EXTINCTION_ALL
-    elif persistence_ok:
-        predicted = Regime.ALL_PERSIST
-    elif predator_ok:
-        predicted = Regime.PREDATOR_EXTINCT_PREY_PERSIST
-    else:
-        predicted = Regime.INDETERMINATE
-
+    holding = [
+        regime.value
+        for regime, ok in (
+            (Regime.EXTINCTION_ALL, extinction_ok),
+            (Regime.ALL_PERSIST, persistence_ok),
+            (Regime.PREDATOR_EXTINCT_PREY_PERSIST, predator_ok),
+        )
+        if ok
+    ]
+    predicted = Regime(holding[0]) if holding else Regime.INDETERMINATE
     overlap: tuple[str, ...] = ()
     if len(holding) > 1:
         overlap = tuple(holding)
@@ -310,9 +254,10 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
         )
     trace.append(f"predicted regime: {predicted.value}")
 
+    defined = c3 is not None  # c1 and c2 are reported only alongside c3
     return RegimeReport(
-        c1=c1,
-        c2=c2,
+        c1=c1 if defined else None,
+        c2=c2 if defined else None,
         c3=c3,
         c4=c4,
         prey_min=prey_min,

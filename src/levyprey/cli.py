@@ -133,14 +133,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _require_out(args: argparse.Namespace) -> str:
+def _require_out(args: argparse.Namespace, cfg: RunConfig) -> str:
     """Output path: --out wins, then the config's `output` key."""
-    out = getattr(args, "out", None)
+    out = args.out or cfg.output
     if out:
         return out
-    cfg_out = getattr(args, "_cfg_output", None)
-    if cfg_out:
-        return cfg_out
     raise ConfigError("an output path is required (--out PATH or 'output =' in the config)")
 
 
@@ -169,8 +166,7 @@ def _ensemble(cfg: RunConfig) -> tuple[ensemble.EnsembleStats, list[str]]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    args._cfg_output = cfg.output
-    out = _require_out(args)
+    out = _require_out(args, cfg)
     traj = _simulate(cfg)
     _write_trajectory(out, cfg, traj)
     print(f"wrote {out} ({len(traj.times)} points, floor_hits={traj.floor_hits})")
@@ -179,8 +175,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    args._cfg_output = cfg.output
-    out = _require_out(args)
+    out = _require_out(args, cfg)
     stats, summary = _ensemble(cfg)
     _write_ensemble(out, cfg, stats, summary)
     for line in summary:
@@ -209,8 +204,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    args._cfg_output = cfg.output
-    out = _require_out(args)
+    out = _require_out(args, cfg)
     try:
         dts = [float(v) for v in args.dts.split(",") if v.strip()]
     except ValueError:
@@ -263,8 +257,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = base_cfg if base_cfg is not None else _load_config(args)
     if base_cfg is not None and getattr(args, "seed", None) is not None:
         cfg = cfg.replaced(seed=args.seed)
-    args._cfg_output = cfg.output
-    out = _require_out(args)
+    out = _require_out(args, cfg)
     stem = out[:-4] if out.endswith(".csv") else out
 
     paths = [f"{stem}_{var}={value:g}.csv" for value in values]

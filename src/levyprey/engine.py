@@ -99,6 +99,15 @@ class HistoryBuffer:
         self.ys.append(y)
         self.zs.append(z)
 
+    def trajectory(self, start: int, jump_events: int, floor_hits: int) -> Trajectory:
+        """The samples from index ``start`` (t = 0) onward, as a path on the grid."""
+        n = len(self.xs) - start
+        states = np.empty((n, 3))
+        states[:, 0] = self.xs[start:]
+        states[:, 1] = self.ys[start:]
+        states[:, 2] = self.zs[start:]
+        return Trajectory(np.arange(n) * self.dt, states, jump_events, floor_hits)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -163,29 +172,24 @@ def lag_steps(d: DelaySpec, dt: float) -> tuple[int, int, int]:
     return (ks[0], ks[1], ks[2])
 
 
-def check_history_span(h: HistorySpec, t_start: float) -> None:
-    """Reject a table history that does not cover [t_start, 0]."""
-    if h.kind == "table":
-        lo, hi = h.span()
-        if lo > t_start + _GRID_TOL or hi < -_GRID_TOL:
-            raise ValueError(
-                f"history table spans [{lo:g}, {hi:g}] but must cover [{t_start:g}, 0]"
-            )
-
-
 def init_history(h: HistorySpec, d: DelaySpec, c: StepConfig) -> HistoryBuffer:
     """Populate a buffer at every grid point of [-tau_max, 0].
 
     Constant histories fill their value; table histories fill by linear
-    interpolation between samples and must span the whole window.
+    interpolation between samples and must span the whole window. Whether a
+    table covers a grid time is decided by HistorySpec.value_at alone.
     """
     kmax = max(lag_steps(d, c.dt))
     t_start = -kmax * c.dt
-    check_history_span(h, t_start)
     buf = HistoryBuffer(c.dt, t_start)
     for i in range(kmax + 1):
-        t = (i - kmax) * c.dt
-        s = h.value_at(t)
+        try:
+            s = h.value_at((i - kmax) * c.dt)
+        except ValueError as exc:
+            lo, hi = h.span()
+            raise ValueError(
+                f"history table spans [{lo!r}, {hi!r}] but must cover [{t_start!r}, 0]"
+            ) from exc
         buf.append(s.x, s.y, s.z)
     return buf
 
@@ -319,9 +323,4 @@ def simulate(
         if j1 or j2 or j3:
             jump_events += 1
 
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, 3))
-    states[:, 0] = xs[base:]
-    states[:, 1] = ys[base:]
-    states[:, 2] = zs[base:]
-    return Trajectory(times=times, states=states, jump_events=jump_events, floor_hits=floor_hits)
+    return buf.trajectory(base, jump_events, floor_hits)

@@ -4,9 +4,10 @@ Replicate k draws from streams derived from (base_seed, k), so the set of
 paths is fixed by the seed alone: execution order cannot change any result,
 and replicates never share randomness. Per-gridpoint statistics (mean,
 standard deviation, 2.5/50/97.5% quantiles) are collected on a decimated
-stats grid to keep memory bounded on long horizons; terminal running
-averages are computed exactly on the full integration grid, since those are
-what the regime predictions speak about.
+stats grid to keep memory bounded on long horizons, and an ensemble whose
+path statistics would still exceed 1 GiB is refused before any replicate
+runs. Terminal running averages are computed exactly on the full
+integration grid, since those are what the regime predictions speak about.
 
 The asymptotic statements behind the regime classifier are checked at a
 finite horizon with explicit tolerances: medians of terminal time averages
@@ -38,6 +39,8 @@ __all__ = [
 
 # cap on stats-grid points per ensemble; full grid is used when shorter
 _MAX_STAT_POINTS = 2001
+# cap on the (n_reps, stat points, 3) float64 path array, checked before any run
+_MAX_PATH_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,14 @@ def run_ensemble(
     stat_idx = np.arange(0, n_points, stats_stride)
     if stat_idx[-1] != n_points - 1:
         stat_idx = np.append(stat_idx, n_points - 1)
+    path_bytes = n_reps * len(stat_idx) * 3 * 8
+    if path_bytes > _MAX_PATH_BYTES:
+        raise ValueError(
+            f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points needs "
+            f"{path_bytes / 2**30:.2f} GiB of path statistics "
+            f"(limit {_MAX_PATH_BYTES / 2**30:g} GiB); "
+            "lower n_reps"
+        )
 
     if order is None:
         schedule: Sequence[int] = range(n_reps)

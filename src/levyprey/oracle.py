@@ -13,10 +13,12 @@ four despite the limited smoothness of delay problems:
   initial history function directly.
 
 Zero delays degenerate to ordinary RK4 (stage values feed back into the
-taps). This solver shares only the model's rate function and the grid
-conventions (step count, grid tolerance) with the stochastic engine; the
-integration machinery is separate on purpose, so it can serve as the
-engine's convergence oracle.
+taps). With the stochastic engine this solver shares the model's rate
+function, the grid conventions (step count, grid tolerance), the history
+fill (engine.init_history and its buffer) and the path type (a
+Trajectory with no jumps and no floor clamps). The integration machinery
+(RK4 stages and the mid-step interpolation) is separate on purpose, so it
+can serve as the engine's convergence oracle.
 """
 
 from __future__ import annotations
@@ -39,35 +41,12 @@ from .model import (
 )
 
 __all__ = [
-    "ReferenceSolution",
     "ConvergenceRow",
     "ConvergenceTable",
     "solve_deterministic",
     "convergence_study",
     "rk4_self_convergence",
 ]
-
-
-@dataclass(frozen=True)
-class ReferenceSolution:
-    """Dense reference solution on [0, t_end] with scheme metadata."""
-
-    times: np.ndarray
-    states: np.ndarray  # (n+1, 3)
-    dt: float
-    order: int = 4
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.states[:, 2]
 
 
 def _exact_lags(d: DelaySpec, dt: float) -> tuple[int, int, int]:
@@ -102,28 +81,20 @@ def _cubic_interp(series: list[float], u: float, lo_bound: int, hi_bound: int) -
 
 def solve_deterministic(
     p: ModelParams, d: DelaySpec, h: HistorySpec, dt: float, t_end: float
-) -> ReferenceSolution:
+) -> _engine.Trajectory:
     """Integrate the noise-free delayed system over [0, t_end] with RK4.
 
     Raises SimulationError (a RuntimeError) when the solution stops being
     finite, as the stochastic engine does.
     """
-    n_steps = _engine.StepConfig(dt=dt, t_end=t_end).n_steps
+    c = _engine.StepConfig(dt=dt, t_end=t_end)
     k1_lag, k2_lag, k3_lag = _exact_lags(d, dt)
-    kmax = max(k1_lag, k2_lag, k3_lag)
 
-    # prefill history on the grid; runtime queries at s <= 0 go straight to
-    # the history function, so the stored prefix is only read at grid nodes
-    xs: list[float] = []
-    ys: list[float] = []
-    zs: list[float] = []
-    _engine.check_history_span(h, -kmax * dt)
-    for i in range(kmax + 1):
-        s = h.value_at((i - kmax) * dt)
-        xs.append(s.x)
-        ys.append(s.y)
-        zs.append(s.z)
-    base = kmax  # index of t = 0
+    # the history on the grid; runtime queries at s <= 0 go straight to the
+    # history function, so the stored prefix is only read at grid nodes
+    buf = _engine.init_history(h, d, c)
+    xs, ys, zs = buf.xs, buf.ys, buf.zs
+    base = len(xs) - 1  # index of t = 0
 
     # smooth pieces are bounded by multiples of the common divisor of the lags
     gs = 0
@@ -160,7 +131,7 @@ def solve_deterministic(
 
     half = dt / 2.0
     sixth = dt / 6.0
-    for i in range(n_steps):
+    for i in range(c.n_steps):
         m = base + i
         y0 = State(xs[m], ys[m], zs[m])
 
@@ -187,16 +158,9 @@ def solve_deterministic(
             raise _engine.SimulationError(
                 f"reference solver produced non-finite state at t={(i + 1) * dt:g}"
             )
-        xs.append(nx)
-        ys.append(ny)
-        zs.append(nz)
+        buf.append(nx, ny, nz)
 
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, 3))
-    states[:, 0] = xs[base:]
-    states[:, 1] = ys[base:]
-    states[:, 2] = zs[base:]
-    return ReferenceSolution(times=times, states=states, dt=dt)
+    return buf.trajectory(base, jump_events=0, floor_hits=0)
 
 
 @dataclass(frozen=True)
@@ -232,7 +196,7 @@ def _order_table(dts: list[float], errs: list[float]) -> ConvergenceTable:
 
 
 def _max_err_on_coarse_grid(
-    coarse_states: np.ndarray, coarse_dt: float, ref: ReferenceSolution
+    coarse_states: np.ndarray, coarse_dt: float, ref: _engine.Trajectory
 ) -> float:
     k = _engine.grid_steps(coarse_dt, ref.dt)
     if k is None:

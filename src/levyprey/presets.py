@@ -59,10 +59,6 @@ class Scenario:
     t_end: float = 200.0
     assumed: tuple[str, ...] = ()
 
-    def with_overrides(self, **kwargs) -> "Scenario":
-        """Copy with replaced scenario-level fields (dt, t_end, history, ...)."""
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class SweepPreset:

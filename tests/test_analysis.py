@@ -1,5 +1,8 @@
 """Unit tests for time averages, threshold coefficients, and the classifier."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,7 @@ from levyprey import (
     PRESETS,
     Regime,
     Trajectory,
-    boundedness_check,
     classify,
-    extinction_coefficients,
-    persistence_report,
-    predator_extinction_report,
     time_average,
 )
 
@@ -35,6 +34,11 @@ def _params(**kw):
 
 
 QUIET = NoiseSpec(0, 0, 0, 0, 0, 0, lam=0.0)
+NO_DELAYS = DelaySpec(0, 0, 0)
+
+
+def _classify(p, n):
+    return classify(p, n, NO_DELAYS)
 
 
 class TestTimeAverage:
@@ -77,97 +81,114 @@ class TestTimeAverage:
 class TestExtinctionCoefficients:
     def test_noise_off_reduction(self):
         p = _params()
-        c1, c2, c3 = extinction_coefficients(p, QUIET)
-        assert (c1, c2) == (p.r1, p.r2)
-        assert c3 == pytest.approx(p.a1 * p.k1 + p.a2 * p.k2 - p.delta, rel=1e-14)
+        rep = _classify(p, QUIET)
+        assert (rep.c1, rep.c2) == (p.r1, p.r2)
+        assert rep.c3 == pytest.approx(p.a1 * p.k1 + p.a2 * p.k2 - p.delta, rel=1e-14)
 
     def test_constructed_extinction_values(self):
         p = _params(r1=0.1, r2=0.1, delta=0.1, alpha3=0.5)
         n = NoiseSpec(1.0, 1.0, 0.5, -0.04, -0.006, -0.008, lam=1.0)
-        c1, c2, c3 = extinction_coefficients(p, n)
-        assert c1 == pytest.approx(-0.4, abs=1e-12)
-        assert c2 == pytest.approx(-0.4, abs=1e-12)
+        rep = _classify(p, n)
+        assert rep.c1 == pytest.approx(-0.4, abs=1e-12)
+        assert rep.c2 == pytest.approx(-0.4, abs=1e-12)
         # 0.05*(100/0.1)*(-0.4)*2 - 0.1 - 0.125
-        assert c3 == pytest.approx(-40.225, abs=1e-12)
+        assert rep.c3 == pytest.approx(-40.225, abs=1e-12)
 
     def test_zero_growth_rate_rejected(self):
-        with pytest.raises(ValueError, match="c3"):
-            extinction_coefficients(_params(r1=0.0), QUIET)
+        # c3 divides by r1: undefined, so c1 = c2 = c3 = None with the reason traced
+        rep = _classify(_params(r1=0.0), QUIET)
+        assert (rep.c1, rep.c2, rep.c3) == (None, None, None)
+        assert not rep.extinction_ok
+        assert (
+            "extinction margins not evaluable: c3 is undefined when r1 or r2 is zero "
+            "(divides by the growth rate)"
+        ) in rep.trace
 
 
 class TestPredatorExtinction:
     def test_no_recruitment_c4_nonpositive(self):
         p = _params(a1=0.0, a2=0.0)
-        c4, _ = predator_extinction_report(p, QUIET)
-        assert c4 == pytest.approx(-p.delta)
-        assert c4 <= 0
+        rep = _classify(p, QUIET)
+        assert rep.c4 == pytest.approx(-p.delta)
+        assert rep.c4 <= 0
 
     def test_denominator_contribution(self):
         # 1 - 0.5 + 2*0.5/100 = 0.51 is the binding minimum here
         p = _params(r1=0.5, k1=100.0, r2=0.4)
-        _, m = predator_extinction_report(p, QUIET)
+        m = _classify(p, QUIET).prey_min
         assert m == pytest.approx(min(0.4, 0.51, 1 - 0.4 + 0.008), rel=1e-12)
 
     def test_fig3_denominator_is_negative(self):
         sc = PRESETS["fig3"]
-        _, m = predator_extinction_report(sc.params, sc.noise)
         rep = classify(sc.params, sc.noise, sc.delays)
         # prey-1 denominator is 1 - 2 + 2*2/100 = -0.96; prey-2's is lower still
         assert rep.denom1 == pytest.approx(-0.96, abs=1e-12)
-        assert m <= -0.96
-        assert m < 0
+        assert rep.prey_min <= -0.96
+        assert rep.prey_min < 0
 
 
 class TestPersistence:
     def test_noise_off_prey_bound(self):
-        lx, ly, lz, ok = persistence_report(_params(a1=0.1, a2=0.1, delta=0.02), QUIET)
-        assert lx == pytest.approx(0.5 / 0.51, rel=1e-12)
-        assert ok
+        rep = _classify(_params(a1=0.1, a2=0.1, delta=0.02), QUIET)
+        assert rep.lx == pytest.approx(0.5 / 0.51, rel=1e-12)
+        assert rep.persistence_ok
 
     def test_canonical_all_persist_values(self):
         p = _params(a1=0.1, a2=0.1, delta=0.02, alpha3=0.2)
-        lx, ly, lz, ok = persistence_report(p, QUIET)
+        rep = _classify(p, QUIET)
+        lx, ly, lz = rep.lx, rep.ly, rep.lz
         assert lx == pytest.approx(0.980392156862745, rel=1e-12)
         assert ly == pytest.approx(0.980392156862745, rel=1e-12)
         assert lz == pytest.approx((0.1 * lx + 0.1 * ly - 0.02) / 0.2, rel=1e-12)
         assert lz == pytest.approx(0.880392156862745, rel=1e-9)
-        assert ok
+        assert rep.persistence_ok
 
     def test_critical_noise_kills_hypothesis(self):
         # sigma1 = sqrt(2*r1) makes the prey-1 margin exactly zero
         n = NoiseSpec(1.0, 0, 0, 0, 0, 0, lam=0)  # sqrt(2*0.5) = 1 exactly
-        lx, _, _, ok = persistence_report(_params(a1=0.1, a2=0.1, delta=0.02), n)
-        assert lx == 0.0
-        assert not ok
+        rep = _classify(_params(a1=0.1, a2=0.1, delta=0.02), n)
+        assert rep.lx == 0.0
+        assert not rep.persistence_ok
 
     def test_zero_denominator_rejected(self):
-        # K = 4, r = 2 gives 1 - 2 + 1 = 0 exactly
-        with pytest.raises(ValueError, match="denominator"):
-            persistence_report(_params(r1=2.0, k1=4.0), QUIET)
+        # K = 4, r = 2 gives 1 - 2 + 1 = 0 exactly: Lx and Lz are undefined
+        rep = _classify(_params(r1=2.0, k1=4.0), QUIET)
+        assert rep.denom1 == 0.0
+        assert (rep.lx, rep.lz) == (None, None)
+        assert rep.ly == pytest.approx(0.5 / 0.51, rel=1e-12)
+        assert not rep.persistence_ok
+        assert (
+            "persistence bounds not evaluable: "
+            "prey-1 denominator 1 - r1 + 2*r1/K1 is zero; bound undefined"
+        ) in rep.trace
 
     def test_zero_alpha3_rejected(self):
-        with pytest.raises(ValueError, match="alpha3"):
-            persistence_report(_params(alpha3=0.0), QUIET)
+        rep = _classify(_params(alpha3=0.0), QUIET)
+        assert rep.lz is None
+        assert rep.lx is not None and rep.ly is not None
+        assert not rep.persistence_ok
+        assert (
+            "persistence bounds not evaluable: alpha3 is zero; predator bound Lz undefined"
+        ) in rep.trace
 
 
 class TestBoundedness:
     def test_fig1_hand_value(self):
         sc = PRESETS["fig1"]
-        b1, b2, b3, all_neg = boundedness_check(sc.params, sc.noise)
-        assert b1 == pytest.approx(1e-8 + 0.0016 + 1.4 + 0.01 - 30, abs=1e-12)
-        assert b1 < 0 and all_neg
+        rep = classify(sc.params, sc.noise, sc.delays)
+        assert rep.b1 == pytest.approx(1e-8 + 0.0016 + 1.4 + 0.01 - 30, abs=1e-12)
+        assert rep.b1 < 0 and rep.bounded
 
     def test_single_term(self):
         p = ModelParams(r1=0, r2=0, k1=1.0, k2=1.0, alpha1=1.0, alpha2=0,
                         alpha3=0, beta=0, delta=0, a1=0, a2=0)
-        b1, _, _, _ = boundedness_check(p, QUIET)
-        assert b1 == -1.0
+        assert _classify(p, QUIET).b1 == -1.0
 
     def test_cooperation_dominance_flips_sign(self):
         p = _params(beta=10.0)  # beta*K2 = 1000 overwhelms alpha1*K1
-        b1, _, _, all_neg = boundedness_check(p, QUIET)
-        assert b1 > 0
-        assert not all_neg
+        rep = _classify(p, QUIET)
+        assert rep.b1 > 0
+        assert not rep.bounded
 
 
 class TestClassify:
@@ -242,35 +263,30 @@ class TestCoefficientProperties:
         rng = np.random.default_rng(17)
         for _ in range(10_000):
             p, n = self._random_case(rng)
-            c1, c2, c3 = extinction_coefficients(p, n)
+            rep = _classify(p, n)
+            c1, c2 = rep.c1, rep.c2
             assert c1 + n.sigma1**2 / 2 == pytest.approx(p.r1, rel=1e-12, abs=1e-15)
             assert c2 + n.sigma2**2 / 2 == pytest.approx(p.r2, rel=1e-12, abs=1e-15)
             rebuilt = p.a1 * (p.k1 / p.r1) * c1 + p.a2 * (p.k2 / p.r2) * c2 - p.delta - n.sigma3**2 / 2
-            assert c3 == pytest.approx(rebuilt, rel=1e-12, abs=1e-15)
+            assert rep.c3 == pytest.approx(rebuilt, rel=1e-12, abs=1e-15)
 
     def test_monotonicity(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
             p, n = self._random_case(rng)
             bump = 0.1
-            c1_lo = extinction_coefficients(p, n)[0]
+            rep = _classify(p, n)
             n_hi = NoiseSpec(n.sigma1 + bump, n.sigma2, n.sigma3, n.q1, n.q2, n.q3, lam=n.lam)
-            assert extinction_coefficients(p, n_hi)[0] < c1_lo
-
-            b1_lo = boundedness_check(p, n)[0]
-            import dataclasses
+            assert _classify(p, n_hi).c1 < rep.c1
 
             p_beta = dataclasses.replace(p, beta=p.beta + 0.01)
-            assert boundedness_check(p_beta, n)[0] > b1_lo
+            assert _classify(p_beta, n).b1 > rep.b1
 
-            try:
-                lx, ly, lz, _ = persistence_report(p, n)
-            except ValueError:
+            if rep.lz is None:
                 continue
-            if lx > 0:
+            if rep.lx > 0:
                 p_a = dataclasses.replace(p, a1=p.a1 + 0.05)
-                lz_hi = persistence_report(p_a, n)[2]
-                assert lz_hi > lz
+                assert _classify(p_a, n).lz > rep.lz
 
 
 _RATE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
@@ -298,10 +314,69 @@ def _any_valid_inputs(draw):
     return p, n, d
 
 
+def _square(v):
+    try:
+        return v**2
+    except OverflowError:  # a square too large for a float is reported as inf
+        return math.inf
+
+
+def _same(got, want):
+    """Equal as floats, with NaN equal to NaN and None only equal to None."""
+    if got is None or want is None:
+        return got is want
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
 class TestClassifyProperty:
     @settings(max_examples=300, deadline=None)
     @given(_any_valid_inputs())
     def test_never_raises(self, inputs):
+        p, n, _ = inputs
         rep = classify(*inputs)
         assert rep.predicted in Regime
-        assert rep.well_posed_ok == (inputs[0].delta > inputs[0].alpha3)
+        assert rep.well_posed_ok == (p.delta > p.alpha3)
+
+        # every number against the README formulas, written out here in the
+        # README's operand order so the two agree bit for bit
+        c1 = p.r1 - _square(n.sigma1) / 2
+        c2 = p.r2 - _square(n.sigma2) / 2
+        d1 = 1 - p.r1 + 2 * p.r1 / p.k1
+        d2 = 1 - p.r2 + 2 * p.r2 / p.k2
+        noise3 = _square(n.sigma3) / 2
+        c3 = None
+        if p.r1 != 0 and p.r2 != 0:
+            c3 = p.a1 * (p.k1 / p.r1) * c1 + p.a2 * (p.k2 / p.r2) * c2 - p.delta - noise3
+        c4 = p.a1 * p.k1 + p.a2 * p.k2 - p.delta - noise3
+        lx = c1 / d1 if d1 != 0 else None
+        ly = c2 / d2 if d2 != 0 else None
+        lz = margin = None
+        if lx is not None and ly is not None and p.alpha3 != 0:
+            margin = p.a1 * lx + p.a2 * ly - p.delta - noise3
+            lz = margin / p.alpha3
+        b1 = _square(n.sigma1) + _square(n.q1) * n.lam + 2 * p.r1 + p.beta * p.k2 - p.alpha1 * p.k1
+        b2 = _square(n.sigma2) + _square(n.q2) * n.lam + 2 * p.r2 + p.beta * p.k1 - p.alpha2 * p.k2
+        b3 = (_square(n.sigma3) + _square(n.q3) * n.lam + 2 * p.a1 * p.k1 + 2 * p.a2 * p.k2
+              - p.delta - p.alpha1 * p.k1 - p.alpha2 * p.k2)
+        expected = {
+            "c1": c1 if c3 is not None else None,
+            "c2": c2 if c3 is not None else None,
+            "c3": c3, "c4": c4, "prey_min": min(c1, c2, d1, d2),
+            "denom1": d1, "denom2": d2, "lx": lx, "ly": ly, "lz": lz,
+            "b1": b1, "b2": b2, "b3": b3,
+        }
+        for name, want in expected.items():
+            assert _same(getattr(rep, name), want), (name, getattr(rep, name), want)
+
+        extinction = c3 is not None and max(c1, c2, c3) < 0
+        persistence = margin is not None and all(v > 0 for v in (lx, ly, margin, d1, d2))
+        predator = min(c1, c2, d1, d2) > 0 and c4 <= 0
+        assert rep.extinction_ok == extinction
+        assert rep.persistence_ok == persistence
+        assert rep.predator_extinction_ok == predator
+        assert rep.bounded == (b1 < 0 and b2 < 0 and b3 < 0)
+        holding = [r for r, ok in ((Regime.EXTINCTION_ALL, extinction),
+                                   (Regime.ALL_PERSIST, persistence),
+                                   (Regime.PREDATOR_EXTINCT_PREY_PERSIST, predator)) if ok]
+        assert rep.predicted is (holding[0] if holding else Regime.INDETERMINATE)
+        assert rep.overlap == (tuple(r.value for r in holding) if len(holding) > 1 else ())

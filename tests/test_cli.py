@@ -2,6 +2,7 @@
 
 import pytest
 
+from levyprey import ensemble
 from levyprey.cli import main
 
 EXTINCT_CFG = "preset = extinct\nt_end = 2\nn_reps = 4\n"
@@ -182,3 +183,15 @@ class TestErrors:
             ln for ln in err if ln.startswith("runtime fault: reference solver")
         ]
         assert len(err) == 2
+
+    def test_oversized_ensemble_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(ensemble.engine, "simulate", no_replicate)
+        cfg = _write(tmp_path, "big.cfg", "preset = persist\nt_end = 500\nn_reps = 100000\n")
+        out = tmp_path / "e.csv"
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("config error: ensemble too large: n_reps=100000 x 2001 stat points")
+        assert not out.exists()

@@ -16,6 +16,7 @@ from levyprey import (
     drift,
     init_history,
     simulate,
+    solve_deterministic,
 )
 from levyprey import rng as lrng
 
@@ -61,6 +62,24 @@ class TestHistory:
         h = HistorySpec.from_table([(-0.5, 1, 1, 1), (0, 1, 1, 1)])
         with pytest.raises(ValueError, match="must cover"):
             init_history(h, DelaySpec(1.0, 0, 0), c)
+
+    def test_window_decided_by_one_tolerance(self):
+        # one tolerance decides coverage: a table starting 5e-10 after the
+        # window start is rejected by every entry point with the window named,
+        # and slack below the history-query tolerance is accepted
+        c = StepConfig(dt=0.01, t_end=0.1)
+        short = HistorySpec.from_table([(-1.5 + 5e-10, 1, 1, 1), (0, 1, 1, 1)])
+        runs = (
+            lambda h: init_history(h, TABLE_DELAYS, c),
+            lambda h: simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, h, c),
+            lambda h: solve_deterministic(FIG1_PARAMS, TABLE_DELAYS, h, c.dt, c.t_end),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match=r"must cover \[-1\.5, 0\]"):
+                run(short)
+        nearly = HistorySpec.from_table([(-1.5 + 5e-13, 1, 1, 1), (0, 1, 1, 1)])
+        for run in runs:
+            run(nearly)
 
 
 class TestDelayedLookup:

@@ -18,6 +18,7 @@ from levyprey import (
     time_average,
     verify_regime,
 )
+from levyprey import ensemble
 from levyprey.model import parameter_fingerprint
 
 PARAMS = ModelParams(r1=0.5, r2=0.5, k1=100.0, k2=100.0, alpha1=1e-3, alpha2=1e-3,
@@ -84,6 +85,25 @@ class TestRunEnsemble:
         assert stats.stat_times[0] == 0.0
         assert stats.stat_times[-1] == pytest.approx(20.03)
         assert len(stats.stat_times) == 1003
+
+    def test_oversized_ensemble_fails_before_allocating(self, monkeypatch):
+        # 100k replicates x 2001 stat points x 3 doubles is about 4.5 GiB
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        real_empty = np.empty
+
+        def small_empty(shape, *args, **kwargs):
+            assert np.prod(shape) * 8 < 2**30, f"allocated {shape}"
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(ensemble.engine, "simulate", no_replicate)
+        monkeypatch.setattr(np, "empty", small_empty)
+        sc = PRESETS["persist"]
+        cfg = StepConfig(dt=sc.dt, t_end=500.0)
+        with pytest.raises(ValueError, match=r"n_reps=100000 x 2001 stat points needs 4\.47 GiB"):
+            run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg,
+                         n_reps=100_000, base_seed=0)
 
     def test_long_horizon_decimates_stats_grid(self):
         # 20000 integration steps decimate to <= ~2000 stats points; the

@@ -8,6 +8,7 @@ from levyprey import (
     HistorySpec,
     ModelParams,
     PRESETS,
+    Trajectory,
     convergence_study,
     rk4_self_convergence,
     solve_deterministic,
@@ -51,6 +52,16 @@ class TestSolveDeterministic:
             errs.append(np.max(np.abs(sol.states - ref.states[::k][: len(sol.states)])))
         ratio = errs[0] / errs[1]
         assert 10.0 < ratio < 25.0  # ~2^4
+
+    def test_returns_engine_path_type(self):
+        h = HistorySpec.from_constant(10, 10, 5)
+        sol = solve_deterministic(FIG1_PARAMS, TABLE_DELAYS, h, dt=0.05, t_end=1.0)
+        assert isinstance(sol, Trajectory)
+        assert (sol.jump_events, sol.floor_hits) == (0, 0)
+        assert sol.dt == 0.05
+        assert np.array_equal(sol.times, np.arange(21) * 0.05)
+        assert sol.states.shape == (21, 3)
+        assert tuple(sol.states[0]) == (10, 10, 5)
 
     def test_dt_must_divide_delays(self):
         h = HistorySpec.from_constant(10, 10, 5)
