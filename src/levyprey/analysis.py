@@ -157,7 +157,7 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
     """
     trace = [f"delays: tau = ({d.tau1:g}, {d.tau2:g}, {d.tau3:g}) days"]
 
-    well_posed = p.delta > p.alpha3
+    well_posed = p.well_posed
     trace.append(
         f"unique-global-solution condition delta > alpha3: "
         f"{p.delta:.10g} > {p.alpha3:.10g} -> {'holds' if well_posed else 'fails'}"

@@ -6,21 +6,21 @@ any line after it overrides individual keys. Unknown keys are rejected by
 name; missing keys fall back to documented defaults (the ``fig1`` scenario,
 seed 0, 100 replicates).
 
-The parser enforces the same structural constraints as the model types
-(finite values, jump marks > -1, positive capacities, nonnegative rates) plus
-grid resolvability (dt must divide every positive delay and t_end),
-reporting the offending key and line. Regime-hypothesis failures are never
-parse errors; the one soft condition surfaced here (predator death rate not
-exceeding predator competition) becomes a warning on the parsed config.
+Values are checked by building the typed parts the engine consumes: the
+model types own every range rule, engine.lag_steps the delay grid and
+StepConfig the horizon grid. The parser only adds the offending key and its
+line; the replicate count is the one rule it owns. Regime-hypothesis
+failures are never parse errors; the one soft condition surfaced here
+(ModelParams.well_posed, predator death rate above predator competition)
+becomes a warning on the parsed config.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .engine import StepConfig, grid_steps
-from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec
+from .engine import StepConfig, lag_steps
+from .model import DelaySpec, FieldError, HistorySpec, ModelParams, NoiseSpec
 from .presets import PRESETS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file"]
@@ -56,11 +56,12 @@ _FIELDS = (
     ("tau3", "delays", "tau3"),
     ("dt", "step", "dt"),
     ("t_end", "step", "t_end"),
-    ("x0", "history", "x"),
-    ("y0", "history", "y"),
-    ("z0", "history", "z"),
+    ("x0", "history", "x0"),
+    ("y0", "history", "y0"),
+    ("z0", "history", "z0"),
 )
 _FLOAT_KEYS = tuple(key for key, _, _ in _FIELDS)
+_KEY_OF = {attr: key for key, _, attr in _FIELDS}  # attribute names are unique
 _INT_KEYS = ("seed", "n_reps")
 _STR_KEYS = ("preset", "output")
 KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
@@ -68,15 +69,15 @@ KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
 
 def _scenario_values(name: str) -> dict[str, float]:
     s = PRESETS[name]
-    assert s.history.constant is not None  # presets use constant histories
     parts = {
-        "params": s.params,
-        "noise": s.noise,
-        "delays": s.delays,
-        "step": s,
-        "history": s.history.constant,
+        "params": vars(s.params),
+        "noise": vars(s.noise),
+        "delays": vars(s.delays),
+        "step": vars(s),
+        # presets use constant histories
+        "history": dict(zip(("x0", "y0", "z0"), s.history.constant)),
     }
-    return {key: getattr(parts[part], attr) for key, part, attr in _FIELDS}
+    return {key: parts[part][attr] for key, part, attr in _FIELDS}
 
 
 _DEFAULTS: dict[str, object] = {**_scenario_values("fig1"), "seed": 0, "n_reps": 100}
@@ -126,7 +127,7 @@ class RunConfig:
             explicit=self.explicit | frozenset(overrides),
             warnings=self.warnings,
         )
-        _check(cfg.values, {})
+        _check(cfg, {})
         return cfg
 
     # builders for the typed objects the engine consumes
@@ -144,8 +145,7 @@ class RunConfig:
         return DelaySpec(**self._part("delays"))
 
     def to_history(self) -> HistorySpec:
-        h = self._part("history")
-        return HistorySpec.from_constant(h["x"], h["y"], h["z"])
+        return HistorySpec.from_constant(**self._part("history"))
 
     def to_step_config(self) -> StepConfig:
         return StepConfig(**self._part("step"), seed=self.seed)
@@ -164,41 +164,32 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def _check(values: dict[str, object], lines: dict[str, int]) -> None:
-    """Structural validation; raises ConfigError naming key and line."""
+def _check(cfg: RunConfig, lines: dict[str, int]) -> ModelParams:
+    """Build every typed part once, ranges before grids; the first broken
+    rule becomes a ConfigError naming key and line. Returns the parameters."""
 
     def where(key: str) -> str:
         ln = lines.get(key)
         return f" (line {ln})" if ln else ""
 
-    for key in _FLOAT_KEYS:
-        if not math.isfinite(values[key]):  # type: ignore[arg-type]
-            raise ConfigError(f"{key} must be finite{where(key)}: got {values[key]}")
-    for key in ("q1", "q2", "q3"):
-        if values[key] <= -1.0:  # type: ignore[operator]
-            raise ConfigError(f"{key} must be > -1{where(key)}: got {values[key]}")
-    for key in ("sigma1", "sigma2", "sigma3", "lambda", "tau1", "tau2", "tau3",
-                "x0", "y0", "z0", "r1", "r2", "alpha1", "alpha2", "alpha3",
-                "beta", "delta", "a1", "a2"):
-        if values[key] < 0:  # type: ignore[operator]
-            raise ConfigError(f"{key} must be >= 0{where(key)}: got {values[key]}")
-    for key in ("K1", "K2", "dt", "t_end"):
-        if values[key] <= 0:  # type: ignore[operator]
-            raise ConfigError(f"{key} must be > 0{where(key)}: got {values[key]}")
-    if values["n_reps"] < 1:  # type: ignore[operator]
-        raise ConfigError(f"n_reps must be >= 1{where('n_reps')}: got {values['n_reps']}")
-    dt = float(values["dt"])  # type: ignore[arg-type]
-    for key in ("tau1", "tau2", "tau3"):
-        tau = float(values[key])  # type: ignore[arg-type]
-        if tau != 0 and grid_steps(tau, dt) is None:
-            raise ConfigError(
-                f"dt = {dt:g} must divide positive delay {key} = {tau:g}{where(key)}"
-            )
-    t_end = float(values["t_end"])  # type: ignore[arg-type]
-    if grid_steps(t_end, dt) is None:
-        raise ConfigError(
-            f"t_end = {t_end:g} must be a whole multiple of dt = {dt:g}{where('t_end')}"
-        )
+    try:
+        cfg.to_noise()
+        delays = cfg.to_delays()
+        cfg.to_history()
+        params = cfg.to_params()
+        if cfg.n_reps < 1:
+            raise ConfigError(f"n_reps must be >= 1{where('n_reps')}: got {cfg.n_reps}")
+        try:
+            cfg.to_step_config()
+        except FieldError as exc:
+            if exc.field == "t_end":  # dt is usable: an off-grid delay is reported first
+                lag_steps(delays, cfg["dt"])  # type: ignore[arg-type]
+            raise
+        lag_steps(delays, cfg["dt"])  # type: ignore[arg-type]
+    except FieldError as exc:
+        key = _KEY_OF[exc.field]
+        raise ConfigError(f"{key} {exc.rule}{where(key)}: got {cfg[key]}") from None
+    return params
 
 
 def parse_config(text: str) -> RunConfig:
@@ -255,21 +246,14 @@ def parse_config(text: str) -> RunConfig:
             lines[key] = lineno
             explicit.add(key)
 
-    _check(values, lines)
-
-    warns: list[str] = []
-    if values["delta"] <= values["alpha3"]:  # type: ignore[operator]
-        warns.append(
-            f"delta = {values['delta']} does not exceed alpha3 = {values['alpha3']}; "
-            "the unique-global-solution condition is not certified"
-        )
-    return RunConfig(
-        values=values,
-        preset=preset,
-        output=output,
-        explicit=frozenset(explicit),
-        warnings=tuple(warns),
-    )
+    cfg = RunConfig(values=values, preset=preset, output=output, explicit=frozenset(explicit))
+    p = _check(cfg, lines)
+    if p.well_posed:
+        return cfg
+    return replace(cfg, warnings=(
+        f"delta = {p.delta} does not exceed alpha3 = {p.alpha3}; "
+        "the unique-global-solution condition is not certified",
+    ))
 
 
 def parse_config_file(path: str) -> RunConfig:

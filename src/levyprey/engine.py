@@ -12,25 +12,25 @@ the compensator at first order. Strong order is 0.5 in the noise, and the
 scheme reduces to explicit Euler on the deterministic core when all noise
 is switched off.
 
-Delay taps are resolved on the time grid: each positive delay must be an
-integer multiple of dt (values are snapped with a warning otherwise), which
-removes interpolation error at the taps. A small positivity floor masks the
-rare discretization overshoot below zero; every clamp is counted so the
-artifact stays observable. Components that are exactly zero stay zero: the
-origin is absorbing under purely multiplicative terms, and clamping a true
-zero upward would re-seed an extinct population.
+Delay taps are resolved on the time grid: each positive delay, and the
+horizon t_end, must be a whole multiple of dt (anything else is rejected),
+which removes interpolation error at the taps and ends every run exactly at
+t_end. A positivity floor of 1e-12 masks the rare discretization overshoot
+below zero; every clamp is counted so the artifact stays observable.
+Components that are exactly zero stay zero: the origin is absorbing under
+purely multiplicative terms, and clamping a true zero upward would re-seed
+an extinct population.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec
+from .model import DelaySpec, FieldError, HistorySpec, ModelParams, NoiseSpec, _in_range
 
 __all__ = [
     "StepConfig",
@@ -44,6 +44,9 @@ __all__ = [
 # relative slack for every "is this value a whole number of steps" decision
 _GRID_TOL = 1e-9
 
+# value a positive component is clamped to when a step overshoots below zero
+_POSITIVITY_FLOOR = 1e-12
+
 
 class SimulationError(RuntimeError):
     """Integration fault: non-finite state or unusable step configuration."""
@@ -51,48 +54,38 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Discretization: step size and horizon in days, RNG seed, clamp floor."""
+    """Discretization: step size and horizon in days (t_end on the dt grid), RNG seed."""
 
     dt: float
     t_end: float
     seed: int = 0
-    positivity_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.dt) or self.dt <= 0:
-            raise ValueError(f"StepConfig.dt must be > 0, got {self.dt!r}")
-        if not math.isfinite(self.t_end) or self.t_end <= 0:
-            raise ValueError(f"StepConfig.t_end must be > 0, got {self.t_end!r}")
-        if not math.isfinite(self.positivity_floor) or self.positivity_floor <= 0:
-            raise ValueError(
-                f"StepConfig.positivity_floor must be > 0, got {self.positivity_floor!r}"
-            )
+        _in_range("StepConfig", "dt", self.dt, strict=True)
+        _in_range("StepConfig", "t_end", self.t_end, strict=True)
+        _on_grid("StepConfig", "t_end", self.t_end, self.dt)
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return round(self.t_end / self.dt)
 
 
 class HistoryBuffer:
     """Grid-aligned state record from the far end of the delay window onward.
 
-    Samples are spaced exactly dt apart, starting at ``t_start`` (the far end
-    of the initial history window). The buffer only grows; at the horizons
-    this engine targets the full record is a few megabytes, so nothing is
-    evicted and the trajectory can be read straight out of it.
+    Samples are spaced exactly dt apart, starting at the far end of the
+    initial history window. The buffer only grows; at the horizons this
+    engine targets the full record is a few megabytes, so nothing is evicted
+    and the trajectory can be read straight out of it.
     """
 
-    __slots__ = ("dt", "t_start", "xs", "ys", "zs")
+    __slots__ = ("dt", "xs", "ys", "zs")
 
-    def __init__(self, dt: float, t_start: float) -> None:
+    def __init__(self, dt: float) -> None:
         self.dt = dt
-        self.t_start = t_start
         self.xs: list[float] = []
         self.ys: list[float] = []
         self.zs: list[float] = []
-
-    def __len__(self) -> int:
-        return len(self.xs)
 
     def append(self, x: float, y: float, z: float) -> None:
         self.xs.append(x)
@@ -150,25 +143,19 @@ def grid_steps(value: float, dt: float) -> int | None:
     return k
 
 
+def _on_grid(owner: str, field: str, value: float, dt: float) -> int:
+    """grid_steps(value, dt), raising FieldError when value is off the grid."""
+    k = grid_steps(value, dt)
+    if k is None:
+        raise FieldError(owner, field, f"must be divided evenly by dt = {dt:g}", value)
+    return k
+
+
 def lag_steps(d: DelaySpec, dt: float) -> tuple[int, int, int]:
-    """Delay taps in whole steps. Positive delays must sit on the grid;
-    off-grid values are snapped to the nearest multiple of dt with a warning.
-    dt larger than a positive delay is unusable and rejected."""
+    """Delay taps in whole steps; FieldError names a positive delay off the dt grid."""
     ks = []
     for name, tau in zip(("tau1", "tau2", "tau3"), d.taus):
-        if tau == 0.0:
-            ks.append(0)
-            continue
-        if dt > tau * (1.0 + _GRID_TOL):
-            raise ValueError(f"dt={dt:g} exceeds positive delay {name}={tau:g}")
-        k = grid_steps(tau, dt)
-        if k is None:
-            k = round(tau / dt)
-            warnings.warn(
-                f"{name}={tau:g} is not a multiple of dt={dt:g}; snapped to {k * dt:g}",
-                stacklevel=2,
-            )
-        ks.append(k)
+        ks.append(0 if tau == 0.0 else _on_grid("DelaySpec", name, tau, dt))
     return (ks[0], ks[1], ks[2])
 
 
@@ -180,15 +167,14 @@ def init_history(h: HistorySpec, d: DelaySpec, c: StepConfig) -> HistoryBuffer:
     table covers a grid time is decided by HistorySpec.value_at alone.
     """
     kmax = max(lag_steps(d, c.dt))
-    t_start = -kmax * c.dt
-    buf = HistoryBuffer(c.dt, t_start)
+    buf = HistoryBuffer(c.dt)
     for i in range(kmax + 1):
         try:
             s = h.value_at((i - kmax) * c.dt)
         except ValueError as exc:
             lo, hi = h.span()
             raise ValueError(
-                f"history table spans [{lo!r}, {hi!r}] but must cover [{t_start!r}, 0]"
+                f"history table spans [{lo!r}, {hi!r}] but must cover [{-kmax * c.dt!r}, 0]"
             ) from exc
         buf.append(s.x, s.y, s.z)
     return buf
@@ -257,7 +243,7 @@ def simulate(
     buf = init_history(h, d, c)
     n_steps = c.n_steps
     dt = c.dt
-    floor = c.positivity_floor
+    floor = _POSITIVITY_FLOOR
 
     gauss = rng.stream(c.seed, replicate, rng.GAUSSIAN)
     jump_stream = rng.stream(c.seed, replicate, rng.JUMPS)

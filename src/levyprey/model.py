@@ -34,11 +34,27 @@ __all__ = [
     "NoiseSpec",
     "DelaySpec",
     "HistorySpec",
+    "FieldError",
     "drift",
     "parameter_fingerprint",
 ]
 
-_SPECIES = ("x", "y", "z")
+
+class FieldError(ValueError):
+    """An input value that breaks its rule; carries the ``field`` and ``rule``."""
+
+    def __init__(self, owner: str, field: str, rule: str, value: object) -> None:
+        super().__init__(f"{owner}.{field} {rule}, got {value!r}")
+        self.field = field
+        self.rule = rule
+
+
+def _in_range(owner: str, field: str, value: float, low: float = 0.0, strict: bool = False) -> None:
+    """The range rule of every numeric input: finite, and >= low (> low if strict)."""
+    if not math.isfinite(value):
+        raise FieldError(owner, field, "must be finite", value)
+    if value < low or (strict and value == low):
+        raise FieldError(owner, field, f"must be {'>' if strict else '>='} {low:g}", value)
 
 
 class State(NamedTuple):
@@ -85,15 +101,12 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ValueError(f"ModelParams.{f.name} must be finite, got {v!r}")
-            if v < 0:
-                raise ValueError(f"ModelParams.{f.name} must be >= 0, got {v!r}")
-        if self.k1 <= 0:
-            raise ValueError(f"ModelParams.k1 must be > 0, got {self.k1!r}")
-        if self.k2 <= 0:
-            raise ValueError(f"ModelParams.k2 must be > 0, got {self.k2!r}")
+            _in_range("ModelParams", f.name, getattr(self, f.name), strict=f.name in ("k1", "k2"))
+
+    @property
+    def well_posed(self) -> bool:
+        """The unique-global-solution condition delta > alpha3."""
+        return self.delta > self.alpha3
 
 
 @dataclass(frozen=True)
@@ -118,15 +131,9 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         for name in ("sigma1", "sigma2", "sigma3", "lam"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"NoiseSpec.{name} must be finite and >= 0, got {v!r}")
-        for name in ("q1", "q2", "q3"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= -1.0:
-                raise ValueError(
-                    f"NoiseSpec.{name} must be > -1 so jumps preserve positivity, got {v!r}"
-                )
+            _in_range("NoiseSpec", name, getattr(self, name))
+        for name in ("q1", "q2", "q3"):  # a jump sends s -> s*(1+q); q > -1 keeps s > 0
+            _in_range("NoiseSpec", name, getattr(self, name), low=-1.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -138,10 +145,8 @@ class DelaySpec:
     tau3: float
 
     def __post_init__(self) -> None:
-        for name in ("tau1", "tau2", "tau3"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"DelaySpec.{name} must be finite and >= 0, got {v!r}")
+        for name, v in zip(("tau1", "tau2", "tau3"), self.taus):
+            _in_range("DelaySpec", name, v)
 
     @property
     def tau_max(self) -> float:
@@ -170,9 +175,8 @@ class HistorySpec:
         if self.kind == "constant":
             if self.constant is None:
                 raise ValueError("constant history requires a value triple")
-            for name, v in zip(_SPECIES, self.constant):
-                if not math.isfinite(v) or v < 0:
-                    raise ValueError(f"history {name}0 must be finite and >= 0, got {v!r}")
+            for name, v in zip(("x0", "y0", "z0"), self.constant):
+                _in_range("HistorySpec", name, v)
         elif self.kind == "table":
             rows = self.samples
             if not rows or len(rows) < 2:

@@ -4,9 +4,9 @@ Classic four-stage Runge-Kutta, extended to delays by interpolating the
 stored solution at the stage times. Two details keep the observed order near
 four despite the limited smoothness of delay problems:
 
-* positive delays must divide dt exactly, so solution kinks (which propagate
-  from t = 0 at sums of the delays) land on grid nodes and no step straddles
-  one;
+* positive delays must be whole multiples of dt (engine.lag_steps), so
+  solution kinks (which propagate from t = 0 at sums of the delays) land on
+  grid nodes and no step straddles one;
 * the cubic interpolation stencil used for mid-step delay taps is confined
   to the smooth piece containing the query: pieces are bounded by multiples
   of the delays' common grid divisor, and queries before t = 0 evaluate the
@@ -14,8 +14,8 @@ four despite the limited smoothness of delay problems:
 
 Zero delays degenerate to ordinary RK4 (stage values feed back into the
 taps). With the stochastic engine this solver shares the model's rate
-function, the grid conventions (step count, grid tolerance), the history
-fill (engine.init_history and its buffer) and the path type (a
+function, the grid rules (step count, delay taps, grid tolerance), the
+history fill (engine.init_history and its buffer) and the path type (a
 Trajectory with no jumps and no floor clamps). The integration machinery
 (RK4 stages and the mid-step interpolation) is separate on purpose, so it
 can serve as the engine's convergence oracle.
@@ -49,16 +49,6 @@ __all__ = [
 ]
 
 
-def _exact_lags(d: DelaySpec, dt: float) -> tuple[int, int, int]:
-    ks = []
-    for name, tau in zip(("tau1", "tau2", "tau3"), d.taus):
-        k = 0 if tau == 0.0 else _engine.grid_steps(tau, dt)
-        if k is None:
-            raise ValueError(f"dt={dt:g} must divide positive delay {name}={tau:g} exactly")
-        ks.append(k)
-    return (ks[0], ks[1], ks[2])
-
-
 def _cubic_interp(series: list[float], u: float, lo_bound: int, hi_bound: int) -> float:
     """Lagrange interpolation of grid samples at fractional index u, with the
     stencil confined to node indices [lo_bound, hi_bound]."""
@@ -88,7 +78,7 @@ def solve_deterministic(
     finite, as the stochastic engine does.
     """
     c = _engine.StepConfig(dt=dt, t_end=t_end)
-    k1_lag, k2_lag, k3_lag = _exact_lags(d, dt)
+    k1_lag, k2_lag, k3_lag = _engine.lag_steps(d, dt)
 
     # the history on the grid; runtime queries at s <= 0 go straight to the
     # history function, so the stored prefix is only read at grid nodes

@@ -184,6 +184,19 @@ class TestErrors:
         ]
         assert len(err) == 2
 
+    def test_off_grid_convergence_step_is_config_error(self, tmp_path, capsys):
+        # dt = 0.003 fits neither fig3's delays nor t_end = 10: the study must
+        # stop instead of comparing a shifted system against the reference
+        cfg = _write(tmp_path, "f3.cfg", "preset = fig3\n")
+        out = tmp_path / "c.csv"
+        argv = ["convergence", "--config", cfg, "--out", str(out),
+                "--dts", "0.01,0.003", "--ref-dt", "0.0005"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
+        assert err[1] == "config error: StepConfig.t_end must be divided evenly by dt = 0.003, got 10.0"
+        assert not out.exists()
+
     def test_oversized_ensemble_is_config_error(self, tmp_path, capsys, monkeypatch):
         def no_replicate(*args, **kwargs):
             raise AssertionError("a replicate ran")

@@ -67,6 +67,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="r1 must be finite.*line 2"):
             parse_config(f"seed = 1\nr1 = {value}\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("K1 = 0", "K1 must be > 0 (line 2): got 0.0"),
+        ("lambda = -1", "lambda must be >= 0 (line 2): got -1.0"),
+        ("y0 = -2", "y0 must be >= 0 (line 2): got -2.0"),
+        ("dt = 0", "dt must be > 0 (line 2): got 0.0"),
+        ("n_reps = 0", "n_reps must be >= 1 (line 2): got 0"),
+    ])
+    def test_range_error_names_config_key_and_line(self, line, message):
+        # the typed parts own the rules; the parser maps their field to the key
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"seed = 1\n{line}\n")
+        assert str(exc.value) == message
+
     def test_integer_keys_reject_floats(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config("seed = 1.5\n")

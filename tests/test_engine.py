@@ -1,6 +1,7 @@
 """Unit tests for the stochastic integrator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from levyprey import (
     solve_deterministic,
 )
 from levyprey import rng as lrng
+from levyprey.model import FieldError
 
 FIG1_PARAMS = ModelParams(
     r1=0.7, r2=0.65, k1=100.0, k2=100.0, alpha1=0.3, alpha2=0.35,
@@ -40,8 +42,7 @@ class TestHistory:
     def test_constant_fill(self):
         c = StepConfig(dt=0.01, t_end=1.0)
         buf = init_history(HistorySpec.from_constant(50, 50, 10), TABLE_DELAYS, c)
-        assert len(buf) == 151  # tau_max = 1.5 at dt = 0.01
-        assert buf.t_start == pytest.approx(-1.5)
+        assert len(buf.xs) == 151  # tau_max = 1.5 at dt = 0.01
         assert (buf.xs[0], buf.ys[0], buf.zs[0]) == (50, 50, 10)
         assert (buf.xs[-1], buf.ys[-1], buf.zs[-1]) == (50, 50, 10)
 
@@ -54,7 +55,7 @@ class TestHistory:
     def test_no_delay_single_sample(self):
         c = StepConfig(dt=0.01, t_end=1.0)
         buf = init_history(HistorySpec.from_constant(1, 2, 3), DelaySpec(0, 0, 0), c)
-        assert len(buf) == 1
+        assert len(buf.xs) == 1
         assert (buf.xs[0], buf.ys[0], buf.zs[0]) == (1, 2, 3)
 
     def test_table_must_span_window(self):
@@ -290,17 +291,44 @@ class TestSimulate:
         assert np.array_equal(a.states, b.states)
         assert a.jump_events == b.jump_events
 
-    def test_snap_warning_for_off_grid_delay(self):
+    def test_off_grid_delay_rejected(self):
         sc = StepConfig(dt=0.01, t_end=1.0)
         h = HistorySpec.from_constant(10, 10, 5)
-        with pytest.warns(UserWarning, match="snapped"):
+        with pytest.raises(ValueError, match=r"tau1 must be divided evenly by dt = 0\.01, got 0\.015"):
             simulate(FIG1_PARAMS, NOISE_OFF, DelaySpec(0.015, 0, 0), h, sc)
 
     def test_dt_larger_than_delay_rejected(self):
         sc = StepConfig(dt=0.6, t_end=6.0)
         h = HistorySpec.from_constant(10, 10, 5)
-        with pytest.raises(ValueError, match="exceeds positive delay"):
+        with pytest.raises(ValueError, match=r"tau1 must be divided evenly by dt = 0\.6, got 0\.5"):
             simulate(FIG1_PARAMS, NOISE_OFF, DelaySpec(0.5, 0, 0), h, sc)
+
+    def test_t_end_must_be_on_the_grid(self):
+        # the horizon is never rounded: 1.005 at dt = 0.01 would end at t = 1
+        with pytest.raises(FieldError, match=r"t_end must be divided evenly by dt = 0\.01") as exc:
+            StepConfig(dt=0.01, t_end=1.005)
+        assert exc.value.field == "t_end"
+        assert StepConfig(dt=0.01, t_end=1.01).n_steps == 101
+
+    def test_every_entry_point_rejects_off_grid_delay(self):
+        # one delay-grid rule: the history fill, the engine and the reference
+        # solver raise the same error, and nothing is snapped with a warning
+        sc = StepConfig(dt=0.01, t_end=0.1)
+        h = HistorySpec.from_constant(10, 10, 5)
+        d = DelaySpec(0.5, 1.0049, 1.5)
+        runs = (
+            lambda: init_history(h, d, sc),
+            lambda: simulate(FIG1_PARAMS, FIG1_NOISE, d, h, sc),
+            lambda: solve_deterministic(FIG1_PARAMS, d, h, sc.dt, sc.t_end),
+        )
+        for run in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FieldError) as exc:
+                    run()
+            assert (exc.value.field, str(exc.value)) == (
+                "tau2", "DelaySpec.tau2 must be divided evenly by dt = 0.01, got 1.0049"
+            )
 
     def test_positivity_short_runs(self):
         # discretization overshoot is not expected at this dt; the full-size
