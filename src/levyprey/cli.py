@@ -1,12 +1,10 @@
 """Command-line surface: simulate | ensemble | classify | convergence | sweep.
 
 Reads a flat ``key = value`` config (see the config module), runs the
-requested operation, and emits plot-ready CSV. Every output file starts with
-``#``-prefixed metadata lines recording the preset, explicit overrides, the
-seed, step size, and any package-assumed values, so a file is reproducible
-from its own header. Numeric fields use 17 significant digits and round-trip
-exactly, and no timestamps are embedded: identical runs produce identical
-bytes.
+requested operation, and emits plot-ready CSV through _write_csv, whose
+docstring describes the ``#`` metadata block that makes each file
+reproducible from its own header. No timestamps are embedded: identical
+runs produce identical bytes.
 
 Exit codes: 0 success (a hypothesis that fails to hold is still success),
 1 usage or configuration error, 2 runtime fault.
@@ -18,6 +16,8 @@ import argparse
 import sys
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import analysis, engine, ensemble, oracle
 from .config import ConfigError, RunConfig, parse_config, parse_config_file
 from .engine import SimulationError
@@ -25,112 +25,69 @@ from .presets import SWEEPS
 
 __all__ = ["main", "entry"]
 
-_FMT = "{:.17g}"  # round-trip exact for doubles
 
+def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
+               header: str, rows: Iterable[Sequence[float | None]]) -> None:
+    """Write one output CSV: the ``#`` metadata block, the header row, the rows.
 
-def _num(v) -> str:
-    return _FMT.format(float(v))
-
-
-def _metadata_lines(cfg: RunConfig, command: str, extra: Sequence[tuple[str, str]] = ()) -> list[str]:
-    lines = [f"# command = {command}"]
-    lines.append(f"# preset = {cfg.preset if cfg.preset else 'none'}")
-    for key in sorted(cfg.explicit):
-        lines.append(f"# override: {key} = {cfg.values[key]!r}")
-    for key in cfg.assumed_keys:
-        lines.append(f"# assumed: {key} = {cfg.values[key]!r} (package default)")
-    lines.append(f"# seed = {cfg.seed}")
-    lines.append(f"# dt = {cfg.values['dt']!r}")
-    lines.append(f"# t_end = {cfg.values['t_end']!r}")
-    for k, v in extra:
-        lines.append(f"# {k} = {v}")
-    return lines
-
-
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-
-
-def _write_trajectory(path: str, cfg: RunConfig, traj: engine.Trajectory) -> None:
-    meta = _metadata_lines(
-        cfg,
-        "simulate",
-        extra=[
-            ("floor_hits", str(traj.floor_hits)),
-            ("jump_events", str(traj.jump_events)),
-        ],
-    )
-    rows = [
-        ",".join((_num(t), _num(s[0]), _num(s[1]), _num(s[2])))
-        for t, s in zip(traj.times, traj.states)
+    The metadata block records ``command``, ``preset`` (``none`` without
+    one), one ``override: key = value`` line per explicit key in sorted
+    order, one ``assumed: key = value (package default)`` line per preset
+    assumption the config did not override, then ``seed``, ``dt`` and
+    ``t_end``, and last the command's own ``extra`` lines: ``floor_hits`` and
+    ``jump_events`` (simulate), ``n_reps``, ``floor_hits_total`` and the
+    ``verify:`` lines (ensemble), ``observed_order`` (convergence). Every
+    number in a row is written with 17 significant digits, which round-trips
+    a double exactly, a None is an empty cell, and lines end in ``\\n``.
+    """
+    meta = [
+        f"command = {command}",
+        f"preset = {cfg.preset or 'none'}",
+        *(f"override: {k} = {cfg[k]!r}" for k in sorted(cfg.explicit)),
+        *(f"assumed: {k} = {cfg[k]!r} (package default)" for k in cfg.assumed_keys),
+        f"seed = {cfg.seed}",
+        f"dt = {cfg['dt']!r}",
+        f"t_end = {cfg['t_end']!r}",
+        *extra,
     ]
-    _write_lines(path, [*meta, "t,x,y,z", *rows])
-
-
-_ENSEMBLE_HEADER = "t," + ",".join(
-    f"mean_{s},sd_{s},q025_{s},q500_{s},q975_{s}" for s in ("x", "y", "z")
-)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"# {line}\n" for line in meta)
+        fh.write(header + "\n")
+        fh.writelines(
+            ",".join(["" if v is None else f"{v:.17g}" for v in row]) + "\n" for row in rows
+        )
 
 
 def _write_ensemble(
     path: str, cfg: RunConfig, stats: ensemble.EnsembleStats, summary: Sequence[str]
 ) -> None:
-    meta = _metadata_lines(
-        cfg,
-        "ensemble",
-        extra=[
-            ("n_reps", str(stats.n_replicates)),
-            ("floor_hits_total", str(stats.floor_hits_total)),
-        ],
-    )
-    meta.extend(f"# verify: {line}" for line in summary)
-    rows = []
-    for i, t in enumerate(stats.stat_times):
-        cells = [_num(t)]
-        for s in range(3):
-            cells.extend(
-                (
-                    _num(stats.mean[i, s]),
-                    _num(stats.sd[i, s]),
-                    _num(stats.q025[i, s]),
-                    _num(stats.q500[i, s]),
-                    _num(stats.q975[i, s]),
-                )
-            )
-        rows.append(",".join(cells))
-    _write_lines(path, [*meta, _ENSEMBLE_HEADER, *rows])
-
-
-def _write_convergence(path: str, cfg: RunConfig, table: oracle.ConvergenceTable) -> None:
-    meta = _metadata_lines(cfg, "convergence")
-    if table.observed_order is not None:
-        meta.append(f"# observed_order = {_num(table.observed_order)}")
-    rows = [
-        ",".join(
-            (
-                _num(r.dt),
-                _num(r.max_err),
-                _num(r.pair_order) if r.pair_order is not None else "",
-            )
-        )
-        for r in table.rows
+    extra = [
+        f"n_reps = {stats.n_replicates}",
+        f"floor_hits_total = {stats.floor_hits_total}",
+        *(f"verify: {line}" for line in summary),
     ]
-    _write_lines(path, [*meta, "dt,max_err,pair_order", *rows])
+    bands = ("mean", "sd", "q025", "q500", "q975")
+    header = ",".join(["t", *(f"{b}_{s}" for s in "xyz" for b in bands)])
+    columns = [getattr(stats, b)[:, i] for i in range(3) for b in bands]
+    rows = np.column_stack((stats.stat_times, *columns)).tolist()
+    _write_csv(path, cfg, "ensemble", extra, header, rows)
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = parse_config_file(args.config)
-    else:
-        cfg = parse_config("")
-    if getattr(args, "seed", None) is not None:
+def _load_config(args: argparse.Namespace, default: str = "") -> RunConfig:
+    """--config if given, else the ``default`` config text; then --seed; prints the warnings."""
+    cfg = parse_config_file(args.config) if args.config else parse_config(default)
+    if args.seed is not None:
         cfg = cfg.replaced(seed=args.seed)
     for warning in cfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return cfg
+
+
+def _floats(option: str, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{option} must be a comma-separated float list, got {text!r}") from None
 
 
 def _require_out(args: argparse.Namespace, cfg: RunConfig) -> str:
@@ -141,10 +98,15 @@ def _require_out(args: argparse.Namespace, cfg: RunConfig) -> str:
     raise ConfigError("an output path is required (--out PATH or 'output =' in the config)")
 
 
-def _simulate(cfg: RunConfig) -> engine.Trajectory:
-    return engine.simulate(
+def _simulate(path: str, cfg: RunConfig) -> engine.Trajectory:
+    """Integrate one path and write it as t,x,y,z."""
+    traj = engine.simulate(
         cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config()
     )
+    extra = [f"floor_hits = {traj.floor_hits}", f"jump_events = {traj.jump_events}"]
+    rows = np.column_stack((traj.times, traj.states)).tolist()
+    _write_csv(path, cfg, "simulate", extra, "t,x,y,z", rows)
+    return traj
 
 
 def _ensemble(cfg: RunConfig) -> tuple[ensemble.EnsembleStats, list[str]]:
@@ -167,8 +129,7 @@ def _ensemble(cfg: RunConfig) -> tuple[ensemble.EnsembleStats, list[str]]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _require_out(args, cfg)
-    traj = _simulate(cfg)
-    _write_trajectory(out, cfg, traj)
+    traj = _simulate(out, cfg)
     print(f"wrote {out} ({len(traj.times)} points, floor_hits={traj.floor_hits})")
     return 0
 
@@ -205,33 +166,27 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _require_out(args, cfg)
-    try:
-        dts = [float(v) for v in args.dts.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"--dts must be a comma-separated float list, got {args.dts!r}")
     table = oracle.convergence_study(
         cfg.to_params(),
         cfg.to_delays(),
         cfg.to_history(),
-        dts,
-        t_end=float(cfg.values["t_end"]),
+        _floats("--dts", args.dts),
+        t_end=cfg["t_end"],
         ref_dt=args.ref_dt,
         seed=cfg.seed,
     )
-    _write_convergence(out, cfg, table)
-    if table.observed_order is not None:
-        print(f"observed order: {table.observed_order:.3f}")
+    order = table.observed_order
+    extra = [] if order is None else [f"observed_order = {order:.17g}"]
+    rows = [(r.dt, r.max_err, r.pair_order) for r in table.rows]
+    _write_csv(out, cfg, "convergence", extra, "dt,max_err,pair_order", rows)
+    if order is not None:
+        print(f"observed order: {order:.3f}")
     print(f"wrote {out}")
     return 0
 
 
-def _sweep_targets(var: str) -> tuple[str, ...]:
-    if var == "tau_all":
-        return ("tau1", "tau2", "tau3")
-    return (var,)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    default = ""
     if args.sweep:
         if args.sweep not in SWEEPS:
             raise ConfigError(
@@ -239,48 +194,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         preset = SWEEPS[args.sweep]
         var, values = preset.variable, list(preset.values)
-        if getattr(args, "config", None):
-            base_cfg = None  # user config wins; preset supplies var/values only
-        else:
-            base_cfg = parse_config(f"preset = {preset.base}\n")
+        default = f"preset = {preset.base}\n"  # a --config wins; the preset gives var and values
     elif args.var and args.values:
-        var = args.var
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"--values must be a comma-separated float list, got {args.values!r}")
-        base_cfg = None
+        var, values = args.var, _floats("--values", args.values)
     else:
         raise ConfigError("sweep requires --sweep NAME or both --var and --values")
 
-    targets = _sweep_targets(var)  # key validity is enforced by replaced() below
-    cfg = base_cfg if base_cfg is not None else _load_config(args)
-    if base_cfg is not None and getattr(args, "seed", None) is not None:
-        cfg = cfg.replaced(seed=args.seed)
+    cfg = _load_config(args, default)
     out = _require_out(args, cfg)
     stem = out[:-4] if out.endswith(".csv") else out
-
+    targets = ("tau1", "tau2", "tau3") if var == "tau_all" else (var,)
     paths = [f"{stem}_{var}={value:g}.csv" for value in values]
     clashes = sorted({p for p in paths if paths.count(p) > 1})
     if clashes:
-        raise ConfigError(
-            f"sweep values give the same output file name: {', '.join(clashes)}"
-        )
+        raise ConfigError(f"sweep values give the same output file name: {', '.join(clashes)}")
 
-    index_rows = []
-    for value, path in zip(values, paths):
-        cfg_v = cfg.replaced(**{t: value for t in targets})
+    # every value is typed and checked before any file is written
+    cfgs = [cfg.replaced(**{t: value for t in targets}) for value in values]
+
+    for cfg_v, path in zip(cfgs, paths):
         if args.mode == "simulate":
-            _write_trajectory(path, cfg_v, _simulate(cfg_v))
+            _simulate(path, cfg_v)
         else:
             stats, summary = _ensemble(cfg_v)
             # sweep files record the prediction and verdict, not the details
             _write_ensemble(path, cfg_v, stats, summary[:2])
-        index_rows.append(f"{var},{value:g},{path}")
         print(f"wrote {path}")
 
     index_path = f"{stem}_index.csv"
-    _write_lines(index_path, ["variable,value,file", *index_rows])
+    with open(index_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("variable,value,file\n")
+        fh.writelines(f"{var},{value:g},{path}\n" for value, path in zip(values, paths))
     print(f"wrote {index_path}")
     return 0
 
@@ -344,9 +288,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (SimulationError, OSError) as exc:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return 2

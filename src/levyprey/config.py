@@ -6,9 +6,11 @@ any line after it overrides individual keys. Unknown keys are rejected by
 name; missing keys fall back to documented defaults (the ``fig1`` scenario,
 seed 0, 100 replicates).
 
-Values are checked by building the typed parts the engine consumes: the
-model types own every range rule, engine.lag_steps the delay grid and
-StepConfig the horizon grid. The parser only adds the offending key and its
+Config text and RunConfig.replaced type a value by its key in one place
+(an integral int for seed and n_reps, a float otherwise). Values are
+checked by building the typed parts the engine consumes: the model types
+own every range rule, engine.lag_steps the delay grid and StepConfig the
+horizon grid and the seed. The parser only adds the offending key and its
 line; the replicate count is the one rule it owns. Regime-hypothesis
 failures are never parse errors; the one soft condition surfaced here
 (ModelParams.well_posed, predator death rate above predator competition)
@@ -61,10 +63,26 @@ _FIELDS = (
     ("z0", "history", "z0"),
 )
 _FLOAT_KEYS = tuple(key for key, _, _ in _FIELDS)
-_KEY_OF = {attr: key for key, _, attr in _FIELDS}  # attribute names are unique
+# the config key of each typed field (attribute names are unique)
+_KEY_OF = {attr: key for key, _, attr in _FIELDS} | {"seed": "seed"}
 _INT_KEYS = ("seed", "n_reps")
 _STR_KEYS = ("preset", "output")
 KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+
+
+def _typed(key: str, value: object, where: str = "") -> int | float:
+    """``value`` (config text or a number) in the type of numeric ``key``: an
+    int for seed and n_reps, which take integral values only, else a float."""
+    if key not in _FLOAT_KEYS + _INT_KEYS:  # unknown, or preset and output
+        raise ConfigError(f"{key!r} is not a numeric key")
+    is_int = key in _INT_KEYS
+    try:
+        if is_int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value) if is_int else float(value)  # type: ignore[arg-type]
+    except ValueError:
+        kind = "an integer" if is_int else "a number"
+        raise ConfigError(f"{where}{key} must be {kind}, got {value!r}") from None
 
 
 def _scenario_values(name: str) -> dict[str, float]:
@@ -114,12 +132,9 @@ class RunConfig:
         )
 
     def replaced(self, **overrides: object) -> "RunConfig":
-        """Copy with individual keys replaced (marked explicit)."""
-        bad = set(overrides) - set(KEYS)
-        if bad:
-            raise ConfigError(f"unknown key(s): {sorted(bad)}")
+        """Copy with numeric keys replaced (marked explicit), typed as parse_config types them."""
         vals = dict(self.values)
-        vals.update(overrides)
+        vals.update((key, _typed(key, value)) for key, value in overrides.items())
         cfg = RunConfig(
             values=vals,
             preset=self.preset,
@@ -227,22 +242,8 @@ def parse_config(text: str) -> RunConfig:
                 lines[k] = lineno
         elif key == "output":
             output = value
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: {key} must be an integer, got {value!r}"
-                ) from None
-            lines[key] = lineno
-            explicit.add(key)
         else:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: {key} must be a number, got {value!r}"
-                ) from None
+            values[key] = _typed(key, value, f"line {lineno}: ")
             lines[key] = lineno
             explicit.add(key)
 

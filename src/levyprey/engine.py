@@ -54,7 +54,7 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Discretization: step size and horizon in days (t_end on the dt grid), RNG seed."""
+    """Discretization: step size and horizon in days (t_end on the dt grid), RNG seed (>= 0)."""
 
     dt: float
     t_end: float
@@ -63,6 +63,7 @@ class StepConfig:
     def __post_init__(self) -> None:
         _in_range("StepConfig", "dt", self.dt, strict=True)
         _in_range("StepConfig", "t_end", self.t_end, strict=True)
+        _in_range("StepConfig", "seed", self.seed)
         _on_grid("StepConfig", "t_end", self.t_end, self.dt)
 
     @property

@@ -185,17 +185,6 @@ def _order_table(dts: list[float], errs: list[float]) -> ConvergenceTable:
     return ConvergenceTable(rows=tuple(rows), observed_order=observed)
 
 
-def _max_err_on_coarse_grid(
-    coarse_states: np.ndarray, coarse_dt: float, ref: _engine.Trajectory
-) -> float:
-    k = _engine.grid_steps(coarse_dt, ref.dt)
-    if k is None:
-        raise ValueError(f"reference dt={ref.dt:g} must divide dt={coarse_dt:g}")
-    ref_states = ref.states[:: k]
-    m = min(len(coarse_states), len(ref_states))
-    return float(np.max(np.abs(coarse_states[:m] - ref_states[:m])))
-
-
 def _study(
     p: ModelParams,
     d: DelaySpec,
@@ -205,15 +194,24 @@ def _study(
     ref_dt: float | None,
     states_at: Callable[[float], np.ndarray],
 ) -> ConvergenceTable:
-    """Max-norm error of states_at(dt) against a fine reference solution, per dt."""
+    """Max-norm error of states_at(dt) against a fine reference solution, per dt.
+    Every dt is checked against the grid rules before the reference is solved."""
     if len(dt_list) == 0:
         raise ValueError("dt_list must be nonempty")
     if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ValueError("dt_list must be strictly descending")
     if ref_dt is None:
         ref_dt = min(dt_list) / 4.0
-    ref = solve_deterministic(p, d, h, ref_dt, t_end)
-    errs = [_max_err_on_coarse_grid(states_at(dt), dt, ref) for dt in dt_list]
+    strides = []
+    for dt in dt_list:
+        _engine.StepConfig(dt=dt, t_end=t_end)  # dt > 0, horizon on its grid
+        _engine.lag_steps(d, dt)
+        k = _engine.grid_steps(dt, ref_dt)
+        if k is None:
+            raise ValueError(f"reference dt={ref_dt:g} must divide dt={dt:g}")
+        strides.append(k)
+    ref = solve_deterministic(p, d, h, ref_dt, t_end).states
+    errs = [float(np.max(np.abs(states_at(dt) - ref[::k]))) for dt, k in zip(dt_list, strides)]
     return _order_table(list(dt_list), errs)
 
 

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line surface."""
 
+import re
+
 import pytest
 
-from levyprey import ensemble
+from levyprey import ensemble, oracle
 from levyprey.cli import main
 
 EXTINCT_CFG = "preset = extinct\nt_end = 2\nn_reps = 4\n"
@@ -133,13 +135,37 @@ class TestSweep:
         assert len(rows) == 3
         assert str(f1) in rows[1] and str(f2) in rows[2]
 
-    def test_sweep_preset(self, tmp_path):
+    def test_sweep_preset(self, tmp_path, capsys):
         out = str(tmp_path / "d.csv")
         # fig9 sweeps all three delays jointly on the persist base
         rc = main(["sweep", "--sweep", "fig9", "--out", out])
         assert rc == 0
         assert (tmp_path / "d_tau_all=0.5.csv").exists()
         assert (tmp_path / "d_tau_all=1.csv").exists()
+        # the base preset warns as it does in every other subcommand
+        assert capsys.readouterr().err.startswith("warning: delta = 0.02 does not exceed alpha3 = 0.2")
+
+    @pytest.mark.parametrize("var, values, mode, error", [
+        ("seed", "1.5", "simulate", "seed must be an integer, got 1.5"),
+        ("n_reps", "2.7", "ensemble", "n_reps must be an integer, got 2.7"),
+        ("output", "1,2", "simulate", "'output' is not a numeric key"),
+        ("preset", "1", "simulate", "'preset' is not a numeric key"),
+    ], ids=["seed", "n_reps", "output", "preset"])
+    def test_swept_values_are_typed_like_config_values(self, tmp_path, capsys, var, values, mode, error):
+        cfg = _write(tmp_path, "sw.cfg", "preset = extinct\nt_end = 0.02\nn_reps = 2\n")
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw.csv"),
+                   "--var", var, "--values", values, "--mode", mode])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"config error: {error}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.cfg"]
+
+    def test_integral_sweep_of_an_integer_key(self, tmp_path):
+        cfg = _write(tmp_path, "sw.cfg", "preset = fig1\nt_end = 0.02\n")
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw.csv"),
+                   "--var", "seed", "--values", "1,2"])
+        assert rc == 0
+        meta = (tmp_path / "sw_seed=2.csv").read_text().splitlines()
+        assert "# override: seed = 2" in meta and "# seed = 2" in meta
 
     def test_sweep_requires_var_or_preset(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 1
@@ -153,6 +179,132 @@ class TestSweep:
         assert rc == 1
         assert "sw_r1=0.123456.csv" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.cfg"]
+
+
+# The output format, pinned byte for byte (metadata included) on tiny runs of
+# every subcommand that writes files.
+_GOLDEN = {
+    "sim.csv": (
+        "# command = simulate\n"
+        "# preset = fig1\n"
+        "# override: seed = 3\n"
+        "# override: t_end = 0.03\n"
+        "# assumed: a1 = 0.05 (package default)\n"
+        "# assumed: a2 = 0.05 (package default)\n"
+        "# assumed: lambda = 1.0 (package default)\n"
+        "# seed = 3\n"
+        "# dt = 0.01\n"
+        "# t_end = 0.03\n"
+        "# floor_hits = 0\n"
+        "# jump_events = 0\n"
+        "t,x,y,z\n"
+        "0,10,10,5\n"
+        "0.01,9.9175093981840963,9.8845226569201685,4.9204750435148012\n"
+        "0.02,9.837860934442368,9.7731397125956398,4.8439662593204122\n"
+        "0.029999999999999999,9.7612139411464849,9.6658702195930921,4.7704662363142107\n"
+    ),
+    "ens.csv": (
+        "# command = ensemble\n"
+        "# preset = extinct\n"
+        "# override: n_reps = 2\n"
+        "# override: t_end = 0.01\n"
+        "# seed = 0\n"
+        "# dt = 0.01\n"
+        "# t_end = 0.01\n"
+        "# n_reps = 2\n"
+        "# floor_hits_total = 0\n"
+        "# verify: predicted = ExtinctionAll\n"
+        "# verify: outcome = FAIL\n"
+        "# verify: median terminal averages: <x> = 1.03467, <y> = 0.986372,"
+        " <z> = 1.01829 over 2 replicates\n"
+        "# verify: <x> = 1.03467 < 0.05 -> FAIL\n"
+        "# verify: <y> = 0.986372 < 0.05 -> FAIL\n"
+        "# verify: <z> = 1.01829 < 0.05 -> FAIL\n"
+        "t,mean_x,sd_x,q025_x,q500_x,q975_x,mean_y,sd_y,q025_y,q500_y,q975_y,mean_z,sd_z,"
+        "q025_z,q500_z,q975_z\n"
+        "0,1,0,1,1,1,1,0,1,1,1,1,0,1,1,1\n"
+        "0.01,1.0693462278577959,0.010798155409246399,1.0620925513893207,1.0693462278577959,"
+        "1.0765999043262711,0.97274442839607678,0.095019204717131475,0.90891514059756218,"
+        "0.97274442839607678,1.0365737161945914,1.0365749347459421,0.045373645158835789,"
+        "1.0060951231759254,1.0365749347459421,1.0670547463159588\n"
+    ),
+    "conv.csv": (
+        "# command = convergence\n"
+        "# preset = fig3\n"
+        "# override: t_end = 0.1\n"
+        "# assumed: a1 = 0.05 (package default)\n"
+        "# assumed: a2 = 0.05 (package default)\n"
+        "# assumed: lambda = 1.0 (package default)\n"
+        "# seed = 0\n"
+        "# dt = 0.01\n"
+        "# t_end = 0.1\n"
+        "# observed_order = 1.0049130353198308\n"
+        "dt,max_err,pair_order\n"
+        "0.01,0.00094070211219587918,\n"
+        "0.0050000000000000001,0.00046875202026797069,1.0049130353198279\n"
+    ),
+    "sw_tau1=0.01.csv": (
+        "# command = simulate\n"
+        "# preset = none\n"
+        "# override: r1 = 0.5\n"
+        "# override: t_end = 0.02\n"
+        "# override: tau1 = 0.01\n"
+        "# seed = 0\n"
+        "# dt = 0.01\n"
+        "# t_end = 0.02\n"
+        "# floor_hits = 0\n"
+        "# jump_events = 0\n"
+        "t,x,y,z\n"
+        "0,10,10,5\n"
+        "0.01,9.8995785906767715,9.8844160094087954,4.92054715789385\n"
+        "0.02,9.8024505322171045,9.7730671806269296,4.8442780255252451\n"
+    ),
+    "sw_tau1=0.02.csv": (
+        "# command = simulate\n"
+        "# preset = none\n"
+        "# override: r1 = 0.5\n"
+        "# override: t_end = 0.02\n"
+        "# override: tau1 = 0.02\n"
+        "# seed = 0\n"
+        "# dt = 0.01\n"
+        "# t_end = 0.02\n"
+        "# floor_hits = 0\n"
+        "# jump_events = 0\n"
+        "t,x,y,z\n"
+        "0,10,10,5\n"
+        "0.01,9.8995785906767715,9.8844160094087954,4.92054715789385\n"
+        "0.02,9.8024505322171045,9.7730671806269296,4.8442780255252451\n"
+    ),
+    "sw_index.csv": (
+        "variable,value,file\n"
+        "tau1,0.01,sw_tau1=0.01.csv\n"
+        "tau1,0.02,sw_tau1=0.02.csv\n"
+    ),
+}
+
+
+class TestOutputFormat:
+    def test_every_writer_byte_for_byte(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, "sim.cfg", "preset = fig1\nt_end = 0.03\n")
+        _write(tmp_path, "ens.cfg", "preset = extinct\nt_end = 0.01\nn_reps = 2\n")
+        _write(tmp_path, "conv.cfg", "preset = fig3\nt_end = 0.1\n")
+        _write(tmp_path, "sw.cfg", "t_end = 0.02\nr1 = 0.5\n")
+        for argv in (
+            ["simulate", "--config", "sim.cfg", "--seed", "3", "--out", "sim.csv"],
+            ["ensemble", "--config", "ens.cfg", "--out", "ens.csv"],
+            ["convergence", "--config", "conv.cfg", "--out", "conv.csv",
+             "--dts", "1e-2,5e-3", "--ref-dt", "2.5e-3"],
+            ["sweep", "--config", "sw.cfg", "--out", "sw.csv", "--var", "tau1", "--values", "0.01,0.02"],
+        ):
+            assert main(argv) == 0
+        got = {name: (tmp_path / name).read_bytes() for name in _GOLDEN}
+        # observed_order is a LAPACK least-squares slope whose last bits may
+        # depend on the BLAS build; every other byte must match exactly
+        line = re.search(rb"^# observed_order = (.*)\n", got["conv.csv"], re.M)
+        assert float(line[1]) == pytest.approx(1.0049130353198308, rel=1e-12)
+        got["conv.csv"] = got["conv.csv"].replace(line[0], b"# observed_order = 1.0049130353198308\n")
+        assert got == {name: text.encode() for name, text in _GOLDEN.items()}
 
 
 class TestErrors:
@@ -184,9 +336,14 @@ class TestErrors:
         ]
         assert len(err) == 2
 
-    def test_off_grid_convergence_step_is_config_error(self, tmp_path, capsys):
+    def test_off_grid_convergence_step_is_config_error(self, tmp_path, capsys, monkeypatch):
         # dt = 0.003 fits neither fig3's delays nor t_end = 10: the study must
-        # stop instead of comparing a shifted system against the reference
+        # stop instead of comparing a shifted system against the reference,
+        # and must stop before it spends any time on the reference
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference was solved")
+
+        monkeypatch.setattr(oracle, "solve_deterministic", no_reference)
         cfg = _write(tmp_path, "f3.cfg", "preset = fig3\n")
         out = tmp_path / "c.csv"
         argv = ["convergence", "--config", cfg, "--out", str(out),
@@ -195,6 +352,27 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
         assert err[1] == "config error: StepConfig.t_end must be divided evenly by dt = 0.003, got 10.0"
+        assert not out.exists()
+        # a step off the delay grid, and a reference step that does not divide
+        # a study step, are caught as early
+        for dts, ref_dt, error in (
+            ("0.2", "0.05", "DelaySpec.tau1 must be divided evenly by dt = 0.2, got 0.5"),
+            ("0.01", "0.003", "reference dt=0.003 must divide dt=0.01"),
+        ):
+            argv = ["convergence", "--config", cfg, "--out", str(out), "--dts", dts, "--ref-dt", ref_dt]
+            assert main(argv) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == f"config error: {error}"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("text, flags, error", [
+        ("preset = fig1\nt_end = 2\nseed = -3\n", [], "seed must be >= 0 (line 3): got -3"),
+        ("preset = fig1\nt_end = 2\n", ["--seed", "-1"], "seed must be >= 0: got -1"),
+    ], ids=["config", "option"])
+    def test_negative_seed_names_its_key(self, tmp_path, capsys, text, flags, error):
+        cfg = _write(tmp_path, "s.cfg", text)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", cfg, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
         assert not out.exists()
 
     def test_oversized_ensemble_is_config_error(self, tmp_path, capsys, monkeypatch):
