@@ -13,14 +13,7 @@ from .analysis import (
     classify,
     time_average,
 )
-from .engine import (
-    HistoryBuffer,
-    SimulationError,
-    StepConfig,
-    Trajectory,
-    init_history,
-    simulate,
-)
+from .engine import SimulationError, StepConfig, Trajectory, simulate
 from .ensemble import (
     EnsembleStats,
     ToleranceSpec,
@@ -28,15 +21,7 @@ from .ensemble import (
     run_ensemble,
     verify_regime,
 )
-from .model import (
-    DelaySpec,
-    DelayedState,
-    HistorySpec,
-    ModelParams,
-    NoiseSpec,
-    State,
-    drift,
-)
+from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec
 from .oracle import (
     ConvergenceTable,
     convergence_study,
@@ -50,19 +35,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "State",
-    "DelayedState",
     "ModelParams",
     "NoiseSpec",
     "DelaySpec",
     "HistorySpec",
-    "drift",
     # engine
     "StepConfig",
-    "HistoryBuffer",
     "Trajectory",
     "SimulationError",
-    "init_history",
     "simulate",
     # analysis
     "Regime",

@@ -72,18 +72,6 @@ class TimeAverageSeries:
     means: np.ndarray  # (n+1, 3)
 
     @property
-    def x(self) -> np.ndarray:
-        return self.means[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.means[:, 1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.means[:, 2]
-
-    @property
     def terminal(self) -> np.ndarray:
         return self.means[-1]
 

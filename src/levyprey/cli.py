@@ -21,6 +21,7 @@ import numpy as np
 from . import analysis, engine, ensemble, oracle
 from .config import ConfigError, RunConfig, parse_config, parse_config_file
 from .engine import SimulationError
+from .model import FieldError
 from .presets import SWEEPS
 
 __all__ = ["main", "entry"]
@@ -166,15 +167,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _require_out(args, cfg)
-    table = oracle.convergence_study(
-        cfg.to_params(),
-        cfg.to_delays(),
-        cfg.to_history(),
-        _floats("--dts", args.dts),
-        t_end=cfg["t_end"],
-        ref_dt=args.ref_dt,
-        seed=cfg.seed,
-    )
+    try:
+        table = oracle.convergence_study(
+            cfg.to_params(),
+            cfg.to_delays(),
+            cfg.to_history(),
+            _floats("--dts", args.dts),
+            t_end=cfg["t_end"],
+            ref_dt=args.ref_dt,
+            seed=cfg.seed,
+        )
+    except FieldError as exc:  # a step size breaks a rule: name its option
+        option = "--ref-dt" if exc.field == "ref_dt" else "--dts"
+        if exc.field in ("dt", "ref_dt"):
+            raise ConfigError(f"{option} {exc.rule}: got {exc.value!r}") from None
+        raise ConfigError(f"{exc.field} {exc.rule} from {option}: got {exc.value!r}") from None
     order = table.observed_order
     extra = [] if order is None else [f"observed_order = {order:.17g}"]
     rows = [(r.dt, r.max_err, r.pair_order) for r in table.rows]

@@ -10,8 +10,9 @@ Config text and RunConfig.replaced type a value by its key in one place
 (an integral int for seed and n_reps, a float otherwise). Values are
 checked by building the typed parts the engine consumes: the model types
 own every range rule, engine.lag_steps the delay grid and StepConfig the
-horizon grid and the seed. The parser only adds the offending key and its
-line; the replicate count is the one rule it owns. Regime-hypothesis
+horizon grid and the seed, and model._in_range the replicate count (the
+rule run_ensemble states too). The parser only adds the offending key and
+its line. Regime-hypothesis
 failures are never parse errors; the one soft condition surfaced here
 (ModelParams.well_posed, predator death rate above predator competition)
 becomes a warning on the parsed config.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .engine import StepConfig, lag_steps
-from .model import DelaySpec, FieldError, HistorySpec, ModelParams, NoiseSpec
+from .model import DelaySpec, FieldError, HistorySpec, ModelParams, NoiseSpec, _in_range
 from .presets import PRESETS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file"]
@@ -64,7 +65,7 @@ _FIELDS = (
 )
 _FLOAT_KEYS = tuple(key for key, _, _ in _FIELDS)
 # the config key of each typed field (attribute names are unique)
-_KEY_OF = {attr: key for key, _, attr in _FIELDS} | {"seed": "seed"}
+_KEY_OF = {attr: key for key, _, attr in _FIELDS} | {"seed": "seed", "n_reps": "n_reps"}
 _INT_KEYS = ("seed", "n_reps")
 _STR_KEYS = ("preset", "output")
 KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
@@ -192,8 +193,7 @@ def _check(cfg: RunConfig, lines: dict[str, int]) -> ModelParams:
         delays = cfg.to_delays()
         cfg.to_history()
         params = cfg.to_params()
-        if cfg.n_reps < 1:
-            raise ConfigError(f"n_reps must be >= 1{where('n_reps')}: got {cfg.n_reps}")
+        _in_range("RunConfig", "n_reps", cfg.n_reps, low=1)
         try:
             cfg.to_step_config()
         except FieldError as exc:

@@ -171,13 +171,13 @@ def init_history(h: HistorySpec, d: DelaySpec, c: StepConfig) -> HistoryBuffer:
     buf = HistoryBuffer(c.dt)
     for i in range(kmax + 1):
         try:
-            s = h.value_at((i - kmax) * c.dt)
+            x, y, z = h.value_at((i - kmax) * c.dt)
         except ValueError as exc:
             lo, hi = h.span()
             raise ValueError(
                 f"history table spans [{lo!r}, {hi!r}] but must cover [{-kmax * c.dt!r}, 0]"
             ) from exc
-        buf.append(s.x, s.y, s.z)
+        buf.append(x, y, z)
     return buf
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import engine
 from .analysis import Regime, RegimeReport, time_average
 from .engine import SimulationError, StepConfig
-from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec, parameter_fingerprint
+from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec, _in_range, parameter_fingerprint
 
 __all__ = [
     "ToleranceSpec",
@@ -109,8 +109,7 @@ def run_ensemble(
     because replicate k's randomness depends only on (base_seed, k) and
     aggregation reduces over the index axis.
     """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    _in_range("run_ensemble", "n_reps", n_reps, low=1)
     cfg = replace(c, seed=base_seed)
     n_points = cfg.n_steps + 1
     stats_stride = max(1, math.ceil(n_points / _MAX_STAT_POINTS))

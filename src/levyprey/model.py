@@ -14,6 +14,11 @@ sigma_i per species) and compensated compound-Poisson jumps: an arrival
 multiplies species i by (1 + q_i) and the drift carries the compensator
 -q_i*lambda*S_i so the jump term is mean-zero.
 
+drift evaluates the three rates on plain floats (state, then the four
+delay taps) and is the reference solver's rate function; the engine's
+stepper computes the same rates in its own operand form. Histories hand out
+plain (x, y, z) float tuples.
+
 All rates are per day; populations share the unit of the carrying
 capacities. Every type here is an immutable value, and every operation is
 pure, so instances are safe to share across threads or processes.
@@ -25,11 +30,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
-    "State",
-    "DelayedState",
     "ModelParams",
     "NoiseSpec",
     "DelaySpec",
@@ -41,37 +44,21 @@ __all__ = [
 
 
 class FieldError(ValueError):
-    """An input value that breaks its rule; carries the ``field`` and ``rule``."""
+    """An input value that breaks its rule; carries the ``field``, ``rule`` and ``value``."""
 
     def __init__(self, owner: str, field: str, rule: str, value: object) -> None:
         super().__init__(f"{owner}.{field} {rule}, got {value!r}")
         self.field = field
         self.rule = rule
+        self.value = value
 
 
 def _in_range(owner: str, field: str, value: float, low: float = 0.0, strict: bool = False) -> None:
     """The range rule of every numeric input: finite, and >= low (> low if strict)."""
-    if not math.isfinite(value):
+    if not -math.inf < value < math.inf:  # unlike math.isfinite, no OverflowError on a huge int
         raise FieldError(owner, field, "must be finite", value)
     if value < low or (strict and value == low):
         raise FieldError(owner, field, f"must be {'>' if strict else '>='} {low:g}", value)
-
-
-class State(NamedTuple):
-    """Population triple (prey-1, prey-2, predator)."""
-
-    x: float
-    y: float
-    z: float
-
-
-class DelayedState(NamedTuple):
-    """Delay taps entering the drift: x(t-tau1), y(t-tau2), x(t-tau3), y(t-tau3)."""
-
-    x_tau1: float
-    y_tau2: float
-    x_tau3: float
-    y_tau3: float
 
 
 @dataclass(frozen=True)
@@ -149,10 +136,6 @@ class DelaySpec:
             _in_range("DelaySpec", name, v)
 
     @property
-    def tau_max(self) -> float:
-        return max(self.tau1, self.tau2, self.tau3)
-
-    @property
     def taus(self) -> tuple[float, float, float]:
         return (self.tau1, self.tau2, self.tau3)
 
@@ -161,14 +144,14 @@ class DelaySpec:
 class HistorySpec:
     """Initial population history on [-tau_max, 0].
 
-    Either a constant triple held over the whole window, or a table of
-    (t, x, y, z) samples interpreted piecewise-linearly. Table times must be
-    strictly increasing and are checked against the actual delay window when
-    a history buffer is built.
+    Either a constant (x, y, z) float triple held over the whole window, or a
+    table of (t, x, y, z) samples interpreted piecewise-linearly. Table times
+    must be strictly increasing and are checked against the actual delay
+    window when a history buffer is built.
     """
 
     kind: str
-    constant: State | None = None
+    constant: tuple[float, float, float] | None = None
     samples: tuple[tuple[float, float, float, float], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -195,7 +178,7 @@ class HistorySpec:
 
     @classmethod
     def from_constant(cls, x0: float, y0: float, z0: float) -> "HistorySpec":
-        return cls(kind="constant", constant=State(float(x0), float(y0), float(z0)))
+        return cls(kind="constant", constant=(float(x0), float(y0), float(z0)))
 
     @classmethod
     def from_table(cls, rows: Iterable[tuple[float, float, float, float]]) -> "HistorySpec":
@@ -208,8 +191,8 @@ class HistorySpec:
         assert self.samples is not None
         return (self.samples[0][0], self.samples[-1][0])
 
-    def value_at(self, t: float) -> State:
-        """Evaluate the history at time t (constant, or linear between samples)."""
+    def value_at(self, t: float) -> tuple[float, float, float]:
+        """The (x, y, z) history at time t (constant, or linear between samples)."""
         if self.kind == "constant":
             assert self.constant is not None
             return self.constant
@@ -219,37 +202,29 @@ class HistorySpec:
         if t < lo - 1e-12 or t > hi + 1e-12:
             raise ValueError(f"history query at t={t} outside table span [{lo}, {hi}]")
         if t <= rows[0][0]:
-            return State(*rows[0][1:])
+            return rows[0][1:]
         if t >= rows[-1][0]:
-            return State(*rows[-1][1:])
+            return rows[-1][1:]
         # linear scan is fine: tables are small and this is not a hot path
         for (t0, *v0), (t1, *v1) in zip(rows, rows[1:]):
             if t0 <= t <= t1:
                 w = (t - t0) / (t1 - t0)
-                return State(*(a + w * (b - a) for a, b in zip(v0, v1)))
+                return tuple(a + w * (b - a) for a, b in zip(v0, v1))
         raise AssertionError("unreachable: table covers the query point")
 
 
-def _require_finite(value: float, label: str) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite input: {label} = {value!r}")
+def drift(
+    x: float, y: float, z: float, xd1: float, yd2: float, xd3: float, yd3: float, p: ModelParams
+) -> tuple[float, float, float]:
+    """Deterministic rate (fx, fy, fz) at state (x, y, z) and delay taps
+    xd1 = x(t-tau1), yd2 = y(t-tau2), xd3 = x(t-tau3), yd3 = y(t-tau3).
 
-
-def drift(state: State, delayed: DelayedState, p: ModelParams) -> tuple[float, float, float]:
-    """Deterministic rate (fx, fy, fz) at the given state and delay taps.
-
-    Pure; rejects non-finite inputs naming the offending component.
+    Pure arithmetic on floats; a non-finite input gives a non-finite rate
+    and is left to the caller's end-of-step check.
     """
-    x, y, z = state
-    for label, v in zip(("state.x", "state.y", "state.z"), (x, y, z)):
-        _require_finite(v, label)
-    for label, v in zip(
-        ("delayed.x_tau1", "delayed.y_tau2", "delayed.x_tau3", "delayed.y_tau3"), delayed
-    ):
-        _require_finite(v, label)
-    fx = p.r1 * x * (1.0 - delayed.x_tau1 / p.k1) - p.alpha1 * x * z + p.beta * x * y * z
-    fy = p.r2 * y * (1.0 - delayed.y_tau2 / p.k2) - p.alpha2 * y * z + p.beta * x * y * z
-    fz = -p.delta * z - p.alpha3 * z * z + p.a1 * delayed.x_tau3 * z + p.a2 * delayed.y_tau3 * z
+    fx = p.r1 * x * (1.0 - xd1 / p.k1) - p.alpha1 * x * z + p.beta * x * y * z
+    fy = p.r2 * y * (1.0 - yd2 / p.k2) - p.alpha2 * y * z + p.beta * x * y * z
+    fz = -p.delta * z - p.alpha3 * z * z + p.a1 * xd3 * z + p.a2 * yd3 * z
     return (fx, fy, fz)
 
 

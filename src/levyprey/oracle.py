@@ -13,12 +13,15 @@ four despite the limited smoothness of delay problems:
   initial history function directly.
 
 Zero delays degenerate to ordinary RK4 (stage values feed back into the
-taps). With the stochastic engine this solver shares the model's rate
-function, the grid rules (step count, delay taps, grid tolerance), the
-history fill (engine.init_history and its buffer) and the path type (a
-Trajectory with no jumps and no floor clamps). The integration machinery
-(RK4 stages and the mid-step interpolation) is separate on purpose, so it
-can serve as the engine's convergence oracle.
+taps). The rate function is model.drift, on plain floats; the engine's
+_advance computes the same rate in its own operand form (``xd1 * (1/K1)``
+where drift has ``xd1 / K1``) until ROADMAP item 2 merges the two.
+Finiteness is checked once per step, on the new state. With the stochastic
+engine this solver shares the grid rules (step count, delay taps, grid
+tolerance), the history fill (engine.init_history and its buffer) and the
+path type (a Trajectory with no jumps and no floor clamps). The integration
+machinery (RK4 stages and the mid-step interpolation) is separate on
+purpose, so it can serve as the engine's convergence oracle.
 """
 
 from __future__ import annotations
@@ -30,15 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine as _engine
-from .model import (
-    DelaySpec,
-    DelayedState,
-    HistorySpec,
-    ModelParams,
-    NoiseSpec,
-    State,
-    drift,
-)
+from .model import DelaySpec, FieldError, HistorySpec, ModelParams, NoiseSpec, _in_range, drift
 
 __all__ = [
     "ConvergenceRow",
@@ -75,7 +70,11 @@ def solve_deterministic(
     """Integrate the noise-free delayed system over [0, t_end] with RK4.
 
     Raises SimulationError (a RuntimeError) when the solution stops being
-    finite, as the stochastic engine does.
+    finite, as the stochastic engine does. The end-of-step check is the only
+    one needed: every term of f_x has x as a factor, every term of f_y has y
+    and every term of f_z has z, so a non-finite stage value always makes a
+    rate component non-finite, and that component enters the step's
+    weighted sum.
     """
     c = _engine.StepConfig(dt=dt, t_end=t_end)
     k1_lag, k2_lag, k3_lag = _engine.lag_steps(d, dt)
@@ -112,38 +111,35 @@ def solve_deterministic(
             lo_b, hi_b = base, last
         return _cubic_interp(series[which], u, lo_b, hi_b)
 
-    def delayed_at(u: float, stage: State) -> DelayedState:
-        xd1 = stage.x if k1_lag == 0 else tap(0, u - k1_lag)
-        yd2 = stage.y if k2_lag == 0 else tap(1, u - k2_lag)
-        xd3 = stage.x if k3_lag == 0 else tap(0, u - k3_lag)
-        yd3 = stage.y if k3_lag == 0 else tap(1, u - k3_lag)
-        return DelayedState(xd1, yd2, xd3, yd3)
+    def taps(u: float, x: float, y: float) -> tuple[float, float, float, float]:
+        # x(t-tau1), y(t-tau2), x(t-tau3), y(t-tau3) at fractional index u;
+        # a zero lag reads the stage value (x, y) itself
+        return (
+            x if k1_lag == 0 else tap(0, u - k1_lag),
+            y if k2_lag == 0 else tap(1, u - k2_lag),
+            x if k3_lag == 0 else tap(0, u - k3_lag),
+            y if k3_lag == 0 else tap(1, u - k3_lag),
+        )
 
     half = dt / 2.0
     sixth = dt / 6.0
     for i in range(c.n_steps):
         m = base + i
-        y0 = State(xs[m], ys[m], zs[m])
+        x0, y0, z0 = xs[m], ys[m], zs[m]
+        f1 = drift(x0, y0, z0, *taps(m, x0, y0), p)
 
-        try:
-            f1 = drift(y0, delayed_at(m, y0), p)
+        x1, y1, z1 = x0 + half * f1[0], y0 + half * f1[1], z0 + half * f1[2]
+        f2 = drift(x1, y1, z1, *taps(m + 0.5, x1, y1), p)
 
-            y1 = State(y0.x + half * f1[0], y0.y + half * f1[1], y0.z + half * f1[2])
-            f2 = drift(y1, delayed_at(m + 0.5, y1), p)
+        x2, y2, z2 = x0 + half * f2[0], y0 + half * f2[1], z0 + half * f2[2]
+        f3 = drift(x2, y2, z2, *taps(m + 0.5, x2, y2), p)
 
-            y2 = State(y0.x + half * f2[0], y0.y + half * f2[1], y0.z + half * f2[2])
-            f3 = drift(y2, delayed_at(m + 0.5, y2), p)
+        x3, y3, z3 = x0 + dt * f3[0], y0 + dt * f3[1], z0 + dt * f3[2]
+        f4 = drift(x3, y3, z3, *taps(m + 1.0, x3, y3), p)
 
-            y3 = State(y0.x + dt * f3[0], y0.y + dt * f3[1], y0.z + dt * f3[2])
-            f4 = drift(y3, delayed_at(m + 1.0, y3), p)
-        except ValueError as exc:  # drift rejects a non-finite stage value
-            raise _engine.SimulationError(
-                f"reference solver produced non-finite stage at t={(i + 1) * dt:g}: {exc}"
-            ) from exc
-
-        nx = y0.x + sixth * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
-        ny = y0.y + sixth * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
-        nz = y0.z + sixth * (f1[2] + 2.0 * f2[2] + 2.0 * f3[2] + f4[2])
+        nx = x0 + sixth * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
+        ny = y0 + sixth * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
+        nz = z0 + sixth * (f1[2] + 2.0 * f2[2] + 2.0 * f3[2] + f4[2])
         if not (math.isfinite(nx) and math.isfinite(ny) and math.isfinite(nz)):
             raise _engine.SimulationError(
                 f"reference solver produced non-finite state at t={(i + 1) * dt:g}"
@@ -195,21 +191,22 @@ def _study(
     states_at: Callable[[float], np.ndarray],
 ) -> ConvergenceTable:
     """Max-norm error of states_at(dt) against a fine reference solution, per dt.
-    Every dt is checked against the grid rules before the reference is solved."""
+    Every dt, then ref_dt, is checked against the grid rules (a broken one
+    raises FieldError) before the reference is solved."""
     if len(dt_list) == 0:
         raise ValueError("dt_list must be nonempty")
     if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ValueError("dt_list must be strictly descending")
-    if ref_dt is None:
-        ref_dt = min(dt_list) / 4.0
-    strides = []
     for dt in dt_list:
         _engine.StepConfig(dt=dt, t_end=t_end)  # dt > 0, horizon on its grid
         _engine.lag_steps(d, dt)
-        k = _engine.grid_steps(dt, ref_dt)
+    if ref_dt is None:
+        ref_dt = min(dt_list) / 4.0
+    _in_range("convergence_study", "ref_dt", ref_dt, strict=True)
+    strides = [_engine.grid_steps(dt, ref_dt) for dt in dt_list]
+    for dt, k in zip(dt_list, strides):
         if k is None:
-            raise ValueError(f"reference dt={ref_dt:g} must divide dt={dt:g}")
-        strides.append(k)
+            raise FieldError("convergence_study", "ref_dt", f"must divide dt = {dt:g}", ref_dt)
     ref = solve_deterministic(p, d, h, ref_dt, t_end).states
     errs = [float(np.max(np.abs(states_at(dt) - ref[::k]))) for dt, k in zip(dt_list, strides)]
     return _order_table(list(dt_list), errs)

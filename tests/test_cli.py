@@ -324,9 +324,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("extra", [[], ["--dts", "1e-2", "--ref-dt", "1e-2"]])
     def test_oracle_divergence_is_runtime_fault(self, tmp_path, capsys, extra):
-        # the fig3 core explodes near t = 20; the reference solver must report
-        # it as a runtime fault, whether the end-of-step check or a stage
-        # evaluation sees the overflow first
+        # the fig3 core explodes near t = 20; the reference solver's one
+        # end-of-step check must report it as a runtime fault, both when the
+        # overflow first shows in the new state (default steps) and when it
+        # first shows in a stage value that only the rates carry forward
+        # (dt = 1e-2)
         cfg = _write(tmp_path, "f3.cfg", "preset = fig3\nt_end = 200\n")
         out = str(tmp_path / "c.csv")
         assert main(["convergence", "--config", cfg, "--out", out, *extra]) == 2
@@ -351,15 +353,20 @@ class TestErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
-        assert err[1] == "config error: StepConfig.t_end must be divided evenly by dt = 0.003, got 10.0"
+        assert err[1] == "config error: t_end must be divided evenly by dt = 0.003 from --dts: got 10.0"
         assert not out.exists()
-        # a step off the delay grid, and a reference step that does not divide
-        # a study step, are caught as early
+        # a step that is not a positive number or is off the delay grid, and a
+        # reference step that is not a positive number or does not divide a
+        # study step, are caught as early, each naming its option and value
         for dts, ref_dt, error in (
-            ("0.2", "0.05", "DelaySpec.tau1 must be divided evenly by dt = 0.2, got 0.5"),
-            ("0.01", "0.003", "reference dt=0.003 must divide dt=0.01"),
+            ("-0.01", "0.001", "--dts must be > 0: got -0.01"),
+            ("0.2", "0.05", "tau1 must be divided evenly by dt = 0.2 from --dts: got 0.5"),
+            ("0.01", "0.003", "--ref-dt must divide dt = 0.01: got 0.003"),
+            ("0.01", "0", "--ref-dt must be > 0: got 0.0"),
+            ("0.01", "nan", "--ref-dt must be finite: got nan"),
+            ("0.01", "-1e-3", "--ref-dt must be > 0: got -0.001"),
         ):
-            argv = ["convergence", "--config", cfg, "--out", str(out), "--dts", dts, "--ref-dt", ref_dt]
+            argv = ["convergence", "--config", cfg, "--out", str(out), f"--dts={dts}", f"--ref-dt={ref_dt}"]
             assert main(argv) == 1
             assert capsys.readouterr().err.splitlines()[-1] == f"config error: {error}"
             assert not out.exists()

@@ -80,6 +80,12 @@ class TestParsing:
             parse_config(f"seed = 1\n{line}\n")
         assert str(exc.value) == message
 
+    def test_integers_beyond_float_range_are_in_range(self):
+        # the range rule compares, so an int no float can hold is still finite
+        big = 10**400
+        cfg = parse_config(f"seed = {big}\nn_reps = {big}\n")
+        assert (cfg.seed, cfg.n_reps) == (big, big)
+
     def test_integer_keys_reject_floats(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config("seed = 1.5\n")

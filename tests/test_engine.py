@@ -8,19 +8,16 @@ import pytest
 
 from levyprey import (
     DelaySpec,
-    DelayedState,
     HistorySpec,
     ModelParams,
     NoiseSpec,
-    State,
     StepConfig,
-    drift,
-    init_history,
     simulate,
     solve_deterministic,
 )
 from levyprey import rng as lrng
-from levyprey.model import FieldError
+from levyprey.engine import init_history
+from levyprey.model import FieldError, drift
 
 FIG1_PARAMS = ModelParams(
     r1=0.7, r2=0.65, k1=100.0, k2=100.0, alpha1=0.3, alpha2=0.35,
@@ -90,11 +87,11 @@ class TestDelayedLookup:
         h = HistorySpec.from_table([(-1.0, 1, 1, 1), (0.0, 30, 20, 4)])
         sc = StepConfig(dt=0.01, t_end=0.02)
         traj = simulate(FIG1_PARAMS, NOISE_OFF, DelaySpec(0, 0, 0), h, sc)
-        xs = [State(30.0, 20.0, 4.0)]
+        xs = [(30.0, 20.0, 4.0)]
         for _ in range(2):
-            s = xs[-1]
-            f = drift(s, DelayedState(s.x, s.y, s.x, s.y), FIG1_PARAMS)
-            xs.append(State(s.x + 0.01 * f[0], s.y + 0.01 * f[1], s.z + 0.01 * f[2]))
+            x, y, z = xs[-1]
+            f = drift(x, y, z, x, y, x, y, FIG1_PARAMS)
+            xs.append((x + 0.01 * f[0], y + 0.01 * f[1], z + 0.01 * f[2]))
         assert np.allclose(traj.states, np.array(xs), rtol=1e-13, atol=0)
 
     def test_grid_aligned_is_bit_exact(self):
@@ -161,7 +158,7 @@ class TestStep:
         c = StepConfig(dt=0.01, t_end=0.01)
         h = HistorySpec.from_constant(30, 20, 4)
         traj = simulate(FIG1_PARAMS, NOISE_OFF, TABLE_DELAYS, h, c)
-        f = drift(State(30, 20, 4), DelayedState(30, 20, 30, 20), FIG1_PARAMS)
+        f = drift(30, 20, 4, 30, 20, 30, 20, FIG1_PARAMS)
         assert traj.x[-1] == pytest.approx(30 + 0.01 * f[0], rel=1e-15)
         assert traj.y[-1] == pytest.approx(20 + 0.01 * f[1], rel=1e-15)
         assert traj.z[-1] == pytest.approx(4 + 0.01 * f[2], rel=1e-15)
@@ -261,11 +258,7 @@ class TestSimulate:
         zs = [5.0] * (k3 + 1)
         for i in range(sc.n_steps):
             m = k3 + i
-            f = drift(
-                State(xs[m], ys[m], zs[m]),
-                DelayedState(xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3]),
-                FIG1_PARAMS,
-            )
+            f = drift(xs[m], ys[m], zs[m], xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], FIG1_PARAMS)
             xs.append(xs[m] + 0.01 * f[0])
             ys.append(ys[m] + 0.01 * f[1])
             zs.append(zs[m] + 0.01 * f[2])

@@ -7,17 +7,15 @@ import pytest
 
 from levyprey import (
     DelaySpec,
-    DelayedState,
     HistorySpec,
     ModelParams,
     NoiseSpec,
-    State,
     StepConfig,
     classify,
-    drift,
     simulate,
 )
 from levyprey import rng as lrng
+from levyprey.model import drift
 
 # published simulation column used throughout (extinction flavor), with the
 # package-assumed transformation rates
@@ -40,17 +38,19 @@ def _one_step(n, state, seed=0):
     traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec.from_constant(*state),
                     StepConfig(dt=DT, t_end=DT, seed=seed))
     normals = lrng.stream(seed, 0, lrng.GAUSSIAN).standard_normal((1, 3))[0]
-    return normals, State(*traj.states[-1])
+    return normals, tuple(traj.states[-1])
 
 
 class TestDrift:
+    """drift(x, y, z, x(t-tau1), y(t-tau2), x(t-tau3), y(t-tau3), params)."""
+
     def test_origin_is_equilibrium(self):
-        f = drift(State(0, 0, 0), DelayedState(5, 7, 9, 11), FIG1_PARAMS)
+        f = drift(0, 0, 0, 5, 7, 9, 11, FIG1_PARAMS)
         assert f == (0.0, 0.0, 0.0)
 
     def test_prey1_at_capacity_without_predator(self):
         # x at carrying capacity with delayed tap also at K1, no y, no z
-        f = drift(State(100.0, 0.0, 0.0), DelayedState(100.0, 0.0, 100.0, 0.0), FIG1_PARAMS)
+        f = drift(100.0, 0.0, 0.0, 100.0, 0.0, 100.0, 0.0, FIG1_PARAMS)
         assert f == (0.0, 0.0, 0.0)
 
     def test_hand_evaluated_rates(self):
@@ -58,7 +58,7 @@ class TestDrift:
         #   fx = 0.7*50*(1 - 0.5) - 0.3*50*10 + 1e-4*50*50*10 = 17.5 - 150 + 2.5
         #   fy = 0.65*50*(1 - 0.5) - 0.35*50*10 + 2.5        = 16.25 - 175 + 2.5
         #   fz = -0.1*10 - 0.5*100 + 0.05*50*10 + 0.05*50*10 = -1 - 50 + 25 + 25
-        fx, fy, fz = drift(State(50, 50, 10), DelayedState(50, 50, 50, 50), FIG1_PARAMS)
+        fx, fy, fz = drift(50, 50, 10, 50, 50, 50, 50, FIG1_PARAMS)
         assert fx == pytest.approx(-130.0, abs=1e-12)
         assert fy == pytest.approx(-156.25, abs=1e-12)
         assert fz == pytest.approx(-1.0, abs=1e-12)
@@ -66,17 +66,10 @@ class TestDrift:
     def test_pure_and_zero_predator_forces_fz_zero(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            s = State(*rng.uniform(0, 50, 3))
-            d = DelayedState(*rng.uniform(0, 50, 4))
-            assert drift(s, d, FIG1_PARAMS) == drift(s, d, FIG1_PARAMS)
-            s0 = State(s.x, s.y, 0.0)
-            assert drift(s0, d, FIG1_PARAMS)[2] == 0.0
-
-    def test_nonfinite_input_names_component(self):
-        with pytest.raises(ValueError, match="state.y"):
-            drift(State(1.0, math.nan, 1.0), DelayedState(1, 1, 1, 1), FIG1_PARAMS)
-        with pytest.raises(ValueError, match="delayed.x_tau3"):
-            drift(State(1, 1, 1), DelayedState(1, 1, math.inf, 1), FIG1_PARAMS)
+            x, y, z = rng.uniform(0, 50, 3)
+            d = rng.uniform(0, 50, 4)
+            assert drift(x, y, z, *d, FIG1_PARAMS) == drift(x, y, z, *d, FIG1_PARAMS)
+            assert drift(x, y, 0.0, *d, FIG1_PARAMS)[2] == 0.0
 
 
 class TestDiffusion:
@@ -117,10 +110,10 @@ class TestApplyJump:
 
     def test_zero_is_absorbing(self):
         n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
-        _, out = _one_step(n, (0.0, 5.0, 5.0), seed=ONE_ARRIVAL_SEED)
-        assert out.x == 0.0
-        assert out.y == pytest.approx(5 * (1 - 0.006 * 0.99))
-        assert out.z == pytest.approx(5 * (1 - 0.008 * 0.99))
+        _, (x, y, z) = _one_step(n, (0.0, 5.0, 5.0), seed=ONE_ARRIVAL_SEED)
+        assert x == 0.0
+        assert y == pytest.approx(5 * (1 - 0.006 * 0.99))
+        assert z == pytest.approx(5 * (1 - 0.008 * 0.99))
 
     def test_positivity_preserved_for_random_marks(self):
         rng = np.random.default_rng(11)
@@ -155,10 +148,6 @@ class TestTypeInvariants:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="tau2"):
             DelaySpec(0.5, -1.0, 0.5)
-
-    def test_tau_max(self):
-        assert DelaySpec(0.5, 1.0, 1.5).tau_max == 1.5
-        assert DelaySpec(0, 0, 0).tau_max == 0
 
     def test_history_table_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
