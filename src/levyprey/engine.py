@@ -34,7 +34,6 @@ from .model import DelaySpec, FieldError, HistorySpec, ModelParams, NoiseSpec, _
 
 __all__ = [
     "StepConfig",
-    "HistoryBuffer",
     "Trajectory",
     "SimulationError",
     "init_history",
@@ -71,38 +70,6 @@ class StepConfig:
         return round(self.t_end / self.dt)
 
 
-class HistoryBuffer:
-    """Grid-aligned state record from the far end of the delay window onward.
-
-    Samples are spaced exactly dt apart, starting at the far end of the
-    initial history window. The buffer only grows; at the horizons this
-    engine targets the full record is a few megabytes, so nothing is evicted
-    and the trajectory can be read straight out of it.
-    """
-
-    __slots__ = ("dt", "xs", "ys", "zs")
-
-    def __init__(self, dt: float) -> None:
-        self.dt = dt
-        self.xs: list[float] = []
-        self.ys: list[float] = []
-        self.zs: list[float] = []
-
-    def append(self, x: float, y: float, z: float) -> None:
-        self.xs.append(x)
-        self.ys.append(y)
-        self.zs.append(z)
-
-    def trajectory(self, start: int, jump_events: int, floor_hits: int) -> Trajectory:
-        """The samples from index ``start`` (t = 0) onward, as a path on the grid."""
-        n = len(self.xs) - start
-        states = np.empty((n, 3))
-        states[:, 0] = self.xs[start:]
-        states[:, 1] = self.ys[start:]
-        states[:, 2] = self.zs[start:]
-        return Trajectory(np.arange(n) * self.dt, states, jump_events, floor_hits)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One integrated sample path on [0, t_end].
@@ -117,6 +84,17 @@ class Trajectory:
     states: np.ndarray
     jump_events: int
     floor_hits: int
+
+    @classmethod
+    def from_grid(cls, xs: list[float], ys: list[float], zs: list[float], start: int,
+                  dt: float, jump_events: int, floor_hits: int) -> "Trajectory":
+        """The grid record from index ``start`` (t = 0) onward, as a path."""
+        n = len(xs) - start
+        states = np.empty((n, 3))
+        states[:, 0] = xs[start:]
+        states[:, 1] = ys[start:]
+        states[:, 2] = zs[start:]
+        return cls(np.arange(n) * dt, states, jump_events, floor_hits)
 
     @property
     def x(self) -> np.ndarray:
@@ -137,8 +115,12 @@ class Trajectory:
 
 def grid_steps(value: float, dt: float) -> int | None:
     """Whole number of steps k >= 1 with k*dt equal to value within the grid
-    tolerance, or None when value is not a positive multiple of dt."""
-    k = round(value / dt)
+    tolerance, or None when value is not a positive multiple of dt (also when
+    value / dt is beyond float range, as for dt = 1e-320)."""
+    try:
+        k = round(value / dt)
+    except OverflowError:
+        return None
     if k < 1 or abs(k * dt - value) > _GRID_TOL * max(1.0, value):
         return None
     return k
@@ -160,15 +142,24 @@ def lag_steps(d: DelaySpec, dt: float) -> tuple[int, int, int]:
     return (ks[0], ks[1], ks[2])
 
 
-def init_history(h: HistorySpec, d: DelaySpec, c: StepConfig) -> HistoryBuffer:
-    """Populate a buffer at every grid point of [-tau_max, 0].
+def init_history(
+    h: HistorySpec, d: DelaySpec, c: StepConfig
+) -> tuple[list[float], list[float], list[float]]:
+    """The grid record (xs, ys, zs) at every grid point of [-tau_max, 0].
 
-    Constant histories fill their value; table histories fill by linear
-    interpolation between samples and must span the whole window. Whether a
-    table covers a grid time is decided by HistorySpec.value_at alone.
+    Samples are spaced exactly dt apart from the far end of the delay window;
+    the last one is t = 0. Callers append each new state, and nothing is
+    evicted: at the horizons this engine targets the full record is a few
+    megabytes, and the path is read straight out of it
+    (Trajectory.from_grid). Constant histories fill their value; table
+    histories fill by linear interpolation between samples and must span the
+    whole window. Whether a table covers a grid time is decided by
+    HistorySpec.value_at alone.
     """
     kmax = max(lag_steps(d, c.dt))
-    buf = HistoryBuffer(c.dt)
+    xs: list[float] = []
+    ys: list[float] = []
+    zs: list[float] = []
     for i in range(kmax + 1):
         try:
             x, y, z = h.value_at((i - kmax) * c.dt)
@@ -177,8 +168,10 @@ def init_history(h: HistorySpec, d: DelaySpec, c: StepConfig) -> HistoryBuffer:
             raise ValueError(
                 f"history table spans [{lo!r}, {hi!r}] but must cover [{-kmax * c.dt!r}, 0]"
             ) from exc
-        buf.append(x, y, z)
-    return buf
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+    return xs, ys, zs
 
 
 def _advance(x, y, z, xd1, yd2, xd3, yd3, pp, nn, z1, z2, z3, j1, j2, j3):
@@ -241,7 +234,7 @@ def simulate(
     and toggling jumps leaves the Brownian path untouched.
     """
     k1, k2, k3 = lag_steps(d, c.dt)
-    buf = init_history(h, d, c)
+    xs, ys, zs = init_history(h, d, c)
     n_steps = c.n_steps
     dt = c.dt
     floor = _POSITIVITY_FLOOR
@@ -259,7 +252,6 @@ def simulate(
 
     pp = _pack_params(p, dt)
     nn = _pack_noise(n, dt)
-    xs, ys, zs = buf.xs, buf.ys, buf.zs
     base = len(xs) - 1  # index of t = 0
     jump_events = 0
     floor_hits = 0
@@ -310,4 +302,4 @@ def simulate(
         if j1 or j2 or j3:
             jump_events += 1
 
-    return buf.trajectory(base, jump_events, floor_hits)
+    return Trajectory.from_grid(xs, ys, zs, base, dt, jump_events, floor_hits)

@@ -57,8 +57,7 @@ class ToleranceSpec:
     slack: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.extinction <= 0:
-            raise ValueError("extinction tolerance must be > 0")
+        _in_range("ToleranceSpec", "extinction", self.extinction, strict=True)
         if not 0 <= self.slack < 1:
             raise ValueError("slack must be in [0, 1)")
 
@@ -118,9 +117,11 @@ def run_ensemble(
         stat_idx = np.append(stat_idx, n_points - 1)
     path_bytes = n_reps * len(stat_idx) * 3 * 8
     if path_bytes > _MAX_PATH_BYTES:
+        # hundredths of a GiB in integers, since n_reps may be beyond float range
+        centi_gib = (path_bytes * 100 + 2**29) // 2**30
         raise ValueError(
             f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points needs "
-            f"{path_bytes / 2**30:.2f} GiB of path statistics "
+            f"{centi_gib // 100}.{centi_gib % 100:02d} GiB of path statistics "
             f"(limit {_MAX_PATH_BYTES / 2**30:g} GiB); "
             "lower n_reps"
         )

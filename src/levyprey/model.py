@@ -147,7 +147,7 @@ class HistorySpec:
     Either a constant (x, y, z) float triple held over the whole window, or a
     table of (t, x, y, z) samples interpreted piecewise-linearly. Table times
     must be strictly increasing and are checked against the actual delay
-    window when a history buffer is built.
+    window when the history is filled (engine.init_history).
     """
 
     kind: str

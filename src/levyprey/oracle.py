@@ -1,27 +1,36 @@
 """Independent deterministic reference solver for the noise-free core.
 
-Classic four-stage Runge-Kutta, extended to delays by interpolating the
-stored solution at the stage times. Two details keep the observed order near
-four despite the limited smoothness of delay problems:
+Classic four-stage Runge-Kutta, extended to delays by reading the stored
+solution on the grid. Positive delays are whole multiples of dt
+(engine.lag_steps), so the delay taps of a step at grid index m, for a lag of
+k steps, ask for only three kinds of value:
 
-* positive delays must be whole multiples of dt (engine.lag_steps), so
-  solution kinks (which propagate from t = 0 at sums of the delays) land on
-  grid nodes and no step straddles one;
-* the cubic interpolation stencil used for mid-step delay taps is confined
-  to the smooth piece containing the query: pieces are bounded by multiples
-  of the delays' common grid divisor, and queries before t = 0 evaluate the
-  initial history function directly.
+* step start (stage 1): the stored sample at m - k;
+* step end (stage 4): the stored sample at m + 1 - k;
+* midpoint (stages 2 and 3): the value at m + 1/2 - k. It does not depend on
+  the stage, so it is computed once per lag per step. Before t = 0 it comes
+  from the initial history function; after t = 0 it is a cubic (Lagrange)
+  interpolation of stored nodes.
 
-Zero delays degenerate to ordinary RK4 (stage values feed back into the
-taps). The rate function is model.drift, on plain floats; the engine's
-_advance computes the same rate in its own operand form (``xd1 * (1/K1)``
-where drift has ``xd1 / K1``) until ROADMAP item 2 merges the two.
-Finiteness is checked once per step, on the new state. With the stochastic
-engine this solver shares the grid rules (step count, delay taps, grid
-tolerance), the history fill (engine.init_history and its buffer) and the
-path type (a Trajectory with no jumps and no floor clamps). The integration
-machinery (RK4 stages and the mid-step interpolation) is separate on
-purpose, so it can serve as the engine's convergence oracle.
+A zero lag reads the stage value itself, which is ordinary RK4. Two details
+keep the observed order near four despite the limited smoothness of delay
+problems. Solution kinks propagate from t = 0 at sums of the delays, so they
+land on multiples of the delays' common grid divisor and no step straddles
+one. And the midpoint stencil stays inside the smooth piece between two such
+multiples that holds the query; that piece ends at or before m, because a
+positive lag is at least one divisor long, so the stencil only ever reads
+stored nodes and never a value of the step being taken (a piece of one or two
+steps gives a linear or quadratic stencil).
+
+The rate function is model.drift, on plain floats; the engine's _advance
+computes the same rate in its own operand form (``xd1 * (1/K1)`` where drift
+has ``xd1 / K1``) until ROADMAP item 2 merges the two. Finiteness is checked
+once per step, on the new state. With the stochastic engine this solver
+shares the grid rules (step count, delay taps), the history fill
+(engine.init_history) and the path type (a Trajectory with no jumps and no
+floor clamps). The integration machinery (RK4 stages and the midpoint
+interpolation) is separate on purpose, so it can serve as the engine's
+convergence oracle.
 """
 
 from __future__ import annotations
@@ -77,65 +86,48 @@ def solve_deterministic(
     weighted sum.
     """
     c = _engine.StepConfig(dt=dt, t_end=t_end)
-    k1_lag, k2_lag, k3_lag = _engine.lag_steps(d, dt)
-
-    # the history on the grid; runtime queries at s <= 0 go straight to the
-    # history function, so the stored prefix is only read at grid nodes
-    buf = _engine.init_history(h, d, c)
-    xs, ys, zs = buf.xs, buf.ys, buf.zs
+    k1, k2, k3 = _engine.lag_steps(d, dt)
+    xs, ys, zs = _engine.init_history(h, d, c)
     base = len(xs) - 1  # index of t = 0
+    series = (xs, ys)
 
     # smooth pieces are bounded by multiples of the common divisor of the lags
-    gs = 0
-    for k in (k1_lag, k2_lag, k3_lag):
-        if k:
-            gs = math.gcd(gs, k)
+    gs = math.gcd(k1, k2, k3)
 
-    series = (xs, ys, zs)
-    grid_tol = _engine._GRID_TOL
+    def mid(which: int, n: int) -> float:
+        # x (which = 0) or y (1) at t = (n + 1/2)*dt, where n = i - k >= -k
+        if n < 0:
+            return h.value_at((n + 0.5) * dt)[which]
+        lo = base + n // gs * gs
+        return _cubic_interp(series[which], base + n + 0.5, lo, lo + gs)
 
-    def tap(which: int, u: float) -> float:
-        # u is a fractional grid index; integers are direct samples
-        r = round(u)
-        if abs(u - r) <= grid_tol:
-            return series[which][r]
-        if u <= base:
-            t = (u - base) * dt
-            return h.value_at(t)[which]
-        last = len(xs) - 1
-        if gs > 0:
-            piece = int((u - base) // gs)
-            lo_b = base + piece * gs
-            hi_b = min(lo_b + gs, last)
-        else:
-            lo_b, hi_b = base, last
-        return _cubic_interp(series[which], u, lo_b, hi_b)
-
-    def taps(u: float, x: float, y: float) -> tuple[float, float, float, float]:
-        # x(t-tau1), y(t-tau2), x(t-tau3), y(t-tau3) at fractional index u;
-        # a zero lag reads the stage value (x, y) itself
-        return (
-            x if k1_lag == 0 else tap(0, u - k1_lag),
-            y if k2_lag == 0 else tap(1, u - k2_lag),
-            x if k3_lag == 0 else tap(0, u - k3_lag),
-            y if k3_lag == 0 else tap(1, u - k3_lag),
-        )
+    def taps(x: float, y: float, xd1: float, yd2: float, xd3: float, yd3: float):
+        # the delayed arguments of one stage; a zero lag reads the stage value
+        return (xd1 if k1 else x, yd2 if k2 else y, xd3 if k3 else x, yd3 if k3 else y)
 
     half = dt / 2.0
     sixth = dt / 6.0
     for i in range(c.n_steps):
         m = base + i
         x0, y0, z0 = xs[m], ys[m], zs[m]
-        f1 = drift(x0, y0, z0, *taps(m, x0, y0), p)
+        # step start: xs[m - 0] is x0 itself, so zero lags need no care here
+        f1 = drift(x0, y0, z0, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], p)
 
+        # midpoint: one value per positive lag, shared by stages 2 and 3
+        # (a zero lag gives 0 here and reads the stage value in taps)
+        mids = (k1 and mid(0, i - k1), k2 and mid(1, i - k2),
+                k3 and mid(0, i - k3), k3 and mid(1, i - k3))
         x1, y1, z1 = x0 + half * f1[0], y0 + half * f1[1], z0 + half * f1[2]
-        f2 = drift(x1, y1, z1, *taps(m + 0.5, x1, y1), p)
+        f2 = drift(x1, y1, z1, *taps(x1, y1, *mids), p)
 
         x2, y2, z2 = x0 + half * f2[0], y0 + half * f2[1], z0 + half * f2[2]
-        f3 = drift(x2, y2, z2, *taps(m + 0.5, x2, y2), p)
+        f3 = drift(x2, y2, z2, *taps(x2, y2, *mids), p)
 
+        # step end: stored samples, since m + 1 - k <= m for a positive lag
+        e = m + 1
+        ends = (k1 and xs[e - k1], k2 and ys[e - k2], k3 and xs[e - k3], k3 and ys[e - k3])
         x3, y3, z3 = x0 + dt * f3[0], y0 + dt * f3[1], z0 + dt * f3[2]
-        f4 = drift(x3, y3, z3, *taps(m + 1.0, x3, y3), p)
+        f4 = drift(x3, y3, z3, *taps(x3, y3, *ends), p)
 
         nx = x0 + sixth * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
         ny = y0 + sixth * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
@@ -144,9 +136,11 @@ def solve_deterministic(
             raise _engine.SimulationError(
                 f"reference solver produced non-finite state at t={(i + 1) * dt:g}"
             )
-        buf.append(nx, ny, nz)
+        xs.append(nx)
+        ys.append(ny)
+        zs.append(nz)
 
-    return buf.trajectory(base, jump_events=0, floor_hits=0)
+    return _engine.Trajectory.from_grid(xs, ys, zs, base, dt, jump_events=0, floor_hits=0)
 
 
 @dataclass(frozen=True)

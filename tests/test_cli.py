@@ -393,3 +393,28 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("config error: ensemble too large: n_reps=100000 x 2001 stat points")
         assert not out.exists()
+
+    def test_ensemble_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        # the size check must not turn n_reps into a float on the way
+        cfg = _write(tmp_path, "huge.cfg", "preset = persist\nn_reps = 1" + "0" * 400 + "\n")
+        out = tmp_path / "e.csv"
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
+        assert err[1].startswith("config error: ensemble too large: n_reps=1" + "0" * 400 + " x 2001")
+        assert not out.exists()
+
+    def test_step_too_small_for_any_grid_is_config_error(self, tmp_path, capsys):
+        # at dt = 1e-320 every value / dt overflows: off the grid, not a crash
+        tiny = _write(tmp_path, "tiny.cfg", "preset = fig3\ndt = 1e-320\n")
+        assert main(["classify", "--config", tiny]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: tau1 must be divided evenly by dt = 9.99989e-321 (line 1): got 0.5"
+        ]
+        cfg = _write(tmp_path, "f3.cfg", "preset = fig3\n")
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--config", cfg, "--out", str(out), "--dts", "1e-320"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
+        assert err[1] == "config error: t_end must be divided evenly by dt = 9.99989e-321 from --dts: got 10.0"
+        assert not out.exists()

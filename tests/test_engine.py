@@ -38,22 +38,22 @@ def _nonzero_rows(counts):
 class TestHistory:
     def test_constant_fill(self):
         c = StepConfig(dt=0.01, t_end=1.0)
-        buf = init_history(HistorySpec.from_constant(50, 50, 10), TABLE_DELAYS, c)
-        assert len(buf.xs) == 151  # tau_max = 1.5 at dt = 0.01
-        assert (buf.xs[0], buf.ys[0], buf.zs[0]) == (50, 50, 10)
-        assert (buf.xs[-1], buf.ys[-1], buf.zs[-1]) == (50, 50, 10)
+        xs, ys, zs = init_history(HistorySpec.from_constant(50, 50, 10), TABLE_DELAYS, c)
+        assert len(xs) == 151  # tau_max = 1.5 at dt = 0.01
+        assert (xs[0], ys[0], zs[0]) == (50, 50, 10)
+        assert (xs[-1], ys[-1], zs[-1]) == (50, 50, 10)
 
     def test_table_fill_linear_midpoint(self):
         c = StepConfig(dt=0.5, t_end=1.0)
         h = HistorySpec.from_table([(-1, 0, 0, 0), (0, 10, 10, 10)])
-        buf = init_history(h, DelaySpec(1.0, 0, 0), c)
-        assert (buf.xs[1], buf.ys[1], buf.zs[1]) == pytest.approx((5, 5, 5))  # t = -0.5
+        xs, ys, zs = init_history(h, DelaySpec(1.0, 0, 0), c)
+        assert (xs[1], ys[1], zs[1]) == pytest.approx((5, 5, 5))  # t = -0.5
 
     def test_no_delay_single_sample(self):
         c = StepConfig(dt=0.01, t_end=1.0)
-        buf = init_history(HistorySpec.from_constant(1, 2, 3), DelaySpec(0, 0, 0), c)
-        assert len(buf.xs) == 1
-        assert (buf.xs[0], buf.ys[0], buf.zs[0]) == (1, 2, 3)
+        xs, ys, zs = init_history(HistorySpec.from_constant(1, 2, 3), DelaySpec(0, 0, 0), c)
+        assert len(xs) == 1
+        assert (xs[0], ys[0], zs[0]) == (1, 2, 3)
 
     def test_table_must_span_window(self):
         c = StepConfig(dt=0.1, t_end=1.0)

@@ -1,5 +1,7 @@
 """Unit tests for Monte Carlo aggregation and regime verification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from levyprey import (
     verify_regime,
 )
 from levyprey import ensemble
-from levyprey.model import parameter_fingerprint
+from levyprey.model import FieldError, parameter_fingerprint
 
 PARAMS = ModelParams(r1=0.5, r2=0.5, k1=100.0, k2=100.0, alpha1=1e-3, alpha2=1e-3,
                      alpha3=0.2, beta=0.0, delta=0.02, a1=0.1, a2=0.1)
@@ -127,6 +129,15 @@ class TestVerifyRegime:
             mean=m, sd=m, q025=m, q500=m, q975=m,
             terminal_averages=terminal, floor_hits_total=0, provenance=provenance,
         )
+
+    @pytest.mark.parametrize("extinction", [math.nan, math.inf, 0.0, -0.05])
+    def test_tolerance_outside_its_range_rejected(self, extinction):
+        # a NaN ceiling would make every later extinction check read FAIL
+        with pytest.raises(FieldError) as exc:
+            ToleranceSpec(extinction=extinction)
+        assert exc.value.field == "extinction"
+        with pytest.raises(ValueError, match="slack"):
+            ToleranceSpec(slack=1.0)
 
     def test_indeterminate_not_checkable(self):
         sc = PRESETS["fig2"]

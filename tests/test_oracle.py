@@ -16,6 +16,10 @@ from levyprey import (
 
 FIG1_PARAMS = PRESETS["fig1"].params
 TABLE_DELAYS = DelaySpec(0.5, 1.0, 1.5)
+FIG3 = PRESETS["fig3"]
+TABLE_HISTORY = HistorySpec.from_table(
+    [(-1.0, 20, 18, 9), (-0.6, 26, 21, 12), (-0.25, 24, 27, 10), (0, 28, 25, 13)]
+)
 
 LOGISTIC = ModelParams(r1=1.0, r2=0.0, k1=100.0, k2=1.0, alpha1=0, alpha2=0,
                        alpha3=0, beta=0, delta=0, a1=0, a2=0)
@@ -62,6 +66,24 @@ class TestSolveDeterministic:
         assert np.array_equal(sol.times, np.arange(21) * 0.05)
         assert sol.states.shape == (21, 3)
         assert tuple(sol.states[0]) == (10, 10, 5)
+
+    # pinned exact end states: any change to a delay tap, its stencil or its
+    # order of operations moves the last bits
+    @pytest.mark.parametrize("delays, history, dt, t_end, end", [
+        # zero and positive lags mixed, with a table history whose kinks lie
+        # off the grid: midpoint taps before t = 0 read the history function
+        (DelaySpec(0.5, 0, 1.0), TABLE_HISTORY, 0.25, 2.0,
+         (31.823425675128, 23.68233223084142, 14.472146523563872)),
+        # lag gcd of 1 step: two-node (linear) midpoint stencils
+        (TABLE_DELAYS, FIG3.history, 0.5, 5.0,
+         (34.035941727078196, 25.883403077367475, 12.345409686831234)),
+        # lag gcd of 2 steps: three-node (quadratic) midpoint stencils
+        (TABLE_DELAYS, FIG3.history, 0.25, 5.0,
+         (34.23234576436944, 26.110901696317796, 12.30915375343764)),
+    ], ids=["mixed-lags-table", "gcd-1-step", "gcd-2-steps"])
+    def test_exact_end_state(self, delays, history, dt, t_end, end):
+        sol = solve_deterministic(FIG3.params, delays, history, dt=dt, t_end=t_end)
+        assert tuple(float(v) for v in sol.states[-1]) == end
 
     def test_dt_must_divide_delays(self):
         h = HistorySpec.from_constant(10, 10, 5)
