@@ -20,12 +20,25 @@ below zero; every clamp is counted so the artifact stays observable.
 Components that are exactly zero stay zero: the origin is absorbing under
 purely multiplicative terms, and clamping a true zero upward would re-seed
 an extinct population.
+
+Two drivers run this update through _advance, its one definition, and give
+the same numbers bit for bit. simulate steps one replicate on Python floats
+and keeps its whole path; it draws the full horizon up front, so it refuses
+a horizon whose draws and grid record would exceed 1 GiB. _simulate_batch,
+which run_ensemble uses from _BATCH_MIN = 64 replicates up, steps a block of
+at most _BATCH_MAX = 256 replicates on arrays and keeps only the stats-grid
+rows and the running averages. Its numpy calls cost the same per step
+whatever the block size, so it overtakes the scalar loop between 50 and 64
+replicates; 256 bounds the generators and draws a block holds. It draws
+_DRAW_CHUNK steps at a time and reads delay taps from a ring buffer, so its
+memory is bounded by the block and chunk sizes, not by the horizon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +58,26 @@ _GRID_TOL = 1e-9
 
 # value a positive component is clamped to when a step overshoots below zero
 _POSITIVITY_FLOOR = 1e-12
+
+# memory a run may claim up front: simulate's draws and grid record, and an
+# ensemble's path statistics
+_MAX_BYTES = 1 << 30
+
+# bytes simulate holds per step at its peak: the normals as a list of 3-float
+# lists (8-byte slot + 80-byte list + 3 * 24-byte floats = 160), the Poisson
+# counts as at most one list of 3 cached small ints (8 + 80 = 88), the 24-byte
+# array row a list is made from, the grid record (an 8-byte slot and a 24-byte
+# float per species, 96) and the returned path's row (32); tracemalloc reads
+# 388 on independent clocks and 315 on a shared one
+_STEP_BYTES = 160 + 88 + 24 + 96 + 32
+
+# The batched driver steps a block of replicates together. Below
+# _BATCH_MIN replicates the numpy call overhead per step costs more than the
+# scalar loop; _BATCH_MAX bounds the generators and draws held at once. Each
+# replicate's draws are materialised _DRAW_CHUNK steps at a time.
+_BATCH_MIN = 64
+_BATCH_MAX = 256
+_DRAW_CHUNK = 512
 
 
 class SimulationError(RuntimeError):
@@ -174,6 +207,18 @@ def init_history(
     return xs, ys, zs
 
 
+def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:
+    """ValueError "<what> needs X.XX GiB of <of> (limit 1 GiB); <remedy>" when
+    nbytes is over _MAX_BYTES."""
+    if nbytes > _MAX_BYTES:
+        # hundredths of a GiB in integers, since nbytes may be beyond float range
+        centi_gib = (nbytes * 100 + 2**29) // 2**30
+        raise ValueError(
+            f"{what} needs {centi_gib // 100}.{centi_gib % 100:02d} GiB of {of} "
+            f"(limit {_MAX_BYTES / 2**30:g} GiB); {remedy}"
+        )
+
+
 def _advance(x, y, z, xd1, yd2, xd3, yd3, pp, nn, z1, z2, z3, j1, j2, j3):
     """One raw update. pp/nn are the tuples prepared by _pack_params/_pack_noise;
     returns the three candidate values before floor handling."""
@@ -234,8 +279,12 @@ def simulate(
     and toggling jumps leaves the Brownian path untouched.
     """
     k1, k2, k3 = lag_steps(d, c.dt)
-    xs, ys, zs = init_history(h, d, c)
     n_steps = c.n_steps
+    _check_bytes(
+        f"simulation too large: {n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
+        n_steps * _STEP_BYTES, "draws and grid record", "lower t_end or raise dt",
+    )
+    xs, ys, zs = init_history(h, d, c)
     dt = c.dt
     floor = _POSITIVITY_FLOOR
 
@@ -303,3 +352,92 @@ def simulate(
             jump_events += 1
 
     return Trajectory.from_grid(xs, ys, zs, base, dt, jump_events, floor_hits)
+
+
+def _draws(streams: list[tuple[np.random.Generator, np.random.Generator]], lam_dt: float,
+           shared_clock: bool, n_steps: int):
+    """The draw half of the batched driver: yields, step by step, the (3, B)
+    normals and the Poisson counts, (B,) on a shared clock or (3, B), column b
+    from replicate b's own (gauss, jumps) streams. The draws are made
+    _DRAW_CHUNK steps at a time, which gives the same values as simulate's
+    one full-horizon draw; a yielded row is valid until the next chunk."""
+    size = min(_DRAW_CHUNK, n_steps)
+    normals = np.empty((size, 3, len(streams)))
+    counts = np.empty((size, len(streams)) if shared_clock else (size, 3, len(streams)))
+    for start in range(0, n_steps, size):
+        m = min(size, n_steps - start)
+        shape = m if shared_clock else (m, 3)
+        for b, (gauss, jumps) in enumerate(streams):
+            normals[:m, :, b] = gauss.standard_normal((m, 3))
+            counts[:m, ..., b] = jumps.poisson(lam_dt, shape)
+        yield from zip(normals[:m], counts[:m])
+
+
+# an overflow shows as a non-finite state, as it does in simulate
+@np.errstate(over="ignore", invalid="ignore")
+def _simulate_batch(
+    p: ModelParams,
+    n: NoiseSpec,
+    d: DelaySpec,
+    h: HistorySpec,
+    c: StepConfig,
+    reps: Sequence[int],
+    stat_idx: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The step half of the batched driver: steps the replicates ``reps``
+    together, B = len(reps) of them.
+
+    Returns the states at the grid indices ``stat_idx`` (which start at 0
+    and end at n_steps) as a (B, len(stat_idx), 3) array, the terminal
+    running averages (B, 3), and the floor clamps summed over the block.
+    Every value is bit for bit what simulate and analysis.time_average give
+    replicate k: the draws come from the same streams, _advance does the
+    update on (B,) arrays, the clamp applies by mask, and the trapezoid sums
+    keep time_average's operation order, 0.5*(s1 + s0)*(t1 - t0) added in
+    sequence and divided by N*dt at the end. Delay taps read a ring buffer
+    of kmax + 1 grid rows, so memory is bounded by B, the draw chunk and the
+    stats grid, not by the horizon. A non-finite state raises
+    SimulationError without naming the replicate; run_ensemble re-runs the
+    block through simulate for that.
+    """
+    k1, k2, k3 = lag_steps(d, c.dt)
+    width = len(reps)
+    history = np.array(init_history(h, d, c)).T  # (kmax + 1, 3), t = 0 last
+    rows = len(history)
+    ring = np.repeat(history[:, :, None], width, axis=2)
+    dt = c.dt
+    n_steps = c.n_steps
+    pp = _pack_params(p, dt)
+    nn = _pack_noise(n, dt)
+    floor = _POSITIVITY_FLOOR
+    streams = [(rng.stream(c.seed, k, rng.GAUSSIAN), rng.stream(c.seed, k, rng.JUMPS)) for k in reps]
+
+    marks = [int(k) for k in stat_idx]
+    recorded = np.empty((len(marks), 3, width))
+    recorded[0] = ring[-1]
+    mark = 1
+    sums = np.zeros((3, width))
+    floor_hits = 0
+    for i, (zr, jr) in enumerate(_draws(streams, n.lam * dt, n.shared_clock, n_steps)):
+        m = rows - 1 + i  # grid index of the current state
+        cur = ring[m % rows]
+        j1, j2, j3 = (jr, jr, jr) if n.shared_clock else jr
+        new = np.array(_advance(
+            cur[0], cur[1], cur[2],
+            ring[(m - k1) % rows, 0], ring[(m - k2) % rows, 1],
+            ring[(m - k3) % rows, 0], ring[(m - k3) % rows, 1],
+            pp, nn, zr[0], zr[1], zr[2], j1, j2, j3,
+        ))
+        lo, hi = new.min(), new.max()  # NaN if any value is NaN
+        if not -math.inf < lo <= hi < math.inf:
+            raise SimulationError(f"non-finite state at t={(i + 1) * dt:g}")
+        if lo < floor:
+            clamp = (new < floor) & (cur > 0.0)
+            new[clamp] = floor
+            floor_hits += int(np.count_nonzero(clamp))
+        sums += 0.5 * (new + cur) * ((i + 1) * dt - i * dt)
+        ring[(m + 1) % rows] = new
+        if i + 1 == marks[mark]:
+            recorded[mark] = new
+            mark += 1
+    return recorded.transpose(2, 0, 1), (sums / (n_steps * dt)).T, floor_hits

@@ -9,6 +9,15 @@ path statistics would still exceed 1 GiB is refused before any replicate
 runs. Terminal running averages are computed exactly on the full
 integration grid, since those are what the regime predictions speak about.
 
+Below 64 replicates (engine._BATCH_MIN) replicates run one at a time through
+engine.simulate; from 64 up, where stepping them together on arrays wins, in
+blocks through engine._simulate_batch. Blocks are consecutive slices of the
+schedule, at most 256 long (engine._BATCH_MAX) and split evenly, so each has
+at least 64 (257 runs as 129 + 128). Both drivers give the same numbers bit
+for bit, and a block's memory is bounded by the block and its draw chunk,
+not by the horizon. A block that meets a non-finite state runs again one
+replicate at a time, so the fault names the same replicate either way.
+
 The asymptotic statements behind the regime classifier are checked at a
 finite horizon with explicit tolerances: medians of terminal time averages
 against an extinction ceiling and against slack-discounted persistence
@@ -39,8 +48,6 @@ __all__ = [
 
 # cap on stats-grid points per ensemble; full grid is used when shorter
 _MAX_STAT_POINTS = 2001
-# cap on the (n_reps, stat points, 3) float64 path array, checked before any run
-_MAX_PATH_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,11 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run n_reps independent replicates and aggregate their statistics.
 
-    ``order`` optionally fixes the execution order of replicate indices; it
-    exists to demonstrate that results are order-invariant, which holds
-    because replicate k's randomness depends only on (base_seed, k) and
-    aggregation reduces over the index axis.
+    ``order`` optionally fixes the execution order of replicate indices (from
+    64 replicates up, the order in which blocks are cut and run); it exists
+    to demonstrate that results are order-invariant, which holds because
+    replicate k's randomness depends only on (base_seed, k) and aggregation
+    reduces over the index axis.
     """
     _in_range("run_ensemble", "n_reps", n_reps, low=1)
     cfg = replace(c, seed=base_seed)
@@ -115,16 +123,10 @@ def run_ensemble(
     stat_idx = np.arange(0, n_points, stats_stride)
     if stat_idx[-1] != n_points - 1:
         stat_idx = np.append(stat_idx, n_points - 1)
-    path_bytes = n_reps * len(stat_idx) * 3 * 8
-    if path_bytes > _MAX_PATH_BYTES:
-        # hundredths of a GiB in integers, since n_reps may be beyond float range
-        centi_gib = (path_bytes * 100 + 2**29) // 2**30
-        raise ValueError(
-            f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points needs "
-            f"{centi_gib // 100}.{centi_gib % 100:02d} GiB of path statistics "
-            f"(limit {_MAX_PATH_BYTES / 2**30:g} GiB); "
-            "lower n_reps"
-        )
+    engine._check_bytes(
+        f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points",
+        n_reps * len(stat_idx) * 3 * 8, "path statistics", "lower n_reps",
+    )
 
     if order is None:
         schedule: Sequence[int] = range(n_reps)
@@ -135,20 +137,37 @@ def run_ensemble(
 
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
-    stat_times: np.ndarray | None = None
-    floor_total = 0
-    for k in schedule:
-        try:
-            traj = engine.simulate(p, n, d, h, cfg, replicate=k)
-        except SimulationError as exc:
-            raise SimulationError(f"replicate {k}: {exc}") from exc
-        paths[k] = traj.states[stat_idx]
-        terminal[k] = time_average(traj).terminal
-        floor_total += traj.floor_hits
-        if stat_times is None:
-            stat_times = traj.times[stat_idx]
 
-    assert stat_times is not None
+    def one_by_one(reps: Sequence[int]) -> int:
+        """The scalar driver: fills rows ``reps`` in turn; returns their floor clamps."""
+        hits = 0
+        for k in reps:
+            try:
+                traj = engine.simulate(p, n, d, h, cfg, replicate=k)
+            except SimulationError as exc:
+                raise SimulationError(f"replicate {k}: {exc}") from exc
+            paths[k] = traj.states[stat_idx]
+            terminal[k] = time_average(traj).terminal
+            hits += traj.floor_hits
+        return hits
+
+    if n_reps < engine._BATCH_MIN:
+        floor_total = one_by_one(schedule)
+    else:
+        floor_total = 0
+        # consecutive slices of the schedule, as even as possible
+        for block in np.array_split(np.asarray(schedule), -(-n_reps // engine._BATCH_MAX)):
+            reps = block.tolist()
+            try:
+                paths[reps], terminal[reps], hits = engine._simulate_batch(
+                    p, n, d, h, cfg, reps, stat_idx
+                )
+            except SimulationError:
+                # one at a time, the block stops at the replicate that the
+                # scalar path would name
+                hits = one_by_one(reps)
+            floor_total += hits
+
     mean = paths.mean(axis=0)
     if n_reps > 1:
         sd = paths.std(axis=0, ddof=1)
@@ -157,7 +176,7 @@ def run_ensemble(
     q025, q500, q975 = np.quantile(paths, (0.025, 0.5, 0.975), axis=0)
     return EnsembleStats(
         n_replicates=n_reps,
-        stat_times=stat_times,
+        stat_times=stat_idx * cfg.dt,
         mean=mean,
         sd=sd,
         q025=q025,

@@ -394,6 +394,50 @@ class TestErrors:
         assert err[-1].startswith("config error: ensemble too large: n_reps=100000 x 2001 stat points")
         assert not out.exists()
 
+    def test_oversized_simulation_is_config_error(self, tmp_path, capsys):
+        # 1e11 steps: the draws alone would need terabytes, so simulate must
+        # refuse before drawing, naming the keys that set the step count
+        cfg = _write(tmp_path, "long.cfg", "preset = fig1\nt_end = 1000000000\n")
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("warning: delta = 0.1")
+        assert err[1] == (
+            "config error: simulation too large: 100000000000 steps (t_end=1000000000.0, "
+            "dt=0.01) needs 37252.90 GiB of draws and grid record (limit 1 GiB); "
+            "lower t_end or raise dt"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+    def test_replicate_fault_is_one_runtime_fault_line(self, tmp_path, capsys, monkeypatch, reverse):
+        # fig3 over 20 days: 38 of the first 100 replicates explode (3, 8,
+        # 11, 12 and 15 of the first 16; 96 is the last); 16 replicates run
+        # one at a time and 100 in a batch, and both must stop at the first
+        # faulting replicate in schedule order
+        if reverse:
+            real = ensemble.run_ensemble
+
+            def reversed_order(*args, n_reps, **kwargs):
+                return real(*args, n_reps=n_reps, order=range(n_reps - 1, -1, -1), **kwargs)
+
+            monkeypatch.setattr(ensemble, "run_ensemble", reversed_order)
+        lines = {}
+        for n_reps in (16, 100):
+            cfg = _write(tmp_path, "f.cfg", f"preset = fig3\nt_end = 20\nn_reps = {n_reps}\n")
+            out = tmp_path / "e.csv"
+            assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
+            assert not out.exists()
+            lines[n_reps] = err[1]
+        if reverse:  # the last faulting replicate below 16, then below 100
+            assert lines[16].startswith("runtime fault: replicate 15: non-finite state at t=18.67: ")
+            assert lines[100].startswith("runtime fault: replicate 96: non-finite state at t=19.31: ")
+        else:
+            assert lines[16] == lines[100]
+            assert lines[16].startswith("runtime fault: replicate 3: non-finite state at t=19.37: ")
+
     def test_ensemble_beyond_float_range_is_config_error(self, tmp_path, capsys):
         # the size check must not turn n_reps into a float on the way
         cfg = _write(tmp_path, "huge.cfg", "preset = persist\nn_reps = 1" + "0" * 400 + "\n")

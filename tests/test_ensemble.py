@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levyprey import (
     DelaySpec,
@@ -20,7 +22,7 @@ from levyprey import (
     time_average,
     verify_regime,
 )
-from levyprey import ensemble
+from levyprey import engine, ensemble
 from levyprey.model import FieldError, parameter_fingerprint
 
 PARAMS = ModelParams(r1=0.5, r2=0.5, k1=100.0, k2=100.0, alpha1=1e-3, alpha2=1e-3,
@@ -118,6 +120,99 @@ class TestRunEnsemble:
         traj = simulate(PARAMS, NOISE, DELAYS, HIST,
                         StepConfig(dt=0.01, t_end=200.0, seed=5), replicate=0)
         assert np.array_equal(stats.terminal_averages[0], time_average(traj).terminal)
+
+
+def _reference(p, n, d, h, c, n_reps, order):
+    """run_ensemble's statistics from a plain loop over simulate and
+    time_average, on horizons short enough (up to 2000 steps) that the
+    stats grid is the full grid."""
+    paths = np.empty((n_reps, c.n_steps + 1, 3))
+    terminal = np.empty((n_reps, 3))
+    floor_hits = 0
+    for k in order:
+        traj = simulate(p, n, d, h, c, replicate=k)
+        paths[k] = traj.states
+        terminal[k] = time_average(traj).terminal
+        floor_hits += traj.floor_hits
+    q025, q500, q975 = np.quantile(paths, (0.025, 0.5, 0.975), axis=0)
+    return {
+        "stat_times": traj.times, "mean": paths.mean(axis=0), "sd": paths.std(axis=0, ddof=1),
+        "q025": q025, "q500": q500, "q975": q975, "terminal_averages": terminal,
+        "floor_hits_total": floor_hits,
+    }
+
+
+_LAGS = ((0.0, 0.0, 0.0), (0.5, 1.0, 1.5), (0.05, 0.0, 0.1))
+
+
+class TestBatchedDriver:
+    """From 64 replicates run_ensemble steps blocks of replicates together
+    (engine._simulate_batch); every number must equal the scalar loop's."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n_reps=st.sampled_from([64, 65, 257]),
+        steps=st.sampled_from([3, 40, 600]),  # 600 spans two draw chunks
+        lags=st.sampled_from(_LAGS),
+        table=st.booleans(),
+        shared=st.booleans(),
+        sigma=st.sampled_from([1e-3, 3.0]),  # 3.0 overshoots below zero often
+        reverse=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    @example(n_reps=257, steps=600, lags=_LAGS[1], table=True, shared=False, sigma=3.0,
+             reverse=True, seed=1)
+    @example(n_reps=65, steps=600, lags=_LAGS[0], table=False, shared=True, sigma=1e-3,
+             reverse=False, seed=2)
+    @example(n_reps=64, steps=40, lags=_LAGS[2], table=True, shared=True, sigma=3.0,
+             reverse=False, seed=3)
+    def test_equals_scalar_loop(self, n_reps, steps, lags, table, shared, sigma, reverse, seed):
+        dt = 0.05
+        noise = NoiseSpec(sigma, 1e-3, sigma, -0.04, -0.006, -0.008, lam=1.0, shared_clock=shared)
+        delays = DelaySpec(*lags)
+        hist = HIST
+        if table:
+            hist = HistorySpec.from_table([(-1.5, 4.0, 6.0, 5.0), (-0.2, 5.5, 4.5, 3.0), (0.0, 5.0, 5.0, 5.0)])
+        cfg = StepConfig(dt=dt, t_end=steps * dt, seed=seed)
+        order = list(range(n_reps))[::-1] if reverse else list(range(n_reps))
+        want = _reference(PARAMS, noise, delays, hist, cfg, n_reps, order)
+        stats = run_ensemble(PARAMS, noise, delays, hist, cfg, n_reps, seed, order=order)
+        for field, value in want.items():
+            assert np.array_equal(getattr(stats, field), value), field
+
+    def test_threshold_picks_the_driver(self, monkeypatch):
+        # 63 replicates run through simulate, 64 never call it
+        calls = []
+        real = engine.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["replicate"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate", counted)
+        run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=63, base_seed=0)
+        assert calls == list(range(63))
+        calls.clear()
+        run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=64, base_seed=0)
+        assert calls == []
+
+    def test_blocks_are_even_consecutive_slices_of_the_schedule(self, monkeypatch):
+        blocks = []
+        real = engine._simulate_batch
+
+        def recorded(p, n, d, h, c, reps, stat_idx):
+            blocks.append(list(reps))
+            return real(p, n, d, h, c, reps, stat_idx)
+
+        monkeypatch.setattr(engine, "_simulate_batch", recorded)
+        short = StepConfig(dt=0.01, t_end=0.02)
+        order = list(range(257))[::-1]
+        run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=257, base_seed=0, order=order)
+        assert blocks == [order[:129], order[129:]]
+        blocks.clear()
+        run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=600, base_seed=0)
+        assert [len(b) for b in blocks] == [200, 200, 200]
+        assert sum(blocks, []) == list(range(600))
 
 
 class TestVerifyRegime:
