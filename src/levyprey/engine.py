@@ -24,14 +24,12 @@ an extinct population.
 Two drivers run this update through _advance, its one definition, and give
 the same numbers bit for bit. simulate steps one replicate on Python floats
 and keeps its whole path; it draws the full horizon up front, so it refuses
-a horizon whose draws and grid record would exceed 1 GiB. _simulate_batch,
-which run_ensemble uses from _BATCH_MIN = 64 replicates up, steps a block of
-at most _BATCH_MAX = 256 replicates on arrays and keeps only the stats-grid
-rows and the running averages. Its numpy calls cost the same per step
-whatever the block size, so it overtakes the scalar loop between 50 and 64
-replicates; 256 bounds the generators and draws a block holds. It draws
-_DRAW_CHUNK steps at a time and reads delay taps from a ring buffer, so its
-memory is bounded by the block and chunk sizes, not by the horizon.
+a horizon whose draws and grid record would exceed 1 GiB (_check_horizon).
+_simulate_batch steps a block of replicates on arrays and keeps only the
+stats-grid rows and the running averages; ensemble.run_ensemble decides
+which driver runs. It draws _DRAW_CHUNK steps at a time and reads delay
+taps from a ring buffer, so its memory is bounded by the block and chunk
+sizes, not by the horizon.
 """
 
 from __future__ import annotations
@@ -71,12 +69,7 @@ _MAX_BYTES = 1 << 30
 # 388 on independent clocks and 315 on a shared one
 _STEP_BYTES = 160 + 88 + 24 + 96 + 32
 
-# The batched driver steps a block of replicates together. Below
-# _BATCH_MIN replicates the numpy call overhead per step costs more than the
-# scalar loop; _BATCH_MAX bounds the generators and draws held at once. Each
-# replicate's draws are materialised _DRAW_CHUNK steps at a time.
-_BATCH_MIN = 64
-_BATCH_MAX = 256
+# steps of each replicate's draws that the batched driver materialises at once
 _DRAW_CHUNK = 512
 
 
@@ -219,6 +212,15 @@ def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:
         )
 
 
+def _check_horizon(c: StepConfig) -> None:
+    """ValueError naming t_end and dt when simulate's draws and grid record
+    for this horizon would exceed _MAX_BYTES."""
+    _check_bytes(
+        f"simulation too large: {c.n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
+        c.n_steps * _STEP_BYTES, "draws and grid record", "lower t_end or raise dt",
+    )
+
+
 def _advance(x, y, z, xd1, yd2, xd3, yd3, pp, nn, z1, z2, z3, j1, j2, j3):
     """One raw update. pp/nn are the tuples prepared by _pack_params/_pack_noise;
     returns the three candidate values before floor handling."""
@@ -280,10 +282,7 @@ def simulate(
     """
     k1, k2, k3 = lag_steps(d, c.dt)
     n_steps = c.n_steps
-    _check_bytes(
-        f"simulation too large: {n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
-        n_steps * _STEP_BYTES, "draws and grid record", "lower t_end or raise dt",
-    )
+    _check_horizon(c)
     xs, ys, zs = init_history(h, d, c)
     dt = c.dt
     floor = _POSITIVITY_FLOOR

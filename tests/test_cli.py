@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from levyprey import ensemble, oracle
+from levyprey import engine, ensemble, oracle
 from levyprey.cli import main
 
 EXTINCT_CFG = "preset = extinct\nt_end = 2\nn_reps = 4\n"
@@ -437,6 +437,34 @@ class TestErrors:
         else:
             assert lines[16] == lines[100]
             assert lines[16].startswith("runtime fault: replicate 3: non-finite state at t=19.37: ")
+
+    @pytest.mark.parametrize("n_reps", [63, 64])
+    def test_horizon_limit_is_one_rule_for_every_ensemble(self, tmp_path, capsys, monkeypatch, n_reps):
+        # any replicate may run through simulate (below 64 replicates always,
+        # from 64 when its block faults), so every ensemble obeys simulate's
+        # horizon limit. fig3 over 20 days is 2000 steps: with the limit set
+        # at exactly that horizon the replicate fault is reported; one byte
+        # per step more and the ensemble is refused before any replicate runs
+        ran = []
+        for name in ("simulate", "_simulate_batch"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda *a, real=real, **kw: ran.append(1) or real(*a, **kw))
+        cfg = _write(tmp_path, "f.cfg", f"preset = fig3\nt_end = 20\nn_reps = {n_reps}\n")
+        out = tmp_path / "e.csv"
+        at_limit = engine._MAX_BYTES // 2000
+        for step_bytes, code in ((at_limit, 2), (at_limit + 1, 1)):
+            monkeypatch.setattr(engine, "_STEP_BYTES", step_bytes)
+            ran.clear()
+            assert main(["ensemble", "--config", cfg, "--out", str(out)]) == code
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2 and not out.exists()
+            if code == 2:
+                assert err[1].startswith("runtime fault: replicate 3: non-finite state at t=19.37: ")
+            else:
+                assert err[1].startswith(
+                    "config error: simulation too large: 2000 steps (t_end=20.0, dt=0.01) needs 1.00 GiB"
+                )
+                assert ran == []
 
     def test_ensemble_beyond_float_range_is_config_error(self, tmp_path, capsys):
         # the size check must not turn n_reps into a float on the way

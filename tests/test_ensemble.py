@@ -122,23 +122,22 @@ class TestRunEnsemble:
         assert np.array_equal(stats.terminal_averages[0], time_average(traj).terminal)
 
 
-def _reference(p, n, d, h, c, n_reps, order):
+def _reference(p, n, d, h, c, n_reps, order, stat_idx):
     """run_ensemble's statistics from a plain loop over simulate and
-    time_average, on horizons short enough (up to 2000 steps) that the
-    stats grid is the full grid."""
-    paths = np.empty((n_reps, c.n_steps + 1, 3))
+    time_average, with the paths read at the grid indices stat_idx."""
+    paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
     floor_hits = 0
     for k in order:
         traj = simulate(p, n, d, h, c, replicate=k)
-        paths[k] = traj.states
+        paths[k] = traj.states[stat_idx]
         terminal[k] = time_average(traj).terminal
         floor_hits += traj.floor_hits
     q025, q500, q975 = np.quantile(paths, (0.025, 0.5, 0.975), axis=0)
     return {
-        "stat_times": traj.times, "mean": paths.mean(axis=0), "sd": paths.std(axis=0, ddof=1),
-        "q025": q025, "q500": q500, "q975": q975, "terminal_averages": terminal,
-        "floor_hits_total": floor_hits,
+        "stat_times": traj.times[stat_idx], "mean": paths.mean(axis=0),
+        "sd": paths.std(axis=0, ddof=1), "q025": q025, "q500": q500, "q975": q975,
+        "terminal_averages": terminal, "floor_hits_total": floor_hits,
     }
 
 
@@ -166,6 +165,9 @@ class TestBatchedDriver:
              reverse=False, seed=2)
     @example(n_reps=64, steps=40, lags=_LAGS[2], table=True, shared=True, sigma=3.0,
              reverse=False, seed=3)
+    # 2004 grid points: the stats grid takes every second one, then the last
+    @example(n_reps=64, steps=2003, lags=_LAGS[1], table=True, shared=False, sigma=1e-3,
+             reverse=True, seed=4)
     def test_equals_scalar_loop(self, n_reps, steps, lags, table, shared, sigma, reverse, seed):
         dt = 0.05
         noise = NoiseSpec(sigma, 1e-3, sigma, -0.04, -0.006, -0.008, lam=1.0, shared_clock=shared)
@@ -175,7 +177,8 @@ class TestBatchedDriver:
             hist = HistorySpec.from_table([(-1.5, 4.0, 6.0, 5.0), (-0.2, 5.5, 4.5, 3.0), (0.0, 5.0, 5.0, 5.0)])
         cfg = StepConfig(dt=dt, t_end=steps * dt, seed=seed)
         order = list(range(n_reps))[::-1] if reverse else list(range(n_reps))
-        want = _reference(PARAMS, noise, delays, hist, cfg, n_reps, order)
+        stat_idx = list(range(steps + 1)) if steps < 2001 else [*range(0, steps, 2), steps]
+        want = _reference(PARAMS, noise, delays, hist, cfg, n_reps, order, stat_idx)
         stats = run_ensemble(PARAMS, noise, delays, hist, cfg, n_reps, seed, order=order)
         for field, value in want.items():
             assert np.array_equal(getattr(stats, field), value), field
