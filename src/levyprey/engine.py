@@ -22,20 +22,22 @@ purely multiplicative terms, and clamping a true zero upward would re-seed
 an extinct population.
 
 Two drivers run this update through _advance, its one definition, and give
-the same numbers bit for bit. simulate steps one replicate on Python floats
-and keeps its whole path; it draws the full horizon up front, so it refuses
-a horizon whose draws and grid record would exceed 1 GiB (_check_horizon).
-_simulate_batch steps a block of replicates on arrays and keeps only the
-stats-grid rows and the running averages; ensemble.run_ensemble decides
-which driver runs. It draws _DRAW_CHUNK steps at a time and reads delay
-taps from a ring buffer, so its memory is bounded by the block and chunk
-sizes, not by the horizon.
+the same numbers bit for bit. Both take their random numbers from _draws,
+the only code that draws them, _DRAW_CHUNK steps at a time from each
+replicate's own streams. simulate steps one replicate on Python floats and
+keeps its whole path, so it refuses a horizon whose grid record and path
+would exceed 1 GiB (_check_horizon). _simulate_batch steps a block of
+replicates on arrays and keeps only the stats-grid rows and the running
+averages; ensemble.run_ensemble decides which driver runs. It reads delay
+taps from a ring buffer of kmax + 1 grid rows, so its memory is bounded by
+the block size, the delays and the draw chunk, not by the horizon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -57,19 +59,20 @@ _GRID_TOL = 1e-9
 # value a positive component is clamped to when a step overshoots below zero
 _POSITIVITY_FLOOR = 1e-12
 
-# memory a run may claim up front: simulate's draws and grid record, and an
-# ensemble's path statistics
+# memory a run may claim up front: simulate's grid record and path, and an
+# ensemble's path statistics and delay ring
 _MAX_BYTES = 1 << 30
 
-# bytes simulate holds per step at its peak: the normals as a list of 3-float
-# lists (8-byte slot + 80-byte list + 3 * 24-byte floats = 160), the Poisson
-# counts as at most one list of 3 cached small ints (8 + 80 = 88), the 24-byte
-# array row a list is made from, the grid record (an 8-byte slot and a 24-byte
-# float per species, 96) and the returned path's row (32); tracemalloc reads
-# 388 on independent clocks and 315 on a shared one
-_STEP_BYTES = 160 + 88 + 24 + 96 + 32
+# bytes simulate holds per step at its peak: the grid record (an 8-byte list
+# slot and a 24-byte float per species, 96), the returned path's row (24 for
+# the states, 8 for the time), the 8-byte integer row np.arange makes on the
+# way, and 8 for list growth. tracemalloc's peak over a fig1 run, divided by
+# its steps, reads 139.7 at 10^5 steps and 137.4 at 10^6, on a shared clock
+# and on independent clocks alike; the draws, made _DRAW_CHUNK steps at a
+# time, add a fixed amount that does not grow with the horizon
+_STEP_BYTES = 96 + 24 + 8 + 8 + 8
 
-# steps of each replicate's draws that the batched driver materialises at once
+# steps of draws materialised at once, by both drivers
 _DRAW_CHUNK = 512
 
 
@@ -213,19 +216,18 @@ def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:
 
 
 def _check_horizon(c: StepConfig) -> None:
-    """ValueError naming t_end and dt when simulate's draws and grid record
+    """ValueError naming t_end and dt when simulate's grid record and path
     for this horizon would exceed _MAX_BYTES."""
     _check_bytes(
         f"simulation too large: {c.n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
-        c.n_steps * _STEP_BYTES, "draws and grid record", "lower t_end or raise dt",
+        c.n_steps * _STEP_BYTES, "grid record and path", "lower t_end or raise dt",
     )
 
 
-def _advance(x, y, z, xd1, yd2, xd3, yd3, pp, nn, z1, z2, z3, j1, j2, j3):
-    """One raw update. pp/nn are the tuples prepared by _pack_params/_pack_noise;
-    returns the three candidate values before floor handling."""
-    (r1, r2, ik1, ik2, a1, a2, al1, al2, al3, beta, delta, dt) = pp
-    (s1, s2, s3, q1, q2, q3, lam_dt) = nn
+def _advance(x, y, z, xd1, yd2, xd3, yd3, pk, z1, z2, z3, j1, j2, j3):
+    """One raw update. pk is the tuple prepared by _pack; returns the three
+    candidate values before floor handling."""
+    (r1, r2, ik1, ik2, a1, a2, al1, al2, al3, beta, delta, dt, s1, s2, s3, q1, q2, q3, lam_dt) = pk
     fx = r1 * x * (1.0 - xd1 * ik1) - al1 * x * z + beta * x * y * z
     fy = r2 * y * (1.0 - yd2 * ik2) - al2 * y * z + beta * x * y * z
     fz = -delta * z - al3 * z * z + a1 * xd3 * z + a2 * yd3 * z
@@ -235,34 +237,36 @@ def _advance(x, y, z, xd1, yd2, xd3, yd3, pp, nn, z1, z2, z3, j1, j2, j3):
     return nx, ny, nz
 
 
-def _pack_params(p: ModelParams, dt: float):
-    return (
-        p.r1,
-        p.r2,
-        1.0 / p.k1,
-        1.0 / p.k2,
-        p.a1,
-        p.a2,
-        p.alpha1,
-        p.alpha2,
-        p.alpha3,
-        p.beta,
-        p.delta,
-        dt,
-    )
-
-
-def _pack_noise(n: NoiseSpec, dt: float):
+def _pack(p: ModelParams, n: NoiseSpec, dt: float):
     sqdt = math.sqrt(dt)
     return (
-        n.sigma1 * sqdt,
-        n.sigma2 * sqdt,
-        n.sigma3 * sqdt,
-        n.q1,
-        n.q2,
-        n.q3,
-        n.lam * dt,
+        p.r1, p.r2, 1.0 / p.k1, 1.0 / p.k2, p.a1, p.a2,
+        p.alpha1, p.alpha2, p.alpha3, p.beta, p.delta, dt,
+        n.sigma1 * sqdt, n.sigma2 * sqdt, n.sigma3 * sqdt,
+        n.q1, n.q2, n.q3, n.lam * dt,
     )
+
+
+def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int):
+    """Every random number of a run: yields chunks of at most _DRAW_CHUNK
+    steps, a (3, steps, B) float array of normals and a (3, steps, B) int64
+    array of Poisson counts, species first so that a driver unpacks a step
+    into six columns, with column b from replicate reps[b]'s own (seed, k)
+    streams. On a shared clock one count per step is drawn and repeated for
+    all three species. Drawing in chunks gives the same values as one
+    full-horizon draw; a yielded chunk is valid until the next one."""
+    streams = [(rng.stream(seed, k, rng.GAUSSIAN), rng.stream(seed, k, rng.JUMPS)) for k in reps]
+    lam_dt = n.lam * dt
+    size = min(_DRAW_CHUNK, n_steps)
+    normals = np.empty((3, size, len(streams)))
+    counts = np.empty((3, size, len(streams)), dtype=np.int64)
+    for start in range(0, n_steps, size):
+        m = min(size, n_steps - start)
+        shape = (m, 1) if n.shared_clock else (m, 3)
+        for b, (gauss, jumps) in enumerate(streams):
+            normals[:, :m, b] = gauss.standard_normal((m, 3)).T
+            counts[:, :m, b] = jumps.poisson(lam_dt, shape).T
+        yield normals[:, :m], counts[:, :m]
 
 
 def simulate(
@@ -286,32 +290,18 @@ def simulate(
     xs, ys, zs = init_history(h, d, c)
     dt = c.dt
     floor = _POSITIVITY_FLOOR
-
-    gauss = rng.stream(c.seed, replicate, rng.GAUSSIAN)
-    jump_stream = rng.stream(c.seed, replicate, rng.JUMPS)
-    normals = gauss.standard_normal((n_steps, 3)).tolist()
-    lam_dt = n.lam * dt
-    if n.shared_clock:
-        shared_counts = jump_stream.poisson(lam_dt, n_steps).tolist()
-        counts = None
-    else:
-        counts = jump_stream.poisson(lam_dt, (n_steps, 3)).tolist()
-        shared_counts = None
-
-    pp = _pack_params(p, dt)
-    nn = _pack_noise(n, dt)
+    pk = _pack(p, n, dt)
     base = len(xs) - 1  # index of t = 0
     jump_events = 0
     floor_hits = 0
     isfinite = math.isfinite
+    steps = chain.from_iterable(
+        zip(*normals[:, :, 0].tolist(), *counts[:, :, 0].tolist())
+        for normals, counts in _draws(c.seed, [replicate], n, dt, n_steps)
+    )
 
-    for i in range(n_steps):
+    for i, (z1, z2, z3, j1, j2, j3) in enumerate(steps):
         m = base + i
-        if shared_counts is not None:
-            j1 = j2 = j3 = shared_counts[i]
-        else:
-            j1, j2, j3 = counts[i]
-        zr = normals[i]
         x, y, z = xs[m], ys[m], zs[m]
         nx, ny, nz = _advance(
             x,
@@ -321,11 +311,10 @@ def simulate(
             ys[m - k2],
             xs[m - k3],
             ys[m - k3],
-            pp,
-            nn,
-            zr[0],
-            zr[1],
-            zr[2],
+            pk,
+            z1,
+            z2,
+            z3,
             j1,
             j2,
             j3,
@@ -333,7 +322,7 @@ def simulate(
         if not (isfinite(nx) and isfinite(ny) and isfinite(nz)):
             raise SimulationError(
                 f"non-finite state at t={(i + 1) * dt:g}: from ({x:g},{y:g},{z:g}), "
-                f"normals=({zr[0]:g},{zr[1]:g},{zr[2]:g}), jumps=({j1},{j2},{j3})"
+                f"normals=({z1:g},{z2:g},{z3:g}), jumps=({j1},{j2},{j3})"
             )
         if nx < floor and x > 0.0:
             nx = floor
@@ -353,25 +342,6 @@ def simulate(
     return Trajectory.from_grid(xs, ys, zs, base, dt, jump_events, floor_hits)
 
 
-def _draws(streams: list[tuple[np.random.Generator, np.random.Generator]], lam_dt: float,
-           shared_clock: bool, n_steps: int):
-    """The draw half of the batched driver: yields, step by step, the (3, B)
-    normals and the Poisson counts, (B,) on a shared clock or (3, B), column b
-    from replicate b's own (gauss, jumps) streams. The draws are made
-    _DRAW_CHUNK steps at a time, which gives the same values as simulate's
-    one full-horizon draw; a yielded row is valid until the next chunk."""
-    size = min(_DRAW_CHUNK, n_steps)
-    normals = np.empty((size, 3, len(streams)))
-    counts = np.empty((size, len(streams)) if shared_clock else (size, 3, len(streams)))
-    for start in range(0, n_steps, size):
-        m = min(size, n_steps - start)
-        shape = m if shared_clock else (m, 3)
-        for b, (gauss, jumps) in enumerate(streams):
-            normals[:m, :, b] = gauss.standard_normal((m, 3))
-            counts[:m, ..., b] = jumps.poisson(lam_dt, shape)
-        yield from zip(normals[:m], counts[:m])
-
-
 # an overflow shows as a non-finite state, as it does in simulate
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_batch(
@@ -383,19 +353,20 @@ def _simulate_batch(
     reps: Sequence[int],
     stat_idx: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The step half of the batched driver: steps the replicates ``reps``
-    together, B = len(reps) of them.
+    """The batched driver: steps the replicates ``reps`` together, B =
+    len(reps) of them.
 
     Returns the states at the grid indices ``stat_idx`` (which start at 0
     and end at n_steps) as a (B, len(stat_idx), 3) array, the terminal
     running averages (B, 3), and the floor clamps summed over the block.
     Every value is bit for bit what simulate and analysis.time_average give
-    replicate k: the draws come from the same streams, _advance does the
+    replicate k: the draws come from _draws as simulate's do, _advance does the
     update on (B,) arrays, the clamp applies by mask, and the trapezoid sums
     keep time_average's operation order, 0.5*(s1 + s0)*(t1 - t0) added in
     sequence and divided by N*dt at the end. Delay taps read a ring buffer
-    of kmax + 1 grid rows, so memory is bounded by B, the draw chunk and the
-    stats grid, not by the horizon. A non-finite state raises
+    of kmax + 1 grid rows (run_ensemble counts it toward its 1 GiB limit),
+    so memory is bounded by B, the delays, the draw chunk and the stats
+    grid, not by the horizon. A non-finite state raises
     SimulationError without naming the replicate; run_ensemble re-runs the
     block through simulate for that.
     """
@@ -406,10 +377,8 @@ def _simulate_batch(
     ring = np.repeat(history[:, :, None], width, axis=2)
     dt = c.dt
     n_steps = c.n_steps
-    pp = _pack_params(p, dt)
-    nn = _pack_noise(n, dt)
+    pk = _pack(p, n, dt)
     floor = _POSITIVITY_FLOOR
-    streams = [(rng.stream(c.seed, k, rng.GAUSSIAN), rng.stream(c.seed, k, rng.JUMPS)) for k in reps]
 
     marks = [int(k) for k in stat_idx]
     recorded = np.empty((len(marks), 3, width))
@@ -417,15 +386,17 @@ def _simulate_batch(
     mark = 1
     sums = np.zeros((3, width))
     floor_hits = 0
-    for i, (zr, jr) in enumerate(_draws(streams, n.lam * dt, n.shared_clock, n_steps)):
+    steps = chain.from_iterable(
+        zip(*normals, *counts) for normals, counts in _draws(c.seed, reps, n, dt, n_steps)
+    )
+    for i, (z1, z2, z3, j1, j2, j3) in enumerate(steps):
         m = rows - 1 + i  # grid index of the current state
         cur = ring[m % rows]
-        j1, j2, j3 = (jr, jr, jr) if n.shared_clock else jr
         new = np.array(_advance(
             cur[0], cur[1], cur[2],
             ring[(m - k1) % rows, 0], ring[(m - k2) % rows, 1],
             ring[(m - k3) % rows, 0], ring[(m - k3) % rows, 1],
-            pp, nn, zr[0], zr[1], zr[2], j1, j2, j3,
+            pk, z1, z2, z3, j1, j2, j3,
         ))
         lo, hi = new.min(), new.max()  # NaN if any value is NaN
         if not -math.inf < lo <= hi < math.inf:

@@ -5,8 +5,8 @@ paths is fixed by the seed alone: execution order cannot change any result,
 and replicates never share randomness. Per-gridpoint statistics (mean,
 standard deviation, 2.5/50/97.5% quantiles) are collected on a decimated
 stats grid to keep memory bounded on long horizons, and an ensemble whose
-path statistics would still exceed 1 GiB is refused before any replicate
-runs. Terminal running averages are computed exactly on the full
+path statistics and delay ring (below) would still exceed 1 GiB is refused
+before any replicate runs. Terminal running averages are computed exactly on the full
 integration grid, since those are what the regime predictions speak about.
 
 Below _BATCH_MIN = 64 replicates, replicates run one at a time through
@@ -20,7 +20,10 @@ about 1.4 times as long as they would batched. Blocks are consecutive slices
 of the schedule, at most _BATCH_MAX = 256 long, which bounds the generators
 and draws a block holds, and split evenly, so each has at least 64 (257 runs
 as 129 + 128). Both drivers give the same numbers bit for bit, and a block's
-memory is bounded by the block and its draw chunk, not by the horizon. A
+memory is bounded by the block, its draw chunk and its delay ring, not by the
+horizon. The ring holds kmax + 1 grid rows of 3 floats per replicate (about
+6 KB per row for a block of 256); the widest block's ring counts toward the
+1 GiB limit. A
 block that meets a non-finite state runs again one replicate at a time
 through engine.simulate, so the fault names the same replicate either way.
 Since any replicate may run through simulate, every ensemble must fit
@@ -136,9 +139,16 @@ def run_ensemble(
     stat_idx = np.arange(0, n_points, stats_stride)
     if stat_idx[-1] != n_points - 1:
         stat_idx = np.append(stat_idx, n_points - 1)
+    # from _BATCH_MIN up, blocks are consecutive slices of the schedule, at
+    # most _BATCH_MAX long and as even as possible; a block holds a delay ring
+    # of kmax + 1 grid rows per replicate
+    n_blocks = -(-n_reps // _BATCH_MAX)
+    width = -(-n_reps // n_blocks) if n_reps >= _BATCH_MIN else 0
+    ring_rows = max(engine.lag_steps(d, cfg.dt)) + 1
     engine._check_bytes(
         f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points",
-        n_reps * len(stat_idx) * 3 * 8, "path statistics", "lower n_reps",
+        (n_reps * len(stat_idx) + width * ring_rows) * 3 * 8,
+        "path statistics and delay ring", "lower n_reps",
     )
     engine._check_horizon(cfg)
 
@@ -169,8 +179,7 @@ def run_ensemble(
         floor_total = one_by_one(schedule)
     else:
         floor_total = 0
-        # consecutive slices of the schedule, as even as possible
-        for block in np.array_split(np.asarray(schedule), -(-n_reps // _BATCH_MAX)):
+        for block in np.array_split(np.asarray(schedule), n_blocks):
             reps = block.tolist()
             try:
                 paths[reps], terminal[reps], hits = engine._simulate_batch(

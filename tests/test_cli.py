@@ -394,9 +394,28 @@ class TestErrors:
         assert err[-1].startswith("config error: ensemble too large: n_reps=100000 x 2001 stat points")
         assert not out.exists()
 
+    def test_oversized_delay_ring_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # a batched block keeps kmax + 1 grid rows of its 256 replicates:
+        # tau1 = 2000 at dt = 0.01 is 200001 rows, 1.14 GiB, though the path
+        # statistics and the horizon are small
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        for name in ("simulate", "_simulate_batch"):
+            monkeypatch.setattr(engine, name, no_replicate)
+        cfg = _write(tmp_path, "ring.cfg", "preset = persist\ntau1 = 2000\nt_end = 1\nn_reps = 256\n")
+        out = tmp_path / "e.csv"
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("config error:")] == [
+            "config error: ensemble too large: n_reps=256 x 101 stat points needs 1.14 GiB "
+            "of path statistics and delay ring (limit 1 GiB); lower n_reps"
+        ]
+        assert not out.exists()
+
     def test_oversized_simulation_is_config_error(self, tmp_path, capsys):
-        # 1e11 steps: the draws alone would need terabytes, so simulate must
-        # refuse before drawing, naming the keys that set the step count
+        # 1e11 steps: the grid record alone would need terabytes, so simulate
+        # must refuse before drawing, naming the keys that set the step count
         cfg = _write(tmp_path, "long.cfg", "preset = fig1\nt_end = 1000000000\n")
         out = tmp_path / "s.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
@@ -404,7 +423,7 @@ class TestErrors:
         assert len(err) == 2 and err[0].startswith("warning: delta = 0.1")
         assert err[1] == (
             "config error: simulation too large: 100000000000 steps (t_end=1000000000.0, "
-            "dt=0.01) needs 37252.90 GiB of draws and grid record (limit 1 GiB); "
+            "dt=0.01) needs 13411.05 GiB of grid record and path (limit 1 GiB); "
             "lower t_end or raise dt"
         )
         assert not out.exists()

@@ -349,6 +349,22 @@ class TestStreams:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
+    @pytest.mark.parametrize("shared, final, jump_events", [
+        (True, (14.285817464559422, 7.011850555934638, 2.4165979704360754), 66),
+        (False, (10.432013053824688, 5.542434957195495, 2.014981220971853), 166),
+    ], ids=["shared", "independent"])
+    def test_values_across_draw_chunks(self, shared, final, jump_events):
+        # 1100 steps are three draw chunks; the final state and jump count
+        # were recorded from one full-horizon draw per stream, so drawing in
+        # chunks must not move a single value
+        sc = StepConfig(dt=0.01, t_end=11.0, seed=7)
+        n = NoiseSpec(0.05, 0.05, 0.05, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0, shared_clock=shared)
+        traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec.from_constant(10, 10, 5), sc,
+                        replicate=3)
+        assert len(traj.times) == 1101
+        assert tuple(traj.states[-1].tolist()) == final
+        assert traj.jump_events == jump_events
+
     def test_no_stream_collisions_over_many_replicates(self):
         # checksum of each replicate's first Gaussian block must be unique
         seen = set()
