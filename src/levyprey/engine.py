@@ -63,14 +63,18 @@ _POSITIVITY_FLOOR = 1e-12
 # ensemble's path statistics and delay ring
 _MAX_BYTES = 1 << 30
 
-# bytes simulate holds per step at its peak: the grid record (an 8-byte list
-# slot and a 24-byte float per species, 96), the returned path's row (24 for
-# the states, 8 for the time), the 8-byte integer row np.arange makes on the
-# way, and 8 for list growth. tracemalloc's peak over a fig1 run, divided by
-# its steps, reads 139.7 at 10^5 steps and 137.4 at 10^6, on a shared clock
-# and on independent clocks alike; the draws, made _DRAW_CHUNK steps at a
-# time, add a fixed amount that does not grow with the horizon
-_STEP_BYTES = 96 + 24 + 8 + 8 + 8
+# bytes of one grid record row: an 8-byte list slot and a 24-byte float per
+# species
+_ROW_BYTES = 3 * (8 + 24)
+
+# bytes simulate holds per step at its peak: the grid record row (96), the
+# returned path's row (24 for the states, 8 for the time), the 8-byte integer
+# row np.arange makes on the way, and 8 for list growth. tracemalloc's peak
+# over a fig1 run, divided by its steps, reads 139.7 at 10^5 steps and 137.4
+# at 10^6, on a shared clock and on independent clocks alike; the draws, made
+# _DRAW_CHUNK steps at a time, add a fixed amount that does not grow with the
+# horizon
+_STEP_BYTES = _ROW_BYTES + 24 + 8 + 8 + 8
 
 # steps of draws materialised at once, by both drivers
 _DRAW_CHUNK = 512
@@ -215,12 +219,15 @@ def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:
         )
 
 
-def _check_horizon(c: StepConfig) -> None:
-    """ValueError naming t_end and dt when simulate's grid record and path
-    for this horizon would exceed _MAX_BYTES."""
+def _check_horizon(c: StepConfig, d: DelaySpec) -> None:
+    """ValueError naming t_end and dt when simulate's grid record (the kmax + 1
+    history rows init_history fills, then one row per step) and path would
+    exceed _MAX_BYTES; FieldError when a positive delay is off the dt grid."""
+    rows = max(lag_steps(d, c.dt)) + 1
     _check_bytes(
         f"simulation too large: {c.n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
-        c.n_steps * _STEP_BYTES, "grid record and path", "lower t_end or raise dt",
+        c.n_steps * _STEP_BYTES + rows * _ROW_BYTES,
+        f"grid record ({rows} history rows) and path", "lower t_end or the delays, or raise dt",
     )
 
 
@@ -286,7 +293,7 @@ def simulate(
     """
     k1, k2, k3 = lag_steps(d, c.dt)
     n_steps = c.n_steps
-    _check_horizon(c)
+    _check_horizon(c, d)
     xs, ys, zs = init_history(h, d, c)
     dt = c.dt
     floor = _POSITIVITY_FLOOR

@@ -65,6 +65,9 @@ _MAX_STAT_POINTS = 2001
 _BATCH_MIN = 64
 _BATCH_MAX = 256
 
+# stat points reduced at once into the pointwise statistics
+_STAT_SLAB = 128
+
 
 @dataclass(frozen=True)
 class ToleranceSpec:
@@ -113,6 +116,24 @@ class EnsembleStats:
         return np.median(self.terminal_averages, axis=0)
 
 
+def _path_stats(paths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Pointwise mean, sd (ddof = 1; zero for one replicate) and 2.5/50/97.5%
+    quantiles over the replicates of paths (R, m, 3), each (m, 3). They are
+    reduced _STAT_SLAB stat points at a time, which gives the same values as
+    reducing the whole array, while the copies that sd and the quantiles make
+    are a slab's size instead of the whole array's."""
+    n_reps, m, _ = paths.shape
+    mean, sd, q025, q500, q975 = out = tuple(np.zeros((m, 3)) for _ in range(5))
+    for a in range(0, m, _STAT_SLAB):
+        b = a + _STAT_SLAB
+        slab = paths[:, a:b]
+        mean[a:b] = slab.mean(axis=0)
+        if n_reps > 1:
+            sd[a:b] = slab.std(axis=0, ddof=1)
+        q025[a:b], q500[a:b], q975[a:b] = np.quantile(slab, (0.025, 0.5, 0.975), axis=0)
+    return out
+
+
 def run_ensemble(
     p: ModelParams,
     n: NoiseSpec,
@@ -150,7 +171,7 @@ def run_ensemble(
         (n_reps * len(stat_idx) + width * ring_rows) * 3 * 8,
         "path statistics and delay ring", "lower n_reps",
     )
-    engine._check_horizon(cfg)
+    engine._check_horizon(cfg, d)
 
     if order is None:
         schedule: Sequence[int] = range(n_reps)
@@ -191,12 +212,7 @@ def run_ensemble(
                 hits = one_by_one(reps)
             floor_total += hits
 
-    mean = paths.mean(axis=0)
-    if n_reps > 1:
-        sd = paths.std(axis=0, ddof=1)
-    else:
-        sd = np.zeros_like(mean)
-    q025, q500, q975 = np.quantile(paths, (0.025, 0.5, 0.975), axis=0)
+    mean, sd, q025, q500, q975 = _path_stats(paths)
     return EnsembleStats(
         n_replicates=n_reps,
         stat_times=stat_idx * cfg.dt,

@@ -7,10 +7,20 @@ k steps, ask for only three kinds of value:
 
 * step start (stage 1): the stored sample at m - k;
 * step end (stage 4): the stored sample at m + 1 - k;
-* midpoint (stages 2 and 3): the value at m + 1/2 - k. It does not depend on
-  the stage, so it is computed once per lag per step. Before t = 0 it comes
+* midpoint (stages 2 and 3): the value at m + 1/2 - k. Before t = 0 it comes
   from the initial history function; after t = 0 it is a cubic (Lagrange)
   interpolation of stored nodes.
+
+Each midpoint is computed once. It does not depend on the stage, so stages 2
+and 3 share it. And x is read at lags k1 and k3, y at k2 and k3: the shorter
+lag of a series computes the value, and the longer lag reads the same value
+|k1 - k3| (or |k2 - k3|) steps later. A value is held only when that later
+step exists and is dropped when read, so the held values are bounded by the
+spread between the lags, not by the horizon. The query sits half a step from
+its nearest nodes, so the interpolation weights depend only on the query's
+offset from the stencil's first node and on the stencil's size: _WEIGHTS
+holds them for the six stencils that occur, and a midpoint costs two to four
+multiply-adds.
 
 A zero lag reads the stage value itself, which is ordinary RK4. Two details
 keep the observed order near four despite the limited smoothness of delay
@@ -36,6 +46,7 @@ convergence oracle.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,24 +64,45 @@ __all__ = [
 ]
 
 
-def _cubic_interp(series: list[float], u: float, lo_bound: int, hi_bound: int) -> float:
-    """Lagrange interpolation of grid samples at fractional index u, with the
-    stencil confined to node indices [lo_bound, hi_bound]."""
-    j = math.floor(u)
-    lo = j - 1
-    if lo < lo_bound:
-        lo = lo_bound
-    if lo > hi_bound - 3:
-        lo = max(lo_bound, hi_bound - 3)
-    hi = min(lo + 3, hi_bound)
-    acc = 0.0
-    for a in range(lo, hi + 1):
+def _lagrange_weights(s: float, last: int) -> tuple[float, ...]:
+    """Lagrange weights of the nodes 0 .. last for the value at s."""
+    weights = []
+    for a in range(last + 1):
         w = 1.0
-        for b in range(lo, hi + 1):
+        for b in range(last + 1):
             if b != a:
-                w *= (u - b) / (a - b)
-        acc += w * series[a]
-    return acc
+                w *= (s - b) / (a - b)
+        weights.append(w)
+    return tuple(weights)
+
+
+# the weights of every midpoint stencil, keyed by (u - lo, hi - lo) for a
+# query at u on the nodes lo .. hi: a stencil has two to four nodes and the
+# query lies between two of them, half a step from each
+_WEIGHTS = {
+    (s, last): _lagrange_weights(s, last)
+    for s, last in ((0.5, 1), (0.5, 2), (1.5, 2), (0.5, 3), (1.5, 3), (2.5, 3))
+}
+
+
+def _midpoint_pairs(value: Callable[[int], float], ka: int, kb: int, n_steps: int):
+    """Per step i, (value(i - ka), value(i - kb)) for the two lags ka and kb
+    that read one series, 0 for a zero lag. When both are positive, the
+    shorter lag computes each value and holds it for the longer one, which
+    reads it |ka - kb| steps later; a value is held only when that step
+    exists and is dropped when read, so at most |ka - kb| values are held."""
+    if not (ka and kb):
+        for i in range(n_steps):
+            yield (ka and value(i - ka)), (kb and value(i - kb))
+        return
+    short, spread = min(ka, kb), abs(ka - kb)
+    held: deque[float] = deque()
+    for i in range(n_steps):
+        v = value(i - short)
+        if i + spread < n_steps:
+            held.append(v)
+        w = held.popleft() if i >= spread else value(i - short - spread)
+        yield (v, w) if ka <= kb else (w, v)
 
 
 def solve_deterministic(
@@ -89,34 +121,41 @@ def solve_deterministic(
     k1, k2, k3 = _engine.lag_steps(d, dt)
     xs, ys, zs = _engine.init_history(h, d, c)
     base = len(xs) - 1  # index of t = 0
-    series = (xs, ys)
 
     # smooth pieces are bounded by multiples of the common divisor of the lags
     gs = math.gcd(k1, k2, k3)
 
-    def mid(which: int, n: int) -> float:
+    def mid(series: list[float], which: int, n: int) -> float:
         # x (which = 0) or y (1) at t = (n + 1/2)*dt, where n = i - k >= -k
         if n < 0:
             return h.value_at((n + 0.5) * dt)[which]
-        lo = base + n // gs * gs
-        return _cubic_interp(series[which], base + n + 0.5, lo, lo + gs)
+        # up to four nodes around the query, inside its smooth piece lo .. lo + gs
+        lo = n // gs * gs
+        first = min(max(n - 1, lo), max(lo, lo + gs - 3))
+        last = min(first + 3, lo + gs) - first
+        nodes = series[base + first:base + first + last + 1]
+        acc = 0.0
+        for w, v in zip(_WEIGHTS[n + 0.5 - first, last], nodes):
+            acc += w * v
+        return acc
 
     def taps(x: float, y: float, xd1: float, yd2: float, xd3: float, yd3: float):
         # the delayed arguments of one stage; a zero lag reads the stage value
         return (xd1 if k1 else x, yd2 if k2 else y, xd3 if k3 else x, yd3 if k3 else y)
 
+    # the midpoint values of each step, each interpolated once (a zero lag
+    # gives 0 here and reads the stage value in taps)
+    x_mids = _midpoint_pairs(lambda n: mid(xs, 0, n), k1, k3, c.n_steps)
+    y_mids = _midpoint_pairs(lambda n: mid(ys, 1, n), k2, k3, c.n_steps)
     half = dt / 2.0
     sixth = dt / 6.0
-    for i in range(c.n_steps):
+    for i, ((xm1, xm3), (ym2, ym3)) in enumerate(zip(x_mids, y_mids)):
         m = base + i
         x0, y0, z0 = xs[m], ys[m], zs[m]
         # step start: xs[m - 0] is x0 itself, so zero lags need no care here
         f1 = drift(x0, y0, z0, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], p)
 
-        # midpoint: one value per positive lag, shared by stages 2 and 3
-        # (a zero lag gives 0 here and reads the stage value in taps)
-        mids = (k1 and mid(0, i - k1), k2 and mid(1, i - k2),
-                k3 and mid(0, i - k3), k3 and mid(1, i - k3))
+        mids = (xm1, ym2, xm3, ym3)
         x1, y1, z1 = x0 + half * f1[0], y0 + half * f1[1], z0 + half * f1[2]
         f2 = drift(x1, y1, z1, *taps(x1, y1, *mids), p)
 
@@ -186,14 +225,14 @@ def _study(
 ) -> ConvergenceTable:
     """Max-norm error of states_at(dt) against a fine reference solution, per dt.
     Every dt, then ref_dt, is checked against the grid rules (a broken one
-    raises FieldError) before the reference is solved."""
+    raises FieldError) and against simulate's horizon limit (ValueError)
+    before the reference is solved."""
     if len(dt_list) == 0:
         raise ValueError("dt_list must be nonempty")
     if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ValueError("dt_list must be strictly descending")
     for dt in dt_list:
-        _engine.StepConfig(dt=dt, t_end=t_end)  # dt > 0, horizon on its grid
-        _engine.lag_steps(d, dt)
+        _engine._check_horizon(_engine.StepConfig(dt=dt, t_end=t_end), d)
     if ref_dt is None:
         ref_dt = min(dt_list) / 4.0
     _in_range("convergence_study", "ref_dt", ref_dt, strict=True)
@@ -201,6 +240,7 @@ def _study(
     for dt, k in zip(dt_list, strides):
         if k is None:
             raise FieldError("convergence_study", "ref_dt", f"must divide dt = {dt:g}", ref_dt)
+    _engine._check_horizon(_engine.StepConfig(dt=ref_dt, t_end=t_end), d)
     ref = solve_deterministic(p, d, h, ref_dt, t_end).states
     errs = [float(np.max(np.abs(states_at(dt) - ref[::k]))) for dt, k in zip(dt_list, strides)]
     return _order_table(list(dt_list), errs)

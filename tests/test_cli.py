@@ -423,9 +423,48 @@ class TestErrors:
         assert len(err) == 2 and err[0].startswith("warning: delta = 0.1")
         assert err[1] == (
             "config error: simulation too large: 100000000000 steps (t_end=1000000000.0, "
-            "dt=0.01) needs 13411.05 GiB of grid record and path (limit 1 GiB); "
-            "lower t_end or raise dt"
+            "dt=0.01) needs 13411.05 GiB of grid record (151 history rows) and path "
+            "(limit 1 GiB); lower t_end or the delays, or raise dt"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, n_reps", [("simulate", ""), ("ensemble", "n_reps = 2\n")],
+                             ids=["simulate", "ensemble"])
+    def test_oversized_delay_history_is_config_error(self, tmp_path, capsys, monkeypatch, command, n_reps):
+        # 1000 steps, but tau1 = 100000 at dt = 0.001 is 10^8 history rows,
+        # 8.94 GiB of grid record: refused before the history is filled
+        def no_history(*args, **kwargs):
+            raise AssertionError("the history was filled")
+
+        monkeypatch.setattr(engine, "init_history", no_history)
+        cfg = _write(tmp_path, "h.cfg", f"preset = fig1\ntau1 = 100000\ndt = 0.001\nt_end = 1\n{n_reps}")
+        out = tmp_path / "s.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("config error:")] == [
+            "config error: simulation too large: 1000 steps (t_end=1.0, dt=0.001) needs 8.94 GiB "
+            "of grid record (100000001 history rows) and path (limit 1 GiB); "
+            "lower t_end or the delays, or raise dt"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps, too_large", [
+        (["--dts", "1e-7"], "10000000 steps (t_end=1.0, dt=1e-07)"),
+        (["--dts", "1e-6", "--ref-dt", "1e-8"], "100000000 steps (t_end=1.0, dt=1e-08)"),
+    ], ids=["study-step", "reference-step"])
+    def test_oversized_convergence_is_config_error(self, tmp_path, capsys, monkeypatch, steps, too_large):
+        # every study step and the reference step obey simulate's horizon
+        # limit, checked before the reference is solved
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference was solved")
+
+        monkeypatch.setattr(oracle, "solve_deterministic", no_reference)
+        cfg = _write(tmp_path, "f3.cfg", "preset = fig3\nt_end = 1\n")
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--config", cfg, "--out", str(out), *steps]) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: simulation too large: {too_large} needs ")
         assert not out.exists()
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
@@ -461,16 +500,17 @@ class TestErrors:
     def test_horizon_limit_is_one_rule_for_every_ensemble(self, tmp_path, capsys, monkeypatch, n_reps):
         # any replicate may run through simulate (below 64 replicates always,
         # from 64 when its block faults), so every ensemble obeys simulate's
-        # horizon limit. fig3 over 20 days is 2000 steps: with the limit set
-        # at exactly that horizon the replicate fault is reported; one byte
-        # per step more and the ensemble is refused before any replicate runs
+        # horizon limit. fig3 over 20 days is 2000 steps after 151 history
+        # rows: with the limit set at exactly that horizon the replicate fault
+        # is reported; one byte per step more and the ensemble is refused
+        # before any replicate runs
         ran = []
         for name in ("simulate", "_simulate_batch"):
             real = getattr(engine, name)
             monkeypatch.setattr(engine, name, lambda *a, real=real, **kw: ran.append(1) or real(*a, **kw))
         cfg = _write(tmp_path, "f.cfg", f"preset = fig3\nt_end = 20\nn_reps = {n_reps}\n")
         out = tmp_path / "e.csv"
-        at_limit = engine._MAX_BYTES // 2000
+        at_limit = (engine._MAX_BYTES - 151 * engine._ROW_BYTES) // 2000
         for step_bytes, code in ((at_limit, 2), (at_limit + 1, 1)):
             monkeypatch.setattr(engine, "_STEP_BYTES", step_bytes)
             ran.clear()

@@ -1,6 +1,7 @@
 """Unit tests for Monte Carlo aggregation and regime verification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,34 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=r"n_reps=100000 x 2001 stat points needs 4\.47 GiB"):
             run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg,
                          n_reps=100_000, base_seed=0)
+
+    @pytest.mark.parametrize("n_reps", [8, 64, 257])
+    def test_slab_reduction_equals_whole_array(self, n_reps):
+        # 300 stat points are two full slabs and a short one; the t = 0 row
+        # is the same in every replicate, as in a real ensemble
+        paths = np.random.default_rng(n_reps).lognormal(size=(n_reps, 300, 3))
+        paths[:, 0] = 5.0
+        mean, sd, q025, q500, q975 = ensemble._path_stats(paths)
+        whole = np.quantile(paths, (0.025, 0.5, 0.975), axis=0)
+        assert np.array_equal(mean, paths.mean(axis=0))
+        assert np.array_equal(sd, paths.std(axis=0, ddof=1))
+        assert np.array_equal(np.stack([q025, q500, q975]), whole)
+
+    def test_peak_memory_near_path_statistics(self):
+        # 2000 replicates in 8 blocks: the path statistics, one block's
+        # stats-grid rows (1/8) and its draw chunk (about 1/16) at most;
+        # reducing the whole array at once used to add a second full copy
+        sc = PRESETS["persist"]
+        cfg = StepConfig(dt=sc.dt, t_end=20.0)
+        tracemalloc.start()
+        try:
+            stats = run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg,
+                                 n_reps=2000, base_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stats_bytes = 2000 * len(stats.stat_times) * 3 * 8
+        assert peak <= 1.25 * stats_bytes
 
     def test_long_horizon_decimates_stats_grid(self):
         # 20000 integration steps decimate to <= ~2000 stats points; the

@@ -1,5 +1,9 @@
 """Unit tests for the deterministic reference solver and convergence studies."""
 
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +12,14 @@ from levyprey import (
     HistorySpec,
     ModelParams,
     PRESETS,
+    StepConfig,
     Trajectory,
     convergence_study,
     rk4_self_convergence,
     solve_deterministic,
 )
+from levyprey import engine, oracle
+from levyprey.model import drift
 
 FIG1_PARAMS = PRESETS["fig1"].params
 TABLE_DELAYS = DelaySpec(0.5, 1.0, 1.5)
@@ -23,6 +30,62 @@ TABLE_HISTORY = HistorySpec.from_table(
 
 LOGISTIC = ModelParams(r1=1.0, r2=0.0, k1=100.0, k2=1.0, alpha1=0, alpha2=0,
                        alpha3=0, beta=0, delta=0, a1=0, a2=0)
+
+
+def _lagrange(series, u, lo_bound, hi_bound):
+    """Lagrange interpolation of series at fractional index u, on up to four
+    nodes confined to [lo_bound, hi_bound], its weights computed on each call."""
+    lo = max(math.floor(u) - 1, lo_bound)
+    if lo > hi_bound - 3:
+        lo = max(lo_bound, hi_bound - 3)
+    hi = min(lo + 3, hi_bound)
+    acc = 0.0
+    for a in range(lo, hi + 1):
+        w = 1.0
+        for b in range(lo, hi + 1):
+            if b != a:
+                w *= (u - b) / (a - b)
+        acc += w * series[a]
+    return acc
+
+
+def _uncached_solve(p, d, h, dt, t_end):
+    """The reference solver's states with every delayed argument evaluated
+    afresh at every stage: a stored sample at a whole grid index; at a half
+    index, the history function before t = 0 and an uncached stencil inside
+    the smooth piece after it; the stage value for a zero lag."""
+    lags = engine.lag_steps(d, dt)
+    xs, ys, zs = engine.init_history(h, d, StepConfig(dt=dt, t_end=t_end))
+    base = len(xs) - 1
+    gs = math.gcd(*lags)
+
+    def past(which, q2):
+        # x (which = 0) or y (1) at grid index q2 / 2 from t = 0
+        series = (xs, ys)[which]
+        n, odd = divmod(q2, 2)
+        if not odd:
+            return series[base + n]
+        if n < 0:
+            return h.value_at((n + 0.5) * dt)[which]
+        lo = base + n // gs * gs
+        return _lagrange(series, base + n + 0.5, lo, lo + gs)
+
+    def rates(x, y, z, q2):
+        k1, k2, k3 = (2 * k for k in lags)
+        return drift(x, y, z, past(0, q2 - k1) if k1 else x, past(1, q2 - k2) if k2 else y,
+                     past(0, q2 - k3) if k3 else x, past(1, q2 - k3) if k3 else y, p)
+
+    half, sixth = dt / 2.0, dt / 6.0
+    for i in range(round(t_end / dt)):
+        x0, y0, z0 = xs[-1], ys[-1], zs[-1]
+        f1 = rates(x0, y0, z0, 2 * i)
+        f2 = rates(x0 + half * f1[0], y0 + half * f1[1], z0 + half * f1[2], 2 * i + 1)
+        f3 = rates(x0 + half * f2[0], y0 + half * f2[1], z0 + half * f2[2], 2 * i + 1)
+        f4 = rates(x0 + dt * f3[0], y0 + dt * f3[1], z0 + dt * f3[2], 2 * i + 2)
+        xs.append(x0 + sixth * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0]))
+        ys.append(y0 + sixth * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1]))
+        zs.append(z0 + sixth * (f1[2] + 2.0 * f2[2] + 2.0 * f3[2] + f4[2]))
+    return np.array([xs[base:], ys[base:], zs[base:]]).T
 
 
 class TestSolveDeterministic:
@@ -84,6 +147,60 @@ class TestSolveDeterministic:
     def test_exact_end_state(self, delays, history, dt, t_end, end):
         sol = solve_deterministic(FIG3.params, delays, history, dt=dt, t_end=t_end)
         assert tuple(float(v) for v in sol.states[-1]) == end
+
+    @pytest.mark.parametrize("delays, history, dt", [
+        (DelaySpec(0, 0, 0), FIG3.history, 0.05),
+        (DelaySpec(0.5, 0, 1.0), TABLE_HISTORY, 0.25),
+        (DelaySpec(1.0, 1.0, 1.0), FIG3.history, 0.1),
+        (TABLE_DELAYS, FIG3.history, 0.5),
+        (TABLE_DELAYS, FIG3.history, 0.25),
+        (DelaySpec(1.5, 1.0, 0.5), FIG3.history, 0.05),
+        (DelaySpec(0.5, 1.0, 0.25), TABLE_HISTORY, 0.05),
+    ], ids=["zero-lags", "mixed-lags-table", "equal-lags", "gcd-1-step", "gcd-2-steps",
+            "longest-lag-first", "cubic-table"])
+    def test_equals_uncached_taps(self, delays, history, dt):
+        # cached stencil weights and a midpoint shared between the two lags
+        # that read a series must give the same bits as computing every tap
+        # afresh
+        sol = solve_deterministic(FIG3.params, delays, history, dt=dt, t_end=5.0)
+        assert np.array_equal(sol.states, _uncached_solve(FIG3.params, delays, history, dt, 5.0))
+
+    def test_fig3_reference_states_pinned(self):
+        # the convergence study's reference solve on fig3: lags of 800, 1600
+        # and 2400 steps, 16000 steps with cubic midpoint stencils
+        sol = solve_deterministic(FIG3.params, FIG3.delays, FIG3.history, dt=6.25e-4, t_end=10.0)
+        digest = hashlib.sha256(sol.states.astype("<f8").tobytes()).hexdigest()
+        assert digest == "24ddd2844f51e42492d9bd75f66331d437e12d56783fa97d073bd9dc41002169"
+
+    @pytest.mark.parametrize("ka, kb", [(3, 7), (7, 3), (5, 5), (0, 4), (4, 0), (0, 0)])
+    def test_each_midpoint_computed_once(self, ka, kb):
+        # the two lags that read a series are served from one computation
+        # per midpoint, in either order and when they are equal
+        calls = []
+
+        def value(n):
+            calls.append(n)
+            return float(n)
+
+        pairs = list(oracle._midpoint_pairs(value, ka, kb, 20))
+        assert pairs == [(ka and float(i - ka), kb and float(i - kb)) for i in range(20)]
+        assert len(calls) == len(set(calls))
+
+    def test_memory_per_step_within_budget(self):
+        # with one positive lag per series nothing is held between steps, so
+        # the solve keeps only the grid record and the path: it must fit the
+        # engine's per-step budget. 2 * 10^4 steps is where the fixed part
+        # (history, weights, numpy) has shrunk below the margin; under
+        # tracemalloc the solve runs about twenty times slower
+        sc = PRESETS["persist"]
+        delays = DelaySpec(sc.delays.tau1, sc.delays.tau2, 0.0)
+        tracemalloc.start()
+        try:
+            solve_deterministic(sc.params, delays, sc.history, dt=0.01, t_end=200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20_000 * engine._STEP_BYTES
 
     def test_dt_must_divide_delays(self):
         h = HistorySpec.from_constant(10, 10, 5)
