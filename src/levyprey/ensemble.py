@@ -65,8 +65,8 @@ _MAX_STAT_POINTS = 2001
 _BATCH_MIN = 64
 _BATCH_MAX = 256
 
-# stat points reduced at once into the pointwise statistics
-_STAT_SLAB = 128
+# most bytes of path statistics reduced at once into the pointwise statistics
+_STAT_SLAB_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,17 @@ class EnsembleStats:
 def _path_stats(paths: np.ndarray) -> tuple[np.ndarray, ...]:
     """Pointwise mean, sd (ddof = 1; zero for one replicate) and 2.5/50/97.5%
     quantiles over the replicates of paths (R, m, 3), each (m, 3). They are
-    reduced _STAT_SLAB stat points at a time, which gives the same values as
-    reducing the whole array, while the copies that sd and the quantiles make
-    are a slab's size instead of the whole array's."""
+    reduced in slabs of stat points of at most _STAT_SLAB_BYTES (or one stat
+    point), which gives the same values as reducing the whole array, while
+    the copies that sd and the quantiles make are a slab's size instead of
+    the whole array's. Statistics that fit in one slab are reduced whole:
+    many small slabs fragment the heap, and a process that runs ensembles
+    repeatedly then grows by about a megabyte."""
     n_reps, m, _ = paths.shape
+    width = max(1, _STAT_SLAB_BYTES // (n_reps * 3 * 8))
     mean, sd, q025, q500, q975 = out = tuple(np.zeros((m, 3)) for _ in range(5))
-    for a in range(0, m, _STAT_SLAB):
-        b = a + _STAT_SLAB
+    for a in range(0, m, width):
+        b = a + width
         slab = paths[:, a:b]
         mean[a:b] = slab.mean(axis=0)
         if n_reps > 1:

@@ -111,10 +111,12 @@ class TestRunEnsemble:
                          n_reps=100_000, base_seed=0)
 
     @pytest.mark.parametrize("n_reps", [8, 64, 257])
-    def test_slab_reduction_equals_whole_array(self, n_reps):
-        # 300 stat points are two full slabs and a short one; the t = 0 row
-        # is the same in every replicate, as in a real ensemble
-        paths = np.random.default_rng(n_reps).lognormal(size=(n_reps, 300, 3))
+    def test_slab_reduction_equals_whole_array(self, n_reps, monkeypatch):
+        # slabs of 100, 12 and 3 stat points: 301 points end in a short
+        # slab; the t = 0 row is the same in every replicate, as in a real
+        # ensemble
+        monkeypatch.setattr(ensemble, "_STAT_SLAB_BYTES", 100 * 8 * 3 * 8)
+        paths = np.random.default_rng(n_reps).lognormal(size=(n_reps, 301, 3))
         paths[:, 0] = 5.0
         mean, sd, q025, q500, q975 = ensemble._path_stats(paths)
         whole = np.quantile(paths, (0.025, 0.5, 0.975), axis=0)
