@@ -127,15 +127,15 @@ def _path_stats(paths: np.ndarray) -> tuple[np.ndarray, ...]:
     repeatedly then grows by about a megabyte."""
     n_reps, m, _ = paths.shape
     width = max(1, _STAT_SLAB_BYTES // (n_reps * 3 * 8))
-    mean, sd, q025, q500, q975 = out = tuple(np.zeros((m, 3)) for _ in range(5))
+    mean, sd, quantiles = np.empty((m, 3)), np.zeros((m, 3)), np.empty((3, m, 3))
     for a in range(0, m, width):
         b = a + width
         slab = paths[:, a:b]
-        mean[a:b] = slab.mean(axis=0)
+        slab.mean(axis=0, out=mean[a:b])
         if n_reps > 1:
-            sd[a:b] = slab.std(axis=0, ddof=1)
-        q025[a:b], q500[a:b], q975[a:b] = np.quantile(slab, (0.025, 0.5, 0.975), axis=0)
-    return out
+            slab.std(axis=0, ddof=1, out=sd[a:b])
+        np.quantile(slab, (0.025, 0.5, 0.975), axis=0, out=quantiles[:, a:b])
+    return (mean, sd, *quantiles)
 
 
 def run_ensemble(
