@@ -3,14 +3,15 @@
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json \\
-        [--workload all | NAME ...] [--seed 0] [--pairs 10] [--seconds S]
+        [--workload all | NAME ...] [--seed 0]
 
 PARENT_DIR and CHANGE_DIR are two checkouts, each with its own perfbench/
 and src/. A pair runs ``python3 perfbench/run.py --workload W --seed S
---trace 0`` once in each checkout, for every workload in turn, and the side
-that runs first swaps on every pair, so a drift in the host's speed falls on
-both sides alike. ``--seconds`` is passed on when given; otherwise both use
-run_seconds from their BENCHMARK.json.
+--seconds T --trace 0`` once in each checkout, for every workload in turn,
+and the side that runs first swaps on every pair, so a drift in the host's
+speed falls on both sides alike. A set is always ten pairs, and T is
+run_seconds from CHANGE_DIR's BENCHMARK.json, passed to both sides so that
+they measure for the same time.
 
 Each run's end-to-end metrics and fail_frac are kept under ``runs``. Per
 metric, ``metrics`` gives each side's median and quartiles
@@ -33,6 +34,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def _commit(checkout: str) -> str:
@@ -47,12 +49,11 @@ def _commit(checkout: str) -> str:
     return head + ("-dirty" if dirty else "")
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One timed perfbench run in checkout: its end-to-end metric values,
     fail_frac and correct flag, read from the JSON line the run prints last."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", repr(seconds)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
@@ -96,24 +97,21 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write or append a set to")
     ap.add_argument("--workload", nargs="+", default=["all"])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, help="measuring time per run (default: BENCHMARK.json)")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2, for quartiles")
 
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     names = [w["name"] for w in spec["workloads"]] if args.workload == ["all"] else args.workload
+    seconds = spec["run_seconds"]
 
     runs = {w: {side: [] for side in SIDES} for w in names}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for w in names:
             for side in order:
-                runs[w][side].append(run_once(checkouts[side], w, args.seed, args.seconds))
-                print(f"pair {pair + 1}/{args.pairs} {w} {side}: "
+                runs[w][side].append(run_once(checkouts[side], w, args.seed, seconds))
+                print(f"pair {pair + 1}/{PAIRS} {w} {side}: "
                       f"wall_s {runs[w][side][-1]['wall_s']:.4g}", file=sys.stderr)
 
     record = {"method": (
@@ -130,8 +128,8 @@ def main(argv: list[str] | None = None) -> int:
             record = json.load(fh)
     record["sets"].append({
         "seed": args.seed,
-        "seconds": args.seconds if args.seconds is not None else spec["run_seconds"],
-        "pairs": args.pairs,
+        "seconds": seconds,
+        "pairs": PAIRS,
         "parent": _commit(checkouts["parent"]),
         "change": _commit(checkouts["change"]),
         "python": platform.python_version(),
@@ -146,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, m in record["sets"][-1]["workloads"][w]["metrics"].items():
             print(f"{w:14s} {name:12s} parent {m['parent']['median']:>12.6g} "
                   f"change {m['change']['median']:>12.6g} {m['relative_change']:+7.1%} "
-                  f"wins {m['change_wins']}/{args.pairs}")
+                  f"wins {m['change_wins']}/{PAIRS}")
     return 0
 
 
