@@ -219,7 +219,9 @@ def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:
         )
 
 
-def _check_horizon(c: StepConfig, d: DelaySpec) -> None:
+def _check_horizon(
+    c: StepConfig, d: DelaySpec, remedy: str = "lower t_end or the delays, or raise dt"
+) -> None:
     """ValueError naming t_end and dt when simulate's grid record (the kmax + 1
     history rows init_history fills, then one row per step) and path would
     exceed _MAX_BYTES; FieldError when a positive delay is off the dt grid."""
@@ -227,7 +229,7 @@ def _check_horizon(c: StepConfig, d: DelaySpec) -> None:
     _check_bytes(
         f"simulation too large: {c.n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
         c.n_steps * _STEP_BYTES + rows * _ROW_BYTES,
-        f"grid record ({rows} history rows) and path", "lower t_end or the delays, or raise dt",
+        f"grid record ({rows} history rows) and path", remedy,
     )
 
 
@@ -261,8 +263,11 @@ def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int
     into six columns, with column b from replicate reps[b]'s own (seed, k)
     streams. On a shared clock one count per step is drawn and repeated for
     all three species. Drawing in chunks gives the same values as one
-    full-horizon draw; a yielded chunk is valid until the next one."""
-    streams = [(rng.stream(seed, k, rng.GAUSSIAN), rng.stream(seed, k, rng.JUMPS)) for k in reps]
+    full-horizon draw; a yielded chunk is valid until the next one. The
+    generators come from rng.streams, one vectorised pass per purpose for a
+    block and rng.stream for a single replicate, the same streams either
+    way."""
+    streams = list(zip(rng.streams(seed, reps, rng.GAUSSIAN), rng.streams(seed, reps, rng.JUMPS)))
     lam_dt = n.lam * dt
     size = min(_DRAW_CHUNK, n_steps)
     normals = np.empty((3, size, len(streams)))

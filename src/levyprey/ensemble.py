@@ -17,13 +17,16 @@ step whatever the block size, so it overtakes the scalar loop between 32 and
 1887 at 32, 1871 vs 1296 at 50, 1852 vs 1050 at 64). 64 is the first power
 of two past that crossover; ensembles of 50 to 63 replicates therefore run
 about 1.4 times as long as they would batched. Blocks are consecutive slices
-of the schedule, at most _BATCH_MAX = 256 long, which bounds the generators
-and draws a block holds, and split evenly, so each has at least 64 (257 runs
-as 129 + 128). Both drivers give the same numbers bit for bit, and a block's
-memory is bounded by the block, its draw chunk and its delay ring, not by the
-horizon. The ring holds kmax + 1 grid rows of 3 floats per replicate (about
-6 KB per row for a block of 256); the widest block's ring counts toward the
-1 GiB limit. A
+of the schedule, at most _BATCH_MAX = 256 long, which bounds the two
+generators per replicate and the draws a block holds, and split evenly, so
+each has at least 64 (257 runs as 129 + 128). Apart from stepping, a
+replicate's main cost is building those generators: a block builds them with
+rng.streams in one vectorised pass per purpose, about 4 µs per generator,
+where the scalar driver's rng.stream takes about 24 µs. Both drivers give the
+same numbers bit for bit, and a block's memory is bounded by the block, its
+draw chunk and its delay ring, not by the horizon. The ring holds kmax + 1
+grid rows of 3 floats per replicate (about 6 KB per row for a block of 256);
+the widest block's ring counts toward the 1 GiB limit. A
 block that meets a non-finite state runs again one replicate at a time
 through engine.simulate, so the fault names the same replicate either way.
 Since any replicate may run through simulate, every ensemble must fit

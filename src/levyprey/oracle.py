@@ -214,6 +214,18 @@ def _order_table(dts: list[float], errs: list[float]) -> ConvergenceTable:
     return ConvergenceTable(rows=tuple(rows), observed_order=observed)
 
 
+def _check_step(field: str, dt: float, t_end: float, d: DelaySpec) -> None:
+    """_check_horizon for one study step, whose size error names ``field``."""
+    try:
+        _engine._check_horizon(
+            _engine.StepConfig(dt=dt, t_end=t_end), d, "raise it, or lower t_end or the delays"
+        )
+    except FieldError:
+        raise
+    except ValueError as exc:
+        raise FieldError("convergence_study", field, f"makes the {exc}", dt) from None
+
+
 def _study(
     p: ModelParams,
     d: DelaySpec,
@@ -224,15 +236,15 @@ def _study(
     states_at: Callable[[float], np.ndarray],
 ) -> ConvergenceTable:
     """Max-norm error of states_at(dt) against a fine reference solution, per dt.
-    Every dt, then ref_dt, is checked against the grid rules (a broken one
-    raises FieldError) and against simulate's horizon limit (ValueError)
-    before the reference is solved."""
+    Every dt, then ref_dt, is checked against the grid rules and against
+    simulate's horizon limit before the reference is solved; a broken one
+    raises FieldError on "dt" or "ref_dt"."""
     if len(dt_list) == 0:
         raise ValueError("dt_list must be nonempty")
     if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ValueError("dt_list must be strictly descending")
     for dt in dt_list:
-        _engine._check_horizon(_engine.StepConfig(dt=dt, t_end=t_end), d)
+        _check_step("dt", dt, t_end, d)
     if ref_dt is None:
         ref_dt = min(dt_list) / 4.0
     _in_range("convergence_study", "ref_dt", ref_dt, strict=True)
@@ -240,7 +252,7 @@ def _study(
     for dt, k in zip(dt_list, strides):
         if k is None:
             raise FieldError("convergence_study", "ref_dt", f"must divide dt = {dt:g}", ref_dt)
-    _engine._check_horizon(_engine.StepConfig(dt=ref_dt, t_end=t_end), d)
+    _check_step("ref_dt", ref_dt, t_end, d)
     ref = solve_deterministic(p, d, h, ref_dt, t_end).states
     errs = [float(np.max(np.abs(states_at(dt) - ref[::k]))) for dt, k in zip(dt_list, strides)]
     return _order_table(list(dt_list), errs)

@@ -448,13 +448,15 @@ class TestErrors:
         ]
         assert not out.exists()
 
-    @pytest.mark.parametrize("steps, too_large", [
-        (["--dts", "1e-7"], "10000000 steps (t_end=1.0, dt=1e-07)"),
-        (["--dts", "1e-6", "--ref-dt", "1e-8"], "100000000 steps (t_end=1.0, dt=1e-08)"),
+    @pytest.mark.parametrize("steps, option, value, n_steps", [
+        (["--dts", "1e-7"], "--dts", "1e-07", 10000000),
+        (["--dts", "1e-6", "--ref-dt", "1e-8"], "--ref-dt", "1e-08", 100000000),
     ], ids=["study-step", "reference-step"])
-    def test_oversized_convergence_is_config_error(self, tmp_path, capsys, monkeypatch, steps, too_large):
+    def test_oversized_convergence_is_config_error(self, tmp_path, capsys, monkeypatch, steps, option,
+                                                   value, n_steps):
         # every study step and the reference step obey simulate's horizon
-        # limit, checked before the reference is solved
+        # limit, checked before the reference is solved; the error names the
+        # option the step came from and its value
         def no_reference(*args, **kwargs):
             raise AssertionError("the reference was solved")
 
@@ -464,7 +466,9 @@ class TestErrors:
         assert main(["convergence", "--config", cfg, "--out", str(out), *steps]) == 1
         err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
         assert len(err) == 1
-        assert err[0].startswith(f"config error: simulation too large: {too_large} needs ")
+        assert err[0].startswith(f"config error: {option} makes the simulation too large: "
+                                 f"{n_steps} steps (t_end=1.0, dt={value}) needs ")
+        assert err[0].endswith(f"; raise it, or lower t_end or the delays: got {value}")
         assert not out.exists()
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,13 @@ class TestBatchedDriver:
         stats = run_ensemble(PARAMS, noise, delays, hist, cfg, n_reps, seed, order=order)
         for field, value in want.items():
             assert np.array_equal(getattr(stats, field), value), field
+
+    def test_seed_beyond_32_bits_agrees_with_simulate(self):
+        # a seed of 2**32 hashes one more entropy word, so its blocks build
+        # their streams one replicate at a time
+        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=64, base_seed=2**32)
+        traj = simulate(PARAMS, NOISE, DELAYS, HIST, replace(CFG, seed=2**32), replicate=41)
+        assert np.array_equal(stats.terminal_averages[41], time_average(traj).terminal)
 
     def test_threshold_picks_the_driver(self, monkeypatch):
         # 63 replicates run through simulate, 64 never call it
