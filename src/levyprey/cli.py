@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +27,11 @@ from .presets import SWEEPS
 __all__ = ["main", "entry"]
 
 
+_BLOCK_ROWS = 2048  # rows formatted by one `%`: a few hundred kB of text
+
+
 def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
-               header: str, rows: Iterable[Sequence[float | None]]) -> None:
+               header: str, table: np.ndarray) -> None:
     """Write one output CSV: the ``#`` metadata block, the header row, the rows.
 
     The metadata block records ``command``, ``preset`` (``none`` without
@@ -37,9 +40,11 @@ def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
     assumption the config did not override, then ``seed``, ``dt`` and
     ``t_end``, and last the command's own ``extra`` lines: ``floor_hits`` and
     ``jump_events`` (simulate), ``n_reps``, ``floor_hits_total`` and the
-    ``verify:`` lines (ensemble), ``observed_order`` (convergence). Every
-    number in a row is written with 17 significant digits, which round-trips
-    a double exactly, a None is an empty cell, and lines end in ``\\n``.
+    ``verify:`` lines (ensemble), ``observed_order`` (convergence).
+    ``table`` is a 2-D float array, one CSV row per array row, formatted
+    ``_BLOCK_ROWS`` rows at a time by one ``%``. Every number is written with
+    17 significant digits, which round-trips a double exactly, a NaN is an
+    empty cell (only a missing value is NaN), and lines end in ``\\n``.
     """
     meta = [
         f"command = {command}",
@@ -54,9 +59,11 @@ def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {line}\n" for line in meta)
         fh.write(header + "\n")
-        fh.writelines(
-            ",".join(["" if v is None else f"{v:.17g}" for v in row]) + "\n" for row in rows
-        )
+        rowfmt = "%.17g," * (table.shape[1] - 1) + "%.17g\n"
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            text = (rowfmt * len(block)) % tuple(block.ravel().tolist())
+            fh.write(text.replace("nan", "") if np.isnan(block).any() else text)
 
 
 def _write_ensemble(
@@ -70,8 +77,8 @@ def _write_ensemble(
     bands = ("mean", "sd", "q025", "q500", "q975")
     header = ",".join(["t", *(f"{b}_{s}" for s in "xyz" for b in bands)])
     columns = [getattr(stats, b)[:, i] for i in range(3) for b in bands]
-    rows = np.column_stack((stats.stat_times, *columns)).tolist()
-    _write_csv(path, cfg, "ensemble", extra, header, rows)
+    table = np.column_stack((stats.stat_times, *columns))
+    _write_csv(path, cfg, "ensemble", extra, header, table)
 
 
 def _load_config(args: argparse.Namespace, default: str = "") -> RunConfig:
@@ -105,8 +112,8 @@ def _simulate(path: str, cfg: RunConfig) -> engine.Trajectory:
         cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config()
     )
     extra = [f"floor_hits = {traj.floor_hits}", f"jump_events = {traj.jump_events}"]
-    rows = np.column_stack((traj.times, traj.states)).tolist()
-    _write_csv(path, cfg, "simulate", extra, "t,x,y,z", rows)
+    table = np.column_stack((traj.times, traj.states))
+    _write_csv(path, cfg, "simulate", extra, "t,x,y,z", table)
     return traj
 
 
@@ -184,7 +191,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         raise ConfigError(f"{exc.field} {exc.rule} from {option}: got {exc.value!r}") from None
     order = table.observed_order
     extra = [] if order is None else [f"observed_order = {order:.17g}"]
-    rows = [(r.dt, r.max_err, r.pair_order) for r in table.rows]
+    # a missing pair_order (None) becomes nan, which the writer leaves empty
+    rows = np.array([(r.dt, r.max_err, r.pair_order) for r in table.rows], dtype=float)
     _write_csv(out, cfg, "convergence", extra, "dt,max_err,pair_order", rows)
     if order is not None:
         print(f"observed order: {order:.3f}")
