@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line surface."""
 
+import math
 import re
 
+import numpy as np
 import pytest
 
-from levyprey import engine, ensemble, oracle
+from levyprey import cli, engine, ensemble, oracle
 from levyprey.cli import main
+from levyprey.config import parse_config
 
 EXTINCT_CFG = "preset = extinct\nt_end = 2\nn_reps = 4\n"
 SHORT_FIG1 = "preset = fig1\nt_end = 2\n"
@@ -283,7 +286,39 @@ _GOLDEN = {
 }
 
 
+# values whose text is easy to get wrong: signed zero, the smallest subnormal
+# and other subnormals, the largest magnitudes, integer-valued floats
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310, 1e308,
+                -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22, 0.1]
+
+
+def _per_cell_rows(table):
+    """The rows as the per-cell writer formatted them before blocks."""
+    return [",".join("" if math.isnan(v) else f"{v:.17g}" for v in row) + "\n"
+            for row in table.tolist()]
+
+
 class TestOutputFormat:
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "rows", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 3]
+    )
+    def test_block_writer_matches_per_cell_reference(self, tmp_path, rows, width):
+        gen = np.random.default_rng(rows * 100 + width)
+        cells = rows * width
+        flat = gen.standard_normal(cells) * 10.0 ** gen.integers(-300, 300, cells)
+        flat[gen.permutation(cells)[: len(_EDGE_VALUES)]] = _EDGE_VALUES[:cells]
+        table = flat.reshape(rows, width)
+        if rows:  # a missing value in the first block and in the last
+            table[0, width // 2] = table[-1, -1] = math.nan
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), parse_config(""), "test", [], "HEADER", table)
+        got = path.read_text().partition("HEADER\n")[2].splitlines(keepends=True)
+        want = _per_cell_rows(table)
+        # the first differing row, not a diff of thousands
+        assert len(got) == len(want)
+        assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+
     def test_every_writer_byte_for_byte(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         _write(tmp_path, "sim.cfg", "preset = fig1\nt_end = 0.03\n")
