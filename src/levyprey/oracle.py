@@ -11,16 +11,18 @@ k steps, ask for only three kinds of value:
   from the initial history function; after t = 0 it is a cubic (Lagrange)
   interpolation of stored nodes.
 
-Each midpoint is computed once. It does not depend on the stage, so stages 2
-and 3 share it. And x is read at lags k1 and k3, y at k2 and k3: the shorter
-lag of a series computes the value, and the longer lag reads the same value
-|k1 - k3| (or |k2 - k3|) steps later. A value is held only when that later
-step exists and is dropped when read, so the held values are bounded by the
-spread between the lags, not by the horizon. The query sits half a step from
-its nearest nodes, so the interpolation weights depend only on the query's
-offset from the stencil's first node and on the stencil's size: _WEIGHTS
-holds them for the six stencils that occur, and a midpoint costs two to four
-multiply-adds.
+The midpoints are interpolated a smooth piece (see below) at a time. A piece
+of gs steps, gs the lags' common divisor, is stored in full at the step that
+ends it; a positive lag is at least gs steps long, so no midpoint of the piece
+is read before then. Each midpoint is computed once: stages 2 and 3 share it,
+and so do the two lags that read a series (x at k1 and k3, y at k2 and k3).
+The query sits half a step from its nearest nodes, so the interpolation
+weights depend only on its offset from the stencil's first node and on the
+stencil's size: _WEIGHTS holds them for the six stencils that occur, a table
+built once per solve gives each offset in a piece its stencil, and a midpoint
+costs two to four multiply-adds. The history's midpoints are computed up
+front. A window that drops a piece once no lag reads it again holds at most
+kmax + gs values per series (kmax the longest lag), whatever the horizon.
 
 A zero lag reads the stage value itself, which is ordinary RK4. Two details
 keep the observed order near four despite the limited smoothness of delay
@@ -34,7 +36,7 @@ steps gives a linear or quadratic stencil).
 
 The rate function is model.drift, on plain floats; the engine's _advance
 computes the same rate in its own operand form (``xd1 * (1/K1)`` where drift
-has ``xd1 / K1``) until ROADMAP item 2 merges the two. Finiteness is checked
+has ``xd1 / K1``) until ROADMAP item 1 merges the two. Finiteness is checked
 once per step, on the new state. With the stochastic engine this solver
 shares the grid rules (step count, delay taps), the history fill
 (engine.init_history) and the path type (a Trajectory with no jumps and no
@@ -46,8 +48,8 @@ convergence oracle.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -85,24 +87,15 @@ _WEIGHTS = {
 }
 
 
-def _midpoint_pairs(value: Callable[[int], float], ka: int, kb: int, n_steps: int):
-    """Per step i, (value(i - ka), value(i - kb)) for the two lags ka and kb
-    that read one series, 0 for a zero lag. When both are positive, the
-    shorter lag computes each value and holds it for the longer one, which
-    reads it |ka - kb| steps later; a value is held only when that step
-    exists and is dropped when read, so at most |ka - kb| values are held."""
-    if not (ka and kb):
-        for i in range(n_steps):
-            yield (ka and value(i - ka)), (kb and value(i - kb))
-        return
-    short, spread = min(ka, kb), abs(ka - kb)
-    held: deque[float] = deque()
-    for i in range(n_steps):
-        v = value(i - short)
-        if i + spread < n_steps:
-            held.append(v)
-        w = held.popleft() if i >= spread else value(i - short - spread)
-        yield (v, w) if ka <= kb else (w, v)
+def _interpolate(series: list[float], at: int, table: list) -> list[float]:
+    """The midpoints of the smooth piece whose first node is series[at]."""
+    mids = []
+    for first, weights in table:
+        acc = 0.0
+        for w, v in zip(weights, series[at + first:at + first + 4]):
+            acc += w * v
+        mids.append(acc)
+    return mids
 
 
 def solve_deterministic(
@@ -118,68 +111,72 @@ def solve_deterministic(
     weighted sum.
     """
     c = _engine.StepConfig(dt=dt, t_end=t_end)
+    n_steps = c.n_steps
     k1, k2, k3 = _engine.lag_steps(d, dt)
     xs, ys, zs = _engine.init_history(h, d, c)
-    base = len(xs) - 1  # index of t = 0
+    kmax = len(xs) - 1  # the longest lag, and the index of t = 0
 
     # smooth pieces are bounded by multiples of the common divisor of the lags
+    # (with no positive lag the run is one piece); a series that no positive
+    # lag reads needs no midpoints
     gs = math.gcd(k1, k2, k3)
+    piece = gs or n_steps
+    # per offset j in a piece, the stencil of the query at j + 1/2: its first
+    # node from the piece's start, and the weights of up to four nodes
+    firsts = [min(max(j - 1, 0), max(0, gs - 3)) for j in range(gs)]
+    table = [(f, _WEIGHTS[j + 0.5 - f, min(f + 3, gs) - f]) for j, f in enumerate(firsts)]
+    x_table, y_table = (table if k1 or k3 else []), (table if k2 or k3 else [])
+    # the x and y midpoints at n + 1/2 for n = lo - kmax .. lo - 1 while the
+    # piece from step lo is taken, the history's first
+    history = [h.value_at((n + 0.5) * dt) for n in range(-kmax, 0)]
+    xm, ym = [v[0] for v in history], [v[1] for v in history]
 
-    def mid(series: list[float], which: int, n: int) -> float:
-        # x (which = 0) or y (1) at t = (n + 1/2)*dt, where n = i - k >= -k
-        if n < 0:
-            return h.value_at((n + 0.5) * dt)[which]
-        # up to four nodes around the query, inside its smooth piece lo .. lo + gs
-        lo = n // gs * gs
-        first = min(max(n - 1, lo), max(lo, lo + gs - 3))
-        last = min(first + 3, lo + gs) - first
-        nodes = series[base + first:base + first + last + 1]
-        acc = 0.0
-        for w, v in zip(_WEIGHTS[n + 0.5 - first, last], nodes):
-            acc += w * v
-        return acc
+    def reads(mids: list[float], k: int):
+        # lag k's midpoints over one piece; a zero lag reads the stage value
+        return mids[kmax - k:kmax - k + gs] if k else repeat(0.0)
 
-    def taps(x: float, y: float, xd1: float, yd2: float, xd3: float, yd3: float):
-        # the delayed arguments of one stage; a zero lag reads the stage value
-        return (xd1 if k1 else x, yd2 if k2 else y, xd3 if k3 else x, yd3 if k3 else y)
+    half, sixth = dt / 2.0, dt / 6.0
+    for lo in range(0, n_steps, piece):
+        if lo:
+            # the piece before is stored, and a lag of k >= gs steps first
+            # reads it at step lo - gs + k >= lo; the oldest is read no more
+            xm += _interpolate(xs, kmax + lo - gs, x_table)
+            ym += _interpolate(ys, kmax + lo - gs, y_table)
+            del xm[:gs], ym[:gs]
+        taps = zip(reads(xm, k1), reads(ym, k2), reads(xm, k3), reads(ym, k3))
+        for i, (xm1, ym2, xm3, ym3) in zip(range(lo, min(lo + piece, n_steps)), taps):
+            m = kmax + i
+            x0, y0, z0 = xs[m], ys[m], zs[m]
+            # step start: xs[m - 0] is x0 itself, so zero lags need no care here
+            f1 = drift(x0, y0, z0, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], p)
 
-    # the midpoint values of each step, each interpolated once (a zero lag
-    # gives 0 here and reads the stage value in taps)
-    x_mids = _midpoint_pairs(lambda n: mid(xs, 0, n), k1, k3, c.n_steps)
-    y_mids = _midpoint_pairs(lambda n: mid(ys, 1, n), k2, k3, c.n_steps)
-    half = dt / 2.0
-    sixth = dt / 6.0
-    for i, ((xm1, xm3), (ym2, ym3)) in enumerate(zip(x_mids, y_mids)):
-        m = base + i
-        x0, y0, z0 = xs[m], ys[m], zs[m]
-        # step start: xs[m - 0] is x0 itself, so zero lags need no care here
-        f1 = drift(x0, y0, z0, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], p)
+            # midpoints (stages 2 and 3); a zero lag reads the stage value
+            x1, y1, z1 = x0 + half * f1[0], y0 + half * f1[1], z0 + half * f1[2]
+            f2 = drift(x1, y1, z1, xm1 if k1 else x1, ym2 if k2 else y1, xm3 if k3 else x1,
+                       ym3 if k3 else y1, p)
 
-        mids = (xm1, ym2, xm3, ym3)
-        x1, y1, z1 = x0 + half * f1[0], y0 + half * f1[1], z0 + half * f1[2]
-        f2 = drift(x1, y1, z1, *taps(x1, y1, *mids), p)
+            x2, y2, z2 = x0 + half * f2[0], y0 + half * f2[1], z0 + half * f2[2]
+            f3 = drift(x2, y2, z2, xm1 if k1 else x2, ym2 if k2 else y2, xm3 if k3 else x2,
+                       ym3 if k3 else y2, p)
 
-        x2, y2, z2 = x0 + half * f2[0], y0 + half * f2[1], z0 + half * f2[2]
-        f3 = drift(x2, y2, z2, *taps(x2, y2, *mids), p)
+            # step end: stored samples, since m + 1 - k <= m for a positive lag
+            e = m + 1
+            x3, y3, z3 = x0 + dt * f3[0], y0 + dt * f3[1], z0 + dt * f3[2]
+            f4 = drift(x3, y3, z3, xs[e - k1] if k1 else x3, ys[e - k2] if k2 else y3,
+                       xs[e - k3] if k3 else x3, ys[e - k3] if k3 else y3, p)
 
-        # step end: stored samples, since m + 1 - k <= m for a positive lag
-        e = m + 1
-        ends = (k1 and xs[e - k1], k2 and ys[e - k2], k3 and xs[e - k3], k3 and ys[e - k3])
-        x3, y3, z3 = x0 + dt * f3[0], y0 + dt * f3[1], z0 + dt * f3[2]
-        f4 = drift(x3, y3, z3, *taps(x3, y3, *ends), p)
+            nx = x0 + sixth * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
+            ny = y0 + sixth * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
+            nz = z0 + sixth * (f1[2] + 2.0 * f2[2] + 2.0 * f3[2] + f4[2])
+            if not (math.isfinite(nx) and math.isfinite(ny) and math.isfinite(nz)):
+                raise _engine.SimulationError(
+                    f"reference solver produced non-finite state at t={(i + 1) * dt:g}"
+                )
+            xs.append(nx)
+            ys.append(ny)
+            zs.append(nz)
 
-        nx = x0 + sixth * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
-        ny = y0 + sixth * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
-        nz = z0 + sixth * (f1[2] + 2.0 * f2[2] + 2.0 * f3[2] + f4[2])
-        if not (math.isfinite(nx) and math.isfinite(ny) and math.isfinite(nz)):
-            raise _engine.SimulationError(
-                f"reference solver produced non-finite state at t={(i + 1) * dt:g}"
-            )
-        xs.append(nx)
-        ys.append(ny)
-        zs.append(nz)
-
-    return _engine.Trajectory.from_grid(xs, ys, zs, base, dt, jump_events=0, floor_hits=0)
+    return _engine.Trajectory.from_grid(xs, ys, zs, kmax, dt, jump_events=0, floor_hits=0)
 
 
 @dataclass(frozen=True)
@@ -236,13 +233,13 @@ def _study(
     states_at: Callable[[float], np.ndarray],
 ) -> ConvergenceTable:
     """Max-norm error of states_at(dt) against a fine reference solution, per dt.
-    Every dt, then ref_dt, is checked against the grid rules and against
-    simulate's horizon limit before the reference is solved; a broken one
-    raises FieldError on "dt" or "ref_dt"."""
+    A dt_list that is empty or not strictly descending, and a dt or ref_dt
+    that breaks the grid rules or simulate's horizon limit, raise FieldError
+    on "dt" or "ref_dt" before the reference is solved."""
     if len(dt_list) == 0:
-        raise ValueError("dt_list must be nonempty")
+        raise FieldError("convergence_study", "dt", "must be nonempty", dt_list)
     if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
-        raise ValueError("dt_list must be strictly descending")
+        raise FieldError("convergence_study", "dt", "must be strictly descending", dt_list)
     for dt in dt_list:
         _check_step("dt", dt, t_end, d)
     if ref_dt is None:

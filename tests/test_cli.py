@@ -390,11 +390,14 @@ class TestErrors:
         assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
         assert err[1] == "config error: t_end must be divided evenly by dt = 0.003 from --dts: got 10.0"
         assert not out.exists()
-        # a step that is not a positive number or is off the delay grid, and a
-        # reference step that is not a positive number or does not divide a
-        # study step, are caught as early, each naming its option and value
+        # a step list that is empty or not descending, a step that is not a
+        # positive number or is off the delay grid, and a reference step that
+        # is not a positive number or does not divide a study step, are caught
+        # as early, each naming its option and value
         for dts, ref_dt, error in (
             ("-0.01", "0.001", "--dts must be > 0: got -0.01"),
+            (",", "0.001", "--dts must be nonempty: got []"),
+            ("5e-3,1e-2", "0.001", "--dts must be strictly descending: got [0.005, 0.01]"),
             ("0.2", "0.05", "tau1 must be divided evenly by dt = 0.2 from --dts: got 0.5"),
             ("0.01", "0.003", "--ref-dt must divide dt = 0.01: got 0.003"),
             ("0.01", "0", "--ref-dt must be > 0: got 0.0"),

@@ -172,24 +172,67 @@ class TestSolveDeterministic:
         digest = hashlib.sha256(sol.states.astype("<f8").tobytes()).hexdigest()
         assert digest == "24ddd2844f51e42492d9bd75f66331d437e12d56783fa97d073bd9dc41002169"
 
+    @pytest.mark.parametrize("delays, history, dt, t_end", [
+        (DelaySpec(0, 0, 0), TABLE_HISTORY, 0.25, 5.0),
+        (DelaySpec(0.5, 1.0, 0.75), TABLE_HISTORY, 0.25, 5.0),
+        (DelaySpec(0.5, 0, 0), TABLE_HISTORY, 0.25, 5.0),
+        (DelaySpec(1.5, 0.75, 0.75), FIG3.history, 0.25, 5.0),
+        (DelaySpec(1.0, 0.5, 1.0), TABLE_HISTORY, 0.125, 5.0),
+        (DelaySpec(0.5, 1.0, 1.0), TABLE_HISTORY, 0.03125, 5.0),
+        (DelaySpec(1.0, 0.5, 0.5), TABLE_HISTORY, 0.03125, 2.0),
+        (DelaySpec(0.5, 1.0, 1.0), TABLE_HISTORY, 0.03125, 0.25),
+        (DelaySpec(0, 0.5, 0), TABLE_HISTORY, 0.03125, 0.25),
+    ], ids=["zero-lags", "gcd-1-step-table", "x-lag-only", "gcd-3-steps-longest-first",
+            "gcd-4-steps-equal", "gcd-16-steps-table", "gcd-16-steps-longest-first",
+            "horizon-inside-first-piece", "y-lag-only-horizon-inside-first-piece"])
+    def test_equals_per_query_stencils(self, delays, history, dt, t_end):
+        # evaluating the midpoints a smooth piece at a time, from a stencil
+        # table, must give the same bits as the per-query stencil rule: the
+        # first and last pieces, a piece of 1 to 16 steps, the shorter lag of
+        # a series first or last or both equal, zero lags, a table history
+        # and a horizon that ends inside the first piece
+        sol = solve_deterministic(FIG3.params, delays, history, dt=dt, t_end=t_end)
+        assert np.array_equal(sol.states, _uncached_solve(FIG3.params, delays, history, dt, t_end))
+
     @pytest.mark.parametrize("ka, kb", [(3, 7), (7, 3), (5, 5), (0, 4), (4, 0), (0, 0)])
-    def test_each_midpoint_computed_once(self, ka, kb):
-        # the two lags that read a series are served from one computation
-        # per midpoint, in either order and when they are equal
-        calls = []
+    def test_each_midpoint_computed_once(self, monkeypatch, ka, kb):
+        # x is read at lags of ka and kb steps (tau1, tau3), y at 2 and kb
+        # steps: every midpoint a positive lag reads is computed once, however
+        # many lags and stages read it, and a series no positive lag reads
+        # gets no midpoints after t = 0
+        dt, n_steps, k2 = 0.25, 20, 2
+        kmax, gs = max(ka, k2, kb), math.gcd(ka, k2, kb)
+        queries, computed = [], {28.0: [], 25.0: []}  # keyed by the x and y histories
+        value_at, interpolate = HistorySpec.value_at, oracle._interpolate
 
-        def value(n):
-            calls.append(n)
-            return float(n)
+        def counted_value_at(h, t):
+            queries.append(t)
+            return value_at(h, t)
 
-        pairs = list(oracle._midpoint_pairs(value, ka, kb, 20))
-        assert pairs == [(ka and float(i - ka), kb and float(i - kb)) for i in range(20)]
-        assert len(calls) == len(set(calls))
+        def counted_interpolate(series, at, table):
+            mids = interpolate(series, at, table)
+            computed[series[0]].extend(range(at - kmax, at - kmax + len(mids)))
+            return mids
+
+        delays = DelaySpec(ka * dt, k2 * dt, kb * dt)
+        expected = _uncached_solve(FIG3.params, delays, FIG3.history, dt, n_steps * dt)
+        monkeypatch.setattr(HistorySpec, "value_at", counted_value_at)
+        monkeypatch.setattr(oracle, "_interpolate", counted_interpolate)
+        sol = solve_deterministic(FIG3.params, delays, FIG3.history, dt, n_steps * dt)
+        assert np.array_equal(sol.states, expected)
+        # before t = 0, one history query per midpoint (the others fill the grid)
+        assert sorted(t for t in queries if (t / dt) % 1) == [(n + 0.5) * dt for n in range(-kmax, 0)]
+        # after t = 0, each midpoint a lag reads, once, in the pieces before the last
+        for series, lags in ((28.0, (ka, kb)), (25.0, (k2, kb))):
+            read = {i - k for i in range(n_steps) for k in lags if k and i >= k}
+            assert len(computed[series]) == len(set(computed[series]))
+            assert read <= set(computed[series]) <= set(range(n_steps - 1))
+            assert len(computed[series]) == ((n_steps - 1) // gs * gs if any(lags) else 0)
 
     def test_memory_per_step_within_budget(self):
-        # with one positive lag per series nothing is held between steps, so
-        # the solve keeps only the grid record and the path: it must fit the
-        # engine's per-step budget. 2 * 10^4 steps is where the fixed part
+        # the midpoints held between steps are bounded by the delays, so the
+        # solve keeps little more than the grid record and the path: it must
+        # fit the engine's per-step budget. 2 * 10^4 steps is where the fixed part
         # (history, weights, numpy) has shrunk below the margin; under
         # tracemalloc the solve runs about twenty times slower
         sc = PRESETS["persist"]
