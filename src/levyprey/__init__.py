@@ -16,7 +16,6 @@ from .analysis import (
 from .engine import SimulationError, StepConfig, Trajectory, simulate
 from .ensemble import (
     EnsembleStats,
-    ToleranceSpec,
     VerificationOutcome,
     run_ensemble,
     verify_regime,
@@ -52,7 +51,6 @@ __all__ = [
     "classify",
     # ensemble
     "EnsembleStats",
-    "ToleranceSpec",
     "VerificationOutcome",
     "run_ensemble",
     "verify_regime",

@@ -93,9 +93,12 @@ def _load_config(args: argparse.Namespace, default: str = "") -> RunConfig:
 
 def _floats(option: str, text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"{option} must be a comma-separated float list, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{option} must be nonempty: got []")
+    return values
 
 
 def _require_out(args: argparse.Namespace, cfg: RunConfig) -> str:
@@ -121,9 +124,7 @@ def _ensemble(cfg: RunConfig) -> tuple[ensemble.EnsembleStats, list[str]]:
     """Run the replicates, classify, and verify; returns the stats and the
     summary lines: predicted regime, verdict, then the verification details."""
     p, n, d = cfg.to_params(), cfg.to_noise(), cfg.to_delays()
-    stats = ensemble.run_ensemble(
-        p, n, d, cfg.to_history(), cfg.to_step_config(), n_reps=cfg.n_reps, base_seed=cfg.seed
-    )
+    stats = ensemble.run_ensemble(p, n, d, cfg.to_history(), cfg.to_step_config(), cfg.n_reps)
     report = analysis.classify(p, n, d)
     outcome = ensemble.verify_regime(stats, report)
     if outcome.checkable:
@@ -182,7 +183,6 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             _floats("--dts", args.dts),
             t_end=cfg["t_end"],
             ref_dt=args.ref_dt,
-            seed=cfg.seed,
         )
     except FieldError as exc:  # a step size breaks a rule: name its option
         option = "--ref-dt" if exc.field == "ref_dt" else "--dts"

@@ -1,10 +1,10 @@
 """Flat ``key = value`` run configuration.
 
 UTF-8 text, ``#`` comments, one assignment per line, processed top to
-bottom: a ``preset = NAME`` line bulk-applies that scenario's values, and
-any line after it overrides individual keys. Unknown keys are rejected by
-name; missing keys fall back to documented defaults (the ``fig1`` scenario,
-seed 0, 100 replicates).
+bottom: a ``preset = NAME`` line bulk-applies that scenario's values, over
+any line before it, and any line after it overrides individual keys.
+Unknown keys are rejected by name; missing keys fall back to documented
+defaults (the ``fig1`` scenario, seed 0, 100 replicates).
 
 Config text and RunConfig.replaced type a value by its key in one place
 (an integral int for seed and n_reps, a float otherwise). Values are
@@ -234,12 +234,13 @@ def parse_config(text: str) -> RunConfig:
                     f"line {lineno}: unknown preset {value!r} "
                     f"(available: {', '.join(sorted(PRESETS))})"
                 )
-            # preset expansion does not mark keys explicit; later lines do
+            # a preset's keys are not overrides, even if an earlier line set them
             preset = value
             scen = _scenario_values(value)
             values.update(scen)
             for k in scen:
                 lines[k] = lineno
+            explicit -= scen.keys()
         elif key == "output":
             output = value
         else:

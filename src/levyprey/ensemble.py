@@ -1,8 +1,8 @@
 """Monte Carlo replicate sets and empirical regime verification.
 
-Replicate k draws from streams derived from (base_seed, k), so the set of
-paths is fixed by the seed alone: execution order cannot change any result,
-and replicates never share randomness. Per-gridpoint statistics (mean,
+Replicate k draws from streams derived from (seed, k), so its path does not
+depend on how many replicates run beside it or on which driver steps it, and
+replicates never share randomness. Per-gridpoint statistics (mean,
 standard deviation, 2.5/50/97.5% quantiles) are collected on a decimated
 stats grid to keep memory bounded on long horizons, and an ensemble whose
 path statistics and delay ring (below) would still exceed 1 GiB is refused
@@ -16,8 +16,8 @@ step whatever the block size, so it overtakes the scalar loop between 32 and
 50 replicates (persist, ns per step-replicate, scalar vs batched: 1842 vs
 1887 at 32, 1871 vs 1296 at 50, 1852 vs 1050 at 64). 64 is the first power
 of two past that crossover; ensembles of 50 to 63 replicates therefore run
-about 1.4 times as long as they would batched. Blocks are consecutive slices
-of the schedule, at most _BATCH_MAX = 256 long, which bounds the two
+about 1.4 times as long as they would batched. Blocks are consecutive runs
+of replicate indices, at most _BATCH_MAX = 256 long, which bounds the two
 generators per replicate and the draws a block holds, and split evenly, so
 each has at least 64 (257 runs as 129 + 128). Apart from stepping, a
 replicate's main cost is building those generators: a block builds them with
@@ -28,7 +28,8 @@ draw chunk and its delay ring, not by the horizon. The ring holds kmax + 1
 grid rows of 3 floats per replicate (about 6 KB per row for a block of 256);
 the widest block's ring counts toward the 1 GiB limit. A
 block that meets a non-finite state runs again one replicate at a time
-through engine.simulate, so the fault names the same replicate either way.
+through engine.simulate, so the fault names the same replicate, the lowest
+faulting index, either way.
 Since any replicate may run through simulate, every ensemble must fit
 simulate's horizon limit, and one that does not is refused before any
 replicate runs, whatever its size.
@@ -36,14 +37,14 @@ replicate runs, whatever its size.
 The asymptotic statements behind the regime classifier are checked at a
 finite horizon with explicit tolerances: medians of terminal time averages
 against an extinction ceiling and against slack-discounted persistence
-bounds. The defaults (ceiling 0.05 population units, slack 0.2) are artifact
-choices, configurable through ToleranceSpec.
+bounds. The ceiling (0.05 population units) and the slack (0.2) are artifact
+choices, fixed below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +55,6 @@ from .engine import SimulationError, StepConfig
 from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec, _in_range, parameter_fingerprint
 
 __all__ = [
-    "ToleranceSpec",
     "EnsembleStats",
     "VerificationOutcome",
     "run_ensemble",
@@ -71,24 +71,11 @@ _BATCH_MAX = 256
 # most bytes of path statistics reduced at once into the pointwise statistics
 _STAT_SLAB_BYTES = 8 << 20
 
-
-@dataclass(frozen=True)
-class ToleranceSpec:
-    """Finite-horizon surrogates for asymptotic claims.
-
-    extinction  ceiling on a median terminal time average that counts as
-                "tends to zero" (population units)
-    slack       fractional slack on persistence lower bounds: observed
-                medians must reach (1 - slack) * bound
-    """
-
-    extinction: float = 0.05
-    slack: float = 0.2
-
-    def __post_init__(self) -> None:
-        _in_range("ToleranceSpec", "extinction", self.extinction, strict=True)
-        if not 0 <= self.slack < 1:
-            raise ValueError("slack must be in [0, 1)")
+# finite-horizon surrogates for the asymptotic claims: a median terminal time
+# average below _EXTINCTION (population units) counts as "tends to zero", and
+# a persistence lower bound holds when the median reaches (1 - _SLACK) * bound
+_EXTINCTION = 0.05
+_SLACK = 0.2
 
 
 @dataclass(frozen=True)
@@ -148,44 +135,32 @@ def run_ensemble(
     h: HistorySpec,
     c: StepConfig,
     n_reps: int,
-    base_seed: int,
-    *,
-    order: Sequence[int] | None = None,
 ) -> EnsembleStats:
     """Run n_reps independent replicates and aggregate their statistics.
 
-    ``order`` optionally fixes the execution order of replicate indices (from
-    64 replicates up, the order in which blocks are cut and run); it exists
-    to demonstrate that results are order-invariant, which holds because
-    replicate k's randomness depends only on (base_seed, k) and aggregation
-    reduces over the index axis.
+    Replicate k draws from (c.seed, k) and fills row k, so every statistic is
+    a reduction over the index axis. A replicate that meets a non-finite
+    state raises SimulationError naming it; when several would, the lowest
+    index is named.
     """
     _in_range("run_ensemble", "n_reps", n_reps, low=1)
-    cfg = replace(c, seed=base_seed)
-    n_points = cfg.n_steps + 1
+    n_points = c.n_steps + 1
     stats_stride = max(1, math.ceil(n_points / _MAX_STAT_POINTS))
     stat_idx = np.arange(0, n_points, stats_stride)
     if stat_idx[-1] != n_points - 1:
         stat_idx = np.append(stat_idx, n_points - 1)
-    # from _BATCH_MIN up, blocks are consecutive slices of the schedule, at
-    # most _BATCH_MAX long and as even as possible; a block holds a delay ring
+    # from _BATCH_MIN up, blocks are consecutive runs of indices, at most
+    # _BATCH_MAX long and as even as possible; a block holds a delay ring
     # of kmax + 1 grid rows per replicate
     n_blocks = -(-n_reps // _BATCH_MAX)
     width = -(-n_reps // n_blocks) if n_reps >= _BATCH_MIN else 0
-    ring_rows = max(engine.lag_steps(d, cfg.dt)) + 1
+    ring_rows = max(engine.lag_steps(d, c.dt)) + 1
     engine._check_bytes(
         f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points",
         (n_reps * len(stat_idx) + width * ring_rows) * 3 * 8,
         "path statistics and delay ring", "lower n_reps",
     )
-    engine._check_horizon(cfg, d)
-
-    if order is None:
-        schedule: Sequence[int] = range(n_reps)
-    else:
-        schedule = list(order)
-        if sorted(schedule) != list(range(n_reps)):
-            raise ValueError("order must be a permutation of range(n_reps)")
+    engine._check_horizon(c, d)
 
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
@@ -195,7 +170,7 @@ def run_ensemble(
         hits = 0
         for k in reps:
             try:
-                traj = engine.simulate(p, n, d, h, cfg, replicate=k)
+                traj = engine.simulate(p, n, d, h, c, replicate=k)
             except SimulationError as exc:
                 raise SimulationError(f"replicate {k}: {exc}") from exc
             paths[k] = traj.states[stat_idx]
@@ -204,14 +179,14 @@ def run_ensemble(
         return hits
 
     if n_reps < _BATCH_MIN:
-        floor_total = one_by_one(schedule)
+        floor_total = one_by_one(range(n_reps))
     else:
         floor_total = 0
-        for block in np.array_split(np.asarray(schedule), n_blocks):
+        for block in np.array_split(np.arange(n_reps), n_blocks):
             reps = block.tolist()
             try:
                 paths[reps], terminal[reps], hits = engine._simulate_batch(
-                    p, n, d, h, cfg, reps, stat_idx
+                    p, n, d, h, c, reps, stat_idx
                 )
             except SimulationError:
                 # one at a time, the block stops at the replicate that the
@@ -222,7 +197,7 @@ def run_ensemble(
     mean, sd, q025, q500, q975 = _path_stats(paths)
     return EnsembleStats(
         n_replicates=n_reps,
-        stat_times=stat_idx * cfg.dt,
+        stat_times=stat_idx * c.dt,
         mean=mean,
         sd=sd,
         q025=q025,
@@ -244,9 +219,7 @@ class VerificationOutcome:
     details: tuple[str, ...]
 
 
-def verify_regime(
-    stats: EnsembleStats, report: RegimeReport, tol: ToleranceSpec = ToleranceSpec()
-) -> VerificationOutcome:
+def verify_regime(stats: EnsembleStats, report: RegimeReport) -> VerificationOutcome:
     """Compare ensemble medians of terminal time averages to the prediction.
 
     Indeterminate predictions are not checkable (no sufficient condition
@@ -272,25 +245,21 @@ def verify_regime(
 
     if report.predicted is Regime.EXTINCTION_ALL:
         checks = [
-            (f"<{s}> = {m:.6g} < {tol.extinction:g}", m < tol.extinction)
+            (f"<{s}> = {m:.6g} < {_EXTINCTION:g}", m < _EXTINCTION)
             for s, m in zip("xyz", med)
         ]
     elif report.predicted is Regime.PREDATOR_EXTINCT_PREY_PERSIST:
         assert report.lx is not None and report.ly is not None
-        fx = (1.0 - tol.slack) * report.lx
-        fy = (1.0 - tol.slack) * report.ly
+        fx = (1.0 - _SLACK) * report.lx
+        fy = (1.0 - _SLACK) * report.ly
         checks = [
-            (f"<z> = {med[2]:.6g} < {tol.extinction:g}", med[2] < tol.extinction),
+            (f"<z> = {med[2]:.6g} < {_EXTINCTION:g}", med[2] < _EXTINCTION),
             (f"<x> = {med[0]:.6g} >= {fx:.6g}", med[0] >= fx),
             (f"<y> = {med[1]:.6g} >= {fy:.6g}", med[1] >= fy),
         ]
     else:  # AllPersist
         assert report.lx is not None and report.ly is not None and report.lz is not None
-        targets = [
-            (1.0 - tol.slack) * report.lx,
-            (1.0 - tol.slack) * report.ly,
-            (1.0 - tol.slack) * report.lz,
-        ]
+        targets = [(1.0 - _SLACK) * bound for bound in (report.lx, report.ly, report.lz)]
         checks = [
             (f"<{s}> = {m:.6g} >= {tgt:.6g}", m >= tgt)
             for s, m, tgt in zip("xyz", med, targets)

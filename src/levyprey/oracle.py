@@ -263,14 +263,13 @@ def convergence_study(
     t_end: float,
     *,
     ref_dt: float | None = None,
-    seed: int = 0,
 ) -> ConvergenceTable:
     """Max-norm error of the engine's noise-off path against the reference,
     for each step size in descending dt_list, with observed order."""
     noise_off = NoiseSpec(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, lam=0.0)
 
     def engine_states(dt: float) -> np.ndarray:
-        cfg = _engine.StepConfig(dt=dt, t_end=t_end, seed=seed)
+        cfg = _engine.StepConfig(dt=dt, t_end=t_end)
         return _engine.simulate(p, noise_off, d, h, cfg).states
 
     return _study(p, d, h, dt_list, t_end, ref_dt, engine_states)

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 import levyprey as lp
-from levyprey import PRESETS, Regime, ToleranceSpec
+from levyprey import PRESETS, Regime
 from levyprey.cli import main as cli_main
-
-TOL = ToleranceSpec(extinction=0.05, slack=0.2)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -24,12 +22,10 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d} {name}: {detail}"
 
 
-def _ensemble(preset_name: str, n_reps: int = 200, base_seed: int = 101):
+def _ensemble(preset_name: str, n_reps: int = 200, seed: int = 101):
     sc = PRESETS[preset_name]
-    cfg = lp.StepConfig(dt=sc.dt, t_end=sc.t_end, seed=base_seed)
-    stats = lp.run_ensemble(
-        sc.params, sc.noise, sc.delays, sc.history, cfg, n_reps=n_reps, base_seed=base_seed
-    )
+    cfg = lp.StepConfig(dt=sc.dt, t_end=sc.t_end, seed=seed)
+    stats = lp.run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg, n_reps=n_reps)
     report = lp.classify(sc.params, sc.noise, sc.delays)
     return sc, stats, report
 
@@ -61,7 +57,7 @@ def test_02_constructed_extinction_scenario():
     regime_ok = report.predicted is Regime.EXTINCTION_ALL
     max_c = max(report.c1, report.c2, report.c3)
     value_ok = abs(max_c - (-0.4)) < 1e-12
-    outcome = lp.verify_regime(stats, report, TOL)
+    outcome = lp.verify_regime(stats, report)
     medians_ok = outcome.checkable and outcome.passed and np.all(med < 0.05)
     _report(
         2,
@@ -79,7 +75,7 @@ def test_03_constructed_persistence_scenario():
     regime_ok = report.predicted is Regime.ALL_PERSIST
     lx_ok = abs(report.lx - 0.98039) < 1e-4 and abs(report.ly - 0.98039) < 1e-4
     lz_ok = abs(report.lz - 0.8804) < 1e-4
-    outcome = lp.verify_regime(stats, report, TOL)
+    outcome = lp.verify_regime(stats, report)
     bounds = 0.8 * np.array([report.lx, report.ly, report.lz])
     medians_ok = outcome.checkable and outcome.passed and np.all(med >= bounds)
     _report(
@@ -96,7 +92,7 @@ def test_04_constructed_predator_extinction_scenario():
     sc, stats, report = _ensemble("predator_extinct")
     med = stats.terminal_medians
     regime_ok = report.predicted is Regime.PREDATOR_EXTINCT_PREY_PERSIST
-    outcome = lp.verify_regime(stats, report, TOL)
+    outcome = lp.verify_regime(stats, report)
     z_ok = med[2] < 0.05
     prey_ok = med[0] >= 0.8 * report.lx and med[1] >= 0.8 * report.ly
     _report(
@@ -147,9 +143,9 @@ def test_07_compensator_neutrality():
                        alpha3=0, beta=0, delta=0, a1=0, a2=0)
     n = lp.NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
     h = lp.HistorySpec.from_constant(10.0, 10.0, 10.0)
-    cfg = lp.StepConfig(dt=0.1, t_end=1.0)
+    cfg = lp.StepConfig(dt=0.1, t_end=1.0, seed=2026)
     n_reps = 100_000
-    stats = lp.run_ensemble(p, n, lp.DelaySpec(0, 0, 0), h, cfg, n_reps=n_reps, base_seed=2026)
+    stats = lp.run_ensemble(p, n, lp.DelaySpec(0, 0, 0), h, cfg, n_reps=n_reps)
     terminal_mean = stats.mean[-1]
     se = stats.sd[-1] / math.sqrt(n_reps)
     z = np.abs(terminal_mean - 10.0) / se
@@ -187,21 +183,19 @@ def test_09_determinism(tmp_path):
     rc2 = cli_main(["simulate", "--config", str(cfg_file), "--seed", "42", "--out", out2])
     csv_ok = rc1 == 0 and rc2 == 0 and (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    # replicate k's numbers depend only on (seed, k): the same whether 16
+    # replicates run one at a time or 300 run in two batched blocks
     sc = PRESETS["persist"]
     cfg = lp.StepConfig(dt=0.01, t_end=5.0, seed=3)
-    shuffled = list(np.random.default_rng(1).permutation(16))
-    a = lp.run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg, n_reps=16, base_seed=3)
-    b = lp.run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg, n_reps=16, base_seed=3,
-                        order=shuffled)
-    order_ok = all(
-        np.array_equal(getattr(a, f), getattr(b, f))
-        for f in ("mean", "sd", "q025", "q500", "q975", "terminal_averages")
-    )
+    a = lp.run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg, n_reps=16)
+    b = lp.run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg, n_reps=300)
+    reps_ok = np.array_equal(a.terminal_averages, b.terminal_averages[:16])
     _report(
         9,
         "determinism",
-        csv_ok and order_ok,
-        f"seed-42 CSVs byte-identical={csv_ok}, replicate order invariant={order_ok}",
+        csv_ok and reps_ok,
+        f"seed-42 CSVs byte-identical={csv_ok}, "
+        f"replicates 0-15 identical at 16 and 300 replicates={reps_ok}",
     )
 
 

@@ -101,6 +101,24 @@ class TestEnsemble:
         stdout = capsys.readouterr().out
         assert "predicted = ExtinctionAll" in stdout
 
+    def test_seed_option_equals_config_seed(self, tmp_path):
+        # 64 replicates run through the batched driver; the seed reaches it
+        # the same way from --seed and from the config
+        base = "preset = persist\nt_end = 1\nn_reps = 64\n"
+        runs = {
+            "option": (base, ["--seed", "7"]),
+            "config": (base + "seed = 7\n", []),
+            "default": (base, []),
+        }
+        rows = {}
+        for name, (text, flags) in runs.items():
+            cfg = _write(tmp_path, f"{name}.cfg", text)
+            out = tmp_path / f"{name}.csv"
+            assert main(["ensemble", "--config", cfg, "--out", str(out), *flags]) == 0
+            rows[name] = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert rows["option"] == rows["config"]
+        assert rows["option"] != rows["default"]
+
 
 class TestConvergence:
     def test_error_table_written(self, tmp_path, capsys):
@@ -350,6 +368,14 @@ class TestErrors:
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 1
 
+    def test_empty_sweep_is_config_error(self, tmp_path, capsys):
+        # a value list with no values is refused like an empty --dts, before
+        # the index is written
+        out = tmp_path / "sw.csv"
+        assert main(["sweep", "--var", "tau1", "--values", ",", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: --values must be nonempty: got []\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_runtime_fault_exit_code(self, tmp_path):
         # fig3 core from a start whose first overshoot crosses the
         # cooperation flip: integration diverges and must exit 2
@@ -509,19 +535,11 @@ class TestErrors:
         assert err[0].endswith(f"; raise it, or lower t_end or the delays: got {value}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
-    def test_replicate_fault_is_one_runtime_fault_line(self, tmp_path, capsys, monkeypatch, reverse):
+    def test_replicate_fault_is_one_runtime_fault_line(self, tmp_path, capsys):
         # fig3 over 20 days: 38 of the first 100 replicates explode (3, 8,
         # 11, 12 and 15 of the first 16; 96 is the last); 16 replicates run
-        # one at a time and 100 in a batch, and both must stop at the first
-        # faulting replicate in schedule order
-        if reverse:
-            real = ensemble.run_ensemble
-
-            def reversed_order(*args, n_reps, **kwargs):
-                return real(*args, n_reps=n_reps, order=range(n_reps - 1, -1, -1), **kwargs)
-
-            monkeypatch.setattr(ensemble, "run_ensemble", reversed_order)
+        # one at a time and 100 in a batch, and both must stop at the lowest
+        # faulting index
         lines = {}
         for n_reps in (16, 100):
             cfg = _write(tmp_path, "f.cfg", f"preset = fig3\nt_end = 20\nn_reps = {n_reps}\n")
@@ -531,12 +549,8 @@ class TestErrors:
             assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
             assert not out.exists()
             lines[n_reps] = err[1]
-        if reverse:  # the last faulting replicate below 16, then below 100
-            assert lines[16].startswith("runtime fault: replicate 15: non-finite state at t=18.67: ")
-            assert lines[100].startswith("runtime fault: replicate 96: non-finite state at t=19.31: ")
-        else:
-            assert lines[16] == lines[100]
-            assert lines[16].startswith("runtime fault: replicate 3: non-finite state at t=19.37: ")
+        assert lines[16] == lines[100]
+        assert lines[16].startswith("runtime fault: replicate 3: non-finite state at t=19.37: ")
 
     @pytest.mark.parametrize("n_reps", [63, 64])
     def test_horizon_limit_is_one_rule_for_every_ensemble(self, tmp_path, capsys, monkeypatch, n_reps):

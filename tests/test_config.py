@@ -37,6 +37,14 @@ class TestParsing:
         cfg2 = parse_config("preset = fig3\na1 = 0.2\n")
         assert "a1" not in cfg2.assumed_keys
 
+    def test_preset_replaces_keys_set_before_it(self):
+        # a1 takes the preset's value, so it is an assumption again, not an
+        # override; seed is not a preset key and stays explicit
+        cfg = parse_config("a1 = 0.3\nseed = 4\npreset = fig1\nt_end = 1\n")
+        assert cfg["a1"] == 0.05
+        assert cfg.explicit == {"seed", "t_end"}
+        assert cfg.assumed_keys == ("a1", "a2", "lambda")
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nr1 = 0.9  # inline comment\n")
         assert cfg["r1"] == 0.9

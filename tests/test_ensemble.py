@@ -1,6 +1,5 @@
 """Unit tests for Monte Carlo aggregation and regime verification."""
 
-import math
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +16,6 @@ from levyprey import (
     NoiseSpec,
     PRESETS,
     StepConfig,
-    ToleranceSpec,
     classify,
     run_ensemble,
     simulate,
@@ -25,7 +23,7 @@ from levyprey import (
     verify_regime,
 )
 from levyprey import engine, ensemble
-from levyprey.model import FieldError, parameter_fingerprint
+from levyprey.model import parameter_fingerprint
 
 PARAMS = ModelParams(r1=0.5, r2=0.5, k1=100.0, k2=100.0, alpha1=1e-3, alpha2=1e-3,
                      alpha3=0.2, beta=0.0, delta=0.02, a1=0.1, a2=0.1)
@@ -38,7 +36,7 @@ CFG = StepConfig(dt=0.01, t_end=5.0, seed=0)
 
 class TestRunEnsemble:
     def test_deterministic_limit_degenerate_stats(self):
-        stats = run_ensemble(PARAMS, NOISE_OFF, DELAYS, HIST, CFG, n_reps=8, base_seed=1)
+        stats = run_ensemble(PARAMS, NOISE_OFF, DELAYS, HIST, replace(CFG, seed=1), n_reps=8)
         single = simulate(PARAMS, NOISE_OFF, DELAYS, HIST, StepConfig(dt=0.01, t_end=5.0, seed=1))
         # identical replicates: quantiles are order statistics, hence bit-exact;
         # mean/sd see summation roundoff only (a few ulps)
@@ -48,46 +46,33 @@ class TestRunEnsemble:
         assert np.max(np.abs(stats.mean - single.states[idx])) < 1e-12
 
     def test_singleton_ensemble(self):
-        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=1, base_seed=4)
+        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, replace(CFG, seed=4), n_reps=1)
         assert np.array_equal(stats.mean, stats.q500)
         assert np.all(stats.sd == 0.0)
         assert stats.terminal_averages.shape == (1, 3)
 
-    def test_replicate_order_invariance_bitwise(self):
-        rng = np.random.default_rng(0)
-        order = list(rng.permutation(16))
-        a = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=16, base_seed=7)
-        b = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=16, base_seed=7, order=order)
-        for field in ("mean", "sd", "q025", "q500", "q975", "terminal_averages"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        assert a.floor_hits_total == b.floor_hits_total
-
     def test_terminal_average_matches_direct_computation(self):
-        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=3, base_seed=11)
+        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, replace(CFG, seed=11), n_reps=3)
         for k in range(3):
             traj = simulate(PARAMS, NOISE, DELAYS, HIST,
                             StepConfig(dt=0.01, t_end=5.0, seed=11), replicate=k)
             assert np.array_equal(stats.terminal_averages[k], time_average(traj).terminal)
 
     def test_quantiles_ordered_and_mean_bounded(self):
-        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=32, base_seed=2)
+        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, replace(CFG, seed=2), n_reps=32)
         assert np.all(stats.q025 <= stats.q500 + 1e-15)
         assert np.all(stats.q500 <= stats.q975 + 1e-15)
         assert np.all(stats.mean <= stats.q975 + stats.sd * 10 + 1e-9)
 
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError, match="permutation"):
-            run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=4, base_seed=0, order=[0, 1, 1, 3])
-
     def test_nonpositive_reps_rejected(self):
         with pytest.raises(ValueError, match="n_reps"):
-            run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=0, base_seed=0)
+            run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=0)
 
     def test_stats_stride_includes_endpoint(self):
         # 2004 grid points decimate with stride 2, which skips the last point
         # unless it is appended
         cfg = StepConfig(dt=0.01, t_end=20.03, seed=0)
-        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, cfg, n_reps=2, base_seed=0)
+        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, cfg, n_reps=2)
         assert stats.stat_times[0] == 0.0
         assert stats.stat_times[-1] == pytest.approx(20.03)
         assert len(stats.stat_times) == 1003
@@ -109,7 +94,7 @@ class TestRunEnsemble:
         cfg = StepConfig(dt=sc.dt, t_end=500.0)
         with pytest.raises(ValueError, match=r"n_reps=100000 x 2001 stat points needs 4\.47 GiB"):
             run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg,
-                         n_reps=100_000, base_seed=0)
+                         n_reps=100_000)
 
     @pytest.mark.parametrize("n_reps", [8, 64, 257])
     def test_slab_reduction_equals_whole_array(self, n_reps, monkeypatch):
@@ -134,7 +119,7 @@ class TestRunEnsemble:
         tracemalloc.start()
         try:
             stats = run_ensemble(sc.params, sc.noise, sc.delays, sc.history, cfg,
-                                 n_reps=2000, base_seed=0)
+                                 n_reps=2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -144,23 +129,21 @@ class TestRunEnsemble:
     def test_long_horizon_decimates_stats_grid(self):
         # 20000 integration steps decimate to <= ~2000 stats points; the
         # terminal averages still come from the full grid
-        cfg = StepConfig(dt=0.01, t_end=200.0, seed=0)
-        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, cfg, n_reps=2, base_seed=5)
+        cfg = StepConfig(dt=0.01, t_end=200.0, seed=5)
+        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, cfg, n_reps=2)
         assert len(stats.stat_times) <= 2002
         assert stats.stat_times[-1] == pytest.approx(200.0)
-        # replicate streams derive from base_seed, not the StepConfig seed
-        traj = simulate(PARAMS, NOISE, DELAYS, HIST,
-                        StepConfig(dt=0.01, t_end=200.0, seed=5), replicate=0)
+        traj = simulate(PARAMS, NOISE, DELAYS, HIST, cfg, replicate=0)
         assert np.array_equal(stats.terminal_averages[0], time_average(traj).terminal)
 
 
-def _reference(p, n, d, h, c, n_reps, order, stat_idx):
+def _reference(p, n, d, h, c, n_reps, stat_idx):
     """run_ensemble's statistics from a plain loop over simulate and
     time_average, with the paths read at the grid indices stat_idx."""
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
     floor_hits = 0
-    for k in order:
+    for k in range(n_reps):
         traj = simulate(p, n, d, h, c, replicate=k)
         paths[k] = traj.states[stat_idx]
         terminal[k] = time_average(traj).terminal
@@ -188,19 +171,14 @@ class TestBatchedDriver:
         table=st.booleans(),
         shared=st.booleans(),
         sigma=st.sampled_from([1e-3, 3.0]),  # 3.0 overshoots below zero often
-        reverse=st.booleans(),
         seed=st.integers(0, 2**32),
     )
-    @example(n_reps=257, steps=600, lags=_LAGS[1], table=True, shared=False, sigma=3.0,
-             reverse=True, seed=1)
-    @example(n_reps=65, steps=600, lags=_LAGS[0], table=False, shared=True, sigma=1e-3,
-             reverse=False, seed=2)
-    @example(n_reps=64, steps=40, lags=_LAGS[2], table=True, shared=True, sigma=3.0,
-             reverse=False, seed=3)
+    @example(n_reps=257, steps=600, lags=_LAGS[1], table=True, shared=False, sigma=3.0, seed=1)
+    @example(n_reps=65, steps=600, lags=_LAGS[0], table=False, shared=True, sigma=1e-3, seed=2)
+    @example(n_reps=64, steps=40, lags=_LAGS[2], table=True, shared=True, sigma=3.0, seed=3)
     # 2004 grid points: the stats grid takes every second one, then the last
-    @example(n_reps=64, steps=2003, lags=_LAGS[1], table=True, shared=False, sigma=1e-3,
-             reverse=True, seed=4)
-    def test_equals_scalar_loop(self, n_reps, steps, lags, table, shared, sigma, reverse, seed):
+    @example(n_reps=64, steps=2003, lags=_LAGS[1], table=True, shared=False, sigma=1e-3, seed=4)
+    def test_equals_scalar_loop(self, n_reps, steps, lags, table, shared, sigma, seed):
         dt = 0.05
         noise = NoiseSpec(sigma, 1e-3, sigma, -0.04, -0.006, -0.008, lam=1.0, shared_clock=shared)
         delays = DelaySpec(*lags)
@@ -208,18 +186,18 @@ class TestBatchedDriver:
         if table:
             hist = HistorySpec.from_table([(-1.5, 4.0, 6.0, 5.0), (-0.2, 5.5, 4.5, 3.0), (0.0, 5.0, 5.0, 5.0)])
         cfg = StepConfig(dt=dt, t_end=steps * dt, seed=seed)
-        order = list(range(n_reps))[::-1] if reverse else list(range(n_reps))
         stat_idx = list(range(steps + 1)) if steps < 2001 else [*range(0, steps, 2), steps]
-        want = _reference(PARAMS, noise, delays, hist, cfg, n_reps, order, stat_idx)
-        stats = run_ensemble(PARAMS, noise, delays, hist, cfg, n_reps, seed, order=order)
+        want = _reference(PARAMS, noise, delays, hist, cfg, n_reps, stat_idx)
+        stats = run_ensemble(PARAMS, noise, delays, hist, cfg, n_reps)
         for field, value in want.items():
             assert np.array_equal(getattr(stats, field), value), field
 
     def test_seed_beyond_32_bits_agrees_with_simulate(self):
         # a seed of 2**32 hashes one more entropy word, so its blocks build
         # their streams one replicate at a time
-        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=64, base_seed=2**32)
-        traj = simulate(PARAMS, NOISE, DELAYS, HIST, replace(CFG, seed=2**32), replicate=41)
+        cfg = replace(CFG, seed=2**32)
+        stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, cfg, n_reps=64)
+        traj = simulate(PARAMS, NOISE, DELAYS, HIST, cfg, replicate=41)
         assert np.array_equal(stats.terminal_averages[41], time_average(traj).terminal)
 
     def test_threshold_picks_the_driver(self, monkeypatch):
@@ -232,10 +210,10 @@ class TestBatchedDriver:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(engine, "simulate", counted)
-        run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=63, base_seed=0)
+        run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=63)
         assert calls == list(range(63))
         calls.clear()
-        run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=64, base_seed=0)
+        run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=64)
         assert calls == []
 
     def test_blocks_are_even_consecutive_slices_of_the_schedule(self, monkeypatch):
@@ -248,11 +226,10 @@ class TestBatchedDriver:
 
         monkeypatch.setattr(engine, "_simulate_batch", recorded)
         short = StepConfig(dt=0.01, t_end=0.02)
-        order = list(range(257))[::-1]
-        run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=257, base_seed=0, order=order)
-        assert blocks == [order[:129], order[129:]]
+        run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=257)
+        assert blocks == [list(range(129)), list(range(129, 257))]
         blocks.clear()
-        run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=600, base_seed=0)
+        run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=600)
         assert [len(b) for b in blocks] == [200, 200, 200]
         assert sum(blocks, []) == list(range(600))
 
@@ -267,15 +244,6 @@ class TestVerifyRegime:
             terminal_averages=terminal, floor_hits_total=0, provenance=provenance,
         )
 
-    @pytest.mark.parametrize("extinction", [math.nan, math.inf, 0.0, -0.05])
-    def test_tolerance_outside_its_range_rejected(self, extinction):
-        # a NaN ceiling would make every later extinction check read FAIL
-        with pytest.raises(FieldError) as exc:
-            ToleranceSpec(extinction=extinction)
-        assert exc.value.field == "extinction"
-        with pytest.raises(ValueError, match="slack"):
-            ToleranceSpec(slack=1.0)
-
     def test_indeterminate_not_checkable(self):
         sc = PRESETS["fig2"]
         report = classify(sc.params, sc.noise, sc.delays)
@@ -289,14 +257,14 @@ class TestVerifyRegime:
         report = classify(sc.params, sc.noise, sc.delays)
         # observed medians at 0.95 clear (1 - 0.2) * 0.98039 = 0.78431
         stats = self._stats_with([[0.95, 0.95, 0.95]], report.provenance)
-        out = verify_regime(stats, report, ToleranceSpec(extinction=0.05, slack=0.2))
+        out = verify_regime(stats, report)
         assert out.checkable and out.passed
 
     def test_all_persist_failure_detected(self):
         sc = PRESETS["persist"]
         report = classify(sc.params, sc.noise, sc.delays)
         stats = self._stats_with([[0.95, 0.5, 0.95]], report.provenance)
-        out = verify_regime(stats, report, ToleranceSpec(extinction=0.05, slack=0.2))
+        out = verify_regime(stats, report)
         assert out.checkable and not out.passed
 
     def test_extinction_pass(self):

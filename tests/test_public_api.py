@@ -21,7 +21,6 @@ PUBLIC = [
     "time_average",
     "classify",
     "EnsembleStats",
-    "ToleranceSpec",
     "VerificationOutcome",
     "run_ensemble",
     "verify_regime",
