@@ -13,12 +13,14 @@ Exit codes: 0 success (a hypothesis that fails to hold is still success),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from . import analysis, engine, ensemble, oracle
+from . import analysis, engine, ensemble, oracle, parallel
 from .config import ConfigError, RunConfig, parse_config, parse_config_file
 from .engine import SimulationError
 from .model import FieldError
@@ -92,13 +94,14 @@ def _load_config(args: argparse.Namespace, default: str = "") -> RunConfig:
 
 
 def _floats(option: str, text: str) -> list[float]:
+    """The values of a comma-separated list; a blank entry is an error."""
+    entries = text.split(",")
+    if not any(v.strip() for v in entries):
+        raise ConfigError(f"{option} must be nonempty: got []")
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in entries]
     except ValueError:
         raise ConfigError(f"{option} must be a comma-separated float list, got {text!r}") from None
-    if not values:
-        raise ConfigError(f"{option} must be nonempty: got []")
-    return values
 
 
 def _require_out(args: argparse.Namespace, cfg: RunConfig) -> str:
@@ -203,6 +206,9 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     default = ""
     if args.sweep:
+        for option, given in (("--var", args.var), ("--values", args.values)):
+            if given is not None:
+                raise ConfigError(f"{option} cannot be combined with --sweep, which gives both")
         if args.sweep not in SWEEPS:
             raise ConfigError(
                 f"unknown sweep preset {args.sweep!r} (available: {', '.join(sorted(SWEEPS))})"
@@ -227,14 +233,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # every value is typed and checked before any file is written
     cfgs = [cfg.replaced(**{t: value for t in targets}) for value in values]
 
-    for cfg_v, path in zip(cfgs, paths):
-        if args.mode == "simulate":
+    if args.mode == "simulate":
+        # the values' paths are stepped and written across the cores; a fault
+        # leaves the files and lines that a loop over the values would
+        def write(path: str, cfg_v: RunConfig) -> str:
             _simulate(path, cfg_v)
-        else:
+            return path
+
+        work = sum(cfg_v.to_step_config().n_steps for cfg_v in cfgs)
+        written, fault = parallel.run_tasks(
+            [partial(write, path, cfg_v) for path, cfg_v in zip(paths, cfgs)], work, undo=os.remove
+        )
+        for path in written:
+            print(f"wrote {path}")
+        if fault is not None:
+            raise fault
+    else:
+        for cfg_v, path in zip(cfgs, paths):
             stats, summary = _ensemble(cfg_v)
             # sweep files record the prediction and verdict, not the details
             _write_ensemble(path, cfg_v, stats, summary[:2])
-        print(f"wrote {path}")
+            print(f"wrote {path}")
 
     index_path = f"{stem}_index.csv"
     with open(index_path, "w", encoding="utf-8", newline="\n") as fh:

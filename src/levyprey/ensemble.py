@@ -45,11 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from . import engine
+from . import engine, parallel
 from .analysis import Regime, RegimeReport, time_average
 from .engine import SimulationError, StepConfig
 from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec, _in_range, parameter_fingerprint
@@ -165,18 +166,23 @@ def run_ensemble(
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
 
+    def replicate(k: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The scalar driver: replicate k's stats-grid rows, terminal average and floor clamps."""
+        try:
+            traj = engine.simulate(p, n, d, h, c, replicate=k)
+        except SimulationError as exc:
+            raise SimulationError(f"replicate {k}: {exc}") from exc
+        return traj.states[stat_idx], time_average(traj).terminal, traj.floor_hits
+
     def one_by_one(reps: Sequence[int]) -> int:
-        """The scalar driver: fills rows ``reps`` in turn; returns their floor clamps."""
-        hits = 0
-        for k in reps:
-            try:
-                traj = engine.simulate(p, n, d, h, c, replicate=k)
-            except SimulationError as exc:
-                raise SimulationError(f"replicate {k}: {exc}") from exc
-            paths[k] = traj.states[stat_idx]
-            terminal[k] = time_average(traj).terminal
-            hits += traj.floor_hits
-        return hits
+        """Fills rows ``reps`` through the scalar driver, spread over the usable
+        cores; returns their floor clamps."""
+        done, fault = parallel.run_tasks([partial(replicate, k) for k in reps], len(reps) * c.n_steps)
+        if fault is not None:
+            raise fault
+        for k, (rows, term, _) in zip(reps, done):
+            paths[k], terminal[k] = rows, term
+        return sum(hits for _, _, hits in done)
 
     if n_reps < _BATCH_MIN:
         floor_total = one_by_one(range(n_reps))

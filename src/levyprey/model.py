@@ -44,13 +44,17 @@ __all__ = [
 
 
 class FieldError(ValueError):
-    """An input value that breaks its rule; carries the ``field``, ``rule`` and ``value``."""
+    """An input value that breaks its rule; carries the ``owner``, ``field``, ``rule`` and ``value``."""
 
     def __init__(self, owner: str, field: str, rule: str, value: object) -> None:
         super().__init__(f"{owner}.{field} {rule}, got {value!r}")
+        self.owner = owner
         self.field = field
         self.rule = rule
         self.value = value
+
+    def __reduce__(self):  # pickled as its constructor's arguments, not its message
+        return type(self), (self.owner, self.field, self.rule, self.value)
 
 
 def _in_range(owner: str, field: str, value: float, low: float = 0.0, strict: bool = False) -> None:

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import assert_no_children
 from levyprey import cli, engine, ensemble, oracle
 from levyprey.cli import main
 from levyprey.config import parse_config
@@ -201,6 +202,34 @@ class TestSweep:
         assert "sw_r1=0.123456.csv" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.cfg"]
 
+    @pytest.mark.parametrize("values, code", [("0,4", 0), ("0,1,4", 2), ("0,4,1,5", 2)],
+                             ids=["no-fault", "fault-in-parent-share", "fault-in-child-share"])
+    def test_sweep_across_cores_equals_the_in_process_loop(self, tmp_path, capsys, cores, monkeypatch,
+                                                           values, code):
+        # fig3 over 20 days explodes at seeds 1 and 5, not at 0 and 4. Each
+        # value's path is stepped and written by one of two processes; the
+        # files, stdout and stderr must be those of the loop over the values,
+        # which stops at the first fault: with 0,1,4 this process faults on 1
+        # while the child writes 4's file, which must not be left behind
+        runs = []
+        for n_cores in (1, 2):
+            cores(n_cores)
+            work = tmp_path / str(n_cores)
+            work.mkdir()
+            monkeypatch.chdir(work)
+            _write(work, "sw.cfg", "preset = fig3\nt_end = 20\n")
+            rc = main(["sweep", "--config", "sw.cfg", "--out", "sw.csv", "--var", "seed", "--values", values])
+            files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+            runs.append((rc, capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        rc, out, files = runs[0]
+        assert rc == code
+        written = {"0,4": ["0", "4"], "0,1,4": ["0"], "0,4,1,5": ["0", "4"]}[values]
+        assert out.out.splitlines()[:len(written)] == [f"wrote sw_seed={v}.csv" for v in written]
+        assert sorted(files) == sorted(["sw.cfg", *(f"sw_seed={v}.csv" for v in written)]
+                                       + (["sw_index.csv"] if code == 0 else []))
+        assert_no_children()
+
 
 # The output format, pinned byte for byte (metadata included) on tiny runs of
 # every subcommand that writes files.
@@ -375,6 +404,34 @@ class TestErrors:
         assert main(["sweep", "--var", "tau1", "--values", ",", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "config error: --values must be nonempty: got []\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra, option", [
+        (["--var", "tau1"], "--var"),
+        (["--values", "abc"], "--values"),
+        (["--var", "tau1", "--values", "0.5"], "--var"),
+    ])
+    def test_sweep_preset_with_var_or_values_is_config_error(self, tmp_path, capsys, extra, option):
+        out = tmp_path / "sw.csv"
+        assert main(["sweep", "--sweep", "fig6", "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {option} cannot be combined with --sweep, which gives both\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blank_list_entry_is_config_error(self, tmp_path, capsys):
+        # a typo must not run fewer values or steps than written
+        cfg = _write(tmp_path, "f3.cfg", "preset = fig3\nt_end = 1\n")
+        out = tmp_path / "o.csv"
+        for argv, option, text in (
+            (["sweep", "--var", "tau1", "--values", "0.5,,1"], "--values", "0.5,,1"),
+            (["sweep", "--var", "tau1", "--values", "0.5,1,"], "--values", "0.5,1,"),
+            (["convergence", "--config", cfg, "--dts", "1e-2,,5e-3"], "--dts", "1e-2,,5e-3"),
+        ):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"config error: {option} must be a comma-separated float list, got {text!r}"
+            )
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["f3.cfg"]
 
     def test_runtime_fault_exit_code(self, tmp_path):
         # fig3 core from a start whose first overshoot crosses the

@@ -22,7 +22,9 @@ from levyprey import (
     time_average,
     verify_regime,
 )
-from levyprey import engine, ensemble
+from conftest import assert_no_children
+from levyprey import SimulationError, engine, ensemble
+from levyprey.config import parse_config
 from levyprey.model import parameter_fingerprint
 
 PARAMS = ModelParams(r1=0.5, r2=0.5, k1=100.0, k2=100.0, alpha1=1e-3, alpha2=1e-3,
@@ -200,8 +202,10 @@ class TestBatchedDriver:
         traj = simulate(PARAMS, NOISE, DELAYS, HIST, cfg, replicate=41)
         assert np.array_equal(stats.terminal_averages[41], time_average(traj).terminal)
 
-    def test_threshold_picks_the_driver(self, monkeypatch):
-        # 63 replicates run through simulate, 64 never call it
+    def test_threshold_picks_the_driver(self, monkeypatch, cores):
+        # 63 replicates run through simulate, 64 never call it; on one core,
+        # so that every call is made in this process
+        cores(1)
         calls = []
         real = engine.simulate
 
@@ -232,6 +236,44 @@ class TestBatchedDriver:
         run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=600)
         assert [len(b) for b in blocks] == [200, 200, 200]
         assert sum(blocks, []) == list(range(600))
+
+
+class TestFanOut:
+    """Below 64 replicates, contiguous shares of the replicates run on the
+    usable cores, the first in this process; every number must equal the
+    in-process run's, and a fault must name the same replicate."""
+
+    FIELDS = ("stat_times", "mean", "sd", "q025", "q500", "q975", "terminal_averages", "floor_hits_total")
+
+    @pytest.mark.parametrize("n_reps", [2, 8, 63])
+    def test_equals_in_process_run(self, cores, n_reps):
+        # sigma = 3 overshoots below zero often, so the floor clamps count
+        noise = NoiseSpec(3.0, 1e-3, 3.0, -0.04, -0.006, -0.008, lam=1.0)
+        runs = []
+        for n_cores in (1, 2):
+            cores(n_cores)
+            runs.append(run_ensemble(PARAMS, noise, DELAYS, HIST, CFG, n_reps))
+        assert runs[0].floor_hits_total > 0
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field)), field
+        assert_no_children()
+
+    @pytest.mark.parametrize("n_reps", [4, 16])
+    def test_fault_names_the_lowest_faulting_replicate(self, cores, n_reps):
+        # fig3 over 20 days: replicates 3, 8, 11, 12 and 15 explode. At 16
+        # replicates replicate 3 is in this process's share; at 4 (shares
+        # [0, 1] and [2, 3]) only in the child's
+        cfg = parse_config("preset = fig3\nt_end = 20\n")
+        parts = (cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config())
+        errors = []
+        for n_cores in (1, 2):
+            cores(n_cores)
+            with pytest.raises(SimulationError) as info:
+                run_ensemble(*parts, n_reps)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("replicate 3: non-finite state at t=19.37: ")
+        assert_no_children()
 
 
 class TestVerifyRegime:

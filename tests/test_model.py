@@ -1,6 +1,7 @@
 """Unit tests for parameter types and pointwise model terms."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from levyprey import (
     simulate,
 )
 from levyprey import rng as lrng
-from levyprey.model import drift
+from levyprey.model import FieldError, drift
 
 # published simulation column used throughout (extinction flavor), with the
 # package-assumed transformation rates
@@ -162,6 +163,14 @@ class TestTypeInvariants:
     def test_history_linear_interpolation(self):
         h = HistorySpec.from_table([(-1, 0, 0, 0), (0, 10, 10, 10)])
         assert h.value_at(-0.5) == pytest.approx((5, 5, 5))
+
+    def test_field_error_survives_pickling(self):
+        # a worker process sends its fault to the parent pickled
+        err = FieldError("StepConfig", "dt", "must be positive", -1.0)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is FieldError
+        assert (back.owner, back.field, back.rule, back.value) == ("StepConfig", "dt", "must be positive", -1.0)
+        assert str(back) == str(err) == "StepConfig.dt must be positive, got -1.0"
 
 
 class TestValidate:
