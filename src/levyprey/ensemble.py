@@ -10,13 +10,20 @@ before any replicate runs. Terminal running averages are computed exactly on the
 integration grid, since those are what the regime predictions speak about.
 
 Below _BATCH_MIN = 64 replicates, replicates run one at a time through
-engine.simulate; from 64 up, in blocks through engine._simulate_batch, which
-steps a block together on arrays. Its numpy calls cost about the same per
-step whatever the block size, so it overtakes the scalar loop between 32 and
-50 replicates (persist, ns per step-replicate, scalar vs batched: 1842 vs
-1887 at 32, 1871 vs 1296 at 50, 1852 vs 1050 at 64). 64 is the first power
-of two past that crossover; ensembles of 50 to 63 replicates therefore run
-about 1.4 times as long as they would batched. Blocks are consecutive runs
+engine.simulate, in contiguous shares of the indices over the usable cores
+(len(os.sched_getaffinity(0))): parallel.run_tasks runs the first share in
+this process and each other share in a forked child. A replicate draws only
+from its own streams, so the numbers do not depend on the cores. With one
+usable core, or below parallel._FORK_MIN = 10000 step-replicates (replicates
+times steps), where a fork costs more than it saves, all of them run here.
+On a 2-core Xeon VM, 8 persist replicates of 50000 steps (the benchmark's
+ensemble_long) take 0.67 s instead of 1.19 s. From 64 up, replicates run
+here in blocks through engine._simulate_batch, which steps a block together
+on arrays. Its numpy calls cost about the same per step whatever the block
+size, so on one core it overtakes the scalar loop between 32 and 50
+replicates (persist, ns per step-replicate, scalar vs batched: 1842 vs 1887
+at 32, 1871 vs 1296 at 50, 1852 vs 1050 at 64). 64 is the first power of two
+past that crossover. Blocks are consecutive runs
 of replicate indices, at most _BATCH_MAX = 256 long, which bounds the two
 generators per replicate and the draws a block holds, and split evenly, so
 each has at least 64 (257 runs as 129 + 128). Apart from stepping, a
@@ -172,7 +179,8 @@ def run_ensemble(
             traj = engine.simulate(p, n, d, h, c, replicate=k)
         except SimulationError as exc:
             raise SimulationError(f"replicate {k}: {exc}") from exc
-        return traj.states[stat_idx], time_average(traj).terminal, traj.floor_hits
+        # a copy: the terminal row is a view that would hold the whole series
+        return traj.states[stat_idx], time_average(traj).terminal.copy(), traj.floor_hits
 
     def one_by_one(reps: Sequence[int]) -> int:
         """Fills rows ``reps`` through the scalar driver, spread over the usable

@@ -6,14 +6,17 @@ process runs the first share itself; forked children run the others, and
 each sends its results back, pickled, through a pipe. A task is a closure
 that a child sees as the caller's memory stood at the fork, so only results
 and exceptions are pickled, and the numbers are the ones the caller would
-have computed. A child points its stdout and stderr at os.devnull, so it
-never writes to the caller's, and leaves through os._exit, so no buffer,
-exit hook or ``finally`` of the caller runs twice. There are no helper
-threads. Every child is reaped before run_tasks returns or raises, also on
+have computed. A child points its stdout and stderr, both the descriptors
+and sys.stdout and sys.stderr, at os.devnull, so it never writes to the
+caller's, and leaves through os._exit, so no buffer, exit hook or
+``finally`` of the caller runs twice. There are no helper threads. Every
+child is reaped before run_tasks returns or raises, also on
 KeyboardInterrupt.
 
 The tasks run in the calling process, one after another, when one core is
-usable, os.fork is missing, or their work is below _FORK_MIN step-replicates.
+usable, os.fork is missing, another Python thread runs (a child would get
+only the forking thread, and any lock another thread held stays held), or
+their work is below _FORK_MIN step-replicates.
 On a 2-core Xeon VM the bare fork and reap of the 36 MB process take 2.5 ms,
 and with the pipe and the child's first writes to its copied pages a fork
 costs 3 to 8 ms. Persist ensembles, in-process against forked (median wall
@@ -29,6 +32,8 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
+import threading
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -55,6 +60,7 @@ def _child(tasks: Sequence[Callable[[], T]], fd: int) -> None:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, 1)
         os.dup2(null, 2)
+        sys.stdout = sys.stderr = open(null, "w")  # they may write to other descriptors
         results, fault = _run(tasks)
         try:
             pickle.loads(pickle.dumps(fault))
@@ -98,7 +104,7 @@ def run_tasks(
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_shares = min(cores, len(tasks))
-    if n_shares < 2 or work < _FORK_MIN or not hasattr(os, "fork"):
+    if n_shares < 2 or work < _FORK_MIN or not hasattr(os, "fork") or threading.active_count() > 1:
         return _run(tasks)
     bounds = [-(-len(tasks) * i // n_shares) for i in range(n_shares + 1)]
     children = []

@@ -1,6 +1,7 @@
 """Unit tests for spreading independent tasks over the usable cores."""
 
 import os
+import threading
 import time
 from functools import partial
 
@@ -35,6 +36,19 @@ def test_below_the_threshold_tasks_run_in_process(cores, monkeypatch):
     assert parallel.run_tasks([os.getpid, os.getpid], 9) == ([os.getpid()] * 2, None)
 
 
+def test_beside_another_thread_tasks_run_in_process(cores):
+    cores(2)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(30,))
+    waiting.start()
+    try:
+        assert parallel.run_tasks([os.getpid, os.getpid], 1) == ([os.getpid()] * 2, None)
+    finally:
+        release.set()
+        waiting.join(30)
+    assert not waiting.is_alive()
+
+
 @pytest.mark.parametrize("n_cores", [1, 2])
 def test_lowest_fault_wins_and_later_results_are_undone(cores, n_cores):
     # shares [0, 1, 2] and [3, 4, 5]: task 4 faults in the child, task 1 in
@@ -49,6 +63,19 @@ def test_lowest_fault_wins_and_later_results_are_undone(cores, n_cores):
     assert type(fault) is FieldError and str(fault) == "StepConfig.dt must be > 0, got -1"
     assert (fault.field, fault.value) == ("dt", -1)
     assert undone == ([9] if n_cores == 2 else [])
+    assert_no_children()
+
+
+def _noisy(i):
+    print(f"task {i} on stdout", flush=True)
+    os.write(2, b"task on fd 2\n")
+    return i
+
+
+def test_children_write_nothing_to_stdout_or_stderr(cores, capfd):
+    cores(2)
+    assert parallel.run_tasks([partial(_value, 1), partial(_noisy, 2)], 1) == ([1, 2], None)
+    assert capfd.readouterr() == ("", "")
     assert_no_children()
 
 
