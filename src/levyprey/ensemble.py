@@ -17,16 +17,16 @@ from its own streams, so the numbers do not depend on the cores. With one
 usable core, or below parallel._FORK_MIN = 10000 step-replicates (replicates
 times steps), where a fork costs more than it saves, all of them run here.
 On a 2-core Xeon VM, 8 persist replicates of 50000 steps (the benchmark's
-ensemble_long) take 0.67 s instead of 1.19 s. From 64 up, replicates run
+ensemble_long) take 0.63 s instead of 1.14 s. From 64 up, replicates run
 here in blocks through engine._simulate_batch, which steps a block together
 on arrays. Its numpy calls cost about the same per step whatever the block
 size, so on one core it overtakes the scalar loop between 32 and 50
 replicates (persist, ns per step-replicate, scalar vs batched: 1842 vs 1887
 at 32, 1871 vs 1296 at 50, 1852 vs 1050 at 64). 64 is the first power of two
-past that crossover. Blocks are consecutive runs
-of replicate indices, at most _BATCH_MAX = 256 long, which bounds the two
-generators per replicate and the draws a block holds, and split evenly, so
-each has at least 64 (257 runs as 129 + 128). Apart from stepping, a
+past that crossover. Blocks are consecutive runs of replicate indices, at
+most _BATCH_MAX = 256 long, which bounds the two generators per replicate
+and the draws a block holds, and split evenly, so each has at least 64 (257
+runs as 129 + 128). Apart from stepping, a
 replicate's main cost is building those generators: a block builds them with
 rng.streams in one vectorised pass per purpose, about 4 µs per generator,
 where the scalar driver's rng.stream takes about 24 µs. Both drivers give the
