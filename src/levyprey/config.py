@@ -93,8 +93,7 @@ def _scenario_values(name: str) -> dict[str, float]:
         "noise": vars(s.noise),
         "delays": vars(s.delays),
         "step": vars(s),
-        # presets use constant histories
-        "history": dict(zip(("x0", "y0", "z0"), s.history.constant)),
+        "history": vars(s.history),
     }
     return {key: parts[part][attr] for key, part, attr in _FIELDS}
 
@@ -161,7 +160,7 @@ class RunConfig:
         return DelaySpec(**self._part("delays"))
 
     def to_history(self) -> HistorySpec:
-        return HistorySpec.from_constant(**self._part("history"))
+        return HistorySpec(**self._part("history"))
 
     def to_step_config(self) -> StepConfig:
         return StepConfig(**self._part("step"), seed=self.seed)

@@ -178,33 +178,15 @@ def lag_steps(d: DelaySpec, dt: float) -> tuple[int, int, int]:
 def init_history(
     h: HistorySpec, d: DelaySpec, c: StepConfig
 ) -> tuple[list[float], list[float], list[float]]:
-    """The grid record (xs, ys, zs) at every grid point of [-tau_max, 0].
+    """The grid record (xs, ys, zs) at every grid point of [-tau_max, 0],
+    each the history's constant; the last one is t = 0.
 
-    Samples are spaced exactly dt apart from the far end of the delay window;
-    the last one is t = 0. Callers append each new state, and nothing is
-    evicted: at the horizons this engine targets the full record is a few
-    megabytes, and the path is read straight out of it
-    (Trajectory.from_grid). Constant histories fill their value; table
-    histories fill by linear interpolation between samples and must span the
-    whole window. Whether a table covers a grid time is decided by
-    HistorySpec.value_at alone.
+    Callers append each new state, and nothing is evicted: at the horizons
+    this engine targets the full record is a few megabytes, and the path is
+    read straight out of it (Trajectory.from_grid).
     """
-    kmax = max(lag_steps(d, c.dt))
-    xs: list[float] = []
-    ys: list[float] = []
-    zs: list[float] = []
-    for i in range(kmax + 1):
-        try:
-            x, y, z = h.value_at((i - kmax) * c.dt)
-        except ValueError as exc:
-            lo, hi = h.span()
-            raise ValueError(
-                f"history table spans [{lo!r}, {hi!r}] but must cover [{-kmax * c.dt!r}, 0]"
-            ) from exc
-        xs.append(x)
-        ys.append(y)
-        zs.append(z)
-    return xs, ys, zs
+    rows = max(lag_steps(d, c.dt)) + 1
+    return [h.x0] * rows, [h.y0] * rows, [h.z0] * rows
 
 
 def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:

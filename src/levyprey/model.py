@@ -16,8 +16,7 @@ multiplies species i by (1 + q_i) and the drift carries the compensator
 
 drift evaluates the three rates on plain floats (state, then the four
 delay taps) and is the reference solver's rate function; the engine's
-stepper computes the same rates in its own operand form. Histories hand out
-plain (x, y, z) float tuples.
+stepper computes the same rates in its own operand form.
 
 All rates are per day; populations share the unit of the carrying
 capacities. Every type here is an immutable value, and every operation is
@@ -30,7 +29,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 __all__ = [
     "ModelParams",
@@ -146,75 +144,17 @@ class DelaySpec:
 
 @dataclass(frozen=True)
 class HistorySpec:
-    """Initial population history on [-tau_max, 0].
+    """Initial populations (x0, y0, z0), held constant on [-tau_max, 0]."""
 
-    Either a constant (x, y, z) float triple held over the whole window, or a
-    table of (t, x, y, z) samples interpreted piecewise-linearly. Table times
-    must be strictly increasing and are checked against the actual delay
-    window when the history is filled (engine.init_history).
-    """
-
-    kind: str
-    constant: tuple[float, float, float] | None = None
-    samples: tuple[tuple[float, float, float, float], ...] | None = None
+    x0: float
+    y0: float
+    z0: float
 
     def __post_init__(self) -> None:
-        if self.kind == "constant":
-            if self.constant is None:
-                raise ValueError("constant history requires a value triple")
-            for name, v in zip(("x0", "y0", "z0"), self.constant):
-                _in_range("HistorySpec", name, v)
-        elif self.kind == "table":
-            rows = self.samples
-            if not rows or len(rows) < 2:
-                raise ValueError("table history requires at least two (t,x,y,z) samples")
-            for i, row in enumerate(rows):
-                if len(row) != 4:
-                    raise ValueError(f"table row {i} must be (t, x, y, z)")
-                if not all(math.isfinite(v) for v in row):
-                    raise ValueError(f"table row {i} contains a non-finite value")
-                if any(v < 0 for v in row[1:]):
-                    raise ValueError(f"table row {i} contains a negative population")
-                if i > 0 and row[0] <= rows[i - 1][0]:
-                    raise ValueError("table times must be strictly increasing")
-        else:
-            raise ValueError(f"unknown history kind {self.kind!r}")
-
-    @classmethod
-    def from_constant(cls, x0: float, y0: float, z0: float) -> "HistorySpec":
-        return cls(kind="constant", constant=(float(x0), float(y0), float(z0)))
-
-    @classmethod
-    def from_table(cls, rows: Iterable[tuple[float, float, float, float]]) -> "HistorySpec":
-        return cls(kind="table", samples=tuple(tuple(float(v) for v in r) for r in rows))
-
-    def span(self) -> tuple[float, float]:
-        """Time interval covered by this history."""
-        if self.kind == "constant":
-            return (-math.inf, 0.0)
-        assert self.samples is not None
-        return (self.samples[0][0], self.samples[-1][0])
-
-    def value_at(self, t: float) -> tuple[float, float, float]:
-        """The (x, y, z) history at time t (constant, or linear between samples)."""
-        if self.kind == "constant":
-            assert self.constant is not None
-            return self.constant
-        assert self.samples is not None
-        rows = self.samples
-        lo, hi = self.span()
-        if t < lo - 1e-12 or t > hi + 1e-12:
-            raise ValueError(f"history query at t={t} outside table span [{lo}, {hi}]")
-        if t <= rows[0][0]:
-            return rows[0][1:]
-        if t >= rows[-1][0]:
-            return rows[-1][1:]
-        # linear scan is fine: tables are small and this is not a hot path
-        for (t0, *v0), (t1, *v1) in zip(rows, rows[1:]):
-            if t0 <= t <= t1:
-                w = (t - t0) / (t1 - t0)
-                return tuple(a + w * (b - a) for a, b in zip(v0, v1))
-        raise AssertionError("unreachable: table covers the query point")
+        for f in fields(self):
+            # floats, so every grid record and ring built from them is float
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            _in_range("HistorySpec", f.name, getattr(self, f.name))
 
 
 def drift(

@@ -7,9 +7,9 @@ k steps, ask for only three kinds of value:
 
 * step start (stage 1): the stored sample at m - k;
 * step end (stage 4): the stored sample at m + 1 - k;
-* midpoint (stages 2 and 3): the value at m + 1/2 - k. Before t = 0 it comes
-  from the initial history function; after t = 0 it is a cubic (Lagrange)
-  interpolation of stored nodes.
+* midpoint (stages 2 and 3): the value at m + 1/2 - k. Before t = 0 it is
+  the history's constant; after t = 0 it is a cubic (Lagrange) interpolation
+  of stored nodes.
 
 The midpoints are interpolated a smooth piece (see below) at a time. A piece
 of gs steps, gs the lags' common divisor, is stored in full at the step that
@@ -20,9 +20,9 @@ The query sits half a step from its nearest nodes, so the interpolation
 weights depend only on its offset from the stencil's first node and on the
 stencil's size: _WEIGHTS holds them for the six stencils that occur, a table
 built once per solve gives each offset in a piece its stencil, and a midpoint
-costs two to four multiply-adds. The history's midpoints are computed up
-front. A window that drops a piece once no lag reads it again holds at most
-kmax + gs values per series (kmax the longest lag), whatever the horizon.
+costs two to four multiply-adds. A window that drops a piece once no lag
+reads it again holds at most kmax + gs values per series (kmax the longest
+lag), whatever the horizon.
 
 A zero lag reads the stage value itself, which is ordinary RK4. Two details
 keep the observed order near four despite the limited smoothness of delay
@@ -127,9 +127,8 @@ def solve_deterministic(
     table = [(f, _WEIGHTS[j + 0.5 - f, min(f + 3, gs) - f]) for j, f in enumerate(firsts)]
     x_table, y_table = (table if k1 or k3 else []), (table if k2 or k3 else [])
     # the x and y midpoints at n + 1/2 for n = lo - kmax .. lo - 1 while the
-    # piece from step lo is taken, the history's first
-    history = [h.value_at((n + 0.5) * dt) for n in range(-kmax, 0)]
-    xm, ym = [v[0] for v in history], [v[1] for v in history]
+    # piece from step lo is taken, the history's constant first
+    xm, ym = [h.x0] * kmax, [h.y0] * kmax
 
     def reads(mids: list[float], k: int):
         # lag k's midpoints over one piece; a zero lag reads the stage value

@@ -106,7 +106,7 @@ def _figure_scenario(
             sigma1=sigmas[0], sigma2=sigmas[1], sigma3=sigmas[2], lam=1.0, **_TABLE_Q
         ),
         delays=_TABLE_TAU,
-        history=HistorySpec.from_constant(*history),
+        history=HistorySpec(*history),
         t_end=t_end,
         assumed=ASSUMED_KEYS,
     )
@@ -174,7 +174,7 @@ EXTINCT = Scenario(
     ),
     noise=NoiseSpec(sigma1=1.0, sigma2=1.0, sigma3=0.5, lam=1.0, **_TABLE_Q),
     delays=_TABLE_TAU,
-    history=HistorySpec.from_constant(1.0, 1.0, 1.0),
+    history=HistorySpec(1.0, 1.0, 1.0),
     dt=1e-2,
     t_end=500.0,
 )
@@ -201,7 +201,7 @@ PERSIST = Scenario(
     ),
     noise=NoiseSpec(sigma1=1e-3, sigma2=1e-3, sigma3=1e-3, lam=1.0, **_TABLE_Q),
     delays=_TABLE_TAU,
-    history=HistorySpec.from_constant(5.0, 5.0, 5.0),
+    history=HistorySpec(5.0, 5.0, 5.0),
     dt=1e-2,
     t_end=500.0,
 )
@@ -214,7 +214,7 @@ PREDATOR_EXTINCT = Scenario(
     params=replace(PERSIST.params, a1=1e-4, a2=1e-4, delta=0.1),
     noise=PERSIST.noise,
     delays=_TABLE_TAU,
-    history=HistorySpec.from_constant(5.0, 5.0, 1.0),
+    history=HistorySpec(5.0, 5.0, 1.0),
     dt=1e-2,
     t_end=500.0,
 )

@@ -106,11 +106,11 @@ def test_04_constructed_predator_extinction_scenario():
 
 def test_05_deterministic_convergence_orders():
     sc = PRESETS["fig3"]
-    hist = lp.HistorySpec.from_constant(28.0, 25.0, 13.0)
+    hist = lp.HistorySpec(28.0, 25.0, 13.0)
     engine_table = lp.convergence_study(
         sc.params, sc.delays, hist, [1e-2, 5e-3, 2.5e-3], t_end=10.0
     )
-    hist_osc = lp.HistorySpec.from_constant(10.0, 10.0, 5.0)
+    hist_osc = lp.HistorySpec(10.0, 10.0, 5.0)
     oracle_table = lp.rk4_self_convergence(
         sc.params, sc.delays, hist_osc, [1e-2, 5e-3, 2.5e-3], t_end=10.0
     )
@@ -129,7 +129,7 @@ def test_05_deterministic_convergence_orders():
 def test_06_logistic_closed_form():
     p = lp.ModelParams(r1=1.0, r2=0.0, k1=100.0, k2=1.0, alpha1=0, alpha2=0,
                        alpha3=0, beta=0, delta=0, a1=0, a2=0)
-    h = lp.HistorySpec.from_constant(10.0, 0.0, 0.0)
+    h = lp.HistorySpec(10.0, 0.0, 0.0)
     sol = lp.solve_deterministic(p, lp.DelaySpec(0, 0, 0), h, dt=1e-3, t_end=10.0)
     exact = 100.0 / (1.0 + 9.0 * np.exp(-sol.times))
     rel = float(np.max(np.abs(sol.x - exact) / exact))
@@ -142,7 +142,7 @@ def test_07_compensator_neutrality():
     p = lp.ModelParams(r1=0, r2=0, k1=1, k2=1, alpha1=0, alpha2=0,
                        alpha3=0, beta=0, delta=0, a1=0, a2=0)
     n = lp.NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
-    h = lp.HistorySpec.from_constant(10.0, 10.0, 10.0)
+    h = lp.HistorySpec(10.0, 10.0, 10.0)
     cfg = lp.StepConfig(dt=0.1, t_end=1.0, seed=2026)
     n_reps = 100_000
     stats = lp.run_ensemble(p, n, lp.DelaySpec(0, 0, 0), h, cfg, n_reps=n_reps)

@@ -133,7 +133,8 @@ class TestCanonicalForm:
         )
         assert (cfg.to_params().k1, cfg.to_params().k2) == (3, 5)
         assert cfg.to_noise().lam == 0.25
-        assert cfg.to_history().constant == (1, 2, 4)
+        h = cfg.to_history()
+        assert (h.x0, h.y0, h.z0) == (1, 2, 4)
         assert cfg.to_delays().taus == (0.5, 1, 2)
         assert (cfg.to_step_config().dt, cfg.to_step_config().t_end) == (0.5, 1.5)
         scn = PRESETS["fig3"]  # distinct x0, y0, z0

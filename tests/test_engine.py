@@ -41,70 +41,42 @@ def _nonzero_rows(counts):
 class TestHistory:
     def test_constant_fill(self):
         c = StepConfig(dt=0.01, t_end=1.0)
-        xs, ys, zs = init_history(HistorySpec.from_constant(50, 50, 10), TABLE_DELAYS, c)
+        xs, ys, zs = init_history(HistorySpec(50, 50, 10), TABLE_DELAYS, c)
         assert len(xs) == 151  # tau_max = 1.5 at dt = 0.01
         assert (xs[0], ys[0], zs[0]) == (50, 50, 10)
         assert (xs[-1], ys[-1], zs[-1]) == (50, 50, 10)
 
-    def test_table_fill_linear_midpoint(self):
-        c = StepConfig(dt=0.5, t_end=1.0)
-        h = HistorySpec.from_table([(-1, 0, 0, 0), (0, 10, 10, 10)])
-        xs, ys, zs = init_history(h, DelaySpec(1.0, 0, 0), c)
-        assert (xs[1], ys[1], zs[1]) == pytest.approx((5, 5, 5))  # t = -0.5
-
     def test_no_delay_single_sample(self):
         c = StepConfig(dt=0.01, t_end=1.0)
-        xs, ys, zs = init_history(HistorySpec.from_constant(1, 2, 3), DelaySpec(0, 0, 0), c)
+        xs, ys, zs = init_history(HistorySpec(1, 2, 3), DelaySpec(0, 0, 0), c)
         assert len(xs) == 1
         assert (xs[0], ys[0], zs[0]) == (1, 2, 3)
-
-    def test_table_must_span_window(self):
-        c = StepConfig(dt=0.1, t_end=1.0)
-        h = HistorySpec.from_table([(-0.5, 1, 1, 1), (0, 1, 1, 1)])
-        with pytest.raises(ValueError, match="must cover"):
-            init_history(h, DelaySpec(1.0, 0, 0), c)
-
-    def test_window_decided_by_one_tolerance(self):
-        # one tolerance decides coverage: a table starting 5e-10 after the
-        # window start is rejected by every entry point with the window named,
-        # and slack below the history-query tolerance is accepted
-        c = StepConfig(dt=0.01, t_end=0.1)
-        short = HistorySpec.from_table([(-1.5 + 5e-10, 1, 1, 1), (0, 1, 1, 1)])
-        runs = (
-            lambda h: init_history(h, TABLE_DELAYS, c),
-            lambda h: simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, h, c),
-            lambda h: solve_deterministic(FIG1_PARAMS, TABLE_DELAYS, h, c.dt, c.t_end),
-        )
-        for run in runs:
-            with pytest.raises(ValueError, match=r"must cover \[-1\.5, 0\]"):
-                run(short)
-        nearly = HistorySpec.from_table([(-1.5 + 5e-13, 1, 1, 1), (0, 1, 1, 1)])
-        for run in runs:
-            run(nearly)
 
 
 class TestDelayedLookup:
     def test_zero_delay_returns_current(self):
-        # the history before t = 0 differs from x(0); zero delays must tap
-        # the current state, never the history
-        h = HistorySpec.from_table([(-1.0, 1, 1, 1), (0.0, 30, 20, 4)])
-        sc = StepConfig(dt=0.01, t_end=0.02)
+        # the state moves away from the history within a few steps; zero
+        # delays must tap the current state, never the history or a stored row
+        h = HistorySpec(30, 20, 4)
+        sc = StepConfig(dt=0.01, t_end=0.2)
         traj = simulate(FIG1_PARAMS, NOISE_OFF, DelaySpec(0, 0, 0), h, sc)
         xs = [(30.0, 20.0, 4.0)]
-        for _ in range(2):
+        for _ in range(20):
             x, y, z = xs[-1]
             f = drift(x, y, z, x, y, x, y, FIG1_PARAMS)
             xs.append((x + 0.01 * f[0], y + 0.01 * f[1], z + 0.01 * f[2]))
+        assert abs(traj.x[-1] - 30.0) > 1.0
         assert np.allclose(traj.states, np.array(xs), rtol=1e-13, atol=0)
 
     def test_grid_aligned_is_bit_exact(self):
-        # x = 2, 3, 4 at t = -0.02, -0.01, 0; the tau1 = 0.02 tap must read
-        # the stored 2 exactly: fx = r1*x*(1 - 2/K1) = 1*4*(1 - 0.5) = 2
+        # x = 2 on [-0.5, 0], then 2.5 and 3.125 at t = 0.5 and 1; the third
+        # step's tau1 = 0.5 tap must read the stored 2.5 exactly:
+        # fx = r1*x*(1 - 2.5/K1) = 3.125*0.375, every value a dyadic fraction
         p = ModelParams(r1=1.0, r2=0, k1=4.0, k2=1, alpha1=0, alpha2=0,
                         alpha3=0, beta=0, delta=0, a1=0, a2=0)
-        h = HistorySpec.from_table([(-0.02, 2, 1, 1), (0.0, 4, 1, 1)])
-        traj = simulate(p, NOISE_OFF, DelaySpec(0.02, 0, 0), h, StepConfig(dt=0.01, t_end=0.01))
-        assert traj.x[-1] == 4.0 + 2.0 * 0.01
+        traj = simulate(p, NOISE_OFF, DelaySpec(0.5, 0, 0), HistorySpec(2, 1, 1),
+                        StepConfig(dt=0.5, t_end=1.5))
+        assert traj.x.tolist() == [2.0, 2.5, 3.125, 3.125 + 0.5 * 3.125 * 0.375]
 
 
 class TestSampleJumps:
@@ -112,7 +84,7 @@ class TestSampleJumps:
 
     def test_zero_rate_always_zero(self):
         n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=0.0)
-        traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec.from_constant(10, 10, 5),
+        traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec(10, 10, 5),
                         StepConfig(dt=0.01, t_end=1.0))
         assert traj.jump_events == 0
 
@@ -128,7 +100,7 @@ class TestSampleJumps:
         # binomial 3-sigma band
         n_steps, lam, dt = 50_000, 10.0, 0.01
         n = NoiseSpec(0, 0, 0, 0, 0, 0, lam=lam)
-        traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec.from_constant(1, 1, 1),
+        traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec(1, 1, 1),
                         StepConfig(dt=dt, t_end=n_steps * dt, seed=2))
         p = 1.0 - math.exp(-lam * dt)
         se = math.sqrt(p * (1 - p) / n_steps)
@@ -150,7 +122,7 @@ class TestStep:
         assert lrng.stream(0, 0, lrng.JUMPS).poisson(0.01, 1)[0] == 0
         n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
         c = StepConfig(dt=0.01, t_end=0.01, seed=0)
-        traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec.from_constant(50, 50, 10), c)
+        traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec(50, 50, 10), c)
         assert traj.floor_hits == 0
         assert traj.jump_events == 0
         assert traj.x[-1] == pytest.approx(48.72, abs=1e-12)
@@ -159,7 +131,7 @@ class TestStep:
 
     def test_noise_off_equals_explicit_euler(self):
         c = StepConfig(dt=0.01, t_end=0.01)
-        h = HistorySpec.from_constant(30, 20, 4)
+        h = HistorySpec(30, 20, 4)
         traj = simulate(FIG1_PARAMS, NOISE_OFF, TABLE_DELAYS, h, c)
         f = drift(30, 20, 4, 30, 20, 30, 20, FIG1_PARAMS)
         assert traj.x[-1] == pytest.approx(30 + 0.01 * f[0], rel=1e-15)
@@ -169,7 +141,7 @@ class TestStep:
     def test_origin_stays_at_origin(self):
         hot = NoiseSpec(1.0, 2.0, 0.5, q1=-0.04, q2=-0.006, q3=-0.008, lam=50.0)
         c = StepConfig(dt=0.01, t_end=1.0, seed=3)
-        traj = simulate(FIG1_PARAMS, hot, TABLE_DELAYS, HistorySpec.from_constant(0, 0, 0), c)
+        traj = simulate(FIG1_PARAMS, hot, TABLE_DELAYS, HistorySpec(0, 0, 0), c)
         assert traj.jump_events > 0
         assert np.all(traj.states == 0.0)
         assert traj.floor_hits == 0
@@ -179,7 +151,7 @@ class TestStep:
         p = ModelParams(r1=0, r2=0, k1=1, k2=1, alpha1=1.0, alpha2=0,
                         alpha3=0, beta=0, delta=0, a1=0, a2=0)
         c = StepConfig(dt=0.1, t_end=0.1)
-        traj = simulate(p, NOISE_OFF, DelaySpec(0, 0, 0), HistorySpec.from_constant(1, 0, 100), c)
+        traj = simulate(p, NOISE_OFF, DelaySpec(0, 0, 0), HistorySpec(1, 0, 100), c)
         assert traj.x[-1] == 1e-12
         assert traj.y[-1] == 0.0  # a true zero is not clamped upward
         assert traj.floor_hits == 1
@@ -190,14 +162,14 @@ class TestSimulate:
         # (K1, K2, 0) is a fixed point of the noise-free flow
         p = FIG1_PARAMS
         cfg = StepConfig(dt=0.01, t_end=20.0)
-        traj = simulate(p, NOISE_OFF, TABLE_DELAYS, HistorySpec.from_constant(100, 100, 0), cfg)
+        traj = simulate(p, NOISE_OFF, TABLE_DELAYS, HistorySpec(100, 100, 0), cfg)
         assert np.max(np.abs(traj.x - 100.0) / 100.0) <= 1e-9
         assert np.max(np.abs(traj.y - 100.0) / 100.0) <= 1e-9
         assert np.max(np.abs(traj.z)) <= 1e-9
 
     def test_same_seed_bit_identical(self):
         sc = StepConfig(dt=0.01, t_end=5.0, seed=42)
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         a = simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, h, sc)
         b = simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, h, sc)
         assert np.array_equal(a.states, b.states)
@@ -209,7 +181,7 @@ class TestSimulate:
         # q = 0 makes the jump term exactly zero; disjoint streams mean the
         # Gaussian draws are identical whether or not the jump clock runs
         sc = StepConfig(dt=0.01, t_end=5.0, seed=3)
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         n_zero_q = NoiseSpec(1e-4, 2e-4, 2e-4, 0, 0, 0, lam=1.0)
         n_no_jumps = NoiseSpec(1e-4, 2e-4, 2e-4, 0, 0, 0, lam=0.0)
         a = simulate(FIG1_PARAMS, n_zero_q, TABLE_DELAYS, h, sc)
@@ -218,7 +190,7 @@ class TestSimulate:
 
     def test_distinct_replicates_differ(self):
         sc = StepConfig(dt=0.01, t_end=2.0, seed=5)
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         a = simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, h, sc, replicate=0)
         b = simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, h, sc, replicate=1)
         assert not np.array_equal(a.states, b.states)
@@ -227,7 +199,7 @@ class TestSimulate:
         # one event per step with at least one arrival, read from the
         # replicate's own jump stream, under both clock layouts
         sc = StepConfig(dt=0.1, t_end=5.0, seed=1)
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         for shared, size in ((True, 50), (False, (50, 3))):
             hot = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0, shared_clock=shared)
             traj = simulate(FIG1_PARAMS, hot, TABLE_DELAYS, h, sc, replicate=2)
@@ -241,7 +213,7 @@ class TestSimulate:
         # equal marks on equal states: a shared clock keeps the species equal,
         # independent clocks must desynchronize them somewhere
         sc = StepConfig(dt=0.1, t_end=5.0, seed=1)
-        h = HistorySpec.from_constant(10, 10, 10)
+        h = HistorySpec(10, 10, 10)
         shared = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.04, q3=-0.04, lam=5.0)
         indep = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.04, q3=-0.04, lam=5.0, shared_clock=False)
         a = simulate(ZERO_RATES, shared, DelaySpec(0, 0, 0), h, sc)
@@ -252,7 +224,7 @@ class TestSimulate:
     def test_noise_off_simulate_equals_manual_euler(self):
         # hand-rolled explicit Euler over the same grid, built on drift()
         sc = StepConfig(dt=0.01, t_end=3.0)
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         traj = simulate(FIG1_PARAMS, NOISE_OFF, TABLE_DELAYS, h, sc)
 
         k1, k2, k3 = 50, 100, 150  # delays in steps at dt = 0.01
@@ -268,19 +240,9 @@ class TestSimulate:
         manual = np.column_stack([xs, ys, zs])[k3:]
         assert np.allclose(traj.states, manual, rtol=1e-13, atol=1e-13)
 
-    def test_table_history_matches_equivalent_constant(self):
-        # a table that encodes a constant must reproduce the constant-history
-        # run bit for bit
-        sc = StepConfig(dt=0.01, t_end=2.0, seed=8)
-        const = HistorySpec.from_constant(10, 10, 5)
-        table = HistorySpec.from_table([(-2.0, 10, 10, 5), (-0.7, 10, 10, 5), (0.0, 10, 10, 5)])
-        a = simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, const, sc)
-        b = simulate(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS, table, sc)
-        assert np.array_equal(a.states, b.states)
-
     def test_independent_clocks_deterministic(self):
         sc = StepConfig(dt=0.1, t_end=5.0, seed=4)
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0, shared_clock=False)
         a = simulate(FIG1_PARAMS, n, TABLE_DELAYS, h, sc)
         b = simulate(FIG1_PARAMS, n, TABLE_DELAYS, h, sc)
@@ -289,13 +251,13 @@ class TestSimulate:
 
     def test_off_grid_delay_rejected(self):
         sc = StepConfig(dt=0.01, t_end=1.0)
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         with pytest.raises(ValueError, match=r"tau1 must be divided evenly by dt = 0\.01, got 0\.015"):
             simulate(FIG1_PARAMS, NOISE_OFF, DelaySpec(0.015, 0, 0), h, sc)
 
     def test_dt_larger_than_delay_rejected(self):
         sc = StepConfig(dt=0.6, t_end=6.0)
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         with pytest.raises(ValueError, match=r"tau1 must be divided evenly by dt = 0\.6, got 0\.5"):
             simulate(FIG1_PARAMS, NOISE_OFF, DelaySpec(0.5, 0, 0), h, sc)
 
@@ -310,7 +272,7 @@ class TestSimulate:
         # one delay-grid rule: the history fill, the engine and the reference
         # solver raise the same error, and nothing is snapped with a warning
         sc = StepConfig(dt=0.01, t_end=0.1)
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         d = DelaySpec(0.5, 1.0049, 1.5)
         runs = (
             lambda: init_history(h, d, sc),
@@ -384,7 +346,7 @@ class TestStreams:
         # chunks must not move a single value
         sc = StepConfig(dt=0.01, t_end=11.0, seed=7)
         n = NoiseSpec(0.05, 0.05, 0.05, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0, shared_clock=shared)
-        traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec.from_constant(10, 10, 5), sc,
+        traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec(10, 10, 5), sc,
                         replicate=3)
         assert len(traj.times) == 1101
         assert tuple(traj.states[-1].tolist()) == final
@@ -424,7 +386,7 @@ class TestStrongOrder:
 
     def test_strong_order_is_one_half(self, monkeypatch):
         noise = NoiseSpec(*self.SIGMA, *self.Q, lam=1.0)
-        delays, hist = DelaySpec(0, 0, 0), HistorySpec.from_constant(*self.S0)
+        delays, hist = DelaySpec(0, 0, 0), HistorySpec(*self.S0)
         dt, seed = 1.0 / self.FINE, 7
         real = engine._draws
         err = np.zeros((len(self.LEVELS), 3))

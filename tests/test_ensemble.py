@@ -32,7 +32,7 @@ PARAMS = ModelParams(r1=0.5, r2=0.5, k1=100.0, k2=100.0, alpha1=1e-3, alpha2=1e-
 NOISE = NoiseSpec(1e-3, 1e-3, 1e-3, -0.04, -0.006, -0.008, lam=1.0)
 NOISE_OFF = NoiseSpec(0, 0, 0, 0, 0, 0, lam=0.0)
 DELAYS = DelaySpec(0.5, 1.0, 1.5)
-HIST = HistorySpec.from_constant(5, 5, 5)
+HIST = HistorySpec(5, 5, 5)
 CFG = StepConfig(dt=0.01, t_end=5.0, seed=0)
 
 
@@ -170,29 +170,38 @@ class TestBatchedDriver:
         n_reps=st.sampled_from([64, 65, 257]),
         steps=st.sampled_from([3, 40, 600]),  # 600 spans two draw chunks
         lags=st.sampled_from(_LAGS),
-        table=st.booleans(),
         shared=st.booleans(),
         sigma=st.sampled_from([1e-3, 3.0]),  # 3.0 overshoots below zero often
         seed=st.integers(0, 2**32),
     )
-    @example(n_reps=257, steps=600, lags=_LAGS[1], table=True, shared=False, sigma=3.0, seed=1)
-    @example(n_reps=65, steps=600, lags=_LAGS[0], table=False, shared=True, sigma=1e-3, seed=2)
-    @example(n_reps=64, steps=40, lags=_LAGS[2], table=True, shared=True, sigma=3.0, seed=3)
+    @example(n_reps=257, steps=600, lags=_LAGS[1], shared=False, sigma=3.0, seed=1)
+    @example(n_reps=65, steps=600, lags=_LAGS[0], shared=True, sigma=1e-3, seed=2)
+    @example(n_reps=64, steps=40, lags=_LAGS[2], shared=True, sigma=3.0, seed=3)
     # 2004 grid points: the stats grid takes every second one, then the last
-    @example(n_reps=64, steps=2003, lags=_LAGS[1], table=True, shared=False, sigma=1e-3, seed=4)
-    def test_equals_scalar_loop(self, n_reps, steps, lags, table, shared, sigma, seed):
+    @example(n_reps=64, steps=2003, lags=_LAGS[1], shared=False, sigma=1e-3, seed=4)
+    def test_equals_scalar_loop(self, n_reps, steps, lags, shared, sigma, seed):
         dt = 0.05
         noise = NoiseSpec(sigma, 1e-3, sigma, -0.04, -0.006, -0.008, lam=1.0, shared_clock=shared)
         delays = DelaySpec(*lags)
-        hist = HIST
-        if table:
-            hist = HistorySpec.from_table([(-1.5, 4.0, 6.0, 5.0), (-0.2, 5.5, 4.5, 3.0), (0.0, 5.0, 5.0, 5.0)])
         cfg = StepConfig(dt=dt, t_end=steps * dt, seed=seed)
         stat_idx = list(range(steps + 1)) if steps < 2001 else [*range(0, steps, 2), steps]
-        want = _reference(PARAMS, noise, delays, hist, cfg, n_reps, stat_idx)
-        stats = run_ensemble(PARAMS, noise, delays, hist, cfg, n_reps)
+        want = _reference(PARAMS, noise, delays, HIST, cfg, n_reps, stat_idx)
+        stats = run_ensemble(PARAMS, noise, delays, HIST, cfg, n_reps)
         for field, value in want.items():
             assert np.array_equal(getattr(stats, field), value), field
+
+    def test_integer_history_steps_as_float(self):
+        # the batched ring is an array of the history's values: integers
+        # stored as given would make it int64 and truncate every state
+        ints, floats = HistorySpec(10, 10, 5), HistorySpec(10.0, 10.0, 5.0)
+        assert all(type(v) is float for v in vars(ints).values())
+        a = run_ensemble(PARAMS, NOISE, DELAYS, ints, CFG, n_reps=64)
+        b = run_ensemble(PARAMS, NOISE, DELAYS, floats, CFG, n_reps=64)
+        for field in ("stat_times", "mean", "sd", "q025", "q500", "q975", "terminal_averages"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert a.floor_hits_total == b.floor_hits_total
+        one = simulate(PARAMS, NOISE, DELAYS, ints, CFG, replicate=5)
+        assert np.array_equal(one.states, simulate(PARAMS, NOISE, DELAYS, floats, CFG, replicate=5).states)
 
     def test_seed_beyond_32_bits_agrees_with_simulate(self):
         # a seed of 2**32 hashes one more entropy word, so its blocks build

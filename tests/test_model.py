@@ -36,7 +36,7 @@ ONE_ARRIVAL_SEED = 64
 
 def _one_step(n, state, seed=0):
     """(normals, state after one engine step of size DT) from a constant history."""
-    traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec.from_constant(*state),
+    traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec(*state),
                     StepConfig(dt=DT, t_end=DT, seed=seed))
     normals = lrng.stream(seed, 0, lrng.GAUSSIAN).standard_normal((1, 3))[0]
     return normals, tuple(traj.states[-1])
@@ -122,7 +122,7 @@ class TestApplyJump:
             q = rng.uniform(-0.999, 4.0, 3)
             n = NoiseSpec(0, 0, 0, q1=q[0], q2=q[1], q3=q[2], lam=1.0)
             traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0),
-                            HistorySpec.from_constant(*rng.uniform(1e-8, 100.0, 3)),
+                            HistorySpec(*rng.uniform(1e-8, 100.0, 3)),
                             StepConfig(dt=DT, t_end=DT, seed=ONE_ARRIVAL_SEED))
             assert traj.jump_events == 1
             assert traj.floor_hits == 0
@@ -150,19 +150,9 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="tau2"):
             DelaySpec(0.5, -1.0, 0.5)
 
-    def test_history_table_must_increase(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            HistorySpec.from_table([(-1, 1, 1, 1), (-1, 2, 2, 2), (0, 3, 3, 3)])
-
     def test_history_negative_value_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            HistorySpec.from_table([(-1, 1, -1, 1), (0, 1, 1, 1)])
-        with pytest.raises(ValueError, match="y0"):
-            HistorySpec.from_constant(1.0, -2.0, 3.0)
-
-    def test_history_linear_interpolation(self):
-        h = HistorySpec.from_table([(-1, 0, 0, 0), (0, 10, 10, 10)])
-        assert h.value_at(-0.5) == pytest.approx((5, 5, 5))
+        with pytest.raises(ValueError, match=r"^HistorySpec\.y0 must be >= 0, got -2\.0$"):
+            HistorySpec(1.0, -2.0, 3.0)
 
     def test_field_error_survives_pickling(self):
         # a worker process sends its fault to the parent pickled

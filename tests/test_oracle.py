@@ -24,9 +24,6 @@ from levyprey.model import drift
 FIG1_PARAMS = PRESETS["fig1"].params
 TABLE_DELAYS = DelaySpec(0.5, 1.0, 1.5)
 FIG3 = PRESETS["fig3"]
-TABLE_HISTORY = HistorySpec.from_table(
-    [(-1.0, 20, 18, 9), (-0.6, 26, 21, 12), (-0.25, 24, 27, 10), (0, 28, 25, 13)]
-)
 
 LOGISTIC = ModelParams(r1=1.0, r2=0.0, k1=100.0, k2=1.0, alpha1=0, alpha2=0,
                        alpha3=0, beta=0, delta=0, a1=0, a2=0)
@@ -52,7 +49,7 @@ def _lagrange(series, u, lo_bound, hi_bound):
 def _uncached_solve(p, d, h, dt, t_end):
     """The reference solver's states with every delayed argument evaluated
     afresh at every stage: a stored sample at a whole grid index; at a half
-    index, the history function before t = 0 and an uncached stencil inside
+    index, the history's constant before t = 0 and an uncached stencil inside
     the smooth piece after it; the stage value for a zero lag."""
     lags = engine.lag_steps(d, dt)
     xs, ys, zs = engine.init_history(h, d, StepConfig(dt=dt, t_end=t_end))
@@ -66,7 +63,7 @@ def _uncached_solve(p, d, h, dt, t_end):
         if not odd:
             return series[base + n]
         if n < 0:
-            return h.value_at((n + 0.5) * dt)[which]
+            return (h.x0, h.y0)[which]
         lo = base + n // gs * gs
         return _lagrange(series, base + n + 0.5, lo, lo + gs)
 
@@ -90,27 +87,27 @@ def _uncached_solve(p, d, h, dt, t_end):
 
 class TestSolveDeterministic:
     def test_capacity_equilibrium_preserved(self):
-        h = HistorySpec.from_constant(100.0, 100.0, 0.0)
+        h = HistorySpec(100.0, 100.0, 0.0)
         sol = solve_deterministic(FIG1_PARAMS, TABLE_DELAYS, h, dt=0.1, t_end=500.0)
         assert np.max(np.abs(sol.x - 100.0) / 100.0) <= 1e-9
         assert np.max(np.abs(sol.y - 100.0) / 100.0) <= 1e-9
         assert np.max(np.abs(sol.z)) <= 1e-9
 
     def test_origin_equilibrium_preserved(self):
-        h = HistorySpec.from_constant(0.0, 0.0, 0.0)
+        h = HistorySpec(0.0, 0.0, 0.0)
         sol = solve_deterministic(FIG1_PARAMS, TABLE_DELAYS, h, dt=0.1, t_end=500.0)
         assert np.max(np.abs(sol.states)) == 0.0
 
     def test_logistic_closed_form(self):
         # single-prey reduction: x(t) = K / (1 + (K/x0 - 1) e^{-rt})
-        h = HistorySpec.from_constant(10.0, 0.0, 0.0)
+        h = HistorySpec(10.0, 0.0, 0.0)
         sol = solve_deterministic(LOGISTIC, DelaySpec(0, 0, 0), h, dt=1e-3, t_end=1.0)
         exact = 100.0 / (1.0 + 9.0 * np.exp(-sol.times))
         assert np.max(np.abs(sol.x - exact) / exact) <= 1e-6
         assert sol.x[-1] == pytest.approx(23.1969, abs=1e-3)
 
     def test_halving_dt_sixteenfold_on_smooth_problem(self):
-        h = HistorySpec.from_constant(10.0, 0.0, 0.0)
+        h = HistorySpec(10.0, 0.0, 0.0)
         ref = solve_deterministic(LOGISTIC, DelaySpec(0, 0, 0), h, dt=1e-4, t_end=2.0)
         errs = []
         for dt in (1e-2, 5e-3):
@@ -121,7 +118,7 @@ class TestSolveDeterministic:
         assert 10.0 < ratio < 25.0  # ~2^4
 
     def test_returns_engine_path_type(self):
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         sol = solve_deterministic(FIG1_PARAMS, TABLE_DELAYS, h, dt=0.05, t_end=1.0)
         assert isinstance(sol, Trajectory)
         assert (sol.jump_events, sol.floor_hits) == (0, 0)
@@ -132,38 +129,38 @@ class TestSolveDeterministic:
 
     # pinned exact end states: any change to a delay tap, its stencil or its
     # order of operations moves the last bits
-    @pytest.mark.parametrize("delays, history, dt, t_end, end", [
-        # zero and positive lags mixed, with a table history whose kinks lie
-        # off the grid: midpoint taps before t = 0 read the history function
-        (DelaySpec(0.5, 0, 1.0), TABLE_HISTORY, 0.25, 2.0,
-         (31.823425675128, 23.68233223084142, 14.472146523563872)),
+    @pytest.mark.parametrize("delays, dt, t_end, end", [
+        # zero and positive lags mixed: a zero lag reads the stage value, a
+        # positive one the history's constant and then stored midpoints
+        (DelaySpec(0.5, 0, 1.0), 0.25, 2.0,
+         (29.374074520699757, 21.641136496147546, 12.988771337501198)),
         # lag gcd of 1 step: two-node (linear) midpoint stencils
-        (TABLE_DELAYS, FIG3.history, 0.5, 5.0,
+        (TABLE_DELAYS, 0.5, 5.0,
          (34.035941727078196, 25.883403077367475, 12.345409686831234)),
         # lag gcd of 2 steps: three-node (quadratic) midpoint stencils
-        (TABLE_DELAYS, FIG3.history, 0.25, 5.0,
+        (TABLE_DELAYS, 0.25, 5.0,
          (34.23234576436944, 26.110901696317796, 12.30915375343764)),
-    ], ids=["mixed-lags-table", "gcd-1-step", "gcd-2-steps"])
-    def test_exact_end_state(self, delays, history, dt, t_end, end):
-        sol = solve_deterministic(FIG3.params, delays, history, dt=dt, t_end=t_end)
+    ], ids=["mixed-lags", "gcd-1-step", "gcd-2-steps"])
+    def test_exact_end_state(self, delays, dt, t_end, end):
+        sol = solve_deterministic(FIG3.params, delays, FIG3.history, dt=dt, t_end=t_end)
         assert tuple(float(v) for v in sol.states[-1]) == end
 
-    @pytest.mark.parametrize("delays, history, dt", [
-        (DelaySpec(0, 0, 0), FIG3.history, 0.05),
-        (DelaySpec(0.5, 0, 1.0), TABLE_HISTORY, 0.25),
-        (DelaySpec(1.0, 1.0, 1.0), FIG3.history, 0.1),
-        (TABLE_DELAYS, FIG3.history, 0.5),
-        (TABLE_DELAYS, FIG3.history, 0.25),
-        (DelaySpec(1.5, 1.0, 0.5), FIG3.history, 0.05),
-        (DelaySpec(0.5, 1.0, 0.25), TABLE_HISTORY, 0.05),
+    @pytest.mark.parametrize("delays, dt", [
+        (DelaySpec(0, 0, 0), 0.05),
+        (DelaySpec(0.5, 0, 1.0), 0.25),
+        (DelaySpec(1.0, 1.0, 1.0), 0.1),
+        (TABLE_DELAYS, 0.5),
+        (TABLE_DELAYS, 0.25),
+        (DelaySpec(1.5, 1.0, 0.5), 0.05),
+        (DelaySpec(0.5, 1.0, 0.25), 0.05),
     ], ids=["zero-lags", "mixed-lags-table", "equal-lags", "gcd-1-step", "gcd-2-steps",
             "longest-lag-first", "cubic-table"])
-    def test_equals_uncached_taps(self, delays, history, dt):
+    def test_equals_uncached_taps(self, delays, dt):
         # cached stencil weights and a midpoint shared between the two lags
         # that read a series must give the same bits as computing every tap
         # afresh
-        sol = solve_deterministic(FIG3.params, delays, history, dt=dt, t_end=5.0)
-        assert np.array_equal(sol.states, _uncached_solve(FIG3.params, delays, history, dt, 5.0))
+        sol = solve_deterministic(FIG3.params, delays, FIG3.history, dt=dt, t_end=5.0)
+        assert np.array_equal(sol.states, _uncached_solve(FIG3.params, delays, FIG3.history, dt, 5.0))
 
     def test_fig3_reference_states_pinned(self):
         # the convergence study's reference solve on fig3: lags of 800, 1600
@@ -172,27 +169,27 @@ class TestSolveDeterministic:
         digest = hashlib.sha256(sol.states.astype("<f8").tobytes()).hexdigest()
         assert digest == "24ddd2844f51e42492d9bd75f66331d437e12d56783fa97d073bd9dc41002169"
 
-    @pytest.mark.parametrize("delays, history, dt, t_end", [
-        (DelaySpec(0, 0, 0), TABLE_HISTORY, 0.25, 5.0),
-        (DelaySpec(0.5, 1.0, 0.75), TABLE_HISTORY, 0.25, 5.0),
-        (DelaySpec(0.5, 0, 0), TABLE_HISTORY, 0.25, 5.0),
-        (DelaySpec(1.5, 0.75, 0.75), FIG3.history, 0.25, 5.0),
-        (DelaySpec(1.0, 0.5, 1.0), TABLE_HISTORY, 0.125, 5.0),
-        (DelaySpec(0.5, 1.0, 1.0), TABLE_HISTORY, 0.03125, 5.0),
-        (DelaySpec(1.0, 0.5, 0.5), TABLE_HISTORY, 0.03125, 2.0),
-        (DelaySpec(0.5, 1.0, 1.0), TABLE_HISTORY, 0.03125, 0.25),
-        (DelaySpec(0, 0.5, 0), TABLE_HISTORY, 0.03125, 0.25),
+    @pytest.mark.parametrize("delays, dt, t_end", [
+        (DelaySpec(0, 0, 0), 0.25, 5.0),
+        (DelaySpec(0.5, 1.0, 0.75), 0.25, 5.0),
+        (DelaySpec(0.5, 0, 0), 0.25, 5.0),
+        (DelaySpec(1.5, 0.75, 0.75), 0.25, 5.0),
+        (DelaySpec(1.0, 0.5, 1.0), 0.125, 5.0),
+        (DelaySpec(0.5, 1.0, 1.0), 0.03125, 5.0),
+        (DelaySpec(1.0, 0.5, 0.5), 0.03125, 2.0),
+        (DelaySpec(0.5, 1.0, 1.0), 0.03125, 0.25),
+        (DelaySpec(0, 0.5, 0), 0.03125, 0.25),
     ], ids=["zero-lags", "gcd-1-step-table", "x-lag-only", "gcd-3-steps-longest-first",
             "gcd-4-steps-equal", "gcd-16-steps-table", "gcd-16-steps-longest-first",
             "horizon-inside-first-piece", "y-lag-only-horizon-inside-first-piece"])
-    def test_equals_per_query_stencils(self, delays, history, dt, t_end):
+    def test_equals_per_query_stencils(self, delays, dt, t_end):
         # evaluating the midpoints a smooth piece at a time, from a stencil
         # table, must give the same bits as the per-query stencil rule: the
         # first and last pieces, a piece of 1 to 16 steps, the shorter lag of
-        # a series first or last or both equal, zero lags, a table history
-        # and a horizon that ends inside the first piece
-        sol = solve_deterministic(FIG3.params, delays, history, dt=dt, t_end=t_end)
-        assert np.array_equal(sol.states, _uncached_solve(FIG3.params, delays, history, dt, t_end))
+        # a series first or last or both equal, zero lags and a horizon that
+        # ends inside the first piece
+        sol = solve_deterministic(FIG3.params, delays, FIG3.history, dt=dt, t_end=t_end)
+        assert np.array_equal(sol.states, _uncached_solve(FIG3.params, delays, FIG3.history, dt, t_end))
 
     @pytest.mark.parametrize("ka, kb", [(3, 7), (7, 3), (5, 5), (0, 4), (4, 0), (0, 0)])
     def test_each_midpoint_computed_once(self, monkeypatch, ka, kb):
@@ -202,12 +199,8 @@ class TestSolveDeterministic:
         # gets no midpoints after t = 0
         dt, n_steps, k2 = 0.25, 20, 2
         kmax, gs = max(ka, k2, kb), math.gcd(ka, k2, kb)
-        queries, computed = [], {28.0: [], 25.0: []}  # keyed by the x and y histories
-        value_at, interpolate = HistorySpec.value_at, oracle._interpolate
-
-        def counted_value_at(h, t):
-            queries.append(t)
-            return value_at(h, t)
+        computed = {28.0: [], 25.0: []}  # keyed by the x and y histories
+        interpolate = oracle._interpolate
 
         def counted_interpolate(series, at, table):
             mids = interpolate(series, at, table)
@@ -216,12 +209,9 @@ class TestSolveDeterministic:
 
         delays = DelaySpec(ka * dt, k2 * dt, kb * dt)
         expected = _uncached_solve(FIG3.params, delays, FIG3.history, dt, n_steps * dt)
-        monkeypatch.setattr(HistorySpec, "value_at", counted_value_at)
         monkeypatch.setattr(oracle, "_interpolate", counted_interpolate)
         sol = solve_deterministic(FIG3.params, delays, FIG3.history, dt, n_steps * dt)
         assert np.array_equal(sol.states, expected)
-        # before t = 0, one history query per midpoint (the others fill the grid)
-        assert sorted(t for t in queries if (t / dt) % 1) == [(n + 0.5) * dt for n in range(-kmax, 0)]
         # after t = 0, each midpoint a lag reads, once, in the pieces before the last
         for series, lags in ((28.0, (ka, kb)), (25.0, (k2, kb))):
             read = {i - k for i in range(n_steps) for k in lags if k and i >= k}
@@ -246,7 +236,7 @@ class TestSolveDeterministic:
         assert peak <= 20_000 * engine._STEP_BYTES
 
     def test_dt_must_divide_delays(self):
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         with pytest.raises(ValueError, match="divide"):
             solve_deterministic(FIG1_PARAMS, DelaySpec(0.5, 1.0, 1.5), h, dt=0.3, t_end=1.0)
 
@@ -254,14 +244,14 @@ class TestSolveDeterministic:
 class TestConvergenceStudy:
     def test_engine_noise_off_is_first_order(self):
         sc = PRESETS["fig3"]
-        h = HistorySpec.from_constant(28.0, 25.0, 13.0)
+        h = HistorySpec(28.0, 25.0, 13.0)
         table = convergence_study(sc.params, sc.delays, h, [1e-2, 5e-3], t_end=5.0)
         assert 0.7 <= table.observed_order <= 1.3
         errs = table.errors()
         assert errs[1] < errs[0]
 
     def test_self_comparison_is_zero(self):
-        h = HistorySpec.from_constant(10, 10, 5)
+        h = HistorySpec(10, 10, 5)
         table = rk4_self_convergence(
             PRESETS["fig1"].params, TABLE_DELAYS, h, [1e-2], t_end=1.0, ref_dt=1e-2
         )
@@ -270,26 +260,26 @@ class TestConvergenceStudy:
 
     def test_single_dt_has_no_order_estimate(self):
         sc = PRESETS["fig3"]
-        h = HistorySpec.from_constant(28.0, 25.0, 13.0)
+        h = HistorySpec(28.0, 25.0, 13.0)
         table = convergence_study(sc.params, sc.delays, h, [1e-2], t_end=2.0)
         assert len(table.rows) == 1
         assert table.rows[0].pair_order is None
 
     def test_dt_list_must_descend(self):
         sc = PRESETS["fig3"]
-        h = HistorySpec.from_constant(28.0, 25.0, 13.0)
+        h = HistorySpec(28.0, 25.0, 13.0)
         with pytest.raises(ValueError, match="descending"):
             convergence_study(sc.params, sc.delays, h, [5e-3, 1e-2], t_end=2.0)
 
     def test_oracle_engine_gap_shrinks_monotonically(self):
         sc = PRESETS["fig3"]
-        h = HistorySpec.from_constant(28.0, 25.0, 13.0)
+        h = HistorySpec(28.0, 25.0, 13.0)
         table = convergence_study(sc.params, sc.delays, h, [2e-2, 1e-2, 5e-3, 2.5e-3], t_end=5.0)
         errs = table.errors()
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_delayed_rk4_self_convergence_is_fourth_order(self):
         sc = PRESETS["fig3"]
-        h = HistorySpec.from_constant(10.0, 10.0, 5.0)
+        h = HistorySpec(10.0, 10.0, 5.0)
         table = rk4_self_convergence(sc.params, sc.delays, h, [1e-2, 5e-3, 2.5e-3], t_end=10.0)
         assert 3.5 <= table.observed_order <= 4.5
