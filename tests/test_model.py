@@ -152,7 +152,7 @@ class TestTypeInvariants:
 
     def test_history_negative_value_rejected(self):
         with pytest.raises(ValueError, match=r"^HistorySpec\.y0 must be >= 0, got -2\.0$"):
-            HistorySpec(1.0, -2.0, 3.0)
+            HistorySpec(1, -2, 3)  # stored as a float before the check
 
     def test_field_error_survives_pickling(self):
         # a worker process sends its fault to the parent pickled
