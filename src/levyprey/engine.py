@@ -6,7 +6,7 @@ increment, and a compensated compound-Poisson jump increment, per species i:
     S' = S + f_i(S, delays)*dt + sigma_i*S*sqrt(dt)*Z_i + q_i*S*(dN - lambda*dt)
 
 with Z_i independent standard normals and dN the Poisson count of jump
-arrivals during the step (one shared count for all species by default).
+arrivals during the step, one count shared by all species.
 Multiple arrivals within a step collapse into the count, which is exact for
 the compensator at first order. Strong order is 0.5 in the noise, and the
 scheme reduces to explicit Euler on the deterministic core when all noise
@@ -71,9 +71,8 @@ _ROW_BYTES = 3 * (8 + 24)
 # returned path's row (24 for the states, 8 for the time), the 8-byte integer
 # row np.arange makes on the way, and 8 for list growth. tracemalloc's peak
 # over a fig1 run, divided by its steps, reads 139.7 at 10^5 steps and 137.4
-# at 10^6, on a shared clock and on independent clocks alike; the draws, made
-# _DRAW_CHUNK steps at a time, add a fixed amount that does not grow with the
-# horizon
+# at 10^6; the draws, made _DRAW_CHUNK steps at a time, add a fixed amount
+# that does not grow with the horizon
 _STEP_BYTES = _ROW_BYTES + 24 + 8 + 8 + 8
 
 # steps of draws materialised at once, by both drivers
@@ -215,16 +214,18 @@ def _check_horizon(
     )
 
 
-def _advance(x, y, z, xd1, yd2, xd3, yd3, pk, z1, z2, z3, j1, j2, j3):
-    """One raw update. pk is the tuple prepared by _pack; returns the three
-    candidate values before floor handling."""
+def _advance(x, y, z, xd1, yd2, xd3, yd3, pk, z1, z2, z3, j):
+    """One raw update on the step's shared jump count j. pk is the tuple
+    prepared by _pack; returns the three candidate values before floor
+    handling."""
     (r1, r2, ik1, ik2, a1, a2, al1, al2, al3, beta, delta, dt, s1, s2, s3, q1, q2, q3, lam_dt) = pk
     fx = r1 * x * (1.0 - xd1 * ik1) - al1 * x * z + beta * x * y * z
     fy = r2 * y * (1.0 - yd2 * ik2) - al2 * y * z + beta * x * y * z
     fz = -delta * z - al3 * z * z + a1 * xd3 * z + a2 * yd3 * z
-    nx = x + fx * dt + s1 * x * z1 + q1 * x * (j1 - lam_dt)
-    ny = y + fy * dt + s2 * y * z2 + q2 * y * (j2 - lam_dt)
-    nz = z + fz * dt + s3 * z * z3 + q3 * z * (j3 - lam_dt)
+    dn = j - lam_dt
+    nx = x + fx * dt + s1 * x * z1 + q1 * x * dn
+    ny = y + fy * dt + s2 * y * z2 + q2 * y * dn
+    nz = z + fz * dt + s3 * z * z3 + q3 * z * dn
     return nx, ny, nz
 
 
@@ -240,27 +241,25 @@ def _pack(p: ModelParams, n: NoiseSpec, dt: float):
 
 def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int):
     """Every random number of a run: yields chunks of at most _DRAW_CHUNK
-    steps, a (3, steps, B) float array of normals and a (3, steps, B) int64
-    array of Poisson counts, species first so that a driver unpacks a step
-    into six columns, with column b from replicate reps[b]'s own (seed, k)
-    streams. On a shared clock one count per step is drawn and repeated for
-    all three species. Drawing in chunks gives the same values as one
-    full-horizon draw; a yielded chunk is valid until the next one. The
-    generators come from rng.streams, one vectorised pass per purpose for a
-    block and rng.stream for a single replicate, the same streams either
-    way."""
+    steps, a (3, steps, B) float array of normals, species first so that a
+    driver unpacks a step into three columns, and a (steps, B) int64 array
+    of Poisson counts, one per step shared by all species, with column b
+    from replicate reps[b]'s own (seed, k) streams. Drawing in chunks gives
+    the same values as one full-horizon draw; a yielded chunk is valid
+    until the next one. The generators come from rng.streams, one
+    vectorised pass per purpose for a block and rng.stream for a single
+    replicate, the same streams either way."""
     streams = list(zip(rng.streams(seed, reps, rng.GAUSSIAN), rng.streams(seed, reps, rng.JUMPS)))
     lam_dt = n.lam * dt
     size = min(_DRAW_CHUNK, n_steps)
     normals = np.empty((3, size, len(streams)))
-    counts = np.empty((3, size, len(streams)), dtype=np.int64)
+    counts = np.empty((size, len(streams)), dtype=np.int64)
     for start in range(0, n_steps, size):
         m = min(size, n_steps - start)
-        shape = (m, 1) if n.shared_clock else (m, 3)
         for b, (gauss, jumps) in enumerate(streams):
             normals[:, :m, b] = gauss.standard_normal((m, 3)).T
-            counts[:, :m, b] = jumps.poisson(lam_dt, shape).T
-        yield normals[:, :m], counts[:, :m]
+            counts[:m, b] = jumps.poisson(lam_dt, m)
+        yield normals[:, :m], counts[:m]
 
 
 def simulate(
@@ -290,11 +289,11 @@ def simulate(
     floor_hits = 0
     isfinite = math.isfinite
     steps = chain.from_iterable(
-        zip(*normals[:, :, 0].tolist(), *counts[:, :, 0].tolist())
+        zip(*normals[:, :, 0].tolist(), counts[:, 0].tolist())
         for normals, counts in _draws(c.seed, [replicate], n, dt, n_steps)
     )
 
-    for i, (z1, z2, z3, j1, j2, j3) in enumerate(steps):
+    for i, (z1, z2, z3, j) in enumerate(steps):
         m = base + i
         x, y, z = xs[m], ys[m], zs[m]
         nx, ny, nz = _advance(
@@ -309,14 +308,12 @@ def simulate(
             z1,
             z2,
             z3,
-            j1,
-            j2,
-            j3,
+            j,
         )
         if not (isfinite(nx) and isfinite(ny) and isfinite(nz)):
             raise SimulationError(
                 f"non-finite state at t={(i + 1) * dt:g}: from ({x:g},{y:g},{z:g}), "
-                f"normals=({z1:g},{z2:g},{z3:g}), jumps=({j1},{j2},{j3})"
+                f"normals=({z1:g},{z2:g},{z3:g}), jumps={j}"
             )
         if nx < floor and x > 0.0:
             nx = floor
@@ -330,7 +327,7 @@ def simulate(
         xs.append(nx)
         ys.append(ny)
         zs.append(nz)
-        if j1 or j2 or j3:
+        if j:
             jump_events += 1
 
     return Trajectory.from_grid(xs, ys, zs, base, dt, jump_events, floor_hits)
@@ -381,16 +378,16 @@ def _simulate_batch(
     sums = np.zeros((3, width))
     floor_hits = 0
     steps = chain.from_iterable(
-        zip(*normals, *counts) for normals, counts in _draws(c.seed, reps, n, dt, n_steps)
+        zip(*normals, counts) for normals, counts in _draws(c.seed, reps, n, dt, n_steps)
     )
-    for i, (z1, z2, z3, j1, j2, j3) in enumerate(steps):
+    for i, (z1, z2, z3, j) in enumerate(steps):
         m = rows - 1 + i  # grid index of the current state
         cur = ring[m % rows]
         new = np.array(_advance(
             cur[0], cur[1], cur[2],
             ring[(m - k1) % rows, 0], ring[(m - k2) % rows, 1],
             ring[(m - k3) % rows, 0], ring[(m - k3) % rows, 1],
-            pk, z1, z2, z3, j1, j2, j3,
+            pk, z1, z2, z3, j,
         ))
         lo, hi = new.min(), new.max()  # NaN if any value is NaN
         if not -math.inf < lo <= hi < math.inf:

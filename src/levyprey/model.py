@@ -104,9 +104,8 @@ class NoiseSpec:
 
     sigma1..3    Brownian intensities per species (1/sqrt(day))
     q1..3        relative jump marks; a jump sends s -> s*(1+q), so q > -1
-    lam          Poisson arrival rate of jump events (events/day)
-    shared_clock one Poisson clock drives all species (a common environmental
-                 shock); set False for three independent clocks
+    lam          Poisson arrival rate of jump events (events/day); one clock
+                 drives all species (a common environmental shock)
     """
 
     sigma1: float
@@ -116,7 +115,6 @@ class NoiseSpec:
     q2: float
     q3: float
     lam: float = 1.0
-    shared_clock: bool = True
 
     def __post_init__(self) -> None:
         for name in ("sigma1", "sigma2", "sigma3", "lam"):
@@ -152,8 +150,11 @@ class HistorySpec:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            # floats, so every grid record and ring built from them is float
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            try:  # floats, so every grid record and ring built from them is float
+                object.__setattr__(self, f.name, float(value))
+            except OverflowError:  # an int beyond float range: not finite, as a config's 1e400
+                raise FieldError("HistorySpec", f.name, "must be finite", value) from None
             _in_range("HistorySpec", f.name, getattr(self, f.name))
 
 

@@ -309,7 +309,7 @@ def _any_valid_inputs(draw):
             kw[k] = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     p = ModelParams(**kw)
     n = NoiseSpec(*(draw(rate) for _ in range(3)), *(draw(_MARK) for _ in range(3)),
-                  lam=draw(rate), shared_clock=draw(st.booleans()))
+                  lam=draw(rate))
     d = DelaySpec(*(draw(rate) for _ in range(3)))
     return p, n, d
 

@@ -34,10 +34,6 @@ ZERO_RATES = ModelParams(r1=0, r2=0, k1=1, k2=1, alpha1=0, alpha2=0,
                          alpha3=0, beta=0, delta=0, a1=0, a2=0)
 
 
-def _nonzero_rows(counts):
-    return int(np.count_nonzero(np.asarray(counts).reshape(len(counts), -1).any(axis=1)))
-
-
 class TestHistory:
     def test_constant_fill(self):
         c = StepConfig(dt=0.01, t_end=1.0)
@@ -90,7 +86,7 @@ class TestSampleJumps:
 
     def test_poisson_mean(self):
         # closed-form moments: mean = var = lam*dt = 0.01, drawn the way the
-        # shared clock draws its counts
+        # engine draws its one count per step
         draws = lrng.stream(1, 0, lrng.JUMPS).poisson(1.0 * 0.01, 1_000_000)
         se = math.sqrt(0.01 / 1_000_000)
         assert abs(draws.mean() - 0.01) < 3 * se
@@ -197,29 +193,25 @@ class TestSimulate:
 
     def test_jump_events_counts_arrival_steps(self):
         # one event per step with at least one arrival, read from the
-        # replicate's own jump stream, under both clock layouts
+        # replicate's own jump stream
         sc = StepConfig(dt=0.1, t_end=5.0, seed=1)
         h = HistorySpec(10, 10, 5)
-        for shared, size in ((True, 50), (False, (50, 3))):
-            hot = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0, shared_clock=shared)
-            traj = simulate(FIG1_PARAMS, hot, TABLE_DELAYS, h, sc, replicate=2)
-            counts = lrng.stream(1, 2, lrng.JUMPS).poisson(5.0 * 0.1, size)
-            assert 0 < traj.jump_events < 50
-            assert traj.jump_events == _nonzero_rows(counts)
+        hot = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0)
+        traj = simulate(FIG1_PARAMS, hot, TABLE_DELAYS, h, sc, replicate=2)
+        stream = lrng.stream(1, 2, lrng.JUMPS)
+        assert 0 < traj.jump_events < 50
+        assert traj.jump_events == np.count_nonzero(stream.poisson(5.0 * 0.1, 50))
         cold = simulate(FIG1_PARAMS, NOISE_OFF, TABLE_DELAYS, h, sc)
         assert cold.jump_events == 0
 
-    def test_independent_clocks(self):
-        # equal marks on equal states: a shared clock keeps the species equal,
-        # independent clocks must desynchronize them somewhere
+    def test_one_count_moves_every_species(self):
+        # equal marks on equal states: the one count per step moves every
+        # species alike, so they stay equal at every grid point
         sc = StepConfig(dt=0.1, t_end=5.0, seed=1)
-        h = HistorySpec(10, 10, 10)
-        shared = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.04, q3=-0.04, lam=5.0)
-        indep = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.04, q3=-0.04, lam=5.0, shared_clock=False)
-        a = simulate(ZERO_RATES, shared, DelaySpec(0, 0, 0), h, sc)
-        b = simulate(ZERO_RATES, indep, DelaySpec(0, 0, 0), h, sc)
-        assert np.all(a.x == a.y) and np.all(a.y == a.z)
-        assert np.any(b.x != b.y) or np.any(b.y != b.z)
+        n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.04, q3=-0.04, lam=5.0)
+        traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec(10, 10, 10), sc)
+        assert traj.jump_events > 0
+        assert np.all(traj.x == traj.y) and np.all(traj.y == traj.z)
 
     def test_noise_off_simulate_equals_manual_euler(self):
         # hand-rolled explicit Euler over the same grid, built on drift()
@@ -239,15 +231,6 @@ class TestSimulate:
             zs.append(zs[m] + 0.01 * f[2])
         manual = np.column_stack([xs, ys, zs])[k3:]
         assert np.allclose(traj.states, manual, rtol=1e-13, atol=1e-13)
-
-    def test_independent_clocks_deterministic(self):
-        sc = StepConfig(dt=0.1, t_end=5.0, seed=4)
-        h = HistorySpec(10, 10, 5)
-        n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0, shared_clock=False)
-        a = simulate(FIG1_PARAMS, n, TABLE_DELAYS, h, sc)
-        b = simulate(FIG1_PARAMS, n, TABLE_DELAYS, h, sc)
-        assert np.array_equal(a.states, b.states)
-        assert a.jump_events == b.jump_events
 
     def test_off_grid_delay_rejected(self):
         sc = StepConfig(dt=0.01, t_end=1.0)
@@ -336,21 +319,33 @@ class TestStreams:
             assert np.array_equal(g.standard_normal(5), w.standard_normal(5))
             assert np.array_equal(g.poisson(1.5, 5), w.poisson(1.5, 5))
 
-    @pytest.mark.parametrize("shared, final, jump_events", [
-        (True, (14.285817464559422, 7.011850555934638, 2.4165979704360754), 66),
-        (False, (10.432013053824688, 5.542434957195495, 2.014981220971853), 166),
-    ], ids=["shared", "independent"])
-    def test_values_across_draw_chunks(self, shared, final, jump_events):
+    def test_values_across_draw_chunks(self):
         # 1100 steps are three draw chunks; the final state and jump count
         # were recorded from one full-horizon draw per stream, so drawing in
         # chunks must not move a single value
         sc = StepConfig(dt=0.01, t_end=11.0, seed=7)
-        n = NoiseSpec(0.05, 0.05, 0.05, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0, shared_clock=shared)
+        n = NoiseSpec(0.05, 0.05, 0.05, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0)
         traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec(10, 10, 5), sc,
                         replicate=3)
         assert len(traj.times) == 1101
-        assert tuple(traj.states[-1].tolist()) == final
-        assert traj.jump_events == jump_events
+        assert tuple(traj.states[-1].tolist()) == (14.285817464559422, 7.011850555934638, 2.4165979704360754)
+        assert traj.jump_events == 66
+
+    @pytest.mark.parametrize("n_reps", [1, 3])
+    def test_draws_are_each_replicates_own_streams(self, n_reps):
+        # one replicate draws through rng.stream, a block through the
+        # vectorised rng.streams; 600 steps are two chunks, and together
+        # they are each replicate's full-horizon draw: three normals and
+        # one Poisson count per step
+        n = NoiseSpec(0, 0, 0, 0, 0, 0, lam=5.0)
+        chunks = [(z.copy(), j.copy()) for z, j in engine._draws(7, range(n_reps), n, 0.01, 600)]
+        assert [j.shape for _, j in chunks] == [(512, n_reps), (88, n_reps)]
+        normals = np.concatenate([z for z, _ in chunks], axis=1)
+        counts = np.concatenate([j for _, j in chunks])
+        for b in range(n_reps):
+            gauss = lrng.stream(7, b, lrng.GAUSSIAN).standard_normal((600, 3)).T
+            assert np.array_equal(normals[:, :, b], gauss)
+            assert np.array_equal(counts[:, b], lrng.stream(7, b, lrng.JUMPS).poisson(0.05, 600))
 
     def test_no_stream_collisions_over_many_replicates(self):
         # checksum of each replicate's first Gaussian block must be unique
@@ -395,16 +390,16 @@ class TestStrongOrder:
             # copies: a yielded chunk is valid only until the next one
             chunks = [(z.copy(), j.copy()) for z, j in real(seed, reps, noise, dt, self.FINE)]
             normals = np.concatenate([z for z, _ in chunks], axis=1)  # (3, FINE, BLOCK)
-            counts = np.concatenate([j for _, j in chunks], axis=1)
+            counts = np.concatenate([j for _, j in chunks])  # (FINE, BLOCK)
             w_t = math.sqrt(dt) * normals.sum(axis=1)
-            n_t = counts.sum(axis=1)
+            n_t = counts.sum(axis=0)
             rate = -self.SIGMA**2 / 2 - self.Q * noise.lam
             exact = self.S0[:, None] * np.exp(rate[:, None] + self.SIGMA[:, None] * w_t)
             exact *= (1 + self.Q)[:, None] ** n_t
             for i, r in enumerate(self.LEVELS):
                 steps = self.FINE // r
                 coarse = (normals.reshape(3, steps, r, self.BLOCK).sum(axis=2) / math.sqrt(r),
-                          counts.reshape(3, steps, r, self.BLOCK).sum(axis=2))
+                          counts.reshape(steps, r, self.BLOCK).sum(axis=1))
                 monkeypatch.setattr(engine, "_draws", lambda *args, coarse=coarse: iter([coarse]))
                 cfg = StepConfig(dt=dt * r, t_end=1.0, seed=seed)
                 states, _, _ = engine._simulate_batch(

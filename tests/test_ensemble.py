@@ -170,18 +170,17 @@ class TestBatchedDriver:
         n_reps=st.sampled_from([64, 65, 257]),
         steps=st.sampled_from([3, 40, 600]),  # 600 spans two draw chunks
         lags=st.sampled_from(_LAGS),
-        shared=st.booleans(),
         sigma=st.sampled_from([1e-3, 3.0]),  # 3.0 overshoots below zero often
         seed=st.integers(0, 2**32),
     )
-    @example(n_reps=257, steps=600, lags=_LAGS[1], shared=False, sigma=3.0, seed=1)
-    @example(n_reps=65, steps=600, lags=_LAGS[0], shared=True, sigma=1e-3, seed=2)
-    @example(n_reps=64, steps=40, lags=_LAGS[2], shared=True, sigma=3.0, seed=3)
+    @example(n_reps=257, steps=600, lags=_LAGS[1], sigma=3.0, seed=1)
+    @example(n_reps=65, steps=600, lags=_LAGS[0], sigma=1e-3, seed=2)
+    @example(n_reps=64, steps=40, lags=_LAGS[2], sigma=3.0, seed=3)
     # 2004 grid points: the stats grid takes every second one, then the last
-    @example(n_reps=64, steps=2003, lags=_LAGS[1], shared=False, sigma=1e-3, seed=4)
-    def test_equals_scalar_loop(self, n_reps, steps, lags, shared, sigma, seed):
+    @example(n_reps=64, steps=2003, lags=_LAGS[1], sigma=1e-3, seed=4)
+    def test_equals_scalar_loop(self, n_reps, steps, lags, sigma, seed):
         dt = 0.05
-        noise = NoiseSpec(sigma, 1e-3, sigma, -0.04, -0.006, -0.008, lam=1.0, shared_clock=shared)
+        noise = NoiseSpec(sigma, 1e-3, sigma, -0.04, -0.006, -0.008, lam=1.0)
         delays = DelaySpec(*lags)
         cfg = StepConfig(dt=dt, t_end=steps * dt, seed=seed)
         stat_idx = list(range(steps + 1)) if steps < 2001 else [*range(0, steps, 2), steps]

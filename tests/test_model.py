@@ -154,6 +154,13 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match=r"^HistorySpec\.y0 must be >= 0, got -2\.0$"):
             HistorySpec(1, -2, 3)  # stored as a float before the check
 
+    def test_history_beyond_float_range_rejected(self):
+        # an int too large for a float is not finite, as a config's 1e400 is
+        with pytest.raises(FieldError) as exc:
+            HistorySpec(10**400, 1, 1)
+        assert (exc.value.owner, exc.value.field, exc.value.rule) == ("HistorySpec", "x0", "must be finite")
+        assert exc.value.value == 10**400
+
     def test_field_error_survives_pickling(self):
         # a worker process sends its fault to the parent pickled
         err = FieldError("StepConfig", "dt", "must be positive", -1.0)
