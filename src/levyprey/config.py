@@ -192,7 +192,7 @@ def _check(cfg: RunConfig, lines: dict[str, int]) -> ModelParams:
         delays = cfg.to_delays()
         cfg.to_history()
         params = cfg.to_params()
-        _in_range("RunConfig", "n_reps", cfg.n_reps, low=1)
+        _in_range("RunConfig", "n_reps", cfg.n_reps, low=1, any_int=True)
         try:
             cfg.to_step_config()
         except FieldError as exc:

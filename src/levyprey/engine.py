@@ -94,7 +94,7 @@ class StepConfig:
     def __post_init__(self) -> None:
         _in_range("StepConfig", "dt", self.dt, strict=True)
         _in_range("StepConfig", "t_end", self.t_end, strict=True)
-        _in_range("StepConfig", "seed", self.seed)
+        _in_range("StepConfig", "seed", self.seed, any_int=True)
         _on_grid("StepConfig", "t_end", self.t_end, self.dt)
 
     @property

@@ -10,24 +10,30 @@ before any replicate runs. Terminal running averages are computed exactly on the
 integration grid, since those are what the regime predictions speak about.
 
 Below _BATCH_MIN = 64 replicates, replicates run one at a time through
-engine.simulate, in contiguous shares of the indices over the usable cores
-(len(os.sched_getaffinity(0))): parallel.run_tasks runs the first share in
-this process and each other share in a forked child. A replicate draws only
-from its own streams, so the numbers do not depend on the cores. With one
-usable core, or below parallel._FORK_MIN = 10000 step-replicates (replicates
-times steps), where a fork costs more than it saves, all of them run here.
-On a 2-core Xeon VM, 8 persist replicates of 50000 steps (the benchmark's
-ensemble_long) take 0.63 s instead of 1.14 s. From 64 up, replicates run
-here in blocks through engine._simulate_batch, which steps a block together
-on arrays. Its numpy calls cost about the same per step whatever the block
-size, so on one core it overtakes the scalar loop between 32 and 50
-replicates (persist, ns per step-replicate, scalar vs batched: 1842 vs 1887
-at 32, 1871 vs 1296 at 50, 1852 vs 1050 at 64). 64 is the first power of two
-past that crossover. Blocks are consecutive runs of replicate indices, at
-most _BATCH_MAX = 256 long, which bounds the two generators per replicate
-and the draws a block holds, and split evenly, so each has at least 64 (257
-runs as 129 + 128). Apart from stepping, a
-replicate's main cost is building those generators: a block builds them with
+engine.simulate. From 64 up, they run in blocks through
+engine._simulate_batch, which steps a block together on arrays. Its numpy
+calls cost about the same per step whatever the block size, so on one core
+it overtakes the scalar loop between 32 and 50 replicates (persist, ns per
+step-replicate, scalar vs batched: 1842 vs 1887 at 32, 1871 vs 1296 at 50,
+1852 vs 1050 at 64). 64 is the first power of two past that crossover.
+Blocks are consecutive runs of replicate indices, at most _BATCH_MAX = 256
+long, which bounds the two generators per replicate and the draws a block
+holds, and split evenly, so each has at least 64 (257 runs as 129 + 128).
+
+Either way the tasks (replicates, or blocks when there are two or more) run
+in contiguous shares over the usable cores (len(os.sched_getaffinity(0))):
+parallel.run_tasks runs the first share here and each other in a forked
+child, which holds its share's stats-grid rows and terminal averages until
+the share is done and then sends them as raw bytes, read straight into this
+process's arrays. A replicate draws only from its own streams, so the
+numbers do not depend on the cores. Work below parallel._FORK_MIN = 10000
+step-replicates (replicates times steps), where a fork costs more than it
+saves, runs here, as does everything on one core and a single block (64 to
+256 replicates), whose fixed per-step numpy cost a split would pay twice. On
+a 2-core Xeon VM this takes 8 persist replicates of 50000 steps
+(ensemble_long) from 1.14 to 0.63 s, and 5000 replicates of 10 steps in 20
+blocks (ensemble_wide) from 0.110 to 0.081 s. Apart from stepping, a
+replicate's main cost is building its two generators: a block builds them with
 rng.streams in one vectorised pass per purpose, about 4 µs per generator,
 where the scalar driver's rng.stream takes about 24 µs. Both drivers give the
 same numbers bit for bit, and a block's memory is bounded by the block, its
@@ -35,8 +41,9 @@ draw chunk and its delay ring, not by the horizon. The ring holds kmax + 1
 grid rows of 3 floats per replicate (about 6 KB per row for a block of 256);
 the widest block's ring counts toward the 1 GiB limit. A
 block that meets a non-finite state runs again one replicate at a time
-through engine.simulate, so the fault names the same replicate, the lowest
-faulting index, either way.
+through engine.simulate, spread over the cores when it is the only block
+and in the process that ran it otherwise, so the fault names the same
+replicate, the lowest faulting index, on any number of cores.
 Since any replicate may run through simulate, every ensemble must fit
 simulate's horizon limit, and one that does not is refused before any
 replicate runs, whatever its size.
@@ -151,7 +158,7 @@ def run_ensemble(
     state raises SimulationError naming it; when several would, the lowest
     index is named.
     """
-    _in_range("run_ensemble", "n_reps", n_reps, low=1)
+    _in_range("run_ensemble", "n_reps", n_reps, low=1, any_int=True)
     n_points = c.n_steps + 1
     stats_stride = max(1, math.ceil(n_points / _MAX_STAT_POINTS))
     stat_idx = np.arange(0, n_points, stats_stride)
@@ -173,40 +180,45 @@ def run_ensemble(
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
 
-    def replicate(k: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """The scalar driver: replicate k's stats-grid rows, terminal average and floor clamps."""
+    def replicate(k: int) -> int:
+        """The scalar driver: fills row k with replicate k's stats-grid rows and
+        terminal average; returns its floor clamps."""
         try:
             traj = engine.simulate(p, n, d, h, c, replicate=k)
         except SimulationError as exc:
             raise SimulationError(f"replicate {k}: {exc}") from exc
-        # a copy: the terminal row is a view that would hold the whole series
-        return traj.states[stat_idx], time_average(traj).terminal.copy(), traj.floor_hits
+        paths[k], terminal[k] = traj.states[stat_idx], time_average(traj).terminal
+        return traj.floor_hits
 
-    def one_by_one(reps: Sequence[int]) -> int:
-        """Fills rows ``reps`` through the scalar driver, spread over the usable
-        cores; returns their floor clamps."""
-        done, fault = parallel.run_tasks([partial(replicate, k) for k in reps], len(reps) * c.n_steps)
+    def block(a: int, b: int) -> int:
+        """The batched driver: fills rows a to b - 1; returns their floor clamps."""
+        try:
+            paths[a:b], terminal[a:b], hits = engine._simulate_batch(
+                p, n, d, h, c, range(a, b), stat_idx
+            )
+        except SimulationError:
+            # one at a time, the block stops at the replicate that the
+            # scalar path would name
+            hits = spread([partial(replicate, k) for k in range(a, b)], range(a, b + 1))
+        return hits
+
+    def spread(tasks: Sequence[partial[int]], rows: Sequence[int]) -> int:
+        """Runs tasks that fill the rows rows[0] to rows[-1] - 1 over the
+        usable cores; returns their floor clamps."""
+        done, fault = parallel.run_tasks(
+            tasks, (rows[-1] - rows[0]) * c.n_steps, fill=(paths, terminal), rows=rows
+        )
         if fault is not None:
             raise fault
-        for k, (rows, term, _) in zip(reps, done):
-            paths[k], terminal[k] = rows, term
-        return sum(hits for _, _, hits in done)
+        return sum(done)
 
     if n_reps < _BATCH_MIN:
-        floor_total = one_by_one(range(n_reps))
+        floor_total = spread([partial(replicate, k) for k in range(n_reps)], range(n_reps + 1))
     else:
-        floor_total = 0
-        for block in np.array_split(np.arange(n_reps), n_blocks):
-            reps = block.tolist()
-            try:
-                paths[reps], terminal[reps], hits = engine._simulate_batch(
-                    p, n, d, h, c, reps, stat_idx
-                )
-            except SimulationError:
-                # one at a time, the block stops at the replicate that the
-                # scalar path would name
-                hits = one_by_one(reps)
-            floor_total += hits
+        # np.array_split's layout: the first n_reps % n_blocks blocks are one longer
+        size, longer = divmod(n_reps, n_blocks)
+        bounds = [i * size + min(i, longer) for i in range(n_blocks + 1)]
+        floor_total = spread([partial(block, a, b) for a, b in zip(bounds, bounds[1:])], bounds)
 
     mean, sd, q025, q500, q975 = _path_stats(paths)
     return EnsembleStats(

@@ -55,9 +55,17 @@ class FieldError(ValueError):
         return type(self), (self.owner, self.field, self.rule, self.value)
 
 
-def _in_range(owner: str, field: str, value: float, low: float = 0.0, strict: bool = False) -> None:
-    """The range rule of every numeric input: finite, and >= low (> low if strict)."""
-    if not -math.inf < value < math.inf:  # unlike math.isfinite, no OverflowError on a huge int
+def _in_range(
+    owner: str, field: str, value: float, low: float = 0.0, strict: bool = False, any_int: bool = False
+) -> None:
+    """The range rule of every numeric input: finite, and >= low (> low if
+    strict). An int beyond float range is not finite, as a config's 1e400 is
+    not, unless any_int allows ints of any size (a seed, a replicate count)."""
+    try:  # unlike math.isfinite, the comparison alone takes a huge int
+        finite = -math.inf < (value if any_int else float(value)) < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
         raise FieldError(owner, field, "must be finite", value)
     if value < low or (strict and value == low):
         raise FieldError(owner, field, f"must be {'>' if strict else '>='} {low:g}", value)
@@ -150,11 +158,9 @@ class HistorySpec:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            try:  # floats, so every grid record and ring built from them is float
-                object.__setattr__(self, f.name, float(value))
-            except OverflowError:  # an int beyond float range: not finite, as a config's 1e400
-                raise FieldError("HistorySpec", f.name, "must be finite", value) from None
+            _in_range("HistorySpec", f.name, getattr(self, f.name), low=-math.inf)
+            # floats, so every grid record and ring built from them is float
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
             _in_range("HistorySpec", f.name, getattr(self, f.name))
 
 

@@ -2,20 +2,24 @@
 
 run_tasks splits a list of tasks into contiguous shares, one per usable core
 (``len(os.sched_getaffinity(0))``) and at most one per task. The calling
-process runs the first share itself; forked children run the others, and
-each sends its results back, pickled, through a pipe. A task is a closure
-that a child sees as the caller's memory stood at the fork, so only results
-and exceptions are pickled, and the numbers are the ones the caller would
-have computed. A child points its stdout and stderr, both the descriptors
-and sys.stdout and sys.stderr, at os.devnull, so it never writes to the
-caller's, and leaves through os._exit, so no buffer, exit hook or
+process runs the first share itself; forked children run the others. A task
+is a closure that a child sees as the caller's memory stood at the fork, so
+the numbers are the ones the caller would have computed. Two things cross a
+child's pipe: first the rows of the caller's ``fill`` arrays that its share
+wrote, as raw bytes that the caller reads in place into the same rows (no
+pickled copy, so the caller's memory does not grow by them), then its tasks'
+results and fault, pickled. A child points its stdout and stderr, both the
+descriptors and sys.stdout and sys.stderr, at os.devnull, so it never writes
+to the caller's, and leaves through os._exit, so no buffer, exit hook or
 ``finally`` of the caller runs twice. There are no helper threads. Every
 child is reaped before run_tasks returns or raises, also on
 KeyboardInterrupt.
 
 The tasks run in the calling process, one after another, when one core is
 usable, os.fork is missing, another Python thread runs (a child would get
-only the forking thread, and any lock another thread held stays held), or
+only the forking thread, and any lock another thread held stays held), the
+cores are already taken by a run_tasks that spreads (a task that calls
+run_tasks, in a child or in the caller's own share, never forks again), or
 their work is below _FORK_MIN step-replicates.
 On a 2-core Xeon VM the bare fork and reap of the 36 MB process take 2.5 ms,
 and with the pipe and the child's first writes to its copied pages a fork
@@ -34,12 +38,15 @@ import pickle
 import signal
 import sys
 import threading
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
 # the fewest step-replicates whose tasks are spread over the cores
 _FORK_MIN = 10000
+
+# True while a run_tasks spreads its tasks, in the caller and in every child
+_spreading = False
 
 
 def _run(tasks: Sequence[Callable[[], T]]) -> tuple[list[T], Exception | None]:
@@ -53,8 +60,8 @@ def _run(tasks: Sequence[Callable[[], T]]) -> tuple[list[T], Exception | None]:
     return results, None
 
 
-def _child(tasks: Sequence[Callable[[], T]], fd: int) -> None:
-    """In a forked child: run the share, send (results, fault) through fd, exit."""
+def _child(tasks: Sequence[Callable[[], T]], rows: list[memoryview], fd: int) -> None:
+    """In a forked child: run the share, send its rows and then (results, fault) through fd, exit."""
     code = 1
     try:
         null = os.open(os.devnull, os.O_WRONLY)
@@ -67,14 +74,16 @@ def _child(tasks: Sequence[Callable[[], T]], fd: int) -> None:
         except Exception:  # an exception that does not survive pickling keeps its text
             fault = RuntimeError(f"{type(fault).__name__}: {fault}")
         with os.fdopen(fd, "wb") as fh:
+            for view in rows:
+                fh.write(view)
             pickle.dump((results, fault), fh, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
 
 
-def _spawn(tasks: Sequence[Callable[[], T]]):
-    """Fork a child that runs tasks; returns its pid and the read end of its pipe."""
+def _spawn(tasks: Sequence[Callable[[], T]], rows: list[memoryview]):
+    """Fork a child that runs tasks and sends rows; returns its pid and the read end of its pipe."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -84,13 +93,17 @@ def _spawn(tasks: Sequence[Callable[[], T]]):
         raise
     if pid == 0:
         os.close(r)
-        _child(tasks, w)
+        _child(tasks, rows, w)
     os.close(w)
     return pid, os.fdopen(r, "rb")
 
 
 def run_tasks(
-    tasks: Sequence[Callable[[], T]], work: int, undo: Callable[[T], object] | None = None
+    tasks: Sequence[Callable[[], T]],
+    work: int,
+    undo: Callable[[T], object] | None = None,
+    fill: Sequence[Any] = (),
+    rows: Sequence[int] = (),
 ) -> tuple[list[T], Exception | None]:
     """Run every task (a zero-argument callable) and return (done, fault).
 
@@ -100,24 +113,33 @@ def run_tasks(
     loop over the tasks would stop there. ``undo`` is called on the result of
     every task after the fault that a child ran, so that a fault leaves
     behind what the loop would have. ``work`` counts the step-replicates of
-    all the tasks.
+    all the tasks. ``fill`` holds C-contiguous arrays that the tasks write
+    into instead of returning what they write: task i writes rows
+    ``rows[i]`` to ``rows[i + 1] - 1`` of each, and those rows come back from
+    a child into the caller's arrays. After a fault, the rows of the tasks
+    from the fault on are undefined.
     """
+    global _spreading
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_shares = min(cores, len(tasks))
-    if n_shares < 2 or work < _FORK_MIN or not hasattr(os, "fork") or threading.active_count() > 1:
+    if (n_shares < 2 or work < _FORK_MIN or _spreading or not hasattr(os, "fork")
+            or threading.active_count() > 1):
         return _run(tasks)
     bounds = [-(-len(tasks) * i // n_shares) for i in range(n_shares + 1)]
     children = []
+    _spreading = True
     try:
         for a, b in zip(bounds[1:-1], bounds[2:]):
-            children.append(_spawn(tasks[a:b]))
+            share = [memoryview(array[rows[a]:rows[b]]).cast("B") for array in fill]
+            children.append((*_spawn(tasks[a:b], share), share))
         outcomes = [_run(tasks[: bounds[1]])]
-        for pid, pipe in children:
-            data = pipe.read()
+        for pid, pipe, share in children:
+            data = pipe.read() if all(pipe.readinto(view) == len(view) for view in share) else b""
             lost = ChildProcessError(f"worker process {pid} ended without its results")
             outcomes.append(pickle.loads(data) if data else ([], lost))
     finally:
-        for pid, pipe in children:
+        _spreading = False
+        for pid, pipe, _ in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)  # a child that sent its results is exiting anyway
             os.waitpid(pid, 0)

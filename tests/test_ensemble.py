@@ -1,5 +1,6 @@
 """Unit tests for Monte Carlo aggregation and regime verification."""
 
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -281,6 +282,65 @@ class TestFanOut:
             errors.append(str(info.value))
         assert errors[0] == errors[1]
         assert errors[0].startswith("replicate 3: non-finite state at t=19.37: ")
+        assert_no_children()
+
+
+class TestSpreadBlocks:
+    """From two blocks up, contiguous shares of the blocks run on the usable
+    cores, the first in this process; every number must equal the
+    in-process run's, and a fault must name the same replicate."""
+
+    @pytest.mark.parametrize("n_reps, own", [(257, [range(129)]), (600, [range(200), range(200, 400)])])
+    def test_equals_in_process_run(self, cores, monkeypatch, n_reps, own):
+        # 257 runs as 129 + 128, one block a share; 600 as three blocks of
+        # 200, two in this process and one in the child. sigma = 3 overshoots
+        # below zero often, so the floor clamps count
+        noise = NoiseSpec(3.0, 1e-3, 3.0, -0.04, -0.006, -0.008, lam=1.0)
+        blocks = []
+        real = engine._simulate_batch
+
+        def recorded(p, n, d, h, c, reps, stat_idx):
+            blocks.append(reps)  # only the blocks that this process runs
+            return real(p, n, d, h, c, reps, stat_idx)
+
+        monkeypatch.setattr(engine, "_simulate_batch", recorded)
+        runs = []
+        for n_cores in (1, 2):
+            cores(n_cores)
+            blocks.clear()
+            runs.append(run_ensemble(PARAMS, noise, DELAYS, HIST, CFG, n_reps))
+        assert blocks == own
+        assert runs[0].floor_hits_total > 0
+        for field in TestFanOut.FIELDS:
+            assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field)), field
+        assert_no_children()
+
+    def test_fault_in_the_childs_share(self, cores, monkeypatch):
+        # fig3 over 13 days, seed 2: of 257 replicates only 236 and 255
+        # explode, both in the second block, which the child runs. 255 does
+        # so first, but the block runs again one replicate at a time, in the
+        # child and without forking again, and names 236
+        cfg = parse_config("preset = fig3\nt_end = 13\nseed = 2\n")
+        parts = (cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config())
+        parent, forks = os.getpid(), []
+        real_fork = os.fork
+
+        def fork():
+            if os.getpid() != parent:
+                raise AssertionError("a worker process forked")
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        errors = []
+        for n_cores in (1, 2):
+            cores(n_cores)
+            with pytest.raises(SimulationError) as info:
+                run_ensemble(*parts, 257)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("replicate 236: non-finite state at t=12.74: ")
+        assert len(forks) == 1
         assert_no_children()
 
 

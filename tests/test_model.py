@@ -161,6 +161,18 @@ class TestTypeInvariants:
         assert (exc.value.owner, exc.value.field, exc.value.rule) == ("HistorySpec", "x0", "must be finite")
         assert exc.value.value == 10**400
 
+    @pytest.mark.parametrize("build, owner, field", [
+        (lambda: ModelParams(**{**vars(FIG1_PARAMS), "k1": 10**400}), "ModelParams", "k1"),
+        (lambda: NoiseSpec(0, 0, 0, q1=0, q2=0, q3=0, lam=10**400), "NoiseSpec", "lam"),
+        (lambda: DelaySpec(0.5, 10**400, 0.5), "DelaySpec", "tau2"),
+    ], ids=["ModelParams", "NoiseSpec", "DelaySpec"])
+    def test_beyond_float_range_rejected(self, build, owner, field):
+        # rejected when built, not as an OverflowError from simulate or classify
+        with pytest.raises(FieldError) as exc:
+            build()
+        assert (exc.value.owner, exc.value.field, exc.value.rule) == (owner, field, "must be finite")
+        assert exc.value.value == 10**400
+
     def test_field_error_survives_pickling(self):
         # a worker process sends its fault to the parent pickled
         err = FieldError("StepConfig", "dt", "must be positive", -1.0)

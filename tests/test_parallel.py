@@ -5,6 +5,7 @@ import threading
 import time
 from functools import partial
 
+import numpy as np
 import pytest
 
 from conftest import assert_no_children
@@ -27,6 +28,40 @@ def test_results_come_back_in_task_order(cores, n_cores):
     done, fault = parallel.run_tasks([partial(_value, i) for i in range(7)] + [os.getpid], 1)
     assert done[:7] == [i * i for i in range(7)] and fault is None
     assert done[7] != parent  # the last share ran in a child
+    assert_no_children()
+
+
+@pytest.mark.parametrize("n_cores", [1, 2, 3])
+def test_filled_rows_come_back_in_place(cores, n_cores):
+    # task i writes rows rows[i] to rows[i + 1] - 1 of both arrays; a child's
+    # rows are read into the caller's arrays, which are never replaced
+    cores(n_cores)
+    grid, flat = np.zeros((7, 2, 3)), np.zeros(7)
+    rows = [0, 3, 4, 7]
+
+    def write(i):
+        grid[rows[i]:rows[i + 1]] = i + 1
+        flat[rows[i]:rows[i + 1]] = -(i + 1)
+        return os.getpid()
+
+    pids, fault = parallel.run_tasks([partial(write, i) for i in range(3)], 1, fill=(grid, flat), rows=rows)
+    assert fault is None and len(set(pids)) == min(n_cores, 3)
+    want = np.repeat([1.0, 2.0, 3.0], [3, 1, 3])
+    assert np.array_equal(grid, np.broadcast_to(want[:, None, None], grid.shape))
+    assert np.array_equal(flat, -want)
+    assert_no_children()
+
+
+def test_a_task_that_spreads_again_runs_in_process(cores):
+    # the cores are taken: neither the caller's share nor a child forks again
+    cores(2)
+
+    def nested():
+        return parallel.run_tasks([os.getpid, os.getpid], 1)[0]
+
+    done, fault = parallel.run_tasks([nested, nested], 1)
+    assert fault is None and done[0] == [os.getpid()] * 2
+    assert done[1][0] == done[1][1] != os.getpid()
     assert_no_children()
 
 
