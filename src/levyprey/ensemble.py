@@ -39,14 +39,17 @@ where the scalar driver's rng.stream takes about 24 µs. Both drivers give the
 same numbers bit for bit, and a block's memory is bounded by the block, its
 draw chunk and its delay ring, not by the horizon. The ring holds kmax + 1
 grid rows of 3 floats per replicate (about 6 KB per row for a block of 256);
-the widest block's ring counts toward the 1 GiB limit. A
-block that meets a non-finite state runs again one replicate at a time
-through engine.simulate, spread over the cores when it is the only block
-and in the process that ran it otherwise, so the fault names the same
-replicate, the lowest faulting index, on any number of cores.
+the widest block's ring counts toward the 1 GiB limit, which holds in total
+over the processes: blocks spread over the cores only while the statistics,
+one more copy of them for the children's shares and a ring per process fit
+in it, and otherwise run here one after another. A block that meets a
+non-finite state runs again one replicate at a time through engine.simulate
+in the process that ran it, so the fault names the same replicate, the
+lowest faulting index, on any number of cores.
 Since any replicate may run through simulate, every ensemble must fit
 simulate's horizon limit, and one that does not is refused before any
-replicate runs, whatever its size.
+replicate runs, whatever its size. That limit bounds one trajectory, so the
+one-at-a-time driver holds up to one trajectory per core at once.
 
 The asymptotic statements behind the regime classifier are checked at a
 finite horizon with explicit tolerances: medians of terminal time averages
@@ -197,9 +200,9 @@ def run_ensemble(
                 p, n, d, h, c, range(a, b), stat_idx
             )
         except SimulationError:
-            # one at a time, the block stops at the replicate that the
+            # one at a time, here, the block stops at the replicate that the
             # scalar path would name
-            hits = spread([partial(replicate, k) for k in range(a, b)], range(a, b + 1))
+            hits = sum(replicate(k) for k in range(a, b))
         return hits
 
     def spread(tasks: Sequence[partial[int]], rows: Sequence[int]) -> int:
@@ -218,7 +221,14 @@ def run_ensemble(
         # np.array_split's layout: the first n_reps % n_blocks blocks are one longer
         size, longer = divmod(n_reps, n_blocks)
         bounds = [i * size + min(i, longer) for i in range(n_blocks + 1)]
-        floor_total = spread([partial(block, a, b) for a, b in zip(bounds, bounds[1:])], bounds)
+        blocks = [partial(block, a, b) for a, b in zip(bounds, bounds[1:])]
+        # spread, every process holds a ring, and the children hold their
+        # shares' rows, together less than one more copy of the statistics
+        shares = min(parallel.usable_cores(), n_blocks)
+        if (2 * n_reps * len(stat_idx) + shares * width * ring_rows) * 3 * 8 <= engine._MAX_BYTES:
+            floor_total = spread(blocks, bounds)
+        else:
+            floor_total = sum(task() for task in blocks)
 
     mean, sd, q025, q500, q975 = _path_stats(paths)
     return EnsembleStats(

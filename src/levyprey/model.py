@@ -25,6 +25,7 @@ pure, so instances are safe to share across threads or processes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -158,10 +159,13 @@ class HistorySpec:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _in_range("HistorySpec", f.name, getattr(self, f.name), low=-math.inf)
-            # floats, so every grid record and ring built from them is float
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
-            _in_range("HistorySpec", f.name, getattr(self, f.name))
+            # floats, so every grid record and ring built from them is float;
+            # an int beyond float range stays one, and is not finite
+            value = getattr(self, f.name)
+            with contextlib.suppress(OverflowError):
+                value = float(value)
+            _in_range("HistorySpec", f.name, value)
+            object.__setattr__(self, f.name, value)
 
 
 def drift(

@@ -17,9 +17,7 @@ KeyboardInterrupt.
 
 The tasks run in the calling process, one after another, when one core is
 usable, os.fork is missing, another Python thread runs (a child would get
-only the forking thread, and any lock another thread held stays held), the
-cores are already taken by a run_tasks that spreads (a task that calls
-run_tasks, in a child or in the caller's own share, never forks again), or
+only the forking thread, and any lock another thread held stays held), or
 their work is below _FORK_MIN step-replicates.
 On a 2-core Xeon VM the bare fork and reap of the 36 MB process take 2.5 ms,
 and with the pipe and the child's first writes to its copied pages a fork
@@ -45,8 +43,10 @@ T = TypeVar("T")
 # the fewest step-replicates whose tasks are spread over the cores
 _FORK_MIN = 10000
 
-# True while a run_tasks spreads its tasks, in the caller and in every child
-_spreading = False
+
+def usable_cores() -> int:
+    """The cores this process may run on, over which run_tasks spreads."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _run(tasks: Sequence[Callable[[], T]]) -> tuple[list[T], Exception | None]:
@@ -119,15 +119,11 @@ def run_tasks(
     a child into the caller's arrays. After a fault, the rows of the tasks
     from the fault on are undefined.
     """
-    global _spreading
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_shares = min(cores, len(tasks))
-    if (n_shares < 2 or work < _FORK_MIN or _spreading or not hasattr(os, "fork")
-            or threading.active_count() > 1):
+    n_shares = min(usable_cores(), len(tasks))
+    if n_shares < 2 or work < _FORK_MIN or not hasattr(os, "fork") or threading.active_count() > 1:
         return _run(tasks)
     bounds = [-(-len(tasks) * i // n_shares) for i in range(n_shares + 1)]
     children = []
-    _spreading = True
     try:
         for a, b in zip(bounds[1:-1], bounds[2:]):
             share = [memoryview(array[rows[a]:rows[b]]).cast("B") for array in fill]
@@ -138,7 +134,6 @@ def run_tasks(
             lost = ChildProcessError(f"worker process {pid} ended without its results")
             outcomes.append(pickle.loads(data) if data else ([], lost))
     finally:
-        _spreading = False
         for pid, pipe, _ in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)  # a child that sent its results is exiting anyway

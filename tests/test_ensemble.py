@@ -343,6 +343,27 @@ class TestSpreadBlocks:
         assert len(forks) == 1
         assert_no_children()
 
+    def test_near_the_limit_blocks_run_in_process(self, cores, monkeypatch):
+        # 257 replicates (129 + 128) with the limit at exactly what one
+        # process holds: the ensemble runs, but a second process's share of
+        # rows and ring would not fit, so nothing forks; one byte less and
+        # it is refused
+        def fork():
+            raise AssertionError("an ensemble over the limit forked")
+
+        want = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, 257)
+        ring_rows = max(engine.lag_steps(DELAYS, CFG.dt)) + 1
+        held = (257 * len(want.stat_times) + 129 * ring_rows) * 3 * 8
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(engine, "_MAX_BYTES", held)
+        cores(2)
+        got = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, 257)
+        for field in TestFanOut.FIELDS:
+            assert np.array_equal(getattr(want, field), getattr(got, field)), field
+        monkeypatch.setattr(engine, "_MAX_BYTES", held - 1)
+        with pytest.raises(ValueError, match="ensemble too large"):
+            run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, 257)
+
 
 class TestVerifyRegime:
     def _stats_with(self, terminal, provenance):

@@ -52,19 +52,6 @@ def test_filled_rows_come_back_in_place(cores, n_cores):
     assert_no_children()
 
 
-def test_a_task_that_spreads_again_runs_in_process(cores):
-    # the cores are taken: neither the caller's share nor a child forks again
-    cores(2)
-
-    def nested():
-        return parallel.run_tasks([os.getpid, os.getpid], 1)[0]
-
-    done, fault = parallel.run_tasks([nested, nested], 1)
-    assert fault is None and done[0] == [os.getpid()] * 2
-    assert done[1][0] == done[1][1] != os.getpid()
-    assert_no_children()
-
-
 def test_below_the_threshold_tasks_run_in_process(cores, monkeypatch):
     cores(2)
     monkeypatch.setattr(parallel, "_FORK_MIN", 10)
