@@ -24,7 +24,12 @@ an extinct population.
 Two drivers run this update through _advance, its one definition, and give
 the same numbers bit for bit. Both take their random numbers from _draws,
 the only code that draws them, _DRAW_CHUNK steps at a time from each
-replicate's own streams. simulate steps one replicate on Python floats and
+replicate's own streams. A block builds and draws only the streams whose
+draws can move its states: none of the Gaussian ones when every sigma is 0
+(and no history value is -0.0), none of the jump ones when lambda is 0; it
+steps on zeros instead, with the same result. simulate always builds both,
+so its stream count and a fault's reported normals do not depend on the
+noise. simulate steps one replicate on Python floats and
 keeps its whole path, so it refuses a horizon whose grid record and path
 would exceed 1 GiB (_check_horizon). _simulate_batch steps a block of
 replicates on arrays and keeps only the stats-grid rows and the running
@@ -239,7 +244,8 @@ def _pack(p: ModelParams, n: NoiseSpec, dt: float):
     )
 
 
-def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int):
+def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int,
+           gauss: bool = True, jumps: bool = True):
     """Every random number of a run: yields chunks of at most _DRAW_CHUNK
     steps, a (3, steps, B) float array of normals, species first so that a
     driver unpacks a step into three columns, and a (steps, B) int64 array
@@ -248,17 +254,21 @@ def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int
     the same values as one full-horizon draw; a yielded chunk is valid
     until the next one. The generators come from rng.streams, one
     vectorised pass per purpose for a block and rng.stream for a single
-    replicate, the same streams either way."""
-    streams = list(zip(rng.streams(seed, reps, rng.GAUSSIAN), rng.streams(seed, reps, rng.JUMPS)))
+    replicate, the same streams either way. With gauss false the normals,
+    and with jumps false the counts, are zeros: their streams are neither
+    built nor drawn."""
+    gaussians = rng.streams(seed, reps, rng.GAUSSIAN) if gauss else []
+    poissons = rng.streams(seed, reps, rng.JUMPS) if jumps else []
     lam_dt = n.lam * dt
     size = min(_DRAW_CHUNK, n_steps)
-    normals = np.empty((3, size, len(streams)))
-    counts = np.empty((size, len(streams)), dtype=np.int64)
+    normals = np.zeros((3, size, len(reps)))
+    counts = np.zeros((size, len(reps)), dtype=np.int64)
     for start in range(0, n_steps, size):
         m = min(size, n_steps - start)
-        for b, (gauss, jumps) in enumerate(streams):
-            normals[:, :m, b] = gauss.standard_normal((m, 3)).T
-            counts[:m, b] = jumps.poisson(lam_dt, m)
+        for b, g in enumerate(gaussians):
+            normals[:, :m, b] = g.standard_normal((m, 3)).T
+        for b, g in enumerate(poissons):
+            counts[:m, b] = g.poisson(lam_dt, m)
         yield normals[:, :m], counts[:m]
 
 
@@ -288,6 +298,9 @@ def simulate(
     jump_events = 0
     floor_hits = 0
     isfinite = math.isfinite
+    # both streams, even one whose draws cannot move a state: the fault
+    # message names the normals, and perfbench/test_perfbench.py pins two
+    # rng.stream calls per replicate on a scalar ensemble with sigma = 0
     steps = chain.from_iterable(
         zip(*normals[:, :, 0].tolist(), counts[:, 0].tolist())
         for normals, counts in _draws(c.seed, [replicate], n, dt, n_steps)
@@ -351,7 +364,8 @@ def _simulate_batch(
     and end at n_steps) as a (B, len(stat_idx), 3) array, the terminal
     running averages (B, 3), and the floor clamps summed over the block.
     Every value is bit for bit what simulate and analysis.time_average give
-    replicate k: the draws come from _draws as simulate's do, _advance does the
+    replicate k: the draws come from _draws as simulate's do (zeros for a
+    stream whose draws cannot move a state), _advance does the
     update on (B,) arrays, the clamp applies by mask, and the trapezoid sums
     keep time_average's operation order, 0.5*(s1 + s0)*(t1 - t0) added in
     sequence and divided by N*dt at the end. Delay taps read a ring buffer
@@ -377,8 +391,16 @@ def _simulate_batch(
     mark = 1
     sums = np.zeros((3, width))
     floor_hits = 0
+    # build and draw only the streams whose draws can move a state. With
+    # every sigma 0 a normal adds s*S*Z = +-0 to S + f*dt, and the sign of
+    # that zero shows only where S + f*dt is -0.0, which needs S = -0.0, a
+    # -0.0 history value. A Poisson count at rate 0 is always 0
+    gauss = any((n.sigma1, n.sigma2, n.sigma3)) or any(
+        math.copysign(1.0, v) < 0 for v in (h.x0, h.y0, h.z0)
+    )
     steps = chain.from_iterable(
-        zip(*normals, counts) for normals, counts in _draws(c.seed, reps, n, dt, n_steps)
+        zip(*normals, counts)
+        for normals, counts in _draws(c.seed, reps, n, dt, n_steps, gauss, n.lam != 0)
     )
     for i, (z1, z2, z3, j) in enumerate(steps):
         m = rows - 1 + i  # grid index of the current state

@@ -17,8 +17,9 @@ it overtakes the scalar loop between 32 and 50 replicates (persist, ns per
 step-replicate, scalar vs batched: 1842 vs 1887 at 32, 1871 vs 1296 at 50,
 1852 vs 1050 at 64). 64 is the first power of two past that crossover.
 Blocks are consecutive runs of replicate indices, at most _BATCH_MAX = 256
-long, which bounds the two generators per replicate and the draws a block
-holds, and split evenly, so each has at least 64 (257 runs as 129 + 128).
+long, which bounds the generators (two per replicate at most) and the
+draws a block holds, and split evenly, so each has at least 64 (257 runs
+as 129 + 128).
 
 Either way the tasks (replicates, or blocks when there are two or more) run
 in contiguous shares over the usable cores (len(os.sched_getaffinity(0))):
@@ -33,11 +34,16 @@ saves, runs here, as does everything on one core and a single block (64 to
 a 2-core Xeon VM this takes 8 persist replicates of 50000 steps
 (ensemble_long) from 1.14 to 0.63 s, and 5000 replicates of 10 steps in 20
 blocks (ensemble_wide) from 0.110 to 0.081 s. Apart from stepping, a
-replicate's main cost is building its two generators: a block builds them with
+replicate's main cost is building its generators: a block builds them with
 rng.streams in one vectorised pass per purpose, about 4 µs per generator,
-where the scalar driver's rng.stream takes about 24 µs. Both drivers give the
-same numbers bit for bit, and a block's memory is bounded by the block, its
-draw chunk and its delay ring, not by the horizon. The ring holds kmax + 1
+where the scalar driver's rng.stream takes about 24 µs. A block builds and
+draws only the streams whose draws can move its states: no Gaussian ones
+when every sigma is 0, no jump ones when lambda is 0, so criterion 07's
+compensator check (sigma 0) builds half of them. engine.simulate, which
+runs the scalar driver and a faulting block's re-run, builds both for every
+replicate, and its fault message names the normals it drew. Both drivers
+give the same numbers bit for bit, and a block's memory is bounded by the
+block, its draw chunk and its delay ring, not by the horizon. The ring holds kmax + 1
 grid rows of 3 floats per replicate (about 6 KB per row for a block of 256);
 the widest block's ring counts toward the 1 GiB limit, which holds in total
 over the processes: blocks spread over the cores only while the statistics,

@@ -246,6 +246,63 @@ class TestBatchedDriver:
         assert [len(b) for b in blocks] == [200, 200, 200]
         assert sum(blocks, []) == list(range(600))
 
+    # a block draws no normals when every sigma is 0 and no counts when lam
+    # is 0; simulate draws both, so each case must still match it exactly,
+    # down to the sign of every zero
+    ZERO_STREAMS = {
+        "sigma0": (NoiseSpec(0, 0, 0, -0.04, -0.006, -0.008, lam=1.0), HIST),
+        "lam0": (NoiseSpec(3.0, 1e-3, 3.0, -0.04, -0.006, -0.008, lam=0.0), HIST),
+        "off": (NOISE_OFF, HIST),
+        # about 1700 floor clamps per lag set
+        "clamps": (NoiseSpec(0, 0, 0, -0.9, 3.0, -0.5, lam=2.0), HIST),
+        # with a -0.0 history value a block draws its normals: with x, y and
+        # z all -0.0 a normal's +-0 decides the sign of x and y at step 1,
+        # and so of q025's
+        "zeros": (NoiseSpec(0, 0, 0, -0.04, -0.006, -0.008, lam=1.0), HistorySpec(0.0, -0.0, 5.0)),
+        "origin": (NoiseSpec(0, 0, 0, 0.3, 0.3, 0.3, lam=0.0), HistorySpec(-0.0, -0.0, -0.0)),
+    }
+
+    @pytest.mark.parametrize("lags", _LAGS[:2])
+    @pytest.mark.parametrize("case", ZERO_STREAMS)
+    def test_zero_streams_equal_scalar_loop(self, case, lags):
+        noise, hist = self.ZERO_STREAMS[case]
+        delays, cfg = DelaySpec(*lags), StepConfig(dt=0.1, t_end=10.0, seed=3)
+        stat_idx = list(range(cfg.n_steps + 1))
+        want = _reference(PARAMS, noise, delays, hist, cfg, 64, stat_idx)
+        stats = run_ensemble(PARAMS, noise, delays, hist, cfg, 64)
+        for field, value in want.items():
+            got = getattr(stats, field)
+            assert np.array_equal(got, value), field
+            assert np.array_equal(np.signbit(got), np.signbit(value)), field
+        if case == "clamps":
+            assert stats.floor_hits_total > 1000
+
+    @pytest.mark.parametrize(
+        ("noise", "hist", "n_reps", "built"),
+        [
+            (ZERO_STREAMS["sigma0"][0], HIST, 64, {engine.rng.JUMPS}),
+            (ZERO_STREAMS["lam0"][0], HIST, 64, {engine.rng.GAUSSIAN}),
+            (NOISE_OFF, HIST, 64, set()),
+            (NOISE_OFF, HistorySpec(5.0, -0.0, 5.0), 64, {engine.rng.GAUSSIAN}),
+            (NOISE_OFF, HIST, 63, {engine.rng.GAUSSIAN, engine.rng.JUMPS}),
+        ],
+        ids=["sigma0", "lam0", "off", "negative-zero", "scalar"],
+    )
+    def test_builds_only_the_streams_that_can_move_a_state(self, monkeypatch, cores,
+                                                           noise, hist, n_reps, built):
+        # on one core, so that every stream is built in this process
+        cores(1)
+        made = []
+        real = engine.rng.streams
+
+        def recorded(seed, reps, purpose):
+            made.extend((purpose, k) for k in reps)
+            return real(seed, reps, purpose)
+
+        monkeypatch.setattr(engine.rng, "streams", recorded)
+        run_ensemble(PARAMS, noise, DELAYS, hist, CFG, n_reps)
+        assert sorted(made) == [(purpose, k) for purpose in sorted(built) for k in range(n_reps)]
+
 
 class TestFanOut:
     """Below 64 replicates, contiguous shares of the replicates run on the
