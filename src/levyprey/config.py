@@ -20,7 +20,7 @@ becomes a warning on the parsed config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .engine import StepConfig, lag_steps
 from .model import DelaySpec, FieldError, HistorySpec, ModelParams, NoiseSpec, _in_range
@@ -34,34 +34,15 @@ class ConfigError(ValueError):
 
 
 # every numeric key, in canonical serialization order: (config key, part of
-# the scenario it belongs to, attribute name on that part)
-_FIELDS = (
-    ("r1", "params", "r1"),
-    ("r2", "params", "r2"),
-    ("K1", "params", "k1"),
-    ("K2", "params", "k2"),
-    ("alpha1", "params", "alpha1"),
-    ("alpha2", "params", "alpha2"),
-    ("alpha3", "params", "alpha3"),
-    ("beta", "params", "beta"),
-    ("delta", "params", "delta"),
-    ("a1", "params", "a1"),
-    ("a2", "params", "a2"),
-    ("sigma1", "noise", "sigma1"),
-    ("sigma2", "noise", "sigma2"),
-    ("sigma3", "noise", "sigma3"),
-    ("q1", "noise", "q1"),
-    ("q2", "noise", "q2"),
-    ("q3", "noise", "q3"),
-    ("lambda", "noise", "lam"),
-    ("tau1", "delays", "tau1"),
-    ("tau2", "delays", "tau2"),
-    ("tau3", "delays", "tau3"),
-    ("dt", "step", "dt"),
-    ("t_end", "step", "t_end"),
-    ("x0", "history", "x0"),
-    ("y0", "history", "y0"),
-    ("z0", "history", "z0"),
+# the scenario it belongs to, attribute name on that part); a key is its
+# attribute's name, but for the three in _RENAMED
+_RENAMED = {"k1": "K1", "k2": "K2", "lam": "lambda"}
+_FIELDS = tuple(
+    (_RENAMED.get(f.name, f.name), part, f.name)
+    for part, typ in (("params", ModelParams), ("noise", NoiseSpec), ("delays", DelaySpec),
+                      ("step", StepConfig), ("history", HistorySpec))
+    for f in fields(typ)
+    if f.name != "seed"
 )
 _FLOAT_KEYS = tuple(key for key, _, _ in _FIELDS)
 # the config key of each typed field (attribute names are unique)

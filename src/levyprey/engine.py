@@ -145,10 +145,6 @@ class Trajectory:
     def z(self) -> np.ndarray:
         return self.states[:, 2]
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def grid_steps(value: float, dt: float) -> int | None:
     """Whole number of steps k >= 1 with k*dt equal to value within the grid
@@ -205,16 +201,23 @@ def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:
         )
 
 
+def _trajectory_bytes(n_steps: int, rows: int) -> int:
+    """Bytes simulate holds at its peak over n_steps steps: its grid record
+    (the rows = kmax + 1 history rows init_history fills, then one row per
+    step) and path."""
+    return n_steps * _STEP_BYTES + rows * _ROW_BYTES
+
+
 def _check_horizon(
     c: StepConfig, d: DelaySpec, remedy: str = "lower t_end or the delays, or raise dt"
 ) -> None:
-    """ValueError naming t_end and dt when simulate's grid record (the kmax + 1
-    history rows init_history fills, then one row per step) and path would
-    exceed _MAX_BYTES; FieldError when a positive delay is off the dt grid."""
+    """ValueError naming t_end and dt when simulate's grid record and path
+    (_trajectory_bytes) would exceed _MAX_BYTES; FieldError when a positive
+    delay is off the dt grid."""
     rows = max(lag_steps(d, c.dt)) + 1
     _check_bytes(
         f"simulation too large: {c.n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
-        c.n_steps * _STEP_BYTES + rows * _ROW_BYTES,
+        _trajectory_bytes(c.n_steps, rows),
         f"grid record ({rows} history rows) and path", remedy,
     )
 

@@ -9,53 +9,54 @@ path statistics and delay ring (below) would still exceed 1 GiB is refused
 before any replicate runs. Terminal running averages are computed exactly on the full
 integration grid, since those are what the regime predictions speak about.
 
-Below _BATCH_MIN = 64 replicates, replicates run one at a time through
-engine.simulate. From 64 up, they run in blocks through
-engine._simulate_batch, which steps a block together on arrays. Its numpy
-calls cost about the same per step whatever the block size, so on one core
-it overtakes the scalar loop between 32 and 50 replicates (persist, ns per
+Replicates run as a list of tasks, each filling a consecutive run of rows:
+one replicate per task below _BATCH_MIN = 64, and from 64 up blocks of at
+most _BATCH_MAX = 256, which bounds the generators (two per replicate at
+most) and the draws a block holds, split evenly, so each has at least 64
+(257 runs as 129 + 128). A task of 64 replicates or more steps them
+together through engine._simulate_batch, on arrays; a shorter one runs them
+one at a time through engine.simulate. The batched driver's numpy calls
+cost about the same per step whatever the block size, so on one core it
+overtakes the scalar loop between 32 and 50 replicates (persist, ns per
 step-replicate, scalar vs batched: 1842 vs 1887 at 32, 1871 vs 1296 at 50,
 1852 vs 1050 at 64). 64 is the first power of two past that crossover.
-Blocks are consecutive runs of replicate indices, at most _BATCH_MAX = 256
-long, which bounds the generators (two per replicate at most) and the
-draws a block holds, and split evenly, so each has at least 64 (257 runs
-as 129 + 128).
 
-Either way the tasks (replicates, or blocks when there are two or more) run
-in contiguous shares over the usable cores (len(os.sched_getaffinity(0))):
-parallel.run_tasks runs the first share here and each other in a forked
-child, which holds its share's stats-grid rows and terminal averages until
-the share is done and then sends them as raw bytes, read straight into this
-process's arrays. A replicate draws only from its own streams, so the
-numbers do not depend on the cores. Work below parallel._FORK_MIN = 10000
-step-replicates (replicates times steps), where a fork costs more than it
-saves, runs here, as does everything on one core and a single block (64 to
-256 replicates), whose fixed per-step numpy cost a split would pay twice. On
-a 2-core Xeon VM this takes 8 persist replicates of 50000 steps
-(ensemble_long) from 1.14 to 0.63 s, and 5000 replicates of 10 steps in 20
-blocks (ensemble_wide) from 0.110 to 0.081 s. Apart from stepping, a
-replicate's main cost is building its generators: a block builds them with
-rng.streams in one vectorised pass per purpose, about 4 µs per generator,
-where the scalar driver's rng.stream takes about 24 µs. A block builds and
-draws only the streams whose draws can move its states: no Gaussian ones
-when every sigma is 0, no jump ones when lambda is 0, so criterion 07's
-compensator check (sigma 0) builds half of them. engine.simulate, which
-runs the scalar driver and a faulting block's re-run, builds both for every
-replicate, and its fault message names the normals it drew. Both drivers
-give the same numbers bit for bit, and a block's memory is bounded by the
-block, its draw chunk and its delay ring, not by the horizon. The ring holds kmax + 1
-grid rows of 3 floats per replicate (about 6 KB per row for a block of 256);
-the widest block's ring counts toward the 1 GiB limit, which holds in total
-over the processes: blocks spread over the cores only while the statistics,
-one more copy of them for the children's shares and a ring per process fit
-in it, and otherwise run here one after another. A block that meets a
-non-finite state runs again one replicate at a time through engine.simulate
-in the process that ran it, so the fault names the same replicate, the
-lowest faulting index, on any number of cores.
-Since any replicate may run through simulate, every ensemble must fit
-simulate's horizon limit, and one that does not is refused before any
-replicate runs, whatever its size. That limit bounds one trajectory, so the
-one-at-a-time driver holds up to one trajectory per core at once.
+The tasks run in contiguous shares over the usable cores
+(len(os.sched_getaffinity(0))): parallel.run_tasks runs the first share
+here and each other in a forked child, which holds its share's stats-grid
+rows and terminal averages until the share is done and then sends them as
+raw bytes, read straight into this process's arrays. A replicate draws only
+from its own streams, so the numbers do not depend on the cores. Work below
+parallel._FORK_MIN = 10000 step-replicates (replicates times steps), where
+a fork costs more than it saves, runs here, as does everything on one core
+and a single block (64 to 256 replicates), whose fixed per-step numpy cost
+a split would pay twice. On a 2-core Xeon VM this takes 8 persist
+replicates of 50000 steps (ensemble_long) from 1.14 to 0.63 s, and 5000
+replicates of 10 steps in 20 blocks (ensemble_wide) from 0.110 to 0.081 s.
+Apart from stepping, a replicate's main cost is building its generators: a
+block builds them with rng.streams in one vectorised pass per purpose,
+about 4 µs per generator, where the scalar driver's rng.stream takes about
+24 µs. A block builds and draws only the streams whose draws can move its
+states: no Gaussian ones when every sigma is 0, no jump ones when lambda is
+0, so criterion 07's compensator check (sigma 0) builds half of them.
+engine.simulate, which runs the scalar driver and a faulting block's
+re-run, builds both for every replicate, and its fault message names the
+normals it drew. Both drivers give the same numbers bit for bit, and a
+block's memory is bounded by the block, its draw chunk and its delay ring,
+not by the horizon. The ring holds kmax + 1 grid rows of 3 floats per
+replicate (about 6 KB per row for a block of 256).
+
+The 1 GiB limit holds in total over the processes, for both drivers: a
+process counts the larger of the widest block's ring and one trajectory of
+simulate, and the tasks spread over the cores only while the statistics,
+one more copy of them for the children's shares and that count per process
+fit in the limit; otherwise they run here one after another. A block that
+meets a non-finite state runs again one replicate at a time through
+engine.simulate in the process that ran it, so the fault names the same
+replicate, the lowest faulting index, on any number of cores. Since any
+replicate may run through simulate, every ensemble must fit simulate's
+horizon limit, and one that does not is refused before any replicate runs,
+whatever its size.
 
 The asymptotic statements behind the regime classifier are checked at a
 finite horizon with explicit tolerances: medians of terminal time averages
@@ -69,7 +70,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -189,52 +189,50 @@ def run_ensemble(
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
 
-    def replicate(k: int) -> int:
-        """The scalar driver: fills row k with replicate k's stats-grid rows and
-        terminal average; returns its floor clamps."""
-        try:
-            traj = engine.simulate(p, n, d, h, c, replicate=k)
-        except SimulationError as exc:
-            raise SimulationError(f"replicate {k}: {exc}") from exc
-        paths[k], terminal[k] = traj.states[stat_idx], time_average(traj).terminal
-        return traj.floor_hits
-
-    def block(a: int, b: int) -> int:
-        """The batched driver: fills rows a to b - 1; returns their floor clamps."""
-        try:
-            paths[a:b], terminal[a:b], hits = engine._simulate_batch(
-                p, n, d, h, c, range(a, b), stat_idx
-            )
-        except SimulationError:
-            # one at a time, here, the block stops at the replicate that the
-            # scalar path would name
-            hits = sum(replicate(k) for k in range(a, b))
+    def task(a: int, b: int) -> int:
+        """Fills rows a to b - 1 with those replicates' stats-grid rows and
+        terminal averages; returns their floor clamps."""
+        # a block that faults runs again one replicate at a time, here, so
+        # that it stops at the replicate the scalar driver would name
+        if b - a >= _BATCH_MIN:
+            try:
+                paths[a:b], terminal[a:b], hits = engine._simulate_batch(
+                    p, n, d, h, c, range(a, b), stat_idx
+                )
+                return hits
+            except SimulationError:
+                pass
+        hits = 0
+        for k in range(a, b):
+            try:
+                traj = engine.simulate(p, n, d, h, c, replicate=k)
+            except SimulationError as exc:
+                raise SimulationError(f"replicate {k}: {exc}") from exc
+            paths[k], terminal[k] = traj.states[stat_idx], time_average(traj).terminal
+            hits += traj.floor_hits
         return hits
 
-    def spread(tasks: Sequence[partial[int]], rows: Sequence[int]) -> int:
-        """Runs tasks that fill the rows rows[0] to rows[-1] - 1 over the
-        usable cores; returns their floor clamps."""
+    # a task per replicate below _BATCH_MIN, else per block, in
+    # np.array_split's layout: the first n_reps % n_tasks are one longer
+    n_tasks = n_blocks if width else n_reps
+    size, longer = divmod(n_reps, n_tasks)
+    bounds = [i * size + min(i, longer) for i in range(n_tasks + 1)]
+    tasks = [partial(task, a, b) for a, b in zip(bounds, bounds[1:])]
+    # spread, every process holds a block's ring or one replicate's
+    # trajectory (a faulting block re-runs through simulate), and the
+    # children hold their shares' rows, together less than one more copy of
+    # the statistics
+    shares = min(parallel.usable_cores(), n_tasks)
+    held = max(width * ring_rows * 3 * 8, engine._trajectory_bytes(c.n_steps, ring_rows))
+    if 2 * n_reps * len(stat_idx) * 3 * 8 + shares * held <= engine._MAX_BYTES:
         done, fault = parallel.run_tasks(
-            tasks, (rows[-1] - rows[0]) * c.n_steps, fill=(paths, terminal), rows=rows
+            tasks, n_reps * c.n_steps, fill=(paths, terminal), rows=bounds
         )
         if fault is not None:
             raise fault
-        return sum(done)
-
-    if n_reps < _BATCH_MIN:
-        floor_total = spread([partial(replicate, k) for k in range(n_reps)], range(n_reps + 1))
+        floor_total = sum(done)
     else:
-        # np.array_split's layout: the first n_reps % n_blocks blocks are one longer
-        size, longer = divmod(n_reps, n_blocks)
-        bounds = [i * size + min(i, longer) for i in range(n_blocks + 1)]
-        blocks = [partial(block, a, b) for a, b in zip(bounds, bounds[1:])]
-        # spread, every process holds a ring, and the children hold their
-        # shares' rows, together less than one more copy of the statistics
-        shares = min(parallel.usable_cores(), n_blocks)
-        if (2 * n_reps * len(stat_idx) + shares * width * ring_rows) * 3 * 8 <= engine._MAX_BYTES:
-            floor_total = spread(blocks, bounds)
-        else:
-            floor_total = sum(task() for task in blocks)
+        floor_total = sum(run() for run in tasks)
 
     mean, sd, q025, q500, q975 = _path_stats(paths)
     return EnsembleStats(

@@ -421,6 +421,26 @@ class TestSpreadBlocks:
         with pytest.raises(ValueError, match="ensemble too large"):
             run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, 257)
 
+    def test_one_at_a_time_shares_count_toward_the_limit(self, cores, monkeypatch):
+        # 8 replicates run one at a time, each holding its trajectory while
+        # it runs: with the limit one byte below the statistics, a second
+        # copy of them and a trajectory in each of four processes, nothing
+        # forks
+        def fork():
+            raise AssertionError("an ensemble over the limit forked")
+
+        cores(1)
+        want = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, 8)
+        ring_rows = max(engine.lag_steps(DELAYS, CFG.dt)) + 1
+        stats = 8 * len(want.stat_times) * 3 * 8
+        trajectory = engine._trajectory_bytes(CFG.n_steps, ring_rows)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(engine, "_MAX_BYTES", 2 * stats + 4 * trajectory - 1)
+        cores(4)
+        got = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, 8)
+        for field in TestFanOut.FIELDS:
+            assert np.array_equal(getattr(want, field), getattr(got, field)), field
+
 
 class TestVerifyRegime:
     def _stats_with(self, terminal, provenance):
