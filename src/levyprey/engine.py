@@ -145,6 +145,10 @@ class Trajectory:
     def z(self) -> np.ndarray:
         return self.states[:, 2]
 
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
+
 
 def grid_steps(value: float, dt: float) -> int | None:
     """Whole number of steps k >= 1 with k*dt equal to value within the grid

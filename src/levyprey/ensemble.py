@@ -47,13 +47,16 @@ not by the horizon. The ring holds kmax + 1 grid rows of 3 floats per
 replicate (about 6 KB per row for a block of 256).
 
 The 1 GiB limit holds in total over the processes, for both drivers: a
-process counts the larger of the widest block's ring and one trajectory of
-simulate, and the tasks spread over the cores only while the statistics,
-one more copy of them for the children's shares and that count per process
-fit in the limit; otherwise they run here one after another. A block that
-meets a non-finite state runs again one replicate at a time through
-engine.simulate in the process that ran it, so the fault names the same
-replicate, the lowest faulting index, on any number of cores. Since any
+process counts the widest block's ring, or below 64 replicates one
+trajectory of simulate, and the tasks spread over the cores only while the
+statistics, one more copy of them for the children's shares and that count
+per process fit in the limit; otherwise they run here one after another. A
+block that meets a non-finite state runs again one replicate at a time
+through engine.simulate in the process that ran it, so the fault names the
+same replicate, the lowest faulting index, on any number of cores. That
+re-run starts once the block's arrays are freed and holds one trajectory in
+place of its ring; the rule does not charge it, which would keep long
+block ensembles on many cores in one process when nothing faults. Since any
 replicate may run through simulate, every ensemble must fit simulate's
 horizon limit, and one that does not is refused before any replicate runs,
 whatever its size.
@@ -218,12 +221,11 @@ def run_ensemble(
     size, longer = divmod(n_reps, n_tasks)
     bounds = [i * size + min(i, longer) for i in range(n_tasks + 1)]
     tasks = [partial(task, a, b) for a, b in zip(bounds, bounds[1:])]
-    # spread, every process holds a block's ring or one replicate's
-    # trajectory (a faulting block re-runs through simulate), and the
-    # children hold their shares' rows, together less than one more copy of
-    # the statistics
+    # spread, every process holds the widest block's ring, or with no
+    # blocks one replicate's trajectory, and the children hold their shares'
+    # rows, together less than one more copy of the statistics
     shares = min(parallel.usable_cores(), n_tasks)
-    held = max(width * ring_rows * 3 * 8, engine._trajectory_bytes(c.n_steps, ring_rows))
+    held = width * ring_rows * 3 * 8 if width else engine._trajectory_bytes(c.n_steps, ring_rows)
     if 2 * n_reps * len(stat_idx) * 3 * 8 + shares * held <= engine._MAX_BYTES:
         done, fault = parallel.run_tasks(
             tasks, n_reps * c.n_steps, fill=(paths, terminal), rows=bounds

@@ -441,6 +441,34 @@ class TestSpreadBlocks:
         for field in TestFanOut.FIELDS:
             assert np.array_equal(getattr(want, field), getattr(got, field)), field
 
+    def test_block_shares_count_their_rings_not_a_trajectory(self, cores, monkeypatch):
+        # 257 replicates (129 + 128) with delays of one step, so a trajectory
+        # outweighs the widest ring: with the limit at exactly the statistics,
+        # a second copy of them and a ring in each of two processes, the
+        # blocks still spread, since only a faulting block holds a trajectory
+        delays = DelaySpec(0.01, 0.01, 0.01)
+        cores(1)
+        want = run_ensemble(PARAMS, NOISE, delays, HIST, CFG, 257)
+        ring_rows = max(engine.lag_steps(delays, CFG.dt)) + 1
+        stats = 257 * len(want.stat_times) * 3 * 8
+        ring = 129 * ring_rows * 3 * 8
+        assert ring < engine._trajectory_bytes(CFG.n_steps, ring_rows)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(engine, "_MAX_BYTES", 2 * stats + 2 * ring)
+        cores(2)
+        got = run_ensemble(PARAMS, NOISE, delays, HIST, CFG, 257)
+        assert len(forks) == 1
+        for field in TestFanOut.FIELDS:
+            assert np.array_equal(getattr(want, field), getattr(got, field)), field
+        assert_no_children()
+
 
 class TestVerifyRegime:
     def _stats_with(self, terminal, provenance):
