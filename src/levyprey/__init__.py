@@ -24,7 +24,6 @@ from .model import DelaySpec, HistorySpec, ModelParams, NoiseSpec
 from .oracle import (
     ConvergenceTable,
     convergence_study,
-    rk4_self_convergence,
     solve_deterministic,
 )
 from .presets import PRESETS, SWEEPS, Scenario, SweepPreset
@@ -58,7 +57,6 @@ __all__ = [
     "ConvergenceTable",
     "solve_deterministic",
     "convergence_study",
-    "rk4_self_convergence",
     # presets
     "Scenario",
     "SweepPreset",

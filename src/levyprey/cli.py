@@ -234,16 +234,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfgs = [cfg.replaced(**{t: value for t in targets}) for value in values]
 
     if args.mode == "simulate":
-        # the values' paths are stepped and written across the cores; a fault
-        # leaves the files and lines that a loop over the values would
+        # the values' paths are stepped and written across the cores while a
+        # trajectory per process fits the memory limit, else in this process;
+        # a fault leaves the files and lines that a loop over the values would
         def write(path: str, cfg_v: RunConfig) -> str:
             _simulate(path, cfg_v)
             return path
 
-        work = sum(cfg_v.to_step_config().n_steps for cfg_v in cfgs)
-        written, fault = parallel.run_tasks(
-            [partial(write, path, cfg_v) for path, cfg_v in zip(paths, cfgs)], work, undo=os.remove
-        )
+        tasks = [partial(write, path, cfg_v) for path, cfg_v in zip(paths, cfgs)]
+        steps = [cfg_v.to_step_config().n_steps for cfg_v in cfgs]
+        rows = [max(engine.lag_steps(cfg_v.to_delays(), cfg_v["dt"])) + 1 for cfg_v in cfgs]
+        held = max(map(engine._trajectory_bytes, steps, rows))
+        if min(parallel.usable_cores(), len(tasks)) * held <= engine._MAX_BYTES:
+            written, fault = parallel.run_tasks(tasks, sum(steps), undo=os.remove)
+        else:
+            written, fault = parallel._run(tasks)
         for path in written:
             print(f"wrote {path}")
         if fault is not None:

@@ -33,9 +33,9 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-# every numeric key, in canonical serialization order: (config key, part of
-# the scenario it belongs to, attribute name on that part); a key is its
-# attribute's name, but for the three in _RENAMED
+# every numeric key: (config key, part of the scenario it belongs to,
+# attribute name on that part); a key is its attribute's name, but for the
+# three in _RENAMED
 _RENAMED = {"k1": "K1", "k2": "K2", "lam": "lambda"}
 _FIELDS = tuple(
     (_RENAMED.get(f.name, f.name), part, f.name)
@@ -145,19 +145,6 @@ class RunConfig:
 
     def to_step_config(self) -> StepConfig:
         return StepConfig(**self._part("step"), seed=self.seed)
-
-    def to_text(self) -> str:
-        """Canonical serialization; parsing it back reproduces this config."""
-        lines = []
-        if self.preset is not None:
-            lines.append(f"preset = {self.preset}")
-        for key in _FLOAT_KEYS:
-            lines.append(f"{key} = {self.values[key]!r}")
-        for key in _INT_KEYS:
-            lines.append(f"{key} = {self.values[key]}")
-        if self.output is not None:
-            lines.append(f"output = {self.output}")
-        return "\n".join(lines) + "\n"
 
 
 def _check(cfg: RunConfig, lines: dict[str, int]) -> ModelParams:

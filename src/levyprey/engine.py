@@ -15,27 +15,30 @@ is switched off.
 Delay taps are resolved on the time grid: each positive delay, and the
 horizon t_end, must be a whole multiple of dt (anything else is rejected),
 which removes interpolation error at the taps and ends every run exactly at
-t_end. A positivity floor of 1e-12 masks the rare discretization overshoot
-below zero; every clamp is counted so the artifact stays observable.
-Components that are exactly zero stay zero: the origin is absorbing under
-purely multiplicative terms, and clamping a true zero upward would re-seed
-an extinct population.
+t_end. A positivity floor of 1e-12 applies whenever a positive component's
+update falls below it, also while the update is still positive, so it is a
+lower barrier for a species that dies out and not only a guard against
+Euler overshooting below zero (on the extinct preset 4 to 6% of steps per
+species sit at it). Every clamp is counted so the artifact stays
+observable. Components that are exactly zero stay zero: the origin is
+absorbing under purely multiplicative terms, and clamping a true zero
+upward would re-seed an extinct population.
 
 Two drivers run this update through _advance, its one definition, and give
 the same numbers bit for bit. Both take their random numbers from _draws,
 the only code that draws them, _DRAW_CHUNK steps at a time from each
 replicate's own streams. A block builds and draws only the streams whose
-draws can move its states: none of the Gaussian ones when every sigma is 0
-(and no history value is -0.0), none of the jump ones when lambda is 0; it
-steps on zeros instead, with the same result. simulate always builds both,
-so its stream count and a fault's reported normals do not depend on the
-noise. simulate steps one replicate on Python floats and
-keeps its whole path, so it refuses a horizon whose grid record and path
-would exceed 1 GiB (_check_horizon). _simulate_batch steps a block of
-replicates on arrays and keeps only the stats-grid rows and the running
-averages; ensemble.run_ensemble decides which driver runs. It reads delay
-taps from a ring buffer of kmax + 1 grid rows, so its memory is bounded by
-the block size, the delays and the draw chunk, not by the horizon.
+draws can move its states: none of the Gaussian ones when every sigma is 0,
+none of the jump ones when lambda is 0; it steps on zeros instead, with the
+same result. simulate always builds both, so its stream count and a fault's
+reported normals do not depend on the noise. simulate steps one replicate
+on Python floats and keeps its whole path, so it refuses a horizon whose
+grid record and path would exceed 1 GiB (_check_horizon). _simulate_batch
+steps a block of replicates on arrays and keeps only the stats-grid rows
+and the running averages; ensemble.run_ensemble decides which driver runs.
+It reads delay taps from a ring buffer of kmax + 1 grid rows, so its memory
+is bounded by the block size, the delays and the draw chunk, not by the
+horizon.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ __all__ = [
 # relative slack for every "is this value a whole number of steps" decision
 _GRID_TOL = 1e-9
 
-# value a positive component is clamped to when a step overshoots below zero
+# value a positive component is clamped to when its update falls below it
 _POSITIVITY_FLOOR = 1e-12
 
 # memory a run may claim up front: simulate's grid record and path, and an
@@ -398,13 +401,8 @@ def _simulate_batch(
     mark = 1
     sums = np.zeros((3, width))
     floor_hits = 0
-    # build and draw only the streams whose draws can move a state. With
-    # every sigma 0 a normal adds s*S*Z = +-0 to S + f*dt, and the sign of
-    # that zero shows only where S + f*dt is -0.0, which needs S = -0.0, a
-    # -0.0 history value. A Poisson count at rate 0 is always 0
-    gauss = any((n.sigma1, n.sigma2, n.sigma3)) or any(
-        math.copysign(1.0, v) < 0 for v in (h.x0, h.y0, h.z0)
-    )
+    # build and draw only the streams whose draws can move a state
+    gauss = any((n.sigma1, n.sigma2, n.sigma3))
     steps = chain.from_iterable(
         zip(*normals, counts)
         for normals, counts in _draws(c.seed, reps, n, dt, n_steps, gauss, n.lam != 0)

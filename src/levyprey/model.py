@@ -159,11 +159,12 @@ class HistorySpec:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            # floats, so every grid record and ring built from them is float;
-            # an int beyond float range stays one, and is not finite
+            # floats, so every grid record and ring built from them is float,
+            # and -0.0 becomes 0.0; an int beyond float range stays one, and
+            # is not finite
             value = getattr(self, f.name)
             with contextlib.suppress(OverflowError):
-                value = float(value)
+                value = float(value) + 0.0
             _in_range("HistorySpec", f.name, value)
             object.__setattr__(self, f.name, value)
 

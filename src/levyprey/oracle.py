@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
 
 import numpy as np
 
@@ -62,7 +61,6 @@ __all__ = [
     "ConvergenceTable",
     "solve_deterministic",
     "convergence_study",
-    "rk4_self_convergence",
 ]
 
 
@@ -190,9 +188,6 @@ class ConvergenceTable:
     rows: tuple[ConvergenceRow, ...]
     observed_order: float | None  # least-squares slope of log(err) vs log(dt)
 
-    def errors(self) -> list[float]:
-        return [r.max_err for r in self.rows]
-
 
 def _order_table(dts: list[float], errs: list[float]) -> ConvergenceTable:
     rows: list[ConvergenceRow] = []
@@ -222,19 +217,21 @@ def _check_step(field: str, dt: float, t_end: float, d: DelaySpec) -> None:
         raise FieldError("convergence_study", field, f"makes the {exc}", dt) from None
 
 
-def _study(
+def convergence_study(
     p: ModelParams,
     d: DelaySpec,
     h: HistorySpec,
     dt_list: list[float],
     t_end: float,
-    ref_dt: float | None,
-    states_at: Callable[[float], np.ndarray],
+    *,
+    ref_dt: float | None = None,
 ) -> ConvergenceTable:
-    """Max-norm error of states_at(dt) against a fine reference solution, per dt.
-    A dt_list that is empty or not strictly descending, and a dt or ref_dt
-    that breaks the grid rules or simulate's horizon limit, raise FieldError
-    on "dt" or "ref_dt" before the reference is solved."""
+    """Max-norm error of the engine's noise-off path against a fine reference
+    solution (ref_dt, by default min(dt_list) / 4), for each step size in
+    dt_list, with observed order. A dt_list that is empty or not strictly
+    descending, and a dt or ref_dt that breaks the grid rules or simulate's
+    horizon limit, raise FieldError on "dt" or "ref_dt" before the reference
+    is solved."""
     if len(dt_list) == 0:
         raise FieldError("convergence_study", "dt", "must be nonempty", dt_list)
     if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
@@ -250,41 +247,9 @@ def _study(
             raise FieldError("convergence_study", "ref_dt", f"must divide dt = {dt:g}", ref_dt)
     _check_step("ref_dt", ref_dt, t_end, d)
     ref = solve_deterministic(p, d, h, ref_dt, t_end).states
-    errs = [float(np.max(np.abs(states_at(dt) - ref[::k]))) for dt, k in zip(dt_list, strides)]
-    return _order_table(list(dt_list), errs)
-
-
-def convergence_study(
-    p: ModelParams,
-    d: DelaySpec,
-    h: HistorySpec,
-    dt_list: list[float],
-    t_end: float,
-    *,
-    ref_dt: float | None = None,
-) -> ConvergenceTable:
-    """Max-norm error of the engine's noise-off path against the reference,
-    for each step size in descending dt_list, with observed order."""
     noise_off = NoiseSpec(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, lam=0.0)
-
-    def engine_states(dt: float) -> np.ndarray:
-        cfg = _engine.StepConfig(dt=dt, t_end=t_end)
-        return _engine.simulate(p, noise_off, d, h, cfg).states
-
-    return _study(p, d, h, dt_list, t_end, ref_dt, engine_states)
-
-
-def rk4_self_convergence(
-    p: ModelParams,
-    d: DelaySpec,
-    h: HistorySpec,
-    dt_list: list[float],
-    t_end: float,
-    *,
-    ref_dt: float | None = None,
-) -> ConvergenceTable:
-    """Self-convergence of the reference solver against its own fine-dt run."""
-    return _study(
-        p, d, h, dt_list, t_end, ref_dt,
-        lambda dt: solve_deterministic(p, d, h, dt, t_end).states,
-    )
+    errs = []
+    for dt, k in zip(dt_list, strides):
+        states = _engine.simulate(p, noise_off, d, h, _engine.StepConfig(dt=dt, t_end=t_end)).states
+        errs.append(float(np.max(np.abs(states - ref[::k]))))
+    return _order_table(list(dt_list), errs)

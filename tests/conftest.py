@@ -2,9 +2,10 @@
 
 import os
 
+import numpy as np
 import pytest
 
-from levyprey import parallel
+from levyprey import oracle, parallel
 
 
 @pytest.fixture
@@ -23,3 +24,16 @@ def assert_no_children() -> None:
     """Every child process this one started has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def rk4_self_convergence(p, d, h, dts, t_end):
+    """The reference solver against itself: the max-norm error of its
+    solution at each dt (descending) against its solution at min(dts) / 4,
+    with the observed order."""
+    ref_dt = min(dts) / 4.0
+    ref = oracle.solve_deterministic(p, d, h, ref_dt, t_end).states
+    errs = []
+    for dt in dts:
+        states = oracle.solve_deterministic(p, d, h, dt, t_end).states
+        errs.append(float(np.max(np.abs(states - ref[::round(dt / ref_dt)]))))
+    return oracle._order_table(dts, errs)

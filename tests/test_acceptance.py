@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import levyprey as lp
+from conftest import rk4_self_convergence
 from levyprey import PRESETS, Regime
 from levyprey.cli import main as cli_main
 
@@ -111,7 +112,7 @@ def test_05_deterministic_convergence_orders():
         sc.params, sc.delays, hist, [1e-2, 5e-3, 2.5e-3], t_end=10.0
     )
     hist_osc = lp.HistorySpec(10.0, 10.0, 5.0)
-    oracle_table = lp.rk4_self_convergence(
+    oracle_table = rk4_self_convergence(
         sc.params, sc.delays, hist_osc, [1e-2, 5e-3, 2.5e-3], t_end=10.0
     )
     engine_ok = 0.8 <= engine_table.observed_order <= 1.2
@@ -121,7 +122,7 @@ def test_05_deterministic_convergence_orders():
         "deterministic-convergence",
         engine_ok and oracle_ok,
         f"engine order={engine_table.observed_order:.3f} (errs "
-        f"{[f'{e:.3g}' for e in engine_table.errors()]}), "
+        f"{[f'{r.max_err:.3g}' for r in engine_table.rows]}), "
         f"reference-solver order={oracle_table.observed_order:.3f}",
     )
 

@@ -14,10 +14,13 @@ from levyprey import (
     NoiseSpec,
     PRESETS,
     Regime,
+    StepConfig,
     Trajectory,
     classify,
+    simulate,
     time_average,
 )
+from levyprey import engine
 
 
 def _traj(times, states):
@@ -380,3 +383,66 @@ class TestClassifyProperty:
                                    (Regime.PREDATOR_EXTINCT_PREY_PERSIST, predator)) if ok]
         assert rep.predicted is (holding[0] if holding else Regime.INDETERMINATE)
         assert rep.overlap == (tuple(r.value for r in holding) if len(holding) > 1 else ())
+
+
+class TestLogGrowthBalance:
+    """The identity the margins c1 to c4 and the bounds Lx, Ly, Lz are read
+    from: by Ito's formula, over [0, T] on one path, (ln S(T) - ln S(0))/T is
+    the species' per-capita rate averaged over the path, less sigma^2/2 and
+    the jump cost lambda*(q - ln(1 + q)), plus martingale terms. For x the
+    rate is r1 - (r1/K1)*x(t - tau1) - alpha1*z + beta*y*z, for y the same
+    with r2, K2, tau2, alpha2 and beta*x*z, and for z it is -delta -
+    alpha3*z + a1*x(t - tau3) + a2*y(t - tau3). The averages are taken at
+    the Euler drift's left points, and each path's jump martingale
+    ln(1 + q)*(N_T - lambda*T) (N_T its jump events) and Brownian martingale
+    sigma*W_T (W_T from its own normals) are taken off. The mean residual
+    over 10 replicates must then be zero within 4 standard errors plus 2*dt
+    for the scheme's O(dt) bias; 2*dt covers the largest residual measured
+    before this test, about 1.3*dt on z with jumps."""
+
+    CASES = {
+        "persist": ("persist", {}),
+        "predator_extinct": ("predator_extinct", {}),
+        "sigma": ("persist", dict(sigma1=0.3, sigma2=0.3, sigma3=0.3)),
+        "jumps": ("persist", dict(q1=-0.5, q2=-0.5, q3=-0.5, lam=0.5)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_mean_residual_is_zero(self, case):
+        name, change = self.CASES[case]
+        sc = PRESETS[name]
+        p, n, d, h = sc.params, dataclasses.replace(sc.noise, **change), sc.delays, sc.history
+        c = StepConfig(dt=sc.dt, t_end=200.0, seed=7)
+        steps, dt, t_end = c.n_steps, c.dt, c.t_end
+        k1, k2, k3 = engine.lag_steps(d, dt)
+        sigma = np.array([n.sigma1, n.sigma2, n.sigma3])
+        log_mark = np.log1p([n.q1, n.q2, n.q3])
+        jump_cost = n.lam * (np.array([n.q1, n.q2, n.q3]) - log_mark)
+
+        def lagged(s, s0, lag):  # s(t - lag*dt) at the left points
+            return np.concatenate((np.full(lag, s0), s))[:steps]
+
+        residuals = []
+        for k in range(10):
+            traj = simulate(p, n, d, h, c, replicate=k)
+            assert traj.floor_hits == 0
+            x, y, z = traj.states[:-1].T
+            rate = np.array([
+                p.r1 - p.r1 / p.k1 * lagged(x, h.x0, k1).mean() - p.alpha1 * z.mean()
+                + p.beta * (y * z).mean(),
+                p.r2 - p.r2 / p.k2 * lagged(y, h.y0, k2).mean() - p.alpha2 * z.mean()
+                + p.beta * (x * z).mean(),
+                -p.delta - p.alpha3 * z.mean() + p.a1 * lagged(x, h.x0, k3).mean()
+                + p.a2 * lagged(y, h.y0, k3).mean(),
+            ])
+            w = sum(normals[:, :, 0].sum(axis=1)
+                    for normals, _ in engine._draws(c.seed, [k], n, dt, steps))
+            martingale = log_mark * (traj.jump_events - n.lam * t_end) + sigma * math.sqrt(dt) * w
+            growth = np.log(traj.states[-1] / traj.states[0])
+            residuals.append((growth - martingale) / t_end - (rate - sigma**2 / 2 - jump_cost))
+        mean = np.mean(residuals, axis=0)
+        tol = 4 * np.std(residuals, axis=0, ddof=1) / math.sqrt(len(residuals)) + 2 * dt
+        assert np.all(np.abs(mean) <= tol), (mean, tol)
+        # the tolerance resolves the term the case is there for
+        term = {"sigma": sigma**2 / 2, "jumps": jump_cost}.get(case)
+        assert term is None or np.all(tol < term), (tol, term)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -228,6 +229,41 @@ class TestSweep:
         assert out.out.splitlines()[:len(written)] == [f"wrote sw_seed={v}.csv" for v in written]
         assert sorted(files) == sorted(["sw.cfg", *(f"sw_seed={v}.csv" for v in written)]
                                        + (["sw_index.csv"] if code == 0 else []))
+        assert_no_children()
+
+    @pytest.mark.parametrize("text, var, values, steps, rows, code", [
+        # tau3 = 2 has the most history rows; seed 1 faults
+        ("preset = fig3\nt_end = 2\n", "tau3", "1.5,2", 200, 201, 0),
+        ("preset = fig3\nt_end = 20\n", "seed", "0,1,4", 2000, 151, 2),
+    ], ids=["no-fault", "fault"])
+    def test_near_the_limit_values_run_in_process(self, tmp_path, capsys, cores, monkeypatch,
+                                                  text, var, values, steps, rows, code):
+        # spread, each of two processes holds up to the largest trajectory of
+        # the values: with the limit one byte under two of them nothing
+        # forks, and the files, stdout, stderr and exit code equal those of
+        # the spread run
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        cores(2)
+        runs = []
+        for limit in (engine._MAX_BYTES, 2 * engine._trajectory_bytes(steps, rows) - 1):
+            monkeypatch.setattr(engine, "_MAX_BYTES", limit)
+            forks.clear()
+            work = tmp_path / str(limit)
+            work.mkdir()
+            monkeypatch.chdir(work)
+            _write(work, "sw.cfg", text)
+            rc = main(["sweep", "--config", "sw.cfg", "--out", "sw.csv", "--var", var, "--values", values])
+            files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+            runs.append((rc, capsys.readouterr(), files, len(forks)))
+        assert runs[0][:3] == runs[1][:3]
+        assert (runs[0][0], runs[0][3], runs[1][3]) == (code, 1, 0)
         assert_no_children()
 
 

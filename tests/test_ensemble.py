@@ -255,9 +255,8 @@ class TestBatchedDriver:
         "off": (NOISE_OFF, HIST),
         # about 1700 floor clamps per lag set
         "clamps": (NoiseSpec(0, 0, 0, -0.9, 3.0, -0.5, lam=2.0), HIST),
-        # with a -0.0 history value a block draws its normals: with x, y and
-        # z all -0.0 a normal's +-0 decides the sign of x and y at step 1,
-        # and so of q025's
+        # a -0.0 history value is stored as 0.0, so a zero-scaled normal's
+        # +-0 cannot flip the sign of a zero state here either
         "zeros": (NoiseSpec(0, 0, 0, -0.04, -0.006, -0.008, lam=1.0), HistorySpec(0.0, -0.0, 5.0)),
         "origin": (NoiseSpec(0, 0, 0, 0.3, 0.3, 0.3, lam=0.0), HistorySpec(-0.0, -0.0, -0.0)),
     }
@@ -283,7 +282,8 @@ class TestBatchedDriver:
             (ZERO_STREAMS["sigma0"][0], HIST, 64, {engine.rng.JUMPS}),
             (ZERO_STREAMS["lam0"][0], HIST, 64, {engine.rng.GAUSSIAN}),
             (NOISE_OFF, HIST, 64, set()),
-            (NOISE_OFF, HistorySpec(5.0, -0.0, 5.0), 64, {engine.rng.GAUSSIAN}),
+            # a -0.0 history builds the streams a 0.0 history builds: none
+            (NOISE_OFF, HistorySpec(5.0, -0.0, 5.0), 64, set()),
             (NOISE_OFF, HIST, 63, {engine.rng.GAUSSIAN, engine.rng.JUMPS}),
         ],
         ids=["sigma0", "lam0", "off", "negative-zero", "scalar"],

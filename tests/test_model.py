@@ -154,6 +154,11 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match=r"^HistorySpec\.y0 must be >= 0, got -2\.0$"):
             HistorySpec(1, -2, 3)  # stored as a float before the check
 
+    def test_history_negative_zero_stored_as_zero(self):
+        # so no state of a run is -0.0, and a zero-scaled normal, which adds
+        # only a signed zero, never changes one
+        assert math.copysign(1.0, HistorySpec(-0.0, 1.0, 1.0).x0) == 1.0
+
     def test_history_beyond_float_range_rejected(self):
         # an int too large for a float is not finite, as a config's 1e400 is
         with pytest.raises(FieldError) as exc:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import rk4_self_convergence
 from levyprey import (
     DelaySpec,
     HistorySpec,
@@ -15,7 +16,6 @@ from levyprey import (
     StepConfig,
     Trajectory,
     convergence_study,
-    rk4_self_convergence,
     solve_deterministic,
 )
 from levyprey import engine, oracle
@@ -247,16 +247,8 @@ class TestConvergenceStudy:
         h = HistorySpec(28.0, 25.0, 13.0)
         table = convergence_study(sc.params, sc.delays, h, [1e-2, 5e-3], t_end=5.0)
         assert 0.7 <= table.observed_order <= 1.3
-        errs = table.errors()
+        errs = [r.max_err for r in table.rows]
         assert errs[1] < errs[0]
-
-    def test_self_comparison_is_zero(self):
-        h = HistorySpec(10, 10, 5)
-        table = rk4_self_convergence(
-            PRESETS["fig1"].params, TABLE_DELAYS, h, [1e-2], t_end=1.0, ref_dt=1e-2
-        )
-        assert table.rows[0].max_err == 0.0
-        assert table.observed_order is None
 
     def test_single_dt_has_no_order_estimate(self):
         sc = PRESETS["fig3"]
@@ -275,7 +267,7 @@ class TestConvergenceStudy:
         sc = PRESETS["fig3"]
         h = HistorySpec(28.0, 25.0, 13.0)
         table = convergence_study(sc.params, sc.delays, h, [2e-2, 1e-2, 5e-3, 2.5e-3], t_end=5.0)
-        errs = table.errors()
+        errs = [r.max_err for r in table.rows]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_delayed_rk4_self_convergence_is_fourth_order(self):

@@ -27,7 +27,6 @@ PUBLIC = [
     "ConvergenceTable",
     "solve_deterministic",
     "convergence_study",
-    "rk4_self_convergence",
     "Scenario",
     "SweepPreset",
     "PRESETS",
