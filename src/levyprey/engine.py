@@ -8,9 +8,12 @@ increment, and a compensated compound-Poisson jump increment, per species i:
 with Z_i independent standard normals and dN the Poisson count of jump
 arrivals during the step, one count shared by all species.
 Multiple arrivals within a step collapse into the count, which is exact for
-the compensator at first order. Strong order is 0.5 in the noise, and the
-scheme reduces to explicit Euler on the deterministic core when all noise
-is switched off.
+the compensator at first order. A step with j arrivals therefore scales S
+by 1 + q_i*(j - lambda*dt), about 1 + q_i*j, and not by the model's
+(1 + q_i)^j, so for q_i <= -1/j it sends a positive species to the floor
+below in one step (ROADMAP item 10). Strong order is 0.5 in the noise, and
+the scheme reduces to explicit Euler on the deterministic core when all
+noise is switched off.
 
 Delay taps are resolved on the time grid: each positive delay, and the
 horizon t_end, must be a whole multiple of dt (anything else is rejected),

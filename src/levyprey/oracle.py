@@ -18,11 +18,13 @@ is read before then. Each midpoint is computed once: stages 2 and 3 share it,
 and so do the two lags that read a series (x at k1 and k3, y at k2 and k3).
 The query sits half a step from its nearest nodes, so the interpolation
 weights depend only on its offset from the stencil's first node and on the
-stencil's size: _WEIGHTS holds them for the six stencils that occur, a table
-built once per solve gives each offset in a piece its stencil, and a midpoint
-costs two to four multiply-adds. A window that drops a piece once no lag
-reads it again holds at most kmax + gs values per series (kmax the longest
-lag), whatever the horizon.
+stencil's size: _WEIGHTS holds them for the six stencils that occur. All
+stencils of a piece have the same number of nodes, so a table built once per
+solve holds, per stencil node, every offset's weight and node index, and a
+piece's midpoints are one array sum over its gs + 1 nodes, with the IEEE
+operations of a scalar sum in its order. A window that drops a piece once no
+lag reads it again holds at most kmax + gs values per series (kmax the
+longest lag), whatever the horizon, plus the table and O(gs) transient arrays.
 
 A zero lag reads the stage value itself, which is ordinary RK4. Two details
 keep the observed order near four despite the limited smoothness of delay
@@ -86,14 +88,16 @@ _WEIGHTS = {
 
 
 def _interpolate(series: list[float], at: int, table: list) -> list[float]:
-    """The midpoints of the smooth piece whose first node is series[at]."""
-    mids = []
-    for first, weights in table:
-        acc = 0.0
-        for w, v in zip(weights, series[at + first:at + first + 4]):
-            acc += w * v
-        mids.append(acc)
-    return mids
+    """The midpoints of the last stored smooth piece, whose first node is
+    series[at], summed on arrays a stencil node at a time: 0.0 + w0 * v0 +
+    w1 * v1 ..., the scalar sum's IEEE operations in its order."""
+    if not table:
+        return []
+    nodes = np.array(series[at:])
+    acc = 0.0
+    for weights, index in table:
+        acc += weights * nodes[index]
+    return acc.tolist()
 
 
 def solve_deterministic(
@@ -120,9 +124,12 @@ def solve_deterministic(
     gs = math.gcd(k1, k2, k3)
     piece = gs or n_steps
     # per offset j in a piece, the stencil of the query at j + 1/2: its first
-    # node from the piece's start, and the weights of up to four nodes
+    # node from the piece's start, and its weights. All of a piece's stencils
+    # have min(gs, 3) + 1 nodes, so the table holds, per node i, every
+    # offset's weight and the index of its node i
     firsts = [min(max(j - 1, 0), max(0, gs - 3)) for j in range(gs)]
-    table = [(f, _WEIGHTS[j + 0.5 - f, min(f + 3, gs) - f]) for j, f in enumerate(firsts)]
+    stencils = [_WEIGHTS[j + 0.5 - f, min(f + 3, gs) - f] for j, f in enumerate(firsts)]
+    table = [(np.array(w), np.add(firsts, i)) for i, w in enumerate(zip(*stencils))]
     x_table, y_table = (table if k1 or k3 else []), (table if k2 or k3 else [])
     # the x and y midpoints at n + 1/2 for n = lo - kmax .. lo - 1 while the
     # piece from step lo is taken, the history's constant first

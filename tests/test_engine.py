@@ -213,6 +213,27 @@ class TestSimulate:
         assert traj.jump_events > 0
         assert np.all(traj.x == traj.y) and np.all(traj.y == traj.z)
 
+    def test_multi_arrival_step_is_linear_in_the_count(self):
+        # a step applies its count j as q*S*(j - lambda*dt), so it scales S by
+        # 1 + q*(j - lambda*dt), not by the model's (1 + q)^j: with q = -0.9
+        # every step of two or more arrivals sends x to the floor, where
+        # (1 + q)^2 = 0.01 would keep it positive
+        dt, lam, n_steps, seed = 0.5, 1.0, 200, 4
+        q = (-0.9, -0.3, 0.4)
+        n = NoiseSpec(0, 0, 0, *q, lam=lam)
+        sc = StepConfig(dt=dt, t_end=n_steps * dt, seed=seed)
+        traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec(10, 10, 10), sc)
+        counts = lrng.stream(seed, 0, lrng.JUMPS).poisson(lam * dt, n_steps)
+        assert np.count_nonzero(counts >= 2) >= 5
+        rows, hits = [(10.0, 10.0, 10.0)], 0
+        for j in counts.tolist():
+            new = [s + qi * s * (j - lam * dt) for s, qi in zip(rows[-1], q)]
+            hits += sum(v < 1e-12 for v in new)
+            rows.append(tuple(max(v, 1e-12) for v in new))
+        assert np.array_equal(traj.states, np.array(rows))
+        assert traj.floor_hits == hits
+        assert np.all(traj.x[1:][counts >= 2] == 1e-12)
+
     def test_noise_off_simulate_equals_manual_euler(self):
         # hand-rolled explicit Euler over the same grid, built on drift()
         sc = StepConfig(dt=0.01, t_end=3.0)

@@ -85,6 +85,11 @@ def _uncached_solve(p, d, h, dt, t_end):
     return np.array([xs[base:], ys[base:], zs[base:]]).T
 
 
+def _same_bits(a, b):
+    """Equal shape, dtype and bytes: unlike np.array_equal, -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestSolveDeterministic:
     def test_capacity_equilibrium_preserved(self):
         h = HistorySpec(100.0, 100.0, 0.0)
@@ -160,7 +165,7 @@ class TestSolveDeterministic:
         # that read a series must give the same bits as computing every tap
         # afresh
         sol = solve_deterministic(FIG3.params, delays, FIG3.history, dt=dt, t_end=5.0)
-        assert np.array_equal(sol.states, _uncached_solve(FIG3.params, delays, FIG3.history, dt, 5.0))
+        assert _same_bits(sol.states, _uncached_solve(FIG3.params, delays, FIG3.history, dt, 5.0))
 
     def test_fig3_reference_states_pinned(self):
         # the convergence study's reference solve on fig3: lags of 800, 1600
@@ -169,27 +174,45 @@ class TestSolveDeterministic:
         digest = hashlib.sha256(sol.states.astype("<f8").tobytes()).hexdigest()
         assert digest == "24ddd2844f51e42492d9bd75f66331d437e12d56783fa97d073bd9dc41002169"
 
-    @pytest.mark.parametrize("delays, dt, t_end", [
-        (DelaySpec(0, 0, 0), 0.25, 5.0),
-        (DelaySpec(0.5, 1.0, 0.75), 0.25, 5.0),
-        (DelaySpec(0.5, 0, 0), 0.25, 5.0),
-        (DelaySpec(1.5, 0.75, 0.75), 0.25, 5.0),
-        (DelaySpec(1.0, 0.5, 1.0), 0.125, 5.0),
-        (DelaySpec(0.5, 1.0, 1.0), 0.03125, 5.0),
-        (DelaySpec(1.0, 0.5, 0.5), 0.03125, 2.0),
-        (DelaySpec(0.5, 1.0, 1.0), 0.03125, 0.25),
-        (DelaySpec(0, 0.5, 0), 0.03125, 0.25),
+    @pytest.mark.parametrize("delays, dt, t_end, history", [
+        (DelaySpec(0, 0, 0), 0.25, 5.0, FIG3.history),
+        (DelaySpec(0.5, 1.0, 0.75), 0.25, 5.0, FIG3.history),
+        (DelaySpec(0.5, 0, 0), 0.25, 5.0, FIG3.history),
+        (DelaySpec(1.5, 0.75, 0.75), 0.25, 5.0, FIG3.history),
+        (DelaySpec(1.0, 0.5, 1.0), 0.125, 5.0, FIG3.history),
+        (DelaySpec(0.5, 1.0, 1.0), 0.03125, 5.0, FIG3.history),
+        (DelaySpec(1.0, 0.5, 0.5), 0.03125, 2.0, FIG3.history),
+        (DelaySpec(0.5, 1.0, 1.0), 0.03125, 0.25, FIG3.history),
+        (DelaySpec(0, 0.5, 0), 0.03125, 0.25, FIG3.history),
+        (DelaySpec(0.5, 1.0, 1.0), 0.03125, 5.0, HistorySpec(0.0, 25.0, 13.0)),
     ], ids=["zero-lags", "gcd-1-step-table", "x-lag-only", "gcd-3-steps-longest-first",
             "gcd-4-steps-equal", "gcd-16-steps-table", "gcd-16-steps-longest-first",
-            "horizon-inside-first-piece", "y-lag-only-horizon-inside-first-piece"])
-    def test_equals_per_query_stencils(self, delays, dt, t_end):
+            "horizon-inside-first-piece", "y-lag-only-horizon-inside-first-piece",
+            "zero-prey-history"])
+    def test_equals_per_query_stencils(self, monkeypatch, delays, dt, t_end, history):
         # evaluating the midpoints a smooth piece at a time, from a stencil
-        # table, must give the same bits as the per-query stencil rule: the
-        # first and last pieces, a piece of 1 to 16 steps, the shorter lag of
-        # a series first or last or both equal, zero lags and a horizon that
-        # ends inside the first piece
-        sol = solve_deterministic(FIG3.params, delays, FIG3.history, dt=dt, t_end=t_end)
-        assert np.array_equal(sol.states, _uncached_solve(FIG3.params, delays, FIG3.history, dt, t_end))
+        # table, must give the same bits as the per-query stencil rule, both
+        # the midpoints and the states: the first and last pieces, a piece of
+        # 1 to 16 steps, the shorter lag of a series first or last or both
+        # equal, zero lags, a horizon that ends inside the first piece, and a
+        # zero prey, whose midpoints sum zeros through negative cubic weights.
+        # Stored nodes are never -0.0, so each piece is also interpolated on
+        # -0.0 nodes, where only a sum that starts from +0.0, as the
+        # per-query one does, keeps every sign bit
+        interpolate, mids, expected = oracle._interpolate, [], []
+
+        def checked_interpolate(series, at, table):
+            for nodes in ([-0.0] * len(series), series):
+                got = interpolate(nodes, at, table)
+                mids.extend(got)
+                gs = len(got)
+                expected.extend(_lagrange(nodes, at + j + 0.5, at, at + gs) for j in range(gs))
+            return got
+
+        monkeypatch.setattr(oracle, "_interpolate", checked_interpolate)
+        sol = solve_deterministic(FIG3.params, delays, history, dt=dt, t_end=t_end)
+        assert _same_bits(np.array(mids), np.array(expected))
+        assert _same_bits(sol.states, _uncached_solve(FIG3.params, delays, history, dt, t_end))
 
     @pytest.mark.parametrize("ka, kb", [(3, 7), (7, 3), (5, 5), (0, 4), (4, 0), (0, 0)])
     def test_each_midpoint_computed_once(self, monkeypatch, ka, kb):
@@ -211,7 +234,7 @@ class TestSolveDeterministic:
         expected = _uncached_solve(FIG3.params, delays, FIG3.history, dt, n_steps * dt)
         monkeypatch.setattr(oracle, "_interpolate", counted_interpolate)
         sol = solve_deterministic(FIG3.params, delays, FIG3.history, dt, n_steps * dt)
-        assert np.array_equal(sol.states, expected)
+        assert _same_bits(sol.states, expected)
         # after t = 0, each midpoint a lag reads, once, in the pieces before the last
         for series, lags in ((28.0, (ka, kb)), (25.0, (k2, kb))):
             read = {i - k for i in range(n_steps) for k in lags if k and i >= k}
