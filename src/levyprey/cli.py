@@ -242,13 +242,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return path
 
         tasks = [partial(write, path, cfg_v) for path, cfg_v in zip(paths, cfgs)]
-        steps = [cfg_v.to_step_config().n_steps for cfg_v in cfgs]
-        rows = [max(engine.lag_steps(cfg_v.to_delays(), cfg_v["dt"])) + 1 for cfg_v in cfgs]
-        held = max(map(engine._trajectory_bytes, steps, rows))
-        if min(parallel.usable_cores(), len(tasks)) * held <= engine._MAX_BYTES:
-            written, fault = parallel.run_tasks(tasks, sum(steps), undo=os.remove)
-        else:
-            written, fault = parallel._run(tasks)
+        held = max(engine._trajectory_bytes(v.to_step_config(), v.to_delays()) for v in cfgs)
+        work = sum(v.to_step_config().n_steps for v in cfgs)
+        written, fault = parallel.run_tasks(tasks, work, held, engine._MAX_BYTES, undo=os.remove)
         for path in written:
             print(f"wrote {path}")
         if fault is not None:

@@ -211,11 +211,10 @@ def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:
         )
 
 
-def _trajectory_bytes(n_steps: int, rows: int) -> int:
-    """Bytes simulate holds at its peak over n_steps steps: its grid record
-    (the rows = kmax + 1 history rows init_history fills, then one row per
-    step) and path."""
-    return n_steps * _STEP_BYTES + rows * _ROW_BYTES
+def _trajectory_bytes(c: StepConfig, d: DelaySpec) -> int:
+    """Bytes simulate holds at its peak: its grid record (the kmax + 1
+    history rows init_history fills, then one row per step) and path."""
+    return c.n_steps * _STEP_BYTES + (max(lag_steps(d, c.dt)) + 1) * _ROW_BYTES
 
 
 def _check_horizon(
@@ -227,8 +226,7 @@ def _check_horizon(
     rows = max(lag_steps(d, c.dt)) + 1
     _check_bytes(
         f"simulation too large: {c.n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
-        _trajectory_bytes(c.n_steps, rows),
-        f"grid record ({rows} history rows) and path", remedy,
+        _trajectory_bytes(c, d), f"grid record ({rows} history rows) and path", remedy,
     )
 
 

@@ -30,33 +30,30 @@ from its own streams, so the numbers do not depend on the cores. Work below
 parallel._FORK_MIN = 10000 step-replicates (replicates times steps), where
 a fork costs more than it saves, runs here, as does everything on one core
 and a single block (64 to 256 replicates), whose fixed per-step numpy cost
-a split would pay twice. On a 2-core Xeon VM this takes 8 persist
-replicates of 50000 steps (ensemble_long) from 1.14 to 0.63 s, and 5000
-replicates of 10 steps in 20 blocks (ensemble_wide) from 0.110 to 0.081 s.
-Apart from stepping, a replicate's main cost is building its generators: a
-block builds them with rng.streams in one vectorised pass per purpose,
-about 4 µs per generator, where the scalar driver's rng.stream takes about
-24 µs. A block builds and draws only the streams whose draws can move its
-states: no Gaussian ones when every sigma is 0, no jump ones when lambda is
-0, so criterion 07's compensator check (sigma 0) builds half of them.
-engine.simulate, which runs the scalar driver and a faulting block's
-re-run, builds both for every replicate, and its fault message names the
-normals it drew. Both drivers give the same numbers bit for bit, and a
-block's memory is bounded by the block, its draw chunk and its delay ring,
-not by the horizon. The ring holds kmax + 1 grid rows of 3 floats per
-replicate (about 6 KB per row for a block of 256).
+a split would pay twice. Apart from stepping, a replicate's main cost is
+building its generators: a block builds them with rng.streams in one
+vectorised pass per purpose, about 4 µs per generator, where the scalar
+driver's rng.stream takes about 24 µs. A block builds and draws only the
+streams whose draws can move its states: no Gaussian ones when every sigma
+is 0, no jump ones when lambda is 0, so criterion 07's compensator check
+(sigma 0) builds half of them. engine.simulate, which runs the scalar
+driver and a faulting block's re-run, builds both for every replicate, and
+its fault message names the normals it drew. Both drivers give the same
+numbers bit for bit, and a block's memory is bounded by the block, its draw
+chunk and its delay ring, not by the horizon. The ring holds kmax + 1 grid
+rows of 3 floats per replicate (about 6 KB per row for a block of 256).
 
-The 1 GiB limit holds in total over the processes, for both drivers: a
-process counts the widest block's ring, or below 64 replicates one
-trajectory of simulate, and the tasks spread over the cores only while the
-statistics, one more copy of them for the children's shares and that count
-per process fit in the limit; otherwise they run here one after another. A
-block that meets a non-finite state runs again one replicate at a time
-through engine.simulate in the process that ran it, so the fault names the
-same replicate, the lowest faulting index, on any number of cores. That
-re-run starts once the block's arrays are freed and holds one trajectory in
-place of its ring; the rule does not charge it, which would keep long
-block ensembles on many cores in one process when nothing faults. Since any
+The 1 GiB limit holds in total over the processes, for both drivers. Each
+process is charged the widest block's ring, or below 64 replicates one
+trajectory of simulate, and the statistics are charged twice, here and for
+the children's shares of rows; parallel.run_tasks applies the rule and runs
+the tasks here one after another when the charges do not fit. A block that
+meets a non-finite state runs again one replicate at a time through
+engine.simulate in the process that ran it, so the fault names the same
+replicate, the lowest faulting index, on any number of cores. That re-run
+starts once the block's arrays are freed and holds one trajectory in place
+of its ring; the rule does not charge it, which would keep long block
+ensembles on many cores in one process when nothing faults. Since any
 replicate may run through simulate, every ensemble must fit simulate's
 horizon limit, and one that does not is refused before any replicate runs,
 whatever its size.
@@ -181,11 +178,11 @@ def run_ensemble(
     # of kmax + 1 grid rows per replicate
     n_blocks = -(-n_reps // _BATCH_MAX)
     width = -(-n_reps // n_blocks) if n_reps >= _BATCH_MIN else 0
-    ring_rows = max(engine.lag_steps(d, c.dt)) + 1
+    stats = n_reps * len(stat_idx) * 3 * 8
+    ring = width * (max(engine.lag_steps(d, c.dt)) + 1) * 3 * 8
     engine._check_bytes(
         f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points",
-        (n_reps * len(stat_idx) + width * ring_rows) * 3 * 8,
-        "path statistics and delay ring", "lower n_reps",
+        stats + ring, "path statistics and delay ring", "lower n_reps",
     )
     engine._check_horizon(c, d)
 
@@ -222,19 +219,14 @@ def run_ensemble(
     bounds = [i * size + min(i, longer) for i in range(n_tasks + 1)]
     tasks = [partial(task, a, b) for a, b in zip(bounds, bounds[1:])]
     # spread, every process holds the widest block's ring, or with no
-    # blocks one replicate's trajectory, and the children hold their shares'
-    # rows, together less than one more copy of the statistics
-    shares = min(parallel.usable_cores(), n_tasks)
-    held = width * ring_rows * 3 * 8 if width else engine._trajectory_bytes(c.n_steps, ring_rows)
-    if 2 * n_reps * len(stat_idx) * 3 * 8 + shares * held <= engine._MAX_BYTES:
-        done, fault = parallel.run_tasks(
-            tasks, n_reps * c.n_steps, fill=(paths, terminal), rows=bounds
-        )
-        if fault is not None:
-            raise fault
-        floor_total = sum(done)
-    else:
-        floor_total = sum(run() for run in tasks)
+    # blocks one replicate's trajectory, beside the statistics and the
+    # children's shares of rows, together less than one more copy of them
+    done, fault = parallel.run_tasks(
+        tasks, n_reps * c.n_steps, ring if width else engine._trajectory_bytes(c, d),
+        engine._MAX_BYTES - 2 * stats, fill=(paths, terminal), rows=bounds,
+    )
+    if fault is not None:
+        raise fault
 
     mean, sd, q025, q500, q975 = _path_stats(paths)
     return EnsembleStats(
@@ -246,7 +238,7 @@ def run_ensemble(
         q500=q500,
         q975=q975,
         terminal_averages=terminal,
-        floor_hits_total=floor_total,
+        floor_hits_total=sum(done),
         provenance=parameter_fingerprint(p, n, d),
     )
 

@@ -110,9 +110,12 @@ def solve_deterministic(
     one needed: every term of f_x has x as a factor, every term of f_y has y
     and every term of f_z has z, so a non-finite stage value always makes a
     rate component non-finite, and that component enters the step's
-    weighted sum.
+    weighted sum. A horizon over simulate's limit (engine._check_horizon)
+    raises ValueError before anything is allocated, since the solver holds
+    the same grid record and path.
     """
     c = _engine.StepConfig(dt=dt, t_end=t_end)
+    _engine._check_horizon(c, d)
     n_steps = c.n_steps
     k1, k2, k3 = _engine.lag_steps(d, dt)
     xs, ys, zs = _engine.init_history(h, d, c)

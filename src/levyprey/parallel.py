@@ -17,8 +17,9 @@ KeyboardInterrupt.
 
 The tasks run in the calling process, one after another, when one core is
 usable, os.fork is missing, another Python thread runs (a child would get
-only the forking thread, and any lock another thread held stays held), or
-their work is below _FORK_MIN step-replicates.
+only the forking thread, and any lock another thread held stays held),
+their work is below _FORK_MIN step-replicates, or the shares would hold
+more memory together than the caller gives them room for.
 On a 2-core Xeon VM the bare fork and reap of the 36 MB process take 2.5 ms,
 and with the pipe and the child's first writes to its copied pages a fork
 costs 3 to 8 ms. Persist ensembles, in-process against forked (median wall
@@ -42,11 +43,6 @@ T = TypeVar("T")
 
 # the fewest step-replicates whose tasks are spread over the cores
 _FORK_MIN = 10000
-
-
-def usable_cores() -> int:
-    """The cores this process may run on, over which run_tasks spreads."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _run(tasks: Sequence[Callable[[], T]]) -> tuple[list[T], Exception | None]:
@@ -101,6 +97,8 @@ def _spawn(tasks: Sequence[Callable[[], T]], rows: list[memoryview]):
 def run_tasks(
     tasks: Sequence[Callable[[], T]],
     work: int,
+    held: int,
+    room: int,
     undo: Callable[[T], object] | None = None,
     fill: Sequence[Any] = (),
     rows: Sequence[int] = (),
@@ -113,14 +111,18 @@ def run_tasks(
     loop over the tasks would stop there. ``undo`` is called on the result of
     every task after the fault that a child ran, so that a fault leaves
     behind what the loop would have. ``work`` counts the step-replicates of
-    all the tasks. ``fill`` holds C-contiguous arrays that the tasks write
-    into instead of returning what they write: task i writes rows
-    ``rows[i]`` to ``rows[i + 1] - 1`` of each, and those rows come back from
-    a child into the caller's arrays. After a fault, the rows of the tasks
-    from the fault on are undefined.
+    all the tasks. The tasks spread only while ``n_shares * held <= room``:
+    ``held`` is the bytes one process holds while it runs a task, ``room``
+    the bytes the shares may hold together. ``fill`` holds C-contiguous
+    arrays that the tasks write into instead of returning what they write:
+    task i writes rows ``rows[i]`` to ``rows[i + 1] - 1`` of each, and those
+    rows come back from a child into the caller's arrays. After a fault, the
+    rows of the tasks from the fault on are undefined.
     """
-    n_shares = min(usable_cores(), len(tasks))
-    if n_shares < 2 or work < _FORK_MIN or not hasattr(os, "fork") or threading.active_count() > 1:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_shares = min(cores, len(tasks))
+    if (n_shares < 2 or work < _FORK_MIN or n_shares * held > room or not hasattr(os, "fork")
+            or threading.active_count() > 1):
         return _run(tasks)
     bounds = [-(-len(tasks) * i // n_shares) for i in range(n_shares + 1)]
     children = []

@@ -231,13 +231,14 @@ class TestSweep:
                                        + (["sw_index.csv"] if code == 0 else []))
         assert_no_children()
 
-    @pytest.mark.parametrize("text, var, values, steps, rows, code", [
-        # tau3 = 2 has the most history rows; seed 1 faults
-        ("preset = fig3\nt_end = 2\n", "tau3", "1.5,2", 200, 201, 0),
-        ("preset = fig3\nt_end = 20\n", "seed", "0,1,4", 2000, 151, 2),
+    @pytest.mark.parametrize("text, var, values, largest, code", [
+        # largest names the value with the largest trajectory: tau3 = 2 has
+        # the most history rows, and the seeds share one; seed 1 faults
+        ("preset = fig3\nt_end = 2\n", "tau3", "1.5,2", "tau3 = 2\n", 0),
+        ("preset = fig3\nt_end = 20\n", "seed", "0,1,4", "", 2),
     ], ids=["no-fault", "fault"])
     def test_near_the_limit_values_run_in_process(self, tmp_path, capsys, cores, monkeypatch,
-                                                  text, var, values, steps, rows, code):
+                                                  text, var, values, largest, code):
         # spread, each of two processes holds up to the largest trajectory of
         # the values: with the limit one byte under two of them nothing
         # forks, and the files, stdout, stderr and exit code equal those of
@@ -251,8 +252,10 @@ class TestSweep:
 
         monkeypatch.setattr(os, "fork", fork)
         cores(2)
+        cfg = parse_config(text + largest)
+        held = engine._trajectory_bytes(cfg.to_step_config(), cfg.to_delays())
         runs = []
-        for limit in (engine._MAX_BYTES, 2 * engine._trajectory_bytes(steps, rows) - 1):
+        for limit in (engine._MAX_BYTES, 2 * held - 1):
             monkeypatch.setattr(engine, "_MAX_BYTES", limit)
             forks.clear()
             work = tmp_path / str(limit)

@@ -431,9 +431,8 @@ class TestSpreadBlocks:
 
         cores(1)
         want = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, 8)
-        ring_rows = max(engine.lag_steps(DELAYS, CFG.dt)) + 1
         stats = 8 * len(want.stat_times) * 3 * 8
-        trajectory = engine._trajectory_bytes(CFG.n_steps, ring_rows)
+        trajectory = engine._trajectory_bytes(CFG, DELAYS)
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(engine, "_MAX_BYTES", 2 * stats + 4 * trajectory - 1)
         cores(4)
@@ -452,7 +451,7 @@ class TestSpreadBlocks:
         ring_rows = max(engine.lag_steps(delays, CFG.dt)) + 1
         stats = 257 * len(want.stat_times) * 3 * 8
         ring = 129 * ring_rows * 3 * 8
-        assert ring < engine._trajectory_bytes(CFG.n_steps, ring_rows)
+        assert ring < engine._trajectory_bytes(CFG, delays)
         forks = []
         real_fork = os.fork
 

@@ -258,6 +258,18 @@ class TestSolveDeterministic:
             tracemalloc.stop()
         assert peak <= 20_000 * engine._STEP_BYTES
 
+    def test_horizon_over_the_limit_is_refused(self, monkeypatch):
+        # the solver holds simulate's grid record and path, so it obeys
+        # simulate's limit: one byte under them it refuses, at them it runs
+        sc = PRESETS["persist"]
+        need = engine._trajectory_bytes(StepConfig(dt=0.01, t_end=10.0), sc.delays)
+        monkeypatch.setattr(engine, "_MAX_BYTES", need - 1)
+        with pytest.raises(ValueError, match="simulation too large"):
+            solve_deterministic(sc.params, sc.delays, sc.history, dt=0.01, t_end=10.0)
+        monkeypatch.setattr(engine, "_MAX_BYTES", need)
+        traj = solve_deterministic(sc.params, sc.delays, sc.history, dt=0.01, t_end=10.0)
+        assert len(traj.states) == 1001
+
     def test_dt_must_divide_delays(self):
         h = HistorySpec(10, 10, 5)
         with pytest.raises(ValueError, match="divide"):

@@ -25,7 +25,7 @@ def _fail(i):
 def test_results_come_back_in_task_order(cores, n_cores):
     cores(n_cores)
     parent = os.getpid()
-    done, fault = parallel.run_tasks([partial(_value, i) for i in range(7)] + [os.getpid], 1)
+    done, fault = parallel.run_tasks([partial(_value, i) for i in range(7)] + [os.getpid], 1, 0, 0)
     assert done[:7] == [i * i for i in range(7)] and fault is None
     assert done[7] != parent  # the last share ran in a child
     assert_no_children()
@@ -44,7 +44,7 @@ def test_filled_rows_come_back_in_place(cores, n_cores):
         flat[rows[i]:rows[i + 1]] = -(i + 1)
         return os.getpid()
 
-    pids, fault = parallel.run_tasks([partial(write, i) for i in range(3)], 1, fill=(grid, flat), rows=rows)
+    pids, fault = parallel.run_tasks([partial(write, i) for i in range(3)], 1, 0, 0, fill=(grid, flat), rows=rows)
     assert fault is None and len(set(pids)) == min(n_cores, 3)
     want = np.repeat([1.0, 2.0, 3.0], [3, 1, 3])
     assert np.array_equal(grid, np.broadcast_to(want[:, None, None], grid.shape))
@@ -55,7 +55,16 @@ def test_filled_rows_come_back_in_place(cores, n_cores):
 def test_below_the_threshold_tasks_run_in_process(cores, monkeypatch):
     cores(2)
     monkeypatch.setattr(parallel, "_FORK_MIN", 10)
-    assert parallel.run_tasks([os.getpid, os.getpid], 9) == ([os.getpid()] * 2, None)
+    assert parallel.run_tasks([os.getpid, os.getpid], 9, 0, 0) == ([os.getpid()] * 2, None)
+
+
+def test_shares_over_the_memory_room_run_in_process(cores):
+    # two shares each holding held bytes spread while they fit in room
+    cores(2)
+    pids, fault = parallel.run_tasks([os.getpid] * 2, 1, 100, 200)
+    assert fault is None and pids[0] == os.getpid() != pids[1]
+    assert parallel.run_tasks([os.getpid] * 2, 1, 100, 199) == ([os.getpid()] * 2, None)
+    assert_no_children()
 
 
 def test_beside_another_thread_tasks_run_in_process(cores):
@@ -64,7 +73,7 @@ def test_beside_another_thread_tasks_run_in_process(cores):
     waiting = threading.Thread(target=release.wait, args=(30,))
     waiting.start()
     try:
-        assert parallel.run_tasks([os.getpid, os.getpid], 1) == ([os.getpid()] * 2, None)
+        assert parallel.run_tasks([os.getpid, os.getpid], 1, 0, 0) == ([os.getpid()] * 2, None)
     finally:
         release.set()
         waiting.join(30)
@@ -80,7 +89,7 @@ def test_lowest_fault_wins_and_later_results_are_undone(cores, n_cores):
     tasks = [partial(_value, i) for i in range(6)]
     tasks[1], tasks[4] = partial(_fail, 1), partial(_fail, 4)
     undone = []
-    done, fault = parallel.run_tasks(tasks, 1, undo=undone.append)
+    done, fault = parallel.run_tasks(tasks, 1, 0, 0, undo=undone.append)
     assert done == [0]
     assert type(fault) is FieldError and str(fault) == "StepConfig.dt must be > 0, got -1"
     assert (fault.field, fault.value) == ("dt", -1)
@@ -96,7 +105,7 @@ def _noisy(i):
 
 def test_children_write_nothing_to_stdout_or_stderr(cores, capfd):
     cores(2)
-    assert parallel.run_tasks([partial(_value, 1), partial(_noisy, 2)], 1) == ([1, 2], None)
+    assert parallel.run_tasks([partial(_value, 1), partial(_noisy, 2)], 1, 0, 0) == ([1, 2], None)
     assert capfd.readouterr() == ("", "")
     assert_no_children()
 
@@ -109,14 +118,14 @@ def test_keyboard_interrupt_reaps_the_children(cores):
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        parallel.run_tasks([interrupted, partial(time.sleep, 60)], 1)
+        parallel.run_tasks([interrupted, partial(time.sleep, 60)], 1, 0, 0)
     assert time.monotonic() - start < 30  # the sleeping child was killed, not waited for
     assert_no_children()
 
 
 def test_a_child_that_dies_is_a_runtime_fault(cores):
     cores(2)
-    done, fault = parallel.run_tasks([partial(_value, 2), partial(os._exit, 3)], 1)
+    done, fault = parallel.run_tasks([partial(_value, 2), partial(os._exit, 3)], 1, 0, 0)
     assert done == [4]
     assert isinstance(fault, ChildProcessError) and "ended without its results" in str(fault)
     assert_no_children()
