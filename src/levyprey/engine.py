@@ -37,11 +37,11 @@ same result. simulate always builds both, so its stream count and a fault's
 reported normals do not depend on the noise. simulate steps one replicate
 on Python floats and keeps its whole path, so it refuses a horizon whose
 grid record and path would exceed 1 GiB (_check_horizon). _simulate_batch
-steps a block of replicates on arrays and keeps only the stats-grid rows
-and the running averages; ensemble.run_ensemble decides which driver runs.
-It reads delay taps from a ring buffer of kmax + 1 grid rows, so its memory
-is bounded by the block size, the delays and the draw chunk, not by the
-horizon.
+steps a block of replicates on arrays and writes its stats-grid rows and
+running averages straight into the caller's rows; ensemble.run_ensemble
+decides which driver runs. It reads delay taps from a ring buffer of
+kmax + 1 grid rows, so its own memory is bounded by the block size, the
+delays and the draw chunk, not by the horizon or the stats grid.
 """
 
 from __future__ import annotations
@@ -367,24 +367,26 @@ def _simulate_batch(
     c: StepConfig,
     reps: Sequence[int],
     stat_idx: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The batched driver: steps the replicates ``reps`` together, B =
-    len(reps) of them.
+    paths: np.ndarray,
+    terminal: np.ndarray,
+) -> int:
+    """The batched driver: steps the B = len(reps) replicates ``reps`` together.
 
-    Returns the states at the grid indices ``stat_idx`` (which start at 0
-    and end at n_steps) as a (B, len(stat_idx), 3) array, the terminal
-    running averages (B, 3), and the floor clamps summed over the block.
-    Every value is bit for bit what simulate and analysis.time_average give
-    replicate k: the draws come from _draws as simulate's do (zeros for a
-    stream whose draws cannot move a state), _advance does the
-    update on (B,) arrays, the clamp applies by mask, and the trapezoid sums
-    keep time_average's operation order, 0.5*(s1 + s0)*(t1 - t0) added in
-    sequence and divided by N*dt at the end. Delay taps read a ring buffer
-    of kmax + 1 grid rows (run_ensemble counts it toward its 1 GiB limit),
-    so memory is bounded by B, the delays, the draw chunk and the stats
-    grid, not by the horizon. A non-finite state raises
-    SimulationError without naming the replicate; run_ensemble re-runs the
-    block through simulate for that.
+    Writes the states at the grid indices ``stat_idx`` (which start at 0
+    and end at n_steps) into the caller's (B, len(stat_idx), 3) ``paths``
+    and the terminal running averages into its (B, 3) ``terminal``; returns
+    the floor clamps summed over the block. Every value is bit for bit what
+    simulate and analysis.time_average give replicate k: the draws come
+    from _draws as simulate's do (zeros for a stream whose draws cannot
+    move a state), _advance does the update on (B,) arrays, the clamp
+    applies by mask, and the trapezoid sums keep time_average's operation
+    order, 0.5*(s1 + s0)*(t1 - t0) added in sequence and divided by N*dt at
+    the end. Delay taps read a ring buffer of kmax + 1 grid rows
+    (run_ensemble counts it toward its 1 GiB limit), so the driver's own
+    memory is bounded by B, the delays and the draw chunk, not by the
+    horizon or the stats grid. A non-finite state raises SimulationError
+    without naming the replicate; run_ensemble re-runs the block through
+    simulate for that, over the rows written so far.
     """
     k1, k2, k3 = lag_steps(d, c.dt)
     width = len(reps)
@@ -397,8 +399,7 @@ def _simulate_batch(
     floor = _POSITIVITY_FLOOR
 
     marks = [int(k) for k in stat_idx]
-    recorded = np.empty((len(marks), 3, width))
-    recorded[0] = ring[-1]
+    paths[:, 0] = ring[-1].T
     mark = 1
     sums = np.zeros((3, width))
     floor_hits = 0
@@ -427,6 +428,7 @@ def _simulate_batch(
         sums += 0.5 * (new + cur) * ((i + 1) * dt - i * dt)
         ring[(m + 1) % rows] = new
         if i + 1 == marks[mark]:
-            recorded[mark] = new
+            paths[:, mark] = new.T
             mark += 1
-    return recorded.transpose(2, 0, 1), (sums / (n_steps * dt)).T, floor_hits
+    terminal[:] = (sums / (n_steps * dt)).T
+    return floor_hits

@@ -23,9 +23,9 @@ step-replicate, scalar vs batched: 1842 vs 1887 at 32, 1871 vs 1296 at 50,
 
 The tasks run in contiguous shares over the usable cores
 (len(os.sched_getaffinity(0))): parallel.run_tasks runs the first share
-here and each other in a forked child, which holds its share's stats-grid
-rows and terminal averages until the share is done and then sends them as
-raw bytes, read straight into this process's arrays. A replicate draws only
+here and each other in a forked child, whose tasks write into its copy of
+their rows, sent as raw bytes when the share is done and read straight
+into this process's arrays. A replicate draws only
 from its own streams, so the numbers do not depend on the cores. Work below
 parallel._FORK_MIN = 10000 step-replicates (replicates times steps), where
 a fork costs more than it saves, runs here, as does everything on one core
@@ -38,10 +38,11 @@ streams whose draws can move its states: no Gaussian ones when every sigma
 is 0, no jump ones when lambda is 0, so criterion 07's compensator check
 (sigma 0) builds half of them. engine.simulate, which runs the scalar
 driver and a faulting block's re-run, builds both for every replicate, and
-its fault message names the normals it drew. Both drivers give the same
-numbers bit for bit, and a block's memory is bounded by the block, its draw
-chunk and its delay ring, not by the horizon. The ring holds kmax + 1 grid
-rows of 3 floats per replicate (about 6 KB per row for a block of 256).
+its fault message names the normals it drew. Both drivers write straight
+into the ensemble's rows and give the same numbers bit for bit. A block's
+own memory is bounded by the block, its draw chunk and its delay ring, not
+by the horizon: the ring holds kmax + 1 grid rows of 3 floats per replicate
+(about 6 KB per row for a block of 256).
 
 The 1 GiB limit holds in total over the processes, for both drivers. Each
 process is charged the widest block's ring, or below 64 replicates one
@@ -190,16 +191,14 @@ def run_ensemble(
     terminal = np.empty((n_reps, 3))
 
     def task(a: int, b: int) -> int:
-        """Fills rows a to b - 1 with those replicates' stats-grid rows and
-        terminal averages; returns their floor clamps."""
+        """Fills rows a to b - 1 of paths and terminal; returns their floor clamps."""
         # a block that faults runs again one replicate at a time, here, so
         # that it stops at the replicate the scalar driver would name
         if b - a >= _BATCH_MIN:
             try:
-                paths[a:b], terminal[a:b], hits = engine._simulate_batch(
-                    p, n, d, h, c, range(a, b), stat_idx
+                return engine._simulate_batch(
+                    p, n, d, h, c, range(a, b), stat_idx, paths[a:b], terminal[a:b]
                 )
-                return hits
             except SimulationError:
                 pass
         hits = 0
@@ -218,9 +217,8 @@ def run_ensemble(
     size, longer = divmod(n_reps, n_tasks)
     bounds = [i * size + min(i, longer) for i in range(n_tasks + 1)]
     tasks = [partial(task, a, b) for a, b in zip(bounds, bounds[1:])]
-    # spread, every process holds the widest block's ring, or with no
-    # blocks one replicate's trajectory, beside the statistics and the
-    # children's shares of rows, together less than one more copy of them
+    # spread, each process holds the widest block's ring (with no blocks, one
+    # trajectory); the statistics count twice, here and for the children's rows
     done, fault = parallel.run_tasks(
         tasks, n_reps * c.n_steps, ring if width else engine._trajectory_bytes(c, d),
         engine._MAX_BYTES - 2 * stats, fill=(paths, terminal), rows=bounds,

@@ -236,6 +236,24 @@ class TestClassify:
         b = classify(sc.params, sc.noise, sc.delays)
         assert a == b
 
+    def test_overlapping_hypotheses_take_the_precedence(self):
+        # r = 1.02 nearly cancels 1 - r + 2r/K, so Lx = Ly = 2550 > K and the
+        # persistence margin 0.01*2550*2 - 3 = 48 is positive, while
+        # c4 = 0.01*100*2 - 3 = -1: full persistence and predator extinction
+        # both hold, and full persistence is predicted
+        p = ModelParams(r1=1.02, r2=1.02, k1=100.0, k2=100.0, alpha1=1e-3, alpha2=1e-3,
+                        alpha3=1.0, beta=0.0, delta=3.0, a1=0.01, a2=0.01)
+        sc = PRESETS["persist"]
+        rep = classify(p, sc.noise, sc.delays)
+        assert rep.lx == pytest.approx(2550, rel=1e-5) and rep.c4 == pytest.approx(-1.0)
+        assert rep.persistence_ok and rep.predator_extinction_ok and not rep.extinction_ok
+        assert rep.predicted is Regime.ALL_PERSIST
+        assert rep.overlap == ("AllPersist", "PredatorExtinctPreyPersist")
+        assert rep.trace[-2] == (
+            "overlapping hypotheses ['AllPersist', 'PredatorExtinctPreyPersist']; "
+            "precedence picks AllPersist"
+        )
+
     def test_never_faults_on_degenerate_inputs(self):
         rep = classify(_params(r1=0.0), QUIET, DelaySpec(0, 0, 0))
         assert rep.c1 is None

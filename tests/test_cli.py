@@ -121,6 +121,18 @@ class TestEnsemble:
         assert rows["option"] == rows["config"]
         assert rows["option"] != rows["default"]
 
+    def test_indeterminate_prediction_is_not_checkable(self, tmp_path, capsys):
+        # fig2 meets no sufficient condition: the run succeeds and says that
+        # there is nothing to verify, on stdout and in the CSV
+        cfg = _write(tmp_path, "f2.cfg", "preset = fig2\nt_end = 5\nn_reps = 4\n")
+        out = tmp_path / "f2.csv"
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[:2] == ["predicted = Indeterminate", "outcome = NOT CHECKABLE"]
+        assert stdout[3:] == ["no sufficient condition applies; nothing to verify", f"wrote {out}"]
+        verify = [ln for ln in out.read_text().splitlines() if ln.startswith("# verify: ")]
+        assert verify == [f"# verify: {line}" for line in stdout[:4]]
+
 
 class TestConvergence:
     def test_error_table_written(self, tmp_path, capsys):
@@ -189,6 +201,35 @@ class TestSweep:
         assert rc == 0
         meta = (tmp_path / "sw_seed=2.csv").read_text().splitlines()
         assert "# override: seed = 2" in meta and "# seed = 2" in meta
+
+    def test_ensemble_mode_equals_the_ensemble_command(self, tmp_path, capsys, monkeypatch):
+        # 64 replicates run as one block through the batched driver; each
+        # value's file is the ensemble command's on the same config plus
+        # that value's override, less the verify details after the predicted
+        # regime and the outcome
+        monkeypatch.chdir(tmp_path)
+        blocks = []
+        real = engine._simulate_batch
+        monkeypatch.setattr(engine, "_simulate_batch", lambda *a: blocks.append(a[5]) or real(*a))
+        base = "preset = persist\nt_end = 5\nn_reps = 64\n"
+        _write(tmp_path, "sw.cfg", base)
+        argv = ["sweep", "--sweep", "fig6", "--mode", "ensemble", "--config", "sw.cfg", "--out", "sw.csv"]
+        assert main(argv) == 0
+        assert blocks == [range(64), range(64)]
+        assert capsys.readouterr().out.splitlines() == [
+            "wrote sw_tau1=0.5.csv", "wrote sw_tau1=2.csv", "wrote sw_index.csv"
+        ]
+        assert (tmp_path / "sw_index.csv").read_text() == (
+            "variable,value,file\ntau1,0.5,sw_tau1=0.5.csv\ntau1,2,sw_tau1=2.csv\n"
+        )
+        for value in ("0.5", "2"):
+            _write(tmp_path, "e.cfg", base + f"tau1 = {value}\n")
+            assert main(["ensemble", "--config", "e.cfg", "--out", "e.csv"]) == 0
+            want = (tmp_path / "e.csv").read_bytes().splitlines(keepends=True)
+            details = [ln for ln in want if ln.startswith(b"# verify: ")][2:]
+            assert len(details) == 4
+            got = (tmp_path / f"sw_tau1={value}.csv").read_bytes()
+            assert got == b"".join(ln for ln in want if ln not in details)
 
     def test_sweep_requires_var_or_preset(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 1
@@ -435,6 +476,19 @@ class TestErrors:
 
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("argv, text, error", [
+        (["ensemble"], "preset = persist\nt_end = 5\nx0\n", "line 3: expected 'key = value', got 'x0'"),
+        (["ensemble"], "preset = persist\nx0 =\n", "line 2: empty value for 'x0'"),
+        (["sweep", "--sweep", "nosuch"], "preset = persist\n",
+         "unknown sweep preset 'nosuch' (available: fig4_a1, fig4_a2, fig5_k1, fig5_k2, "
+         "fig6, fig7, fig8, fig9)"),
+    ], ids=["no-equals", "empty-value", "unknown-sweep"])
+    def test_bad_input_is_one_config_error_line(self, tmp_path, capsys, argv, text, error):
+        cfg = _write(tmp_path, "bad.cfg", text)
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
     def test_empty_sweep_is_config_error(self, tmp_path, capsys):
         # a value list with no values is refused like an empty --dts, before

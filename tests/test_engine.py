@@ -423,8 +423,9 @@ class TestStrongOrder:
                           counts.reshape(steps, r, self.BLOCK).sum(axis=1))
                 monkeypatch.setattr(engine, "_draws", lambda *args, coarse=coarse: iter([coarse]))
                 cfg = StepConfig(dt=dt * r, t_end=1.0, seed=seed)
-                states, _, _ = engine._simulate_batch(
-                    ZERO_RATES, noise, delays, hist, cfg, reps, [0, steps]
+                states, terminal = np.empty((self.BLOCK, 2, 3)), np.empty((self.BLOCK, 3))
+                engine._simulate_batch(
+                    ZERO_RATES, noise, delays, hist, cfg, reps, [0, steps], states, terminal
                 )
                 err[i] += np.abs(states[:, -1, :] - exact.T).sum(axis=0)
         log_dt = np.log2(np.array(self.LEVELS) * dt)

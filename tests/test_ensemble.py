@@ -114,9 +114,10 @@ class TestRunEnsemble:
         assert np.array_equal(np.stack([q025, q500, q975]), whole)
 
     def test_peak_memory_near_path_statistics(self):
-        # 2000 replicates in 8 blocks: the path statistics, one block's
-        # stats-grid rows (1/8) and its draw chunk (about 1/16) at most;
-        # reducing the whole array at once used to add a second full copy
+        # 2000 replicates in 8 blocks: the path statistics, which each block
+        # writes its rows into, and one block's draw chunk (about 1/16) at
+        # most (1.10x on Python 3.11); reducing the whole array at once used
+        # to add a second full copy
         sc = PRESETS["persist"]
         cfg = StepConfig(dt=sc.dt, t_end=20.0)
         tracemalloc.start()
@@ -233,9 +234,9 @@ class TestBatchedDriver:
         blocks = []
         real = engine._simulate_batch
 
-        def recorded(p, n, d, h, c, reps, stat_idx):
+        def recorded(p, n, d, h, c, reps, stat_idx, paths, terminal):
             blocks.append(list(reps))
-            return real(p, n, d, h, c, reps, stat_idx)
+            return real(p, n, d, h, c, reps, stat_idx, paths, terminal)
 
         monkeypatch.setattr(engine, "_simulate_batch", recorded)
         short = StepConfig(dt=0.01, t_end=0.02)
@@ -356,9 +357,9 @@ class TestSpreadBlocks:
         blocks = []
         real = engine._simulate_batch
 
-        def recorded(p, n, d, h, c, reps, stat_idx):
+        def recorded(p, n, d, h, c, reps, stat_idx, paths, terminal):
             blocks.append(reps)  # only the blocks that this process runs
-            return real(p, n, d, h, c, reps, stat_idx)
+            return real(p, n, d, h, c, reps, stat_idx, paths, terminal)
 
         monkeypatch.setattr(engine, "_simulate_batch", recorded)
         runs = []
