@@ -34,14 +34,16 @@ replicate's own streams. A block builds and draws only the streams whose
 draws can move its states: none of the Gaussian ones when every sigma is 0,
 none of the jump ones when lambda is 0; it steps on zeros instead, with the
 same result. simulate always builds both, so its stream count and a fault's
-reported normals do not depend on the noise. simulate steps one replicate
-on Python floats and keeps its whole path, so it refuses a horizon whose
-grid record and path would exceed 1 GiB (_check_horizon). _simulate_batch
-steps a block of replicates on arrays and writes its stats-grid rows and
-running averages straight into the caller's rows; ensemble.run_ensemble
-decides which driver runs. It reads delay taps from a ring buffer of
-kmax + 1 grid rows, so its own memory is bounded by the block size, the
-delays and the draw chunk, not by the horizon or the stats grid.
+reported normals do not depend on the noise; a faulting block that drew no
+normals draws the named replicate's, so both drivers report a fault in the
+same words (_fault_text). simulate steps one replicate on Python floats and
+keeps its whole path, so it refuses a horizon whose grid record and path
+would exceed 1 GiB (_check_horizon). _simulate_batch steps a block of
+replicates on arrays and writes its stats-grid rows and running averages
+straight into the caller's rows; ensemble.run_ensemble decides which driver
+runs. It reads delay taps from a ring buffer of kmax + 1 grid rows, so its
+own memory is bounded by the block size, the delays and the draw chunk, not
+by the horizon or the stats grid, also when a replicate faults.
 """
 
 from __future__ import annotations
@@ -283,6 +285,17 @@ def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int
         yield normals[:, :m], counts[:m]
 
 
+def _fault_text(i: int, dt: float, state, normals, j: int) -> str:
+    """simulate's message for a state that turns non-finite in step i (from
+    t = i*dt), given the state before the step and the step's draws."""
+    x, y, z = state
+    z1, z2, z3 = normals
+    return (
+        f"non-finite state at t={(i + 1) * dt:g}: from ({x:g},{y:g},{z:g}), "
+        f"normals=({z1:g},{z2:g},{z3:g}), jumps={j}"
+    )
+
+
 def simulate(
     p: ModelParams,
     n: NoiseSpec,
@@ -335,10 +348,7 @@ def simulate(
             j,
         )
         if not (isfinite(nx) and isfinite(ny) and isfinite(nz)):
-            raise SimulationError(
-                f"non-finite state at t={(i + 1) * dt:g}: from ({x:g},{y:g},{z:g}), "
-                f"normals=({z1:g},{z2:g},{z3:g}), jumps={j}"
-            )
+            raise SimulationError(_fault_text(i, dt, (x, y, z), (z1, z2, z3), j))
         if nx < floor and x > 0.0:
             nx = floor
             floor_hits += 1
@@ -384,9 +394,12 @@ def _simulate_batch(
     the end. Delay taps read a ring buffer of kmax + 1 grid rows
     (run_ensemble counts it toward its 1 GiB limit), so the driver's own
     memory is bounded by B, the delays and the draw chunk, not by the
-    horizon or the stats grid. A non-finite state raises SimulationError
-    without naming the replicate; run_ensemble re-runs the block through
-    simulate for that, over the rows written so far.
+    horizon or the stats grid. A replicate whose state turns non-finite is
+    set to 0 in the step and in every ring row, where it stays, since the
+    origin is absorbing; the block steps on, up to its first replicate's
+    fault, and then raises SimulationError for the lowest faulting
+    replicate k: "replicate k: " and simulate's message, its normals drawn
+    afresh when the block drew none.
     """
     k1, k2, k3 = lag_steps(d, c.dt)
     width = len(reps)
@@ -403,6 +416,7 @@ def _simulate_batch(
     mark = 1
     sums = np.zeros((3, width))
     floor_hits = 0
+    faults = {}  # column -> (step, state before it, normals, count) of its fault
     # build and draw only the streams whose draws can move a state
     gauss = any((n.sigma1, n.sigma2, n.sigma3))
     steps = chain.from_iterable(
@@ -420,7 +434,14 @@ def _simulate_batch(
         ))
         lo, hi = new.min(), new.max()  # NaN if any value is NaN
         if not -math.inf < lo <= hi < math.inf:
-            raise SimulationError(f"non-finite state at t={(i + 1) * dt:g}")
+            bad = ~np.isfinite(new).all(axis=0)
+            for b in np.flatnonzero(bad).tolist():
+                faults[b] = (i, cur[:, b].tolist(), (z1[b], z2[b], z3[b]), j[b])
+            if 0 in faults:
+                break
+            new[:, bad] = 0.0  # the origin is absorbing: the column stays 0
+            ring[:, :, bad] = 0.0
+            lo = new.min()  # finite again, so the clamp test below sees the others
         if lo < floor:
             clamp = (new < floor) & (cur > 0.0)
             new[clamp] = floor
@@ -430,5 +451,12 @@ def _simulate_batch(
         if i + 1 == marks[mark]:
             paths[:, mark] = new.T
             mark += 1
+    if faults:
+        b = min(faults)
+        i, state, normals, j = faults[b]
+        if not gauss:  # simulate reports the normals it drew
+            for chunk, _ in _draws(c.seed, [reps[b]], n, dt, i + 1, jumps=False):
+                normals = chunk[:, -1, 0].tolist()
+        raise SimulationError(f"replicate {reps[b]}: {_fault_text(i, dt, state, normals, j)}")
     terminal[:] = (sums / (n_steps * dt)).T
     return floor_hits

@@ -14,8 +14,8 @@ one replicate per task below _BATCH_MIN = 64, and from 64 up blocks of at
 most _BATCH_MAX = 256, which bounds the generators (two per replicate at
 most) and the draws a block holds, split evenly, so each has at least 64
 (257 runs as 129 + 128). A task of 64 replicates or more steps them
-together through engine._simulate_batch, on arrays; a shorter one runs them
-one at a time through engine.simulate. The batched driver's numpy calls
+together through engine._simulate_batch, on arrays; a task of one replicate
+runs it through engine.simulate. The batched driver's numpy calls
 cost about the same per step whatever the block size, so on one core it
 overtakes the scalar loop between 32 and 50 replicates (persist, ns per
 step-replicate, scalar vs batched: 1842 vs 1887 at 32, 1871 vs 1296 at 50,
@@ -36,10 +36,10 @@ vectorised pass per purpose, about 4 µs per generator, where the scalar
 driver's rng.stream takes about 24 µs. A block builds and draws only the
 streams whose draws can move its states: no Gaussian ones when every sigma
 is 0, no jump ones when lambda is 0, so criterion 07's compensator check
-(sigma 0) builds half of them. engine.simulate, which runs the scalar
-driver and a faulting block's re-run, builds both for every replicate, and
-its fault message names the normals it drew. Both drivers write straight
-into the ensemble's rows and give the same numbers bit for bit. A block's
+(sigma 0) builds half of them. engine.simulate, the scalar driver, builds
+both for every replicate, and its fault message names the normals it drew.
+Both drivers write straight into the ensemble's rows and give the same
+numbers, and the same fault message, bit for bit. A block's
 own memory is bounded by the block, its draw chunk and its delay ring, not
 by the horizon: the ring holds kmax + 1 grid rows of 3 floats per replicate
 (about 6 KB per row for a block of 256).
@@ -48,16 +48,13 @@ The 1 GiB limit holds in total over the processes, for both drivers. Each
 process is charged the widest block's ring, or below 64 replicates one
 trajectory of simulate, and the statistics are charged twice, here and for
 the children's shares of rows; parallel.run_tasks applies the rule and runs
-the tasks here one after another when the charges do not fit. A block that
-meets a non-finite state runs again one replicate at a time through
-engine.simulate in the process that ran it, so the fault names the same
-replicate, the lowest faulting index, on any number of cores. That re-run
-starts once the block's arrays are freed and holds one trajectory in place
-of its ring; the rule does not charge it, which would keep long block
-ensembles on many cores in one process when nothing faults. Since any
-replicate may run through simulate, every ensemble must fit simulate's
-horizon limit, and one that does not is refused before any replicate runs,
-whatever its size.
+the tasks here one after another when the charges do not fit. Below 64
+replicates each keeps its path while it runs, so such an ensemble must also
+fit simulate's horizon limit, and one that does not is refused before any
+replicate runs. A block keeps none, whatever the horizon: a replicate that
+meets a non-finite state is held at 0 while the block steps on, and the
+block names the lowest faulting replicate itself, so the fault names the
+same replicate on any number of cores.
 
 The asymptotic statements behind the regime classifier are checked at a
 finite horizon with explicit tolerances: medians of terminal time averages
@@ -185,31 +182,25 @@ def run_ensemble(
         f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points",
         stats + ring, "path statistics and delay ring", "lower n_reps",
     )
-    engine._check_horizon(c, d)
+    if not width:  # each replicate runs through simulate, which keeps its path
+        engine._check_horizon(c, d)
 
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
 
     def task(a: int, b: int) -> int:
-        """Fills rows a to b - 1 of paths and terminal; returns their floor clamps."""
-        # a block that faults runs again one replicate at a time, here, so
-        # that it stops at the replicate the scalar driver would name
-        if b - a >= _BATCH_MIN:
-            try:
-                return engine._simulate_batch(
-                    p, n, d, h, c, range(a, b), stat_idx, paths[a:b], terminal[a:b]
-                )
-            except SimulationError:
-                pass
-        hits = 0
-        for k in range(a, b):
-            try:
-                traj = engine.simulate(p, n, d, h, c, replicate=k)
-            except SimulationError as exc:
-                raise SimulationError(f"replicate {k}: {exc}") from exc
-            paths[k], terminal[k] = traj.states[stat_idx], time_average(traj).terminal
-            hits += traj.floor_hits
-        return hits
+        """Fills rows a to b - 1 of paths and terminal (a block, or replicate
+        a alone); returns their floor clamps."""
+        if width:
+            return engine._simulate_batch(
+                p, n, d, h, c, range(a, b), stat_idx, paths[a:b], terminal[a:b]
+            )
+        try:
+            traj = engine.simulate(p, n, d, h, c, replicate=a)
+        except SimulationError as exc:
+            raise SimulationError(f"replicate {a}: {exc}") from exc
+        paths[a], terminal[a] = traj.states[stat_idx], time_average(traj).terminal
+        return traj.floor_hits
 
     # a task per replicate below _BATCH_MIN, else per block, in
     # np.array_split's layout: the first n_reps % n_tasks are one longer

@@ -231,6 +231,20 @@ class TestSweep:
             got = (tmp_path / f"sw_tau1={value}.csv").read_bytes()
             assert got == b"".join(ln for ln in want if ln not in details)
 
+    def test_ensemble_mode_stops_at_a_faulting_value(self, tmp_path, capsys, monkeypatch):
+        # fig3 over 20 days explodes at replicate 3 of a 64-replicate block;
+        # over 10 days it does not. The sweep keeps the file of the value
+        # before the fault, writes no index and prints one fault line
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, "sw.cfg", "preset = fig3\nn_reps = 64\n")
+        argv = ["sweep", "--mode", "ensemble", "--config", "sw.cfg", "--out", "sw.csv",
+                "--var", "t_end", "--values", "10,20"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("runtime fault:")] == err[-1:]
+        assert err[-1].startswith("runtime fault: replicate 3: non-finite state at t=19.37: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.cfg", "sw_t_end=10.csv"]
+
     def test_sweep_requires_var_or_preset(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 1
 
@@ -690,26 +704,36 @@ class TestErrors:
         # 11, 12 and 15 of the first 16; 96 is the last); 16 replicates run
         # one at a time and 100 in a batch, and both must stop at the lowest
         # faulting index
-        lines = {}
-        for n_reps in (16, 100):
-            cfg = _write(tmp_path, "f.cfg", f"preset = fig3\nt_end = 20\nn_reps = {n_reps}\n")
-            out = tmp_path / "e.csv"
-            assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
-            assert not out.exists()
-            lines[n_reps] = err[1]
+        def fault_lines(text, counts):
+            lines = {}
+            for n_reps in counts:
+                cfg = _write(tmp_path, "f.cfg", f"preset = fig3\nt_end = 20\n{text}n_reps = {n_reps}\n")
+                out = tmp_path / "e.csv"
+                assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 2 and err[0].startswith("warning: delta = 0.02")
+                assert not out.exists()
+                lines[n_reps] = err[1]
+            return lines
+
+        lines = fault_lines("", (16, 100))
         assert lines[16] == lines[100]
         assert lines[16].startswith("runtime fault: replicate 3: non-finite state at t=19.37: ")
+        # with every sigma 0 a block draws no normals, yet its line reports
+        # the normals simulate drew
+        quiet = fault_lines("sigma1 = 0\nsigma2 = 0\nsigma3 = 0\n", (16, 64))
+        assert quiet[16] == quiet[64]
+        assert quiet[16].startswith("runtime fault: replicate 3: non-finite state at t=19.39: ")
 
     @pytest.mark.parametrize("n_reps", [63, 64])
     def test_horizon_limit_is_one_rule_for_every_ensemble(self, tmp_path, capsys, monkeypatch, n_reps):
-        # any replicate may run through simulate (below 64 replicates always,
-        # from 64 when its block faults), so every ensemble obeys simulate's
-        # horizon limit. fig3 over 20 days is 2000 steps after 151 history
-        # rows: with the limit set at exactly that horizon the replicate fault
-        # is reported; one byte per step more and the ensemble is refused
-        # before any replicate runs
+        # below 64 replicates each runs through simulate, which keeps its
+        # path, so the ensemble obeys simulate's horizon limit; from 64 the
+        # blocks keep only their statistics rows and delay rings, so the
+        # horizon alone refuses nothing. fig3 over 20 days is 2000 steps
+        # after 151 history rows: with the limit set at exactly that horizon
+        # the replicate fault is reported; one byte per step more and 63
+        # replicates are refused before any runs, while 64 still report it
         ran = []
         for name in ("simulate", "_simulate_batch"):
             real = getattr(engine, name)
@@ -717,7 +741,8 @@ class TestErrors:
         cfg = _write(tmp_path, "f.cfg", f"preset = fig3\nt_end = 20\nn_reps = {n_reps}\n")
         out = tmp_path / "e.csv"
         at_limit = (engine._MAX_BYTES - 151 * engine._ROW_BYTES) // 2000
-        for step_bytes, code in ((at_limit, 2), (at_limit + 1, 1)):
+        over = 1 if n_reps < 64 else 2
+        for step_bytes, code in ((at_limit, 2), (at_limit + 1, over)):
             monkeypatch.setattr(engine, "_STEP_BYTES", step_bytes)
             ran.clear()
             assert main(["ensemble", "--config", cfg, "--out", str(out)]) == code

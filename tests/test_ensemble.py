@@ -230,6 +230,22 @@ class TestBatchedDriver:
         run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=64)
         assert calls == []
 
+    def test_a_faulting_block_names_its_replicate_without_simulate(self, monkeypatch):
+        # fig3 over 20 days: replicate 3 is the lowest of 100 to explode. The
+        # block names it with simulate's message and never calls simulate
+        cfg = parse_config("preset = fig3\nt_end = 20\n")
+        parts = (cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config())
+        with pytest.raises(SimulationError) as want:
+            simulate(*parts, replicate=3)
+
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr(engine, "simulate", no_simulate)
+        with pytest.raises(SimulationError) as got:
+            run_ensemble(*parts, 100)
+        assert str(got.value) == f"replicate 3: {want.value}"
+
     def test_blocks_are_even_consecutive_slices_of_the_schedule(self, monkeypatch):
         blocks = []
         real = engine._simulate_batch
@@ -376,8 +392,8 @@ class TestSpreadBlocks:
     def test_fault_in_the_childs_share(self, cores, monkeypatch):
         # fig3 over 13 days, seed 2: of 257 replicates only 236 and 255
         # explode, both in the second block, which the child runs. 255 does
-        # so first, but the block runs again one replicate at a time, in the
-        # child and without forking again, and names 236
+        # so first, but the block steps on, without forking again, and names
+        # the lowest, 236
         cfg = parse_config("preset = fig3\nt_end = 13\nseed = 2\n")
         parts = (cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config())
         parent, forks = os.getpid(), []
@@ -445,7 +461,7 @@ class TestSpreadBlocks:
         # 257 replicates (129 + 128) with delays of one step, so a trajectory
         # outweighs the widest ring: with the limit at exactly the statistics,
         # a second copy of them and a ring in each of two processes, the
-        # blocks still spread, since only a faulting block holds a trajectory
+        # blocks still spread, since a block never holds a trajectory
         delays = DelaySpec(0.01, 0.01, 0.01)
         cores(1)
         want = run_ensemble(PARAMS, NOISE, delays, HIST, CFG, 257)
