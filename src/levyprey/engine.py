@@ -391,21 +391,21 @@ def _simulate_batch(
     move a state), _advance does the update on (B,) arrays, the clamp
     applies by mask, and the trapezoid sums keep time_average's operation
     order, 0.5*(s1 + s0)*(t1 - t0) added in sequence and divided by N*dt at
-    the end. Delay taps read a ring buffer of kmax + 1 grid rows
-    (run_ensemble counts it toward its 1 GiB limit), so the driver's own
-    memory is bounded by B, the delays and the draw chunk, not by the
-    horizon or the stats grid. A replicate whose state turns non-finite is
-    set to 0 in the step and in every ring row, where it stays, since the
-    origin is absorbing; the block steps on, up to its first replicate's
-    fault, and then raises SimulationError for the lowest faulting
-    replicate k: "replicate k: " and simulate's message, its normals drawn
-    afresh when the block drew none.
+    the end. Delay taps read a ring buffer of kmax + 1 grid rows, filled
+    from the history's constants (run_ensemble counts it toward its 1 GiB
+    limit), so the driver's own memory is bounded by B, the delays and the
+    draw chunk, not by the horizon or the stats grid. A replicate whose
+    state turns non-finite is set to 0 in the step and in every ring row,
+    where it stays, since the origin is absorbing; the block steps on, up
+    to its first replicate's fault, and then raises SimulationError for the
+    lowest faulting replicate k: "replicate k: " and simulate's message,
+    its normals drawn afresh when the block drew none.
     """
     k1, k2, k3 = lag_steps(d, c.dt)
     width = len(reps)
-    history = np.array(init_history(h, d, c)).T  # (kmax + 1, 3), t = 0 last
-    rows = len(history)
-    ring = np.repeat(history[:, :, None], width, axis=2)
+    rows = max(k1, k2, k3) + 1
+    ring = np.empty((rows, 3, width))  # grid rows of (species, replicate), t = 0 last
+    ring[:] = [[h.x0], [h.y0], [h.z0]]
     dt = c.dt
     n_steps = c.n_steps
     pk = _pack(p, n, dt)

@@ -10,16 +10,17 @@ before any replicate runs. Terminal running averages are computed exactly on the
 integration grid, since those are what the regime predictions speak about.
 
 Replicates run as a list of tasks, each filling a consecutive run of rows:
-one replicate per task below _BATCH_MIN = 64, and from 64 up blocks of at
-most _BATCH_MAX = 256, which bounds the generators (two per replicate at
-most) and the draws a block holds, split evenly, so each has at least 64
-(257 runs as 129 + 128). A task of 64 replicates or more steps them
-together through engine._simulate_batch, on arrays; a task of one replicate
-runs it through engine.simulate. The batched driver's numpy calls
-cost about the same per step whatever the block size, so on one core it
-overtakes the scalar loop between 32 and 50 replicates (persist, ns per
-step-replicate, scalar vs batched: 1842 vs 1887 at 32, 1871 vs 1296 at 50,
-1852 vs 1050 at 64). 64 is the first power of two past that crossover.
+one replicate per task below _BATCH_MIN = 64 while simulate can keep their
+paths (below), and otherwise blocks of at most _BATCH_MAX = 256, which
+bounds the generators (two per replicate at most) and the draws a block
+holds, split evenly, so from 64 up each has at least 64 (257 runs as 129 +
+128). A block steps its replicates together through engine._simulate_batch,
+on arrays; a task of one replicate runs it through engine.simulate. The
+batched driver's numpy calls cost about the same per step whatever the
+block size, so on one core it overtakes the scalar loop between 32 and 50
+replicates (persist, ns per step-replicate, scalar vs batched: 1842 vs 1887
+at 32, 1871 vs 1296 at 50, 1852 vs 1050 at 64). 64 is the first power of
+two past that crossover.
 
 The tasks run in contiguous shares over the usable cores
 (len(os.sched_getaffinity(0))): parallel.run_tasks runs the first share
@@ -45,16 +46,16 @@ by the horizon: the ring holds kmax + 1 grid rows of 3 floats per replicate
 (about 6 KB per row for a block of 256).
 
 The 1 GiB limit holds in total over the processes, for both drivers. Each
-process is charged the widest block's ring, or below 64 replicates one
+process is charged the widest block's ring, or with no blocks one
 trajectory of simulate, and the statistics are charged twice, here and for
 the children's shares of rows; parallel.run_tasks applies the rule and runs
-the tasks here one after another when the charges do not fit. Below 64
-replicates each keeps its path while it runs, so such an ensemble must also
-fit simulate's horizon limit, and one that does not is refused before any
-replicate runs. A block keeps none, whatever the horizon: a replicate that
-meets a non-finite state is held at 0 while the block steps on, and the
-block names the lowest faulting replicate itself, so the fault names the
-same replicate on any number of cores.
+the tasks here one after another when the charges do not fit. simulate
+keeps a replicate's path while it runs, so below 64 replicates a run whose
+paths would not fit its horizon limit steps as one block; a block keeps
+none, whatever the horizon, so the horizon alone refuses no ensemble. A
+replicate in a block that meets a non-finite state is held at 0 while the
+block steps on, and the block names the lowest faulting replicate itself,
+so the fault names the same replicate on any number of cores.
 
 The asymptotic statements behind the regime classifier are checked at a
 finite horizon with explicit tolerances: medians of terminal time averages
@@ -171,19 +172,18 @@ def run_ensemble(
     stat_idx = np.arange(0, n_points, stats_stride)
     if stat_idx[-1] != n_points - 1:
         stat_idx = np.append(stat_idx, n_points - 1)
-    # from _BATCH_MIN up, blocks are consecutive runs of indices, at most
-    # _BATCH_MAX long and as even as possible; a block holds a delay ring
-    # of kmax + 1 grid rows per replicate
+    # from _BATCH_MIN up, or when simulate could not keep the paths, blocks
+    # are consecutive runs of indices, at most _BATCH_MAX long and as even as
+    # possible; a block holds a delay ring of kmax + 1 grid rows per replicate
     n_blocks = -(-n_reps // _BATCH_MAX)
-    width = -(-n_reps // n_blocks) if n_reps >= _BATCH_MIN else 0
+    scalar = n_reps < _BATCH_MIN and engine._trajectory_bytes(c, d) <= engine._MAX_BYTES
+    width = 0 if scalar else -(-n_reps // n_blocks)
     stats = n_reps * len(stat_idx) * 3 * 8
     ring = width * (max(engine.lag_steps(d, c.dt)) + 1) * 3 * 8
     engine._check_bytes(
         f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points",
         stats + ring, "path statistics and delay ring", "lower n_reps",
     )
-    if not width:  # each replicate runs through simulate, which keeps its path
-        engine._check_horizon(c, d)
 
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
@@ -202,17 +202,18 @@ def run_ensemble(
         paths[a], terminal[a] = traj.states[stat_idx], time_average(traj).terminal
         return traj.floor_hits
 
-    # a task per replicate below _BATCH_MIN, else per block, in
-    # np.array_split's layout: the first n_reps % n_tasks are one longer
+    # a task per block, else per replicate, in np.array_split's layout: the
+    # first n_reps % n_tasks are one longer
     n_tasks = n_blocks if width else n_reps
     size, longer = divmod(n_reps, n_tasks)
     bounds = [i * size + min(i, longer) for i in range(n_tasks + 1)]
-    tasks = [partial(task, a, b) for a, b in zip(bounds, bounds[1:])]
+    pairs = list(zip(bounds, bounds[1:]))
     # spread, each process holds the widest block's ring (with no blocks, one
     # trajectory); the statistics count twice, here and for the children's rows
     done, fault = parallel.run_tasks(
-        tasks, n_reps * c.n_steps, ring if width else engine._trajectory_bytes(c, d),
-        engine._MAX_BYTES - 2 * stats, fill=(paths, terminal), rows=bounds,
+        [partial(task, a, b) for a, b in pairs], n_reps * c.n_steps,
+        ring if width else engine._trajectory_bytes(c, d), engine._MAX_BYTES - 2 * stats,
+        fill=[(paths[a:b], terminal[a:b]) for a, b in pairs],
     )
     if fault is not None:
         raise fault

@@ -5,10 +5,10 @@ run_tasks splits a list of tasks into contiguous shares, one per usable core
 process runs the first share itself; forked children run the others. A task
 is a closure that a child sees as the caller's memory stood at the fork, so
 the numbers are the ones the caller would have computed. Two things cross a
-child's pipe: first the rows of the caller's ``fill`` arrays that its share
-wrote, as raw bytes that the caller reads in place into the same rows (no
-pickled copy, so the caller's memory does not grow by them), then its tasks'
-results and fault, pickled. A child points its stdout and stderr, both the
+child's pipe: first the ``fill`` arrays of its share's tasks, in task order,
+as raw bytes that the caller reads in place into the same arrays (no pickled
+copy, so the caller's memory does not grow by them), then its tasks' results
+and fault, pickled. A child points its stdout and stderr, both the
 descriptors and sys.stdout and sys.stderr, at os.devnull, so it never writes
 to the caller's, and leaves through os._exit, so no buffer, exit hook or
 ``finally`` of the caller runs twice. There are no helper threads. Every
@@ -56,8 +56,8 @@ def _run(tasks: Sequence[Callable[[], T]]) -> tuple[list[T], Exception | None]:
     return results, None
 
 
-def _child(tasks: Sequence[Callable[[], T]], rows: list[memoryview], fd: int) -> None:
-    """In a forked child: run the share, send its rows and then (results, fault) through fd, exit."""
+def _child(tasks: Sequence[Callable[[], T]], arrays: list[memoryview], fd: int) -> None:
+    """In a forked child: run the share, send its arrays and then (results, fault) through fd, exit."""
     code = 1
     try:
         null = os.open(os.devnull, os.O_WRONLY)
@@ -70,7 +70,7 @@ def _child(tasks: Sequence[Callable[[], T]], rows: list[memoryview], fd: int) ->
         except Exception:  # an exception that does not survive pickling keeps its text
             fault = RuntimeError(f"{type(fault).__name__}: {fault}")
         with os.fdopen(fd, "wb") as fh:
-            for view in rows:
+            for view in arrays:
                 fh.write(view)
             pickle.dump((results, fault), fh, pickle.HIGHEST_PROTOCOL)
         code = 0
@@ -78,8 +78,8 @@ def _child(tasks: Sequence[Callable[[], T]], rows: list[memoryview], fd: int) ->
         os._exit(code)
 
 
-def _spawn(tasks: Sequence[Callable[[], T]], rows: list[memoryview]):
-    """Fork a child that runs tasks and sends rows; returns its pid and the read end of its pipe."""
+def _spawn(tasks: Sequence[Callable[[], T]], arrays: list[memoryview]):
+    """Fork a child that runs tasks and sends arrays; returns its pid and the read end of its pipe."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -89,7 +89,7 @@ def _spawn(tasks: Sequence[Callable[[], T]], rows: list[memoryview]):
         raise
     if pid == 0:
         os.close(r)
-        _child(tasks, rows, w)
+        _child(tasks, arrays, w)
     os.close(w)
     return pid, os.fdopen(r, "rb")
 
@@ -100,8 +100,7 @@ def run_tasks(
     held: int,
     room: int,
     undo: Callable[[T], object] | None = None,
-    fill: Sequence[Any] = (),
-    rows: Sequence[int] = (),
+    fill: Sequence[Sequence[Any]] = (),
 ) -> tuple[list[T], Exception | None]:
     """Run every task (a zero-argument callable) and return (done, fault).
 
@@ -113,11 +112,11 @@ def run_tasks(
     behind what the loop would have. ``work`` counts the step-replicates of
     all the tasks. The tasks spread only while ``n_shares * held <= room``:
     ``held`` is the bytes one process holds while it runs a task, ``room``
-    the bytes the shares may hold together. ``fill`` holds C-contiguous
-    arrays that the tasks write into instead of returning what they write:
-    task i writes rows ``rows[i]`` to ``rows[i + 1] - 1`` of each, and those
-    rows come back from a child into the caller's arrays. After a fault, the
-    rows of the tasks from the fault on are undefined.
+    the bytes the shares may hold together. ``fill[i]``, when given, is the
+    tuple of C-contiguous arrays that task i writes into instead of
+    returning what it writes, and they come back from a child into the
+    caller's arrays. After a fault, the arrays of the tasks from the fault
+    on are undefined.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_shares = min(cores, len(tasks))
@@ -128,7 +127,7 @@ def run_tasks(
     children = []
     try:
         for a, b in zip(bounds[1:-1], bounds[2:]):
-            share = [memoryview(array[rows[a]:rows[b]]).cast("B") for array in fill]
+            share = [memoryview(array).cast("B") for arrays in fill[a:b] for array in arrays]
             children.append((*_spawn(tasks[a:b], share), share))
         outcomes = [_run(tasks[: bounds[1]])]
         for pid, pipe, share in children:

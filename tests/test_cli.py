@@ -656,24 +656,30 @@ class TestErrors:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, n_reps", [("simulate", ""), ("ensemble", "n_reps = 2\n")],
-                             ids=["simulate", "ensemble"])
-    def test_oversized_delay_history_is_config_error(self, tmp_path, capsys, monkeypatch, command, n_reps):
-        # 1000 steps, but tau1 = 100000 at dt = 0.001 is 10^8 history rows,
-        # 8.94 GiB of grid record: refused before the history is filled
+    @pytest.mark.parametrize("command, n_reps, filler, message", [
+        ("simulate", "", "init_history",
+         "config error: simulation too large: 1000 steps (t_end=1.0, dt=0.001) needs 8.94 GiB "
+         "of grid record (100000001 history rows) and path (limit 1 GiB); "
+         "lower t_end or the delays, or raise dt"),
+        ("ensemble", "n_reps = 2\n", "_simulate_batch",
+         "config error: ensemble too large: n_reps=2 x 1001 stat points needs 4.47 GiB "
+         "of path statistics and delay ring (limit 1 GiB); lower n_reps"),
+    ], ids=["simulate", "ensemble"])
+    def test_oversized_delay_history_is_config_error(self, tmp_path, capsys, monkeypatch, command, n_reps,
+                                                     filler, message):
+        # 1000 steps, but tau1 = 100000 at dt = 0.001 is 10^8 history rows:
+        # 8.94 GiB of grid record for simulate, and for an ensemble, whose
+        # paths simulate could not keep, a one-block ring of 2 replicates
+        # (4.47 GiB); refused before the history or the ring is filled
         def no_history(*args, **kwargs):
             raise AssertionError("the history was filled")
 
-        monkeypatch.setattr(engine, "init_history", no_history)
+        monkeypatch.setattr(engine, filler, no_history)
         cfg = _write(tmp_path, "h.cfg", f"preset = fig1\ntau1 = 100000\ndt = 0.001\nt_end = 1\n{n_reps}")
         out = tmp_path / "s.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if line.startswith("config error:")] == [
-            "config error: simulation too large: 1000 steps (t_end=1.0, dt=0.001) needs 8.94 GiB "
-            "of grid record (100000001 history rows) and path (limit 1 GiB); "
-            "lower t_end or the delays, or raise dt"
-        ]
+        assert [line for line in err if line.startswith("config error:")] == [message]
         assert not out.exists()
 
     @pytest.mark.parametrize("steps, option, value, n_steps", [
@@ -728,33 +734,28 @@ class TestErrors:
     @pytest.mark.parametrize("n_reps", [63, 64])
     def test_horizon_limit_is_one_rule_for_every_ensemble(self, tmp_path, capsys, monkeypatch, n_reps):
         # below 64 replicates each runs through simulate, which keeps its
-        # path, so the ensemble obeys simulate's horizon limit; from 64 the
-        # blocks keep only their statistics rows and delay rings, so the
-        # horizon alone refuses nothing. fig3 over 20 days is 2000 steps
-        # after 151 history rows: with the limit set at exactly that horizon
-        # the replicate fault is reported; one byte per step more and 63
-        # replicates are refused before any runs, while 64 still report it
+        # path, only while the paths fit simulate's horizon limit, and as one
+        # block otherwise; blocks keep only their statistics rows and delay
+        # rings, so the horizon alone refuses nothing. fig3 over 20 days is
+        # 2000 steps after 151 history rows: with the limit set at exactly
+        # that horizon the replicate fault is reported; one byte per step more
+        # and it still is, by one block of all the replicates
         ran = []
         for name in ("simulate", "_simulate_batch"):
             real = getattr(engine, name)
-            monkeypatch.setattr(engine, name, lambda *a, real=real, **kw: ran.append(1) or real(*a, **kw))
+            monkeypatch.setattr(engine, name,
+                                lambda *a, name=name, real=real, **kw: ran.append(name) or real(*a, **kw))
         cfg = _write(tmp_path, "f.cfg", f"preset = fig3\nt_end = 20\nn_reps = {n_reps}\n")
         out = tmp_path / "e.csv"
         at_limit = (engine._MAX_BYTES - 151 * engine._ROW_BYTES) // 2000
-        over = 1 if n_reps < 64 else 2
-        for step_bytes, code in ((at_limit, 2), (at_limit + 1, over)):
+        for step_bytes in (at_limit, at_limit + 1):
             monkeypatch.setattr(engine, "_STEP_BYTES", step_bytes)
             ran.clear()
-            assert main(["ensemble", "--config", cfg, "--out", str(out)]) == code
+            assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and not out.exists()
-            if code == 2:
-                assert err[1].startswith("runtime fault: replicate 3: non-finite state at t=19.37: ")
-            else:
-                assert err[1].startswith(
-                    "config error: simulation too large: 2000 steps (t_end=20.0, dt=0.01) needs 1.00 GiB"
-                )
-                assert ran == []
+            assert err[1].startswith("runtime fault: replicate 3: non-finite state at t=19.37: ")
+        assert ran == ["_simulate_batch"]
 
     def test_ensemble_beyond_float_range_is_config_error(self, tmp_path, capsys):
         # the size check must not turn n_reps into a float on the way

@@ -230,6 +230,53 @@ class TestBatchedDriver:
         run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, n_reps=64)
         assert calls == []
 
+    @pytest.mark.parametrize("n_reps", [1, 2, 8, 63])
+    def test_below_64_a_path_simulate_cannot_keep_steps_as_one_block(self, monkeypatch, n_reps):
+        # one byte per step over simulate's horizon limit, the replicates run
+        # as one block of them all instead of being refused, with the scalar
+        # loop's numbers bit for bit; sigma = 3 overshoots below zero often,
+        # so the floor clamps count
+        noise = NoiseSpec(3.0, 1e-3, 3.0, -0.04, -0.006, -0.008, lam=1.0)
+        want = run_ensemble(PARAMS, noise, DELAYS, HIST, CFG, n_reps)
+        rows = max(engine.lag_steps(DELAYS, CFG.dt)) + 1
+        at_limit = (engine._MAX_BYTES - rows * engine._ROW_BYTES) // CFG.n_steps
+        monkeypatch.setattr(engine, "_STEP_BYTES", at_limit + 1)
+        blocks = []
+        real = engine._simulate_batch
+
+        def recorded(p, n, d, h, c, reps, stat_idx, paths, terminal):
+            blocks.append(reps)
+            return real(p, n, d, h, c, reps, stat_idx, paths, terminal)
+
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr(engine, "_simulate_batch", recorded)
+        monkeypatch.setattr(engine, "simulate", no_simulate)
+        got = run_ensemble(PARAMS, noise, DELAYS, HIST, CFG, n_reps)
+        assert blocks == [range(n_reps)]
+        for field in ("stat_times", "mean", "sd", "q025", "q500", "q975", "terminal_averages"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert got.floor_hits_total == want.floor_hits_total
+
+    def test_a_narrow_block_holds_its_ring_once(self):
+        # one replicate of persist with tau1 = 10000 at dt = 0.01 is a ring
+        # of 1,000,001 grid rows, 24 MB; filling it from the history's
+        # constants holds no second or third copy on the way
+        sc = PRESETS["persist"]
+        delays = replace(sc.delays, tau1=10000.0)
+        cfg = StepConfig(dt=0.01, t_end=0.1)
+        assert max(engine.lag_steps(delays, cfg.dt)) + 1 == 1_000_001
+        paths, terminal = np.empty((1, 11, 3)), np.empty((1, 3))
+        tracemalloc.start()
+        try:
+            engine._simulate_batch(sc.params, sc.noise, delays, sc.history, cfg, range(1), range(11),
+                                   paths, terminal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_001 * 3 * 8 + (64 << 10)
+
     def test_a_faulting_block_names_its_replicate_without_simulate(self, monkeypatch):
         # fig3 over 20 days: replicate 3 is the lowest of 100 to explode. The
         # block names it with simulate's message and never calls simulate

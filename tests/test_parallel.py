@@ -33,18 +33,20 @@ def test_results_come_back_in_task_order(cores, n_cores):
 
 @pytest.mark.parametrize("n_cores", [1, 2, 3])
 def test_filled_rows_come_back_in_place(cores, n_cores):
-    # task i writes rows rows[i] to rows[i + 1] - 1 of both arrays; a child's
-    # rows are read into the caller's arrays, which are never replaced
+    # task i writes its own slices, rows rows[i] to rows[i + 1] - 1 of both
+    # arrays; a child's slices are read into the caller's arrays, which are
+    # never replaced
     cores(n_cores)
     grid, flat = np.zeros((7, 2, 3)), np.zeros(7)
     rows = [0, 3, 4, 7]
+    fill = [(grid[a:b], flat[a:b]) for a, b in zip(rows, rows[1:])]
 
     def write(i):
-        grid[rows[i]:rows[i + 1]] = i + 1
-        flat[rows[i]:rows[i + 1]] = -(i + 1)
+        fill[i][0][:] = i + 1
+        fill[i][1][:] = -(i + 1)
         return os.getpid()
 
-    pids, fault = parallel.run_tasks([partial(write, i) for i in range(3)], 1, 0, 0, fill=(grid, flat), rows=rows)
+    pids, fault = parallel.run_tasks([partial(write, i) for i in range(3)], 1, 0, 0, fill=fill)
     assert fault is None and len(set(pids)) == min(n_cores, 3)
     want = np.repeat([1.0, 2.0, 3.0], [3, 1, 3])
     assert np.array_equal(grid, np.broadcast_to(want[:, None, None], grid.shape))
