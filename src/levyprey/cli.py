@@ -6,6 +6,14 @@ docstring describes the ``#`` metadata block that makes each file
 reproducible from its own header. No timestamps are embedded: identical
 runs produce identical bytes.
 
+The rows are formatted on arrays by _csv_rows and equal ``'%.17g' % v``
+per cell byte for byte. A cell with 1e-28 <= |v| < 1e16 is scaled into
+[1e16, 1e17) by an exact power of ten in double-double arithmetic (Dekker's
+two-product on Veltkamp splits, error below 2**-47) and rounded to 17
+digits. A cell whose scaled fraction lies within 1e-9 of 1/2, whose
+rounding carries to 1e17, or that lies outside the range or is not finite
+is formatted by ``'%.17g' % v`` itself. _write_csv gives the argument.
+
 Exit codes: 0 success (a hypothesis that fails to hold is still success),
 1 usage or configuration error, 2 runtime fault.
 """
@@ -29,7 +37,137 @@ from .presets import SWEEPS
 __all__ = ["main", "entry"]
 
 
-_BLOCK_ROWS = 2048  # rows formatted by one `%`: a few hundred kB of text
+_SLAB_CELLS = 2048  # cells formatted per slab: a few hundred kB of temporaries
+_HALF_MARGIN = 1e-9  # a scaled fraction this close to 1/2 goes to the fallback
+
+
+def _ceil_pow10(e: int) -> float:
+    """The smallest double >= 10**e."""
+    x = float(f"1e{e}")
+    m, d = x.as_integer_ratio()
+    below = m < d * 10**e if e >= 0 else m * 10**-e < d
+    return float(np.nextafter(x, np.inf)) if below else x
+
+
+def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x split into hi + lo, each with at most 26 significant bits."""
+    c = x * 134217729.0  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# _DECADES[i] is the smallest double >= 10**(i - 28), so a searchsorted gives
+# the exact decade of every |v| in [_DECADES[0], 1e16); 10**k = _POW_HI[k] +
+# _POW_LO[k] exactly for k <= 44 (5**44 < 2**103)
+_DECADES = np.array([_ceil_pow10(e) for e in range(-28, 17)])
+_POW_HI = np.array([float(10**k) for k in range(45)])
+_POW_LO = np.array([float(10**k - int(h)) for k, h in enumerate(_POW_HI.tolist())])
+_POW_HH, _POW_HL = _veltkamp(_POW_HI)
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _field_words() -> tuple[np.ndarray, ...]:
+    """The 8-byte words a cell's 48-byte field is assembled from.
+
+    Field layout: byte 0 the sign, 1-5 the "0.000" prefix, 6 the first digit,
+    then digits 2 to 17 at bytes 8, 10, ..., 38, each followed by a slot for
+    the point, then "e-XX" at 40-43 and the separator at 47; every other
+    byte is NUL. Returns, as uint64: ``digits`` (index w + 10000 * strip:
+    the four digits of w, trailing zeros blanked when ``strip``), ``marks``
+    (5 x 34, column point * 17 + ints: the integer part's zeros to restore
+    and, with ``point``, the point after the first ``ints`` digits),
+    ``head`` (index (sign * 6 + prefix length) * 10 + first digit) and
+    ``tail`` (index the negative exponent, 0 for none).
+    """
+    w = np.arange(10000, dtype=np.int16)
+    pairs = np.zeros((2, 10000, 4, 2), np.uint8)
+    for i in range(4):
+        pairs[:, :, i, 0] = ord("0") + w // 10 ** (3 - i) % 10
+        pairs[1, :, i, 0] *= w % 10 ** (4 - i) != 0
+    marks = np.zeros((2, 17, 40), np.uint8)
+    for ints in range(1, 17):
+        marks[:, ints, 8:6 + 2 * ints:2] = ord("0")
+        marks[1, ints, 5 + 2 * ints] = ord(".")
+    head = np.zeros((2, 6, 10, 8), np.uint8)
+    head[1, :, :, 0] = ord("-")
+    for n in range(2, 6):
+        head[:, n, :, 1:1 + n] = np.frombuffer(b"0.000"[:n], np.uint8)
+    head[:, :, :, 6] = ord("0") + np.arange(10)
+    tail = np.zeros((29, 8), np.uint8)
+    tail[5:, :2] = np.frombuffer(b"e-", np.uint8)
+    tail[5:, 2] = ord("0") + np.arange(5, 29) // 10
+    tail[5:, 3] = ord("0") + np.arange(5, 29) % 10
+    words = (pairs.reshape(20000, 8), marks.reshape(34, 40), head.reshape(120, 8), tail)
+    digits, marks, head, tail = (np.ascontiguousarray(t).view(np.uint64) for t in words)
+    return digits.ravel(), marks.T.copy(), head.ravel(), tail.ravel()
+
+
+_DIGITS, _MARKS, _HEAD, _TAIL = _field_words()
+_COMMA, _NEWLINE = np.frombuffer(bytes(7) + b"," + bytes(7) + b"\n", np.uint64)
+
+
+def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell rounded to 17 significant digits as an integer N in
+    [10**16, 10**17) and a decimal exponent x, |v| ~ N * 10**(x - 16), and
+    the mask of cells where N is exact; see _write_csv."""
+    a = np.abs(v)
+    decade = np.searchsorted(_DECADES, a, side="right")
+    exact = (decade > 0) & (decade < len(_DECADES))
+    a[~exact] = 1.0  # a stand-in, formatted by the fallback
+    k = np.where(exact, len(_DECADES) - decade, 16)
+    # P = a * 10**k as p + q: p = fl(a * hi) is an integer, q the exact rest
+    # of a * hi (Dekker's two-product) plus a * lo
+    ah, al = _veltkamp(a)
+    hh, hl = _POW_HH[k], _POW_HL[k]
+    p = a * _POW_HI[k]
+    q = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * _POW_LO[k]
+    whole = np.floor(q)
+    frac = q - whole
+    n = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    exact &= (np.abs(frac - 0.5) > _HALF_MARGIN) & (n < _POW10[17])
+    n[~exact] = _POW10[16]
+    k[~exact] = 16
+    return n, 16 - k, exact
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D float64 array: exactly the bytes of ``'%.17g'``
+    per cell, ``,`` between cells, ``\\n`` after each row, NaN as an empty cell.
+
+    See _write_csv for why the array path equals ``'%.17g'``.
+    """
+    rows, cols = block.shape
+    v = block.ravel()
+    n, x, exact = _round17(v)
+    ints = np.where(x >= 0, x + 1, 1)  # digits before the point
+    point = (n % _POW10[17 - ints] != 0) & ((x >= 0) | (x < -4))
+    prefix = np.where((x < 0) & (x >= -4), 1 - x, 0)  # "0.", "0.0", ...
+    first, rest = np.divmod(n, _POW10[16])
+    first[v == 0] = 0  # zero's stand-in N is 10**16: "1" becomes "0"
+    upper, lower = np.divmod(rest, _POW10[8])
+    w1, w2 = np.divmod(upper, 10000)
+    w3, w4 = np.divmod(lower, 10000)
+    field = np.empty((6, v.size), np.uint64)  # one column per cell
+    field[0] = _HEAD[(np.signbit(v) * 6 + prefix) * 10 + first]
+    field[1] = _DIGITS[w1 + 10000 * ((w2 == 0) & (lower == 0))]
+    field[2] = _DIGITS[w2 + 10000 * (lower == 0)]
+    field[3] = _DIGITS[w3 + 10000 * (w4 == 0)]
+    field[4] = _DIGITS[w4 + 10000]
+    field[5] = _TAIL[np.where(x < -4, -x, 0)]
+    mark = point * 17 + ints
+    for j in range(5):
+        field[j] |= _MARKS[j][mark]
+    nan = np.isnan(v)
+    slow = np.flatnonzero(~exact & (v != 0) & ~nan)
+    if slow.size:  # each left-justified in 40 bytes, its spaces made NUL
+        text = np.frombuffer((b"%-40.17g" * slow.size) % tuple(v[slow].tolist()), np.uint8)
+        field[:5, slow] = (text * (text != ord(" "))).view(np.uint64).reshape(-1, 5).T
+        field[5, slow] = 0
+    field[:, nan] = 0
+    sep = field[5].reshape(rows, cols)
+    sep[:, :-1] |= _COMMA
+    sep[:, -1] |= _NEWLINE
+    return field.T.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
@@ -43,10 +181,29 @@ def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
     ``t_end``, and last the command's own ``extra`` lines: ``floor_hits`` and
     ``jump_events`` (simulate), ``n_reps``, ``floor_hits_total`` and the
     ``verify:`` lines (ensemble), ``observed_order`` (convergence).
-    ``table`` is a 2-D float array, one CSV row per array row, formatted
-    ``_BLOCK_ROWS`` rows at a time by one ``%``. Every number is written with
-    17 significant digits, which round-trips a double exactly, a NaN is an
-    empty cell (only a missing value is NaN), and lines end in ``\\n``.
+    ``table`` is a 2-D float array, one CSV row per array row, and lines end
+    in ``\\n``. Every number is written as ``'%.17g'`` writes it, which
+    round-trips a double exactly, and a NaN is an empty cell (only a missing
+    value is NaN).
+
+    The rows are formatted on arrays, ``_SLAB_CELLS`` cells at a time, by
+    _csv_rows, and equal ``'%.17g'`` byte for byte by construction. For a
+    cell with 10**-28 <= |v| < 10**16, the decade e of |v| is exact (a
+    search among the smallest doubles >= 10**e), so P = |v| * 10**k with
+    k = 16 - e lies in [10**16, 10**17). With 10**k = hi + lo exactly
+    (k <= 44), P is computed as p + q: p = fl(|v| * hi), an integer since it
+    is above 2**53, and q the exact rest of that product (Dekker's
+    two-product on Veltkamp splits) plus |v| * lo, within 2**-47 of P - p.
+    P rounds to the 17-digit integer N = p + round(q), which is what
+    ``%.17g`` rounds to, unless q's fraction lies within ``_HALF_MARGIN``
+    (1e-9) of 1/2, where round-half-even on the exact value could differ,
+    or N carries into 10**17. Those cells, |v| outside the range, and
+    infinities are each formatted by ``'%.17g' % v``; zero is
+    ``0`` (``-0`` for -0.0). N's digits come from 4-digit lookup words and
+    are laid out by the ``%g`` rules (fixed form for exponents -4 to 16,
+    else ``e-XX``; trailing zeros and a bare point dropped) in a 48-byte
+    NUL-padded field per cell, and one ``bytes.translate`` per slab deletes
+    the NULs.
     """
     meta = [
         f"command = {command}",
@@ -58,14 +215,11 @@ def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
         f"t_end = {cfg['t_end']!r}",
         *extra,
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"# {line}\n" for line in meta)
-        fh.write(header + "\n")
-        rowfmt = "%.17g," * (table.shape[1] - 1) + "%.17g\n"
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
-            text = (rowfmt * len(block)) % tuple(block.ravel().tolist())
-            fh.write(text.replace("nan", "") if np.isnan(block).any() else text)
+    slab = max(1, _SLAB_CELLS // table.shape[1])
+    with open(path, "wb") as fh:
+        fh.write("".join([*(f"# {line}\n" for line in meta), f"{header}\n"]).encode())
+        for start in range(0, len(table), slab):
+            fh.write(_csv_rows(table[start:start + slab]))
 
 
 def _write_ensemble(

@@ -3,9 +3,14 @@
 import math
 import os
 import re
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_no_children
 from levyprey import cli, engine, ensemble, oracle
@@ -434,31 +439,102 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310, 1
 
 
 def _per_cell_rows(table):
-    """The rows as the per-cell writer formatted them before blocks."""
-    return [",".join("" if math.isnan(v) else f"{v:.17g}" for v in row) + "\n"
+    """The rows as ``'%.17g' % v`` formats each cell, the reference the
+    writer must equal; a NaN is an empty cell."""
+    return [",".join("" if math.isnan(v) else "%.17g" % v for v in row) + "\n"
             for row in table.tolist()]
+
+
+def _assert_rows(got, table):
+    """The written rows ``got`` equal the per-cell reference rows of ``table``."""
+    want = _per_cell_rows(table)
+    assert len(got) == len(want)
+    # the first differing row, not a diff of thousands
+    assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+
+
+def _assert_kernel_rows(table):
+    _assert_rows(cli._csv_rows(table).decode().splitlines(keepends=True), table)
+
+
+def _in_range(gen, cells):
+    """Signed values log-uniform over the array path's range, 1e-28 to 1e16."""
+    return gen.choice([-1.0, 1.0], cells) * 10.0 ** gen.uniform(-28, 16, cells)
 
 
 class TestOutputFormat:
     @pytest.mark.parametrize("width", [1, 3, 16])
+    # the row count at width 1; at width w, a slab of cli._SLAB_CELLS cells
+    # is _SLAB_CELLS // w rows: 0, 1, one slab, one slab + 1, two slabs + 3
     @pytest.mark.parametrize(
-        "rows", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 3]
+        "width1_rows", [0, 1, cli._SLAB_CELLS, cli._SLAB_CELLS + 1, 2 * cli._SLAB_CELLS + 3]
     )
-    def test_block_writer_matches_per_cell_reference(self, tmp_path, rows, width):
-        gen = np.random.default_rng(rows * 100 + width)
+    def test_block_writer_matches_per_cell_reference(self, tmp_path, width1_rows, width):
+        slabs, extra = divmod(width1_rows, cli._SLAB_CELLS)
+        rows = slabs * (cli._SLAB_CELLS // width) + extra
+        gen = np.random.default_rng(width1_rows * 100 + width)
         cells = rows * width
-        flat = gen.standard_normal(cells) * 10.0 ** gen.integers(-300, 300, cells)
+        wide = gen.standard_normal(cells) * 10.0 ** gen.integers(-300, 300, cells)
+        flat = np.where(gen.random(cells) < 0.5, _in_range(gen, cells), wide)
         flat[gen.permutation(cells)[: len(_EDGE_VALUES)]] = _EDGE_VALUES[:cells]
         table = flat.reshape(rows, width)
-        if rows:  # a missing value in the first block and in the last
+        if rows:  # a missing value in the first slab and in the last
             table[0, width // 2] = table[-1, -1] = math.nan
         path = tmp_path / "t.csv"
         cli._write_csv(str(path), parse_config(""), "test", [], "HEADER", table)
-        got = path.read_text().partition("HEADER\n")[2].splitlines(keepends=True)
-        want = _per_cell_rows(table)
-        # the first differing row, not a diff of thousands
-        assert len(got) == len(want)
-        assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+        _assert_rows(path.read_text().partition("HEADER\n")[2].splitlines(keepends=True), table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 4))
+    def test_rows_equal_percent_format_on_any_float(self, values, width):
+        # NaN, infinities, -0.0 and subnormals included
+        cells = np.array(values + [0.0] * (-len(values) % width))
+        _assert_kernel_rows(cells.reshape(-1, width))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-28, max_value=1e16, exclude_max=True), min_size=1, max_size=40),
+           st.booleans())
+    def test_rows_equal_percent_format_in_the_array_range(self, values, negative):
+        cells = np.array(values)
+        _assert_kernel_rows((-cells if negative else cells).reshape(-1, 1))
+
+    def test_rows_equal_percent_format_at_the_hard_cases(self):
+        powers = np.array([float(f"1e{e}") for e in range(-29, 18)])
+        below, above = np.nextafter(powers, 0), np.nextafter(powers, np.inf)
+        neighbours = np.concatenate([powers, below, np.nextafter(below, 0), above, np.nextafter(above, np.inf)])
+        # the switch between fixed and exponent form, at 1e-4
+        switch = 1e-4 * (1 + np.arange(-40, 41) * 2.0**-52)
+        # values below 10**e whose 17-digit rounding carries into 10**e
+        carries = [v for v in neighbours.tolist() if Decimal("%.17g" % v).as_tuple().digits == (1,)
+                   and Fraction(v) < Fraction(Decimal("%.17g" % v))]
+        assert 1e-14 in carries  # the double nearest 10**-14 lies below it
+        # exact ties at 17 digits, which %.17g rounds half to even
+        halves = [(2**52 + 2 * i + 1) / 4 for i in range(20)] + [m * 2.0**-25 for m in range(1, 40, 2)]
+        halves = [v for v in halves if len(Decimal(v).as_tuple().digits) == 18]
+        assert len(halves) >= 20 and all(Decimal(v).as_tuple().digits[-1] == 5 for v in halves)
+        cells = np.concatenate([neighbours, switch, carries, halves])
+        _assert_kernel_rows(np.concatenate([cells, -cells]).reshape(-1, 1))
+        # a zero column beside negatives
+        _assert_kernel_rows(np.column_stack([np.zeros(len(cells)), -cells, -np.zeros(len(cells))]))
+
+    def test_powers_of_ten_split_exactly(self):
+        for k, (hi, lo) in enumerate(zip(cli._POW_HI.tolist(), cli._POW_LO.tolist())):
+            assert int(hi) + int(lo) == 10**k
+        for e, bound in enumerate(cli._DECADES.tolist(), start=-28):
+            assert Fraction(bound) >= Fraction(10) ** e > Fraction(float(np.nextafter(bound, 0)))
+
+    @pytest.mark.parametrize("rows, width", [(50_001, 4), (2_002, 16)])
+    def test_writer_memory_is_a_slab_not_the_table(self, tmp_path, rows, width):
+        # a path at T = 500 and an ensemble's statistics table: the writer
+        # holds one slab's temporaries, whatever the table's size
+        table = np.random.default_rng(0).random((rows, width)) * 100
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(tmp_path / "t.csv"), parse_config(""), "test", [], "HEADER", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
     def test_every_writer_byte_for_byte(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
