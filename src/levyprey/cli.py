@@ -384,31 +384,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if clashes:
         raise ConfigError(f"sweep values give the same output file name: {', '.join(clashes)}")
 
-    # every value is typed and checked before any file is written
+    # every value is typed and checked, its memory limit too, before any task runs
     cfgs = [cfg.replaced(**{t: value for t in targets}) for value in values]
 
-    if args.mode == "simulate":
-        # the values' paths are stepped and written across the cores while a
-        # trajectory per process fits the memory limit, else in this process;
-        # a fault leaves the files and lines that a loop over the values would
-        def write(path: str, cfg_v: RunConfig) -> str:
-            _simulate(path, cfg_v)
-            return path
+    def charge(cfg_v: RunConfig) -> tuple[int, int]:  # step-replicates, bytes held over its processes
+        c, d = cfg_v.to_step_config(), cfg_v.to_delays()
+        if args.mode == "simulate":
+            engine._check_horizon(c, d)
+            return c.n_steps, engine._trajectory_bytes(c, d)
+        _, _, pairs, stats, hold = ensemble._layout(c, d, cfg_v.n_reps)
+        return c.n_steps * cfg_v.n_reps, 2 * stats + len(pairs) * hold
 
-        tasks = [partial(write, path, cfg_v) for path, cfg_v in zip(paths, cfgs)]
-        held = max(engine._trajectory_bytes(v.to_step_config(), v.to_delays()) for v in cfgs)
-        work = sum(v.to_step_config().n_steps for v in cfgs)
-        written, fault = parallel.run_tasks(tasks, work, held, engine._MAX_BYTES, undo=os.remove)
-        for path in written:
-            print(f"wrote {path}")
-        if fault is not None:
-            raise fault
-    else:
-        for cfg_v, path in zip(cfgs, paths):
+    def write(path: str, cfg_v: RunConfig) -> str:
+        if args.mode == "simulate":
+            _simulate(path, cfg_v)
+        else:  # sweep files record the prediction and verdict, not the details
             stats, summary = _ensemble(cfg_v)
-            # sweep files record the prediction and verdict, not the details
             _write_ensemble(path, cfg_v, stats, summary[:2])
-            print(f"wrote {path}")
+        return path
+
+    # a fault leaves the files and lines that a loop over the values would
+    works, helds = zip(*map(charge, cfgs))
+    tasks = [partial(write, path, cfg_v) for path, cfg_v in zip(paths, cfgs)]
+    written, fault = parallel.run_tasks(tasks, sum(works), max(helds), engine._MAX_BYTES, undo=os.remove)
+    for path in written:
+        print(f"wrote {path}")
+    if fault is not None:
+        raise fault
 
     index_path = f"{stem}_index.csv"
     with open(index_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -49,13 +49,14 @@ The 1 GiB limit holds in total over the processes, for both drivers. Each
 process is charged the widest block's ring, or with no blocks one
 trajectory of simulate, and the statistics are charged twice, here and for
 the children's shares of rows; parallel.run_tasks applies the rule and runs
-the tasks here one after another when the charges do not fit. simulate
-keeps a replicate's path while it runs, so below 64 replicates a run whose
-paths would not fit its horizon limit steps as one block; a block keeps
-none, whatever the horizon, so the horizon alone refuses no ensemble. A
-replicate in a block that meets a non-finite state is held at 0 while the
-block steps on, and the block names the lowest faulting replicate itself,
-so the fault names the same replicate on any number of cores.
+the tasks here one after another when the charges do not fit. _layout does
+this arithmetic, also for ``sweep --mode ensemble``, whose value may spread
+again and is charged both statistics and a hold per task. simulate keeps a
+replicate's path while it runs, so below 64 replicates a run whose paths
+would not fit its horizon limit steps as one block; a block keeps none,
+whatever the horizon, so the horizon alone refuses no ensemble. A replicate
+in a block that meets a non-finite state is held at 0 while the block steps
+on, and the block names the lowest one itself, the same on any core count.
 
 The asymptotic statements behind the regime classifier are checked at a
 finite horizon with explicit tolerances: medians of terminal time averages
@@ -151,6 +152,34 @@ def _path_stats(paths: np.ndarray) -> tuple[np.ndarray, ...]:
     return (mean, sd, *quantiles)
 
 
+def _layout(c: StepConfig, d: DelaySpec, n_reps: int) -> tuple[np.ndarray, int, list, int, int]:
+    """run_ensemble's stats-grid indices, block width (0: a task per replicate), each task's rows
+    (a, b), statistics bytes and bytes held per task; ValueError when they exceed the limit."""
+    _in_range("run_ensemble", "n_reps", n_reps, low=1, any_int=True)
+    n_points = c.n_steps + 1
+    stats_stride = max(1, math.ceil(n_points / _MAX_STAT_POINTS))
+    stat_idx = np.unique(np.append(np.arange(0, n_points, stats_stride), n_points - 1))
+    # from _BATCH_MIN up, or when simulate could not keep the paths, blocks
+    # are consecutive runs of indices, at most _BATCH_MAX long and as even as
+    # possible; a block holds a delay ring of kmax + 1 grid rows per replicate
+    n_blocks = -(-n_reps // _BATCH_MAX)
+    scalar = n_reps < _BATCH_MIN and engine._trajectory_bytes(c, d) <= engine._MAX_BYTES
+    width = 0 if scalar else -(-n_reps // n_blocks)
+    stats = n_reps * len(stat_idx) * 3 * 8
+    ring = width * (max(engine.lag_steps(d, c.dt)) + 1) * 3 * 8
+    engine._check_bytes(
+        f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points",
+        stats + ring, "path statistics and delay ring", "lower n_reps",
+    )
+    # a task per block, else per replicate, in np.array_split's layout: the
+    # first n_reps % n_tasks are one longer
+    n_tasks = n_blocks if width else n_reps
+    size, longer = divmod(n_reps, n_tasks)
+    bounds = [i * size + min(i, longer) for i in range(n_tasks + 1)]
+    hold = ring if width else engine._trajectory_bytes(c, d)
+    return stat_idx, width, list(zip(bounds, bounds[1:])), stats, hold
+
+
 def run_ensemble(
     p: ModelParams,
     n: NoiseSpec,
@@ -166,25 +195,7 @@ def run_ensemble(
     state raises SimulationError naming it; when several would, the lowest
     index is named.
     """
-    _in_range("run_ensemble", "n_reps", n_reps, low=1, any_int=True)
-    n_points = c.n_steps + 1
-    stats_stride = max(1, math.ceil(n_points / _MAX_STAT_POINTS))
-    stat_idx = np.arange(0, n_points, stats_stride)
-    if stat_idx[-1] != n_points - 1:
-        stat_idx = np.append(stat_idx, n_points - 1)
-    # from _BATCH_MIN up, or when simulate could not keep the paths, blocks
-    # are consecutive runs of indices, at most _BATCH_MAX long and as even as
-    # possible; a block holds a delay ring of kmax + 1 grid rows per replicate
-    n_blocks = -(-n_reps // _BATCH_MAX)
-    scalar = n_reps < _BATCH_MIN and engine._trajectory_bytes(c, d) <= engine._MAX_BYTES
-    width = 0 if scalar else -(-n_reps // n_blocks)
-    stats = n_reps * len(stat_idx) * 3 * 8
-    ring = width * (max(engine.lag_steps(d, c.dt)) + 1) * 3 * 8
-    engine._check_bytes(
-        f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points",
-        stats + ring, "path statistics and delay ring", "lower n_reps",
-    )
-
+    stat_idx, width, pairs, stats, hold = _layout(c, d, n_reps)
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
 
@@ -202,18 +213,10 @@ def run_ensemble(
         paths[a], terminal[a] = traj.states[stat_idx], time_average(traj).terminal
         return traj.floor_hits
 
-    # a task per block, else per replicate, in np.array_split's layout: the
-    # first n_reps % n_tasks are one longer
-    n_tasks = n_blocks if width else n_reps
-    size, longer = divmod(n_reps, n_tasks)
-    bounds = [i * size + min(i, longer) for i in range(n_tasks + 1)]
-    pairs = list(zip(bounds, bounds[1:]))
-    # spread, each process holds the widest block's ring (with no blocks, one
-    # trajectory); the statistics count twice, here and for the children's rows
+    # spread; the statistics count twice, here and for the children's rows
     done, fault = parallel.run_tasks(
-        [partial(task, a, b) for a, b in pairs], n_reps * c.n_steps,
-        ring if width else engine._trajectory_bytes(c, d), engine._MAX_BYTES - 2 * stats,
-        fill=[(paths[a:b], terminal[a:b]) for a, b in pairs],
+        [partial(task, a, b) for a, b in pairs], n_reps * c.n_steps, hold,
+        engine._MAX_BYTES - 2 * stats, fill=[(paths[a:b], terminal[a:b]) for a, b in pairs],
     )
     if fault is not None:
         raise fault

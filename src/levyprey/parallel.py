@@ -13,7 +13,9 @@ descriptors and sys.stdout and sys.stderr, at os.devnull, so it never writes
 to the caller's, and leaves through os._exit, so no buffer, exit hook or
 ``finally`` of the caller runs twice. There are no helper threads. Every
 child is reaped before run_tasks returns or raises, also on
-KeyboardInterrupt.
+KeyboardInterrupt. A task may itself call run_tasks: on Linux a child dies
+with its parent (prctl PR_SET_PDEATHSIG), and a spread splits among its
+shares the processes its caller may keep running, twice the cores at the top.
 
 The tasks run in the calling process, one after another, when one core is
 usable, os.fork is missing, another Python thread runs (a child would get
@@ -32,6 +34,7 @@ _FORK_MIN = 10000 is the first round number past the crossover.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -44,54 +47,64 @@ T = TypeVar("T")
 # the fewest step-replicates whose tasks are spread over the cores
 _FORK_MIN = 10000
 
+# the processes this one and its descendants may run at once (None: twice the cores)
+_budget: int | None = None
 
-def _run(tasks: Sequence[Callable[[], T]]) -> tuple[list[T], Exception | None]:
-    """Run tasks in turn, stopping at the first that raises: (results, its exception or None)."""
+
+def _run(tasks: Sequence[Callable[[], T]], budget: int | None) -> tuple[list[T], Exception | None]:
+    """Run tasks in turn under budget, up to the first that raises: (results, its exception or None)."""
+    global _budget
+    outer, _budget = _budget, budget
     results = []
-    for task in tasks:
-        try:
+    try:
+        for task in tasks:
             results.append(task())
-        except Exception as exc:
-            return results, exc
+    except Exception as exc:
+        return results, exc
+    finally:
+        _budget = outer
     return results, None
 
 
-def _child(tasks: Sequence[Callable[[], T]], arrays: list[memoryview], fd: int) -> None:
-    """In a forked child: run the share, send its arrays and then (results, fault) through fd, exit."""
-    code = 1
-    try:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, 1)
-        os.dup2(null, 2)
-        sys.stdout = sys.stderr = open(null, "w")  # they may write to other descriptors
-        results, fault = _run(tasks)
-        try:
-            pickle.loads(pickle.dumps(fault))
-        except Exception:  # an exception that does not survive pickling keeps its text
-            fault = RuntimeError(f"{type(fault).__name__}: {fault}")
-        with os.fdopen(fd, "wb") as fh:
-            for view in arrays:
-                fh.write(view)
-            pickle.dump((results, fault), fh, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _spawn(tasks: Sequence[Callable[[], T]], arrays: list[memoryview]):
-    """Fork a child that runs tasks and sends arrays; returns its pid and the read end of its pipe."""
+def _spawn(tasks: Sequence[Callable[[], T]], arrays: list[memoryview], budget: int):
+    """Fork a child that runs tasks under budget, sends arrays and then (results,
+    fault) through a pipe and exits; returns its pid and the pipe's read end."""
     r, w = os.pipe()
+    parent = os.getpid()
     try:
         pid = os.fork()
     except BaseException:
         os.close(r)
         os.close(w)
         raise
-    if pid == 0:
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    code = 1
+    try:
         os.close(r)
-        _child(tasks, arrays, w)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
+        if sys.platform == "linux":  # PR_SET_PDEATHSIG: SIGKILL when the caller dies
+            import ctypes
+            with contextlib.suppress(AttributeError, OSError):  # no prctl: it outlives a killed caller
+                ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))
+        if os.getppid() != parent:  # the caller died before that took hold
+            return
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        sys.stdout = sys.stderr = open(null, "w")  # they may write to other descriptors
+        results, fault = _run(tasks, budget)
+        try:
+            pickle.loads(pickle.dumps(fault))
+        except Exception:  # an exception that does not survive pickling keeps its text
+            fault = RuntimeError(f"{type(fault).__name__}: {fault}")
+        with os.fdopen(w, "wb") as fh:
+            for view in arrays:
+                fh.write(view)
+            pickle.dump((results, fault), fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_tasks(
@@ -119,17 +132,19 @@ def run_tasks(
     on are undefined.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_shares = min(cores, len(tasks))
+    budget = _budget or 2 * cores
+    n_shares = min(cores, budget, len(tasks))
     if (n_shares < 2 or work < _FORK_MIN or n_shares * held > room or not hasattr(os, "fork")
             or threading.active_count() > 1):
-        return _run(tasks)
+        return _run(tasks, _budget)
     bounds = [-(-len(tasks) * i // n_shares) for i in range(n_shares + 1)]
+    parts = [budget // n_shares + (i < budget % n_shares) for i in range(n_shares)]
     children = []
     try:
-        for a, b in zip(bounds[1:-1], bounds[2:]):
+        for a, b, part in zip(bounds[1:-1], bounds[2:], parts[1:]):
             share = [memoryview(array).cast("B") for arrays in fill[a:b] for array in arrays]
-            children.append((*_spawn(tasks[a:b], share), share))
-        outcomes = [_run(tasks[: bounds[1]])]
+            children.append((*_spawn(tasks[a:b], share, part), share))
+        outcomes = [_run(tasks[: bounds[1]], parts[0])]
         for pid, pipe, share in children:
             data = pipe.read() if all(pipe.readinto(view) == len(view) for view in share) else b""
             lost = ChildProcessError(f"worker process {pid} ended without its results")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_children
-from levyprey import cli, engine, ensemble, oracle
+from levyprey import cli, engine, ensemble, oracle, parallel
 from levyprey.cli import main
 from levyprey.config import parse_config
 
@@ -207,33 +207,45 @@ class TestSweep:
         meta = (tmp_path / "sw_seed=2.csv").read_text().splitlines()
         assert "# override: seed = 2" in meta and "# seed = 2" in meta
 
-    def test_ensemble_mode_equals_the_ensemble_command(self, tmp_path, capsys, monkeypatch):
-        # 64 replicates run as one block through the batched driver; each
-        # value's file is the ensemble command's on the same config plus
-        # that value's override, less the verify details after the predicted
-        # regime and the outcome
-        monkeypatch.chdir(tmp_path)
+    def test_ensemble_mode_equals_the_ensemble_command(self, tmp_path, capsys, cores, monkeypatch):
+        # on one core, 64 replicates per value run as one block through the
+        # batched driver; each value's file is the ensemble command's on the
+        # same config plus that value's override, less the verify details
+        # after the predicted regime and the outcome. On two cores the
+        # second value runs in a child, and stdout and files are the same
         blocks = []
         real = engine._simulate_batch
         monkeypatch.setattr(engine, "_simulate_batch", lambda *a: blocks.append(a[5]) or real(*a))
         base = "preset = persist\nt_end = 5\nn_reps = 64\n"
         _write(tmp_path, "sw.cfg", base)
-        argv = ["sweep", "--sweep", "fig6", "--mode", "ensemble", "--config", "sw.cfg", "--out", "sw.csv"]
-        assert main(argv) == 0
-        assert blocks == [range(64), range(64)]
-        assert capsys.readouterr().out.splitlines() == [
+        argv = ["sweep", "--sweep", "fig6", "--mode", "ensemble", "--config", "../sw.cfg", "--out", "sw.csv"]
+        runs = []
+        for n_cores in (1, 2):
+            cores(n_cores)
+            blocks.clear()
+            work = tmp_path / str(n_cores)
+            work.mkdir()
+            monkeypatch.chdir(work)
+            assert main(argv) == 0
+            runs.append((capsys.readouterr(), {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
+            # the recorder sees this process's blocks only
+            assert blocks == {1: [range(64), range(64)], 2: [range(64)]}[n_cores]
+        assert runs[0] == runs[1]
+        cores(1)
+        monkeypatch.chdir(tmp_path / "1")
+        assert runs[0][0].out.splitlines() == [
             "wrote sw_tau1=0.5.csv", "wrote sw_tau1=2.csv", "wrote sw_index.csv"
         ]
-        assert (tmp_path / "sw_index.csv").read_text() == (
+        assert runs[0][1]["sw_index.csv"].decode() == (
             "variable,value,file\ntau1,0.5,sw_tau1=0.5.csv\ntau1,2,sw_tau1=2.csv\n"
         )
         for value in ("0.5", "2"):
             _write(tmp_path, "e.cfg", base + f"tau1 = {value}\n")
-            assert main(["ensemble", "--config", "e.cfg", "--out", "e.csv"]) == 0
-            want = (tmp_path / "e.csv").read_bytes().splitlines(keepends=True)
+            assert main(["ensemble", "--config", "../e.cfg", "--out", "e.csv"]) == 0
+            want = (tmp_path / "1" / "e.csv").read_bytes().splitlines(keepends=True)
             details = [ln for ln in want if ln.startswith(b"# verify: ")][2:]
             assert len(details) == 4
-            got = (tmp_path / f"sw_tau1={value}.csv").read_bytes()
+            got = runs[0][1][f"sw_tau1={value}.csv"]
             assert got == b"".join(ln for ln in want if ln not in details)
 
     def test_ensemble_mode_stops_at_a_faulting_value(self, tmp_path, capsys, monkeypatch):
@@ -263,23 +275,46 @@ class TestSweep:
         assert "sw_r1=0.123456.csv" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.cfg"]
 
-    @pytest.mark.parametrize("values, code", [("0,4", 0), ("0,1,4", 2), ("0,4,1,5", 2)],
-                             ids=["no-fault", "fault-in-parent-share", "fault-in-child-share"])
+    @pytest.mark.parametrize("mode, var, values, error", [
+        ("simulate", "t_end", "1,1e9", "simulation too large: "),
+        ("ensemble", "n_reps", "4,100000000", "ensemble too large: "),
+    ], ids=["simulate", "ensemble"])
+    def test_a_value_over_the_limit_stops_the_sweep_before_any_file(self, tmp_path, capsys, mode, var,
+                                                                     values, error):
+        # the second value is over the memory limit: the first is not run
+        cfg = _write(tmp_path, "sw.cfg", "preset = fig1\nt_end = 2\n")
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw.csv"), "--mode", mode,
+                   "--var", var, "--values", values])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("config error:")] == err.splitlines()[-1:]
+        assert err.splitlines()[-1].startswith(f"config error: {error}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.cfg"]
+
+    @pytest.mark.parametrize("mode, values, code", [
+        ("simulate", "0,4", 0), ("simulate", "0,1,4", 2), ("simulate", "0,4,1,5", 2),
+        ("ensemble", "0,4", 0), ("ensemble", "0,1,4", 2), ("ensemble", "0,4,1,5", 2),
+    ], ids=["no-fault", "fault-in-parent-share", "fault-in-child-share",
+            "ensemble-no-fault", "ensemble-fault-in-parent-share", "ensemble-fault-in-child-share"])
     def test_sweep_across_cores_equals_the_in_process_loop(self, tmp_path, capsys, cores, monkeypatch,
-                                                           values, code):
-        # fig3 over 20 days explodes at seeds 1 and 5, not at 0 and 4. Each
-        # value's path is stepped and written by one of two processes; the
-        # files, stdout and stderr must be those of the loop over the values,
-        # which stops at the first fault: with 0,1,4 this process faults on 1
+                                                           mode, values, code):
+        # fig3 over 20 days explodes at seeds 1 and 5, not at 0 and 4, also
+        # as the one replicate of an ensemble, which steps simulate's path.
+        # Each value is run and written by one of two processes; the files,
+        # stdout and stderr must be those of the loop over the values, which
+        # stops at the first fault: with 0,1,4 this process faults on 1
         # while the child writes 4's file, which must not be left behind
+        text = "preset = fig3\nt_end = 20\n" + ("n_reps = 1\n" if mode == "ensemble" else "")
         runs = []
         for n_cores in (1, 2):
             cores(n_cores)
             work = tmp_path / str(n_cores)
             work.mkdir()
             monkeypatch.chdir(work)
-            _write(work, "sw.cfg", "preset = fig3\nt_end = 20\n")
-            rc = main(["sweep", "--config", "sw.cfg", "--out", "sw.csv", "--var", "seed", "--values", values])
+            _write(work, "sw.cfg", text)
+            rc = main(["sweep", "--config", "sw.cfg", "--out", "sw.csv", "--var", "seed", "--values", values,
+                       "--mode", mode])
             files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
             runs.append((rc, capsys.readouterr(), files))
         assert runs[0] == runs[1]
@@ -291,18 +326,22 @@ class TestSweep:
                                        + (["sw_index.csv"] if code == 0 else []))
         assert_no_children()
 
-    @pytest.mark.parametrize("text, var, values, largest, code", [
-        # largest names the value with the largest trajectory: tau3 = 2 has
-        # the most history rows, and the seeds share one; seed 1 faults
-        ("preset = fig3\nt_end = 2\n", "tau3", "1.5,2", "tau3 = 2\n", 0),
-        ("preset = fig3\nt_end = 20\n", "seed", "0,1,4", "", 2),
-    ], ids=["no-fault", "fault"])
+    @pytest.mark.parametrize("mode, text, var, values, largest, code", [
+        # largest names the value with the largest charge: tau3 = 2 has the
+        # most history rows, so the largest trajectory and ring, and the
+        # seeds share one; seed 1 faults
+        ("simulate", "preset = fig3\nt_end = 2\n", "tau3", "1.5,2", "tau3 = 2\n", 0),
+        ("simulate", "preset = fig3\nt_end = 20\n", "seed", "0,1,4", "", 2),
+        ("ensemble", "preset = fig3\nt_end = 2\nn_reps = 257\n", "tau3", "1.5,2", "tau3 = 2\n", 0),
+        ("ensemble", "preset = fig3\nt_end = 20\nn_reps = 3\n", "seed", "0,1,4", "", 2),
+    ], ids=["no-fault", "fault", "ensemble-no-fault", "ensemble-fault"])
     def test_near_the_limit_values_run_in_process(self, tmp_path, capsys, cores, monkeypatch,
-                                                  text, var, values, largest, code):
-        # spread, each of two processes holds up to the largest trajectory of
-        # the values: with the limit one byte under two of them nothing
-        # forks, and the files, stdout, stderr and exit code equal those of
-        # the spread run
+                                                  mode, text, var, values, largest, code):
+        # spread, each of two processes holds up to the largest charge of the
+        # values: a trajectory, or an ensemble's statistics twice and a hold
+        # (ring or trajectory) per task, here two blocks or three replicates.
+        # With the limit one byte under two charges nothing forks, and the
+        # files, stdout, stderr and exit code equal those of the spread run
         forks = []
         real_fork = os.fork
 
@@ -313,7 +352,14 @@ class TestSweep:
         monkeypatch.setattr(os, "fork", fork)
         cores(2)
         cfg = parse_config(text + largest)
-        held = engine._trajectory_bytes(cfg.to_step_config(), cfg.to_delays())
+        c, d = cfg.to_step_config(), cfg.to_delays()
+        held = engine._trajectory_bytes(c, d)
+        if mode == "ensemble":
+            _, _, pairs, stats, hold = ensemble._layout(c, d, cfg.n_reps)
+            held = 2 * stats + len(pairs) * hold
+            # one value's work is below the spread threshold, the sweep's is
+            # not: only the sweep may fork
+            monkeypatch.setattr(parallel, "_FORK_MIN", c.n_steps * cfg.n_reps + 1)
         runs = []
         for limit in (engine._MAX_BYTES, 2 * held - 1):
             monkeypatch.setattr(engine, "_MAX_BYTES", limit)
@@ -322,7 +368,8 @@ class TestSweep:
             work.mkdir()
             monkeypatch.chdir(work)
             _write(work, "sw.cfg", text)
-            rc = main(["sweep", "--config", "sw.cfg", "--out", "sw.csv", "--var", var, "--values", values])
+            rc = main(["sweep", "--config", "sw.cfg", "--out", "sw.csv", "--var", var, "--values", values,
+                       "--mode", mode])
             files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
             runs.append((rc, capsys.readouterr(), files, len(forks)))
         assert runs[0][:3] == runs[1][:3]

@@ -1,6 +1,7 @@
 """Unit tests for spreading independent tasks over the usable cores."""
 
 import os
+import sys
 import threading
 import time
 from functools import partial
@@ -130,4 +131,91 @@ def test_a_child_that_dies_is_a_runtime_fault(cores):
     done, fault = parallel.run_tasks([partial(_value, 2), partial(os._exit, 3)], 1, 0, 0)
     assert done == [4]
     assert isinstance(fault, ChildProcessError) and "ended without its results" in str(fault)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("n_cores", [1, 2])
+def test_a_task_may_spread_its_own_tasks(cores, n_cores):
+    # each of four tasks fills its row through a nested run_tasks over the
+    # row's two halves; the inner results and rows come back through both
+    # levels, and on two cores the child's tasks spread to grandchildren
+    cores(n_cores)
+    grid = np.zeros((4, 6))
+
+    def inner(i, j):
+        grid[i, 3 * j:3 * j + 3] = 10 * i + j
+        return 10 * i + j, os.getpid()
+
+    def outer(i):
+        halves = [(grid[i, :3],), (grid[i, 3:],)]
+        return parallel.run_tasks([partial(inner, i, j) for j in range(2)], 1, 0, 0, fill=halves)
+
+    done, fault = parallel.run_tasks([partial(outer, i) for i in range(4)], 1, 0, 0,
+                                     fill=[(row,) for row in grid])
+    assert fault is None and [exc for _, exc in done] == [None] * 4
+    assert [[value for value, _ in results] for results, _ in done] == [[0, 1], [10, 11], [20, 21], [30, 31]]
+    assert np.array_equal(grid, np.repeat([[0, 1], [10, 11], [20, 21], [30, 31]], 3, axis=1))
+    pids = [[pid for _, pid in results] for results, _ in done]
+    if n_cores == 2:  # task 3 ran in a child, which forked its second half
+        assert len({os.getpid(), *pids[3]}) == 3
+    else:
+        assert {pid for pair in pids for pid in pair} == {os.getpid()}
+    assert_no_children()
+
+
+def _sleep_named(folder, seconds):
+    (folder / str(os.getpid())).touch()
+    time.sleep(seconds)
+
+
+def _running(pid):
+    """Whether process pid exists and is neither a zombie nor dead."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            state = next(line for line in fh if line.startswith("State:"))
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state.split()[1] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc; the child's death signal is Linux's")
+def test_an_interrupted_nested_spread_leaves_no_process_running(cores, tmp_path):
+    # the child's task spreads two sleepers, one in the child and one in a
+    # grandchild, each naming a file after its pid; this process's share
+    # waits for both and is interrupted, and the child it kills takes the
+    # grandchild with it
+    cores(2)
+
+    def spread():
+        parallel.run_tasks([partial(_sleep_named, tmp_path, 60)] * 2, 1, 0, 0)
+
+    def interrupted():
+        deadline = time.monotonic() + 30
+        while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        parallel.run_tasks([interrupted, spread], 1, 0, 0)
+    assert_no_children()
+    pids = [int(p.name) for p in tmp_path.iterdir()]
+    assert len(pids) == 2 and os.getpid() not in pids
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(map(_running, pids))
+
+
+def test_nested_spreads_run_at_most_twice_the_cores(cores):
+    # four shares on four cores may keep eight processes running: each outer
+    # task's spread of four gets two of them, not four
+    cores(4)
+
+    def outer():
+        return parallel.run_tasks([os.getpid] * 4, 1, 0, 0)[0]
+
+    done, fault = parallel.run_tasks([outer] * 4, 1, 0, 0)
+    assert fault is None
+    assert [len(set(pids)) for pids in done] == [2] * 4
+    assert len({pid for pids in done for pid in pids}) == 8
     assert_no_children()
