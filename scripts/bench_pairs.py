@@ -5,13 +5,15 @@ Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json \\
         [--workload all | NAME ...] [--seed 0]
 
-PARENT_DIR and CHANGE_DIR are two checkouts, each with its own perfbench/
-and src/. A pair runs ``python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0`` once in each checkout, for every workload in turn,
-and the side that runs first swaps on every pair, so a drift in the host's
-speed falls on both sides alike. A set is always ten pairs, and T is
-run_seconds from CHANGE_DIR's BENCHMARK.json, passed to both sides so that
-they measure for the same time.
+PARENT_DIR and CHANGE_DIR are two git work trees (made with ``git worktree
+add`` or ``git clone``), each with its own perfbench/ and src/. The record
+names their commits, so a directory that is not the top of a work tree is
+refused before anything runs. A pair runs ``python3 perfbench/run.py
+--workload W --seed S --seconds T --trace 0`` once in each checkout, for
+every workload in turn, and the side that runs first swaps on every pair,
+so a drift in the host's speed falls on both sides alike. A set is always
+ten pairs, and T is run_seconds from CHANGE_DIR's BENCHMARK.json, passed
+to both sides so that they measure for the same time.
 
 Each run's end-to-end metrics and fail_frac are kept under ``runs``. Per
 metric, ``metrics`` gives each side's median and quartiles
@@ -37,16 +39,19 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
-def _commit(checkout: str) -> str:
-    """The checkout's HEAD commit, with "-dirty" when it has uncommitted changes."""
-    try:
-        head = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
+def _commit(checkout: str) -> str | None:
+    """The checkout's HEAD commit, with "-dirty" when it has uncommitted
+    changes; None when checkout is not the top of a git work tree."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", checkout, *args],
                               capture_output=True, text=True, check=True).stdout.strip()
-        dirty = subprocess.run(["git", "-C", checkout, "status", "--porcelain", "--untracked-files=no"],
-                               capture_output=True, text=True, check=True).stdout.strip()
+    try:
+        if os.path.realpath(git("rev-parse", "--show-toplevel")) != os.path.realpath(checkout):
+            return None
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+        return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return head + ("-dirty" if dirty else "")
+        return None
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -100,6 +105,13 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    # a record must say which commits it compares
+    commits = {side: _commit(checkouts[side]) for side in SIDES}
+    for side in SIDES:
+        if commits[side] is None:
+            print(f"error: {checkouts[side]} is not the top of a git work tree, so its commit "
+                  f"cannot be recorded; make the checkout with `git worktree add`", file=sys.stderr)
+            return 1
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     names = [w["name"] for w in spec["workloads"]] if args.workload == ["all"] else args.workload
@@ -130,8 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "seconds": seconds,
         "pairs": PAIRS,
-        "parent": _commit(checkouts["parent"]),
-        "change": _commit(checkouts["change"]),
+        "parent": commits["parent"],
+        "change": commits["change"],
         "python": platform.python_version(),
         "platform": platform.platform(),
         "workloads": {w: {"metrics": summarize(runs[w], spec), "runs": runs[w]} for w in names},

@@ -9,7 +9,6 @@ predicted regimes against Monte Carlo time averages.
 from .analysis import (
     Regime,
     RegimeReport,
-    TimeAverageSeries,
     classify,
     time_average,
 )
@@ -45,7 +44,6 @@ __all__ = [
     # analysis
     "Regime",
     "RegimeReport",
-    "TimeAverageSeries",
     "time_average",
     "classify",
     # ensemble

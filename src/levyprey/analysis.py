@@ -47,7 +47,6 @@ from .model import DelaySpec, ModelParams, NoiseSpec, parameter_fingerprint
 __all__ = [
     "Regime",
     "RegimeReport",
-    "TimeAverageSeries",
     "time_average",
     "classify",
 ]
@@ -60,24 +59,10 @@ class Regime(str, Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class TimeAverageSeries:
-    """Running time averages <s>(t) = (1/t) * integral of s over [0, t].
-
-    Computed with the trapezoidal rule on the trajectory grid; the t=0 entry
-    is defined as the initial state.
-    """
-
-    times: np.ndarray
-    means: np.ndarray  # (n+1, 3)
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.means[-1]
-
-
-def time_average(traj: Trajectory) -> TimeAverageSeries:
-    """Trapezoidal running average of each species over [0, t]."""
+def time_average(traj: Trajectory) -> np.ndarray:
+    """Running time averages <s>(t) = (1/t) * integral of s over [0, t], one
+    (n + 1, 3) row per grid point of traj.times, by the trapezoidal rule on
+    the trajectory grid; the t = 0 row is the initial state."""
     t = np.asarray(traj.times, dtype=float)
     s = np.asarray(traj.states, dtype=float)
     if len(t) == 0:
@@ -88,7 +73,7 @@ def time_average(traj: Trajectory) -> TimeAverageSeries:
         seg = 0.5 * (s[1:] + s[:-1]) * np.diff(t)[:, None]
         integral = np.cumsum(seg, axis=0)
         means[1:] = integral / t[1:, None]
-    return TimeAverageSeries(times=t.copy(), means=means)
+    return means
 
 
 def _sq(v: float) -> float:

@@ -390,8 +390,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     def charge(cfg_v: RunConfig) -> tuple[int, int]:  # step-replicates, bytes held over its processes
         c, d = cfg_v.to_step_config(), cfg_v.to_delays()
         if args.mode == "simulate":
-            engine._check_horizon(c, d)
-            return c.n_steps, engine._trajectory_bytes(c, d)
+            return c.n_steps, engine._check_horizon(c, d)
         _, _, pairs, stats, hold = ensemble._layout(c, d, cfg_v.n_reps)
         return c.n_steps * cfg_v.n_reps, 2 * stats + len(pairs) * hold
 

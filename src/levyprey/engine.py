@@ -27,16 +27,17 @@ observable. Components that are exactly zero stay zero: the origin is
 absorbing under purely multiplicative terms, and clamping a true zero
 upward would re-seed an extinct population.
 
-Two drivers run this update through _advance, its one definition, and give
-the same numbers bit for bit. Both take their random numbers from _draws,
-the only code that draws them, _DRAW_CHUNK steps at a time from each
-replicate's own streams. A block builds and draws only the streams whose
-draws can move its states: none of the Gaussian ones when every sigma is 0,
-none of the jump ones when lambda is 0; it steps on zeros instead, with the
-same result. simulate always builds both, so its stream count and a fault's
-reported normals do not depend on the noise; a faulting block that drew no
-normals draws the named replicate's, so both drivers report a fault in the
-same words (_fault_text). simulate steps one replicate on Python floats and
+Two drivers run this update through the function _stepper returns, its one
+definition, with the run's constants bound in once, and give the same
+numbers bit for bit. Both take their random numbers from _draws, the only
+code that draws them, _DRAW_CHUNK steps at a time from each replicate's own
+streams. A block builds and draws only the streams whose draws can move its
+states: none of the Gaussian ones when every sigma is 0, none of the jump
+ones when lambda is 0; it steps on zeros instead, with the same result.
+simulate always builds both, so its stream count and a fault's reported
+normals do not depend on the noise; a faulting block that drew no normals
+draws the named replicate's, so both drivers report a fault in the same
+words (_fault_text). simulate steps one replicate on Python floats and
 keeps its whole path, so it refuses a horizon whose grid record and path
 would exceed 1 GiB (_check_horizon). _simulate_batch steps a block of
 replicates on arrays and writes its stats-grid rows and running averages
@@ -153,10 +154,6 @@ class Trajectory:
     def z(self) -> np.ndarray:
         return self.states[:, 2]
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def grid_steps(value: float, dt: float) -> int | None:
     """Whole number of steps k >= 1 with k*dt equal to value within the grid
@@ -221,40 +218,41 @@ def _trajectory_bytes(c: StepConfig, d: DelaySpec) -> int:
 
 def _check_horizon(
     c: StepConfig, d: DelaySpec, remedy: str = "lower t_end or the delays, or raise dt"
-) -> None:
-    """ValueError naming t_end and dt when simulate's grid record and path
-    (_trajectory_bytes) would exceed _MAX_BYTES; FieldError when a positive
-    delay is off the dt grid."""
+) -> int:
+    """simulate's grid record and path bytes (_trajectory_bytes); ValueError
+    naming t_end and dt when they would exceed _MAX_BYTES, FieldError when a
+    positive delay is off the dt grid."""
     rows = max(lag_steps(d, c.dt)) + 1
+    nbytes = _trajectory_bytes(c, d)
     _check_bytes(
         f"simulation too large: {c.n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
-        _trajectory_bytes(c, d), f"grid record ({rows} history rows) and path", remedy,
+        nbytes, f"grid record ({rows} history rows) and path", remedy,
     )
+    return nbytes
 
 
-def _advance(x, y, z, xd1, yd2, xd3, yd3, pk, z1, z2, z3, j):
-    """One raw update on the step's shared jump count j. pk is the tuple
-    prepared by _pack; returns the three candidate values before floor
-    handling."""
-    (r1, r2, ik1, ik2, a1, a2, al1, al2, al3, beta, delta, dt, s1, s2, s3, q1, q2, q3, lam_dt) = pk
-    fx = r1 * x * (1.0 - xd1 * ik1) - al1 * x * z + beta * x * y * z
-    fy = r2 * y * (1.0 - yd2 * ik2) - al2 * y * z + beta * x * y * z
-    fz = -delta * z - al3 * z * z + a1 * xd3 * z + a2 * yd3 * z
-    dn = j - lam_dt
-    nx = x + fx * dt + s1 * x * z1 + q1 * x * dn
-    ny = y + fy * dt + s2 * y * z2 + q2 * y * dn
-    nz = z + fz * dt + s3 * z * z3 + q3 * z * dn
-    return nx, ny, nz
-
-
-def _pack(p: ModelParams, n: NoiseSpec, dt: float):
+def _stepper(p: ModelParams, n: NoiseSpec, dt: float):
+    """The step update with the run's rates, noise and step bound in once:
+    advance(x, y, z, xd1, yd2, xd3, yd3, z1, z2, z3, j) returns the three
+    candidate values before floor handling, on the step's shared jump count
+    j, for floats and (B,) arrays alike."""
+    r1, r2, ik1, ik2, a1, a2 = p.r1, p.r2, 1.0 / p.k1, 1.0 / p.k2, p.a1, p.a2
+    al1, al2, al3, beta, delta = p.alpha1, p.alpha2, p.alpha3, p.beta, p.delta
     sqdt = math.sqrt(dt)
-    return (
-        p.r1, p.r2, 1.0 / p.k1, 1.0 / p.k2, p.a1, p.a2,
-        p.alpha1, p.alpha2, p.alpha3, p.beta, p.delta, dt,
-        n.sigma1 * sqdt, n.sigma2 * sqdt, n.sigma3 * sqdt,
-        n.q1, n.q2, n.q3, n.lam * dt,
-    )
+    s1, s2, s3 = n.sigma1 * sqdt, n.sigma2 * sqdt, n.sigma3 * sqdt
+    q1, q2, q3, lam_dt = n.q1, n.q2, n.q3, n.lam * dt
+
+    def advance(x, y, z, xd1, yd2, xd3, yd3, z1, z2, z3, j):
+        fx = r1 * x * (1.0 - xd1 * ik1) - al1 * x * z + beta * x * y * z
+        fy = r2 * y * (1.0 - yd2 * ik2) - al2 * y * z + beta * x * y * z
+        fz = -delta * z - al3 * z * z + a1 * xd3 * z + a2 * yd3 * z
+        dn = j - lam_dt
+        nx = x + fx * dt + s1 * x * z1 + q1 * x * dn
+        ny = y + fy * dt + s2 * y * z2 + q2 * y * dn
+        nz = z + fz * dt + s3 * z * z3 + q3 * z * dn
+        return nx, ny, nz
+
+    return advance
 
 
 def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int,
@@ -317,7 +315,7 @@ def simulate(
     xs, ys, zs = init_history(h, d, c)
     dt = c.dt
     floor = _POSITIVITY_FLOOR
-    pk = _pack(p, n, dt)
+    advance = _stepper(p, n, dt)
     base = len(xs) - 1  # index of t = 0
     jump_events = 0
     floor_hits = 0
@@ -333,20 +331,7 @@ def simulate(
     for i, (z1, z2, z3, j) in enumerate(steps):
         m = base + i
         x, y, z = xs[m], ys[m], zs[m]
-        nx, ny, nz = _advance(
-            x,
-            y,
-            z,
-            xs[m - k1],
-            ys[m - k2],
-            xs[m - k3],
-            ys[m - k3],
-            pk,
-            z1,
-            z2,
-            z3,
-            j,
-        )
+        nx, ny, nz = advance(x, y, z, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], z1, z2, z3, j)
         if not (isfinite(nx) and isfinite(ny) and isfinite(nz)):
             raise SimulationError(_fault_text(i, dt, (x, y, z), (z1, z2, z3), j))
         if nx < floor and x > 0.0:
@@ -388,7 +373,7 @@ def _simulate_batch(
     the floor clamps summed over the block. Every value is bit for bit what
     simulate and analysis.time_average give replicate k: the draws come
     from _draws as simulate's do (zeros for a stream whose draws cannot
-    move a state), _advance does the update on (B,) arrays, the clamp
+    move a state), _stepper's update runs on (B,) arrays, the clamp
     applies by mask, and the trapezoid sums keep time_average's operation
     order, 0.5*(s1 + s0)*(t1 - t0) added in sequence and divided by N*dt at
     the end. Delay taps read a ring buffer of kmax + 1 grid rows, filled
@@ -408,7 +393,7 @@ def _simulate_batch(
     ring[:] = [[h.x0], [h.y0], [h.z0]]
     dt = c.dt
     n_steps = c.n_steps
-    pk = _pack(p, n, dt)
+    advance = _stepper(p, n, dt)
     floor = _POSITIVITY_FLOOR
 
     marks = [int(k) for k in stat_idx]
@@ -426,11 +411,11 @@ def _simulate_batch(
     for i, (z1, z2, z3, j) in enumerate(steps):
         m = rows - 1 + i  # grid index of the current state
         cur = ring[m % rows]
-        new = np.array(_advance(
+        new = np.array(advance(
             cur[0], cur[1], cur[2],
             ring[(m - k1) % rows, 0], ring[(m - k2) % rows, 1],
             ring[(m - k3) % rows, 0], ring[(m - k3) % rows, 1],
-            pk, z1, z2, z3, j,
+            z1, z2, z3, j,
         ))
         lo, hi = new.min(), new.max()  # NaN if any value is NaN
         if not -math.inf < lo <= hi < math.inf:

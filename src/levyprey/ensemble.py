@@ -163,7 +163,8 @@ def _layout(c: StepConfig, d: DelaySpec, n_reps: int) -> tuple[np.ndarray, int, 
     # are consecutive runs of indices, at most _BATCH_MAX long and as even as
     # possible; a block holds a delay ring of kmax + 1 grid rows per replicate
     n_blocks = -(-n_reps // _BATCH_MAX)
-    scalar = n_reps < _BATCH_MIN and engine._trajectory_bytes(c, d) <= engine._MAX_BYTES
+    path = engine._trajectory_bytes(c, d)
+    scalar = n_reps < _BATCH_MIN and path <= engine._MAX_BYTES
     width = 0 if scalar else -(-n_reps // n_blocks)
     stats = n_reps * len(stat_idx) * 3 * 8
     ring = width * (max(engine.lag_steps(d, c.dt)) + 1) * 3 * 8
@@ -176,8 +177,7 @@ def _layout(c: StepConfig, d: DelaySpec, n_reps: int) -> tuple[np.ndarray, int, 
     n_tasks = n_blocks if width else n_reps
     size, longer = divmod(n_reps, n_tasks)
     bounds = [i * size + min(i, longer) for i in range(n_tasks + 1)]
-    hold = ring if width else engine._trajectory_bytes(c, d)
-    return stat_idx, width, list(zip(bounds, bounds[1:])), stats, hold
+    return stat_idx, width, list(zip(bounds, bounds[1:])), stats, ring if width else path
 
 
 def run_ensemble(
@@ -210,7 +210,7 @@ def run_ensemble(
             traj = engine.simulate(p, n, d, h, c, replicate=a)
         except SimulationError as exc:
             raise SimulationError(f"replicate {a}: {exc}") from exc
-        paths[a], terminal[a] = traj.states[stat_idx], time_average(traj).terminal
+        paths[a], terminal[a] = traj.states[stat_idx], time_average(traj)[-1]
         return traj.floor_hits
 
     # spread; the statistics count twice, here and for the children's rows
@@ -240,7 +240,6 @@ def run_ensemble(
 class VerificationOutcome:
     """Empirical check of a predicted regime against ensemble medians."""
 
-    regime: Regime
     checkable: bool
     passed: bool | None
     details: tuple[str, ...]
@@ -266,9 +265,7 @@ def verify_regime(stats: EnsembleStats, report: RegimeReport) -> VerificationOut
 
     if report.predicted is Regime.INDETERMINATE:
         details.append("no sufficient condition applies; nothing to verify")
-        return VerificationOutcome(
-            regime=report.predicted, checkable=False, passed=None, details=tuple(details)
-        )
+        return VerificationOutcome(checkable=False, passed=None, details=tuple(details))
 
     if report.predicted is Regime.EXTINCTION_ALL:
         checks = [
@@ -294,6 +291,4 @@ def verify_regime(stats: EnsembleStats, report: RegimeReport) -> VerificationOut
 
     passed = all(ok for _, ok in checks)
     details.extend(f"{text} -> {'ok' if ok else 'FAIL'}" for text, ok in checks)
-    return VerificationOutcome(
-        regime=report.predicted, checkable=True, passed=passed, details=tuple(details)
-    )
+    return VerificationOutcome(checkable=True, passed=passed, details=tuple(details))

@@ -36,13 +36,13 @@ positive lag is at least one divisor long, so the stencil only ever reads
 stored nodes and never a value of the step being taken (a piece of one or two
 steps gives a linear or quadratic stencil).
 
-The rate function is model.drift, on plain floats; the engine's _advance
-computes the same rate in its own operand form (``xd1 * (1/K1)`` where drift
-has ``xd1 / K1``) until ROADMAP item 1 merges the two. Finiteness is checked
-once per step, on the new state. With the stochastic engine this solver
-shares the grid rules (step count, delay taps), the history fill
-(engine.init_history) and the path type (a Trajectory with no jumps and no
-floor clamps). The integration machinery (RK4 stages and the midpoint
+The rate function is model.drift, on plain floats; the engine's step update
+(engine._stepper) computes the same rate in its own operand form (``xd1 *
+(1/K1)`` where drift has ``xd1 / K1``) until ROADMAP item 1 merges the two.
+Finiteness is checked once per step, on the new state. With the stochastic
+engine this solver shares the grid rules (step count, delay taps), the history
+fill (engine.init_history) and the path type (a Trajectory with no jumps and
+no floor clamps). The integration machinery (RK4 stages and the midpoint
 interpolation) is separate on purpose, so it can serve as the engine's
 convergence oracle.
 """

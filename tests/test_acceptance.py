@@ -14,7 +14,7 @@ import pytest
 
 import levyprey as lp
 from conftest import rk4_self_convergence
-from levyprey import PRESETS, Regime
+from levyprey import PRESETS, Regime, engine
 from levyprey.cli import main as cli_main
 
 
@@ -160,14 +160,24 @@ def test_07_compensator_neutrality():
 
 
 def test_08_positivity_floor_untouched():
+    # replicates (555, k) step in blocks through the batched driver, which
+    # records every grid point, so every state of every path is checked. A
+    # clamp writes exactly 1e-12: a replicate counts as clean when no state
+    # equals it, which can only under-count clean runs
     sc = PRESETS["persist"]
     cfg = lp.StepConfig(dt=1e-3, t_end=10.0, seed=555)
+    args = (sc.params, sc.noise, sc.delays, sc.history, cfg)
     clean = 0
-    n_runs = 1000
-    for k in range(n_runs):
-        traj = lp.simulate(sc.params, sc.noise, sc.delays, sc.history, cfg, replicate=k)
-        assert np.all(traj.states >= 1e-12)
-        clean += traj.floor_hits == 0
+    n_runs, block = 1000, 250
+    grid = range(cfg.n_steps + 1)
+    paths, terminal = np.empty((block, len(grid), 3)), np.empty((block, 3))
+    for a in range(0, n_runs, block):
+        engine._simulate_batch(*args, range(a, a + block), grid, paths, terminal)
+        assert np.all(paths >= 1e-12)
+        clean += np.count_nonzero((paths != 1e-12).all(axis=(1, 2)))
+        if a == 0:  # the same paths as simulate, bit for bit
+            for k in range(20):
+                assert np.array_equal(paths[k], lp.simulate(*args, replicate=k).states)
     _report(
         8,
         "positivity",

@@ -48,26 +48,26 @@ class TestTimeAverage:
     def test_constant_trajectory(self):
         t = np.linspace(0, 10, 101)
         ta = time_average(_traj(t, np.full((101, 3), 7.0)))
-        assert np.allclose(ta.means, 7.0, rtol=0, atol=1e-14)
+        assert np.allclose(ta, 7.0, rtol=0, atol=1e-14)
 
     def test_linear_integrand_exact(self):
         # <s>(T) for s(t) = t is exactly T/2 under the trapezoidal rule
         t = np.linspace(0, 4, 81)
         ta = time_average(_traj(t, np.column_stack([t, 2 * t, 3 * t])))
-        assert ta.terminal == pytest.approx([2.0, 4.0, 6.0], rel=1e-14)
+        assert ta[-1] == pytest.approx([2.0, 4.0, 6.0], rel=1e-14)
 
     def test_alternating_hand_sum(self):
         # samples 0,1,0,1,0 at dt=1: trapezoid integral = 2, <x>(4) = 0.5
         t = np.arange(5.0)
         vals = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
         ta = time_average(_traj(t, np.column_stack([vals, vals, vals])))
-        assert ta.terminal == pytest.approx([0.5, 0.5, 0.5], abs=1e-15)
+        assert ta[-1] == pytest.approx([0.5, 0.5, 0.5], abs=1e-15)
 
     def test_first_entry_is_initial_state(self):
         t = np.linspace(0, 1, 11)
         s = np.random.default_rng(0).uniform(0, 5, (11, 3))
         ta = time_average(_traj(t, s))
-        assert np.array_equal(ta.means[0], s[0])
+        assert np.array_equal(ta[0], s[0])
 
     def test_average_bounded_by_samples(self):
         rng = np.random.default_rng(5)
@@ -77,8 +77,8 @@ class TestTimeAverage:
             s = rng.uniform(0, 10, (n, 3))
             ta = time_average(_traj(t, s))
             for j in range(3):
-                assert np.all(ta.means[:, j] <= s[:, j].max() + 1e-12)
-                assert np.all(ta.means[:, j] >= s[:, j].min() - 1e-12)
+                assert np.all(ta[:, j] <= s[:, j].max() + 1e-12)
+                assert np.all(ta[:, j] >= s[:, j].min() - 1e-12)
 
 
 class TestExtinctionCoefficients:

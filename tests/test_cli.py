@@ -627,6 +627,14 @@ class TestErrors:
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
+    def test_config_not_utf8_names_its_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"preset = persist\nx0 = 5\xff\n")
+        assert main(["classify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {str(cfg)!r}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_empty_sweep_is_config_error(self, tmp_path, capsys):
         # a value list with no values is refused like an empty --dts, before
         # the index is written

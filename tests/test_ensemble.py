@@ -59,7 +59,7 @@ class TestRunEnsemble:
         for k in range(3):
             traj = simulate(PARAMS, NOISE, DELAYS, HIST,
                             StepConfig(dt=0.01, t_end=5.0, seed=11), replicate=k)
-            assert np.array_equal(stats.terminal_averages[k], time_average(traj).terminal)
+            assert np.array_equal(stats.terminal_averages[k], time_average(traj)[-1])
 
     def test_quantiles_ordered_and_mean_bounded(self):
         stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, replace(CFG, seed=2), n_reps=32)
@@ -138,7 +138,7 @@ class TestRunEnsemble:
         assert len(stats.stat_times) <= 2002
         assert stats.stat_times[-1] == pytest.approx(200.0)
         traj = simulate(PARAMS, NOISE, DELAYS, HIST, cfg, replicate=0)
-        assert np.array_equal(stats.terminal_averages[0], time_average(traj).terminal)
+        assert np.array_equal(stats.terminal_averages[0], time_average(traj)[-1])
 
 
 def _reference(p, n, d, h, c, n_reps, stat_idx):
@@ -150,7 +150,7 @@ def _reference(p, n, d, h, c, n_reps, stat_idx):
     for k in range(n_reps):
         traj = simulate(p, n, d, h, c, replicate=k)
         paths[k] = traj.states[stat_idx]
-        terminal[k] = time_average(traj).terminal
+        terminal[k] = time_average(traj)[-1]
         floor_hits += traj.floor_hits
     q025, q500, q975 = np.quantile(paths, (0.025, 0.5, 0.975), axis=0)
     return {
@@ -210,7 +210,7 @@ class TestBatchedDriver:
         cfg = replace(CFG, seed=2**32)
         stats = run_ensemble(PARAMS, NOISE, DELAYS, HIST, cfg, n_reps=64)
         traj = simulate(PARAMS, NOISE, DELAYS, HIST, cfg, replicate=41)
-        assert np.array_equal(stats.terminal_averages[41], time_average(traj).terminal)
+        assert np.array_equal(stats.terminal_averages[41], time_average(traj)[-1])
 
     def test_threshold_picks_the_driver(self, monkeypatch, cores):
         # 63 replicates run through simulate, 64 never call it; on one core,

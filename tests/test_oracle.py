@@ -127,7 +127,6 @@ class TestSolveDeterministic:
         sol = solve_deterministic(FIG1_PARAMS, TABLE_DELAYS, h, dt=0.05, t_end=1.0)
         assert isinstance(sol, Trajectory)
         assert (sol.jump_events, sol.floor_hits) == (0, 0)
-        assert sol.dt == 0.05
         assert np.array_equal(sol.times, np.arange(21) * 0.05)
         assert sol.states.shape == (21, 3)
         assert tuple(sol.states[0]) == (10, 10, 5)

@@ -17,7 +17,6 @@ PUBLIC = [
     "simulate",
     "Regime",
     "RegimeReport",
-    "TimeAverageSeries",
     "time_average",
     "classify",
     "EnsembleStats",
