@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 
+# grid rows whose trapezoids time_average sums at once
+_AVG_SLAB = 4096
+
+
 class Regime(str, Enum):
     EXTINCTION_ALL = "ExtinctionAll"
     PREDATOR_EXTINCT_PREY_PERSIST = "PredatorExtinctPreyPersist"
@@ -62,17 +66,28 @@ class Regime(str, Enum):
 def time_average(traj: Trajectory) -> np.ndarray:
     """Running time averages <s>(t) = (1/t) * integral of s over [0, t], one
     (n + 1, 3) row per grid point of traj.times, by the trapezoidal rule on
-    the trajectory grid; the t = 0 row is the initial state."""
+    the trajectory grid; the t = 0 row is the initial state.
+
+    The trapezoids 0.5 * (s1 + s0) * (t1 - t0) are summed in order, _AVG_SLAB
+    rows at a time: each slab's np.cumsum starts from the integral so far,
+    as its row 0, so the sums are those of one cumsum over the whole path,
+    bit for bit, while the temporaries stay a slab's size."""
     t = np.asarray(traj.times, dtype=float)
     s = np.asarray(traj.states, dtype=float)
     if len(t) == 0:
         raise ValueError("trajectory is empty")
     means = np.empty_like(s)
     means[0] = s[0]
-    if len(t) > 1:
-        seg = 0.5 * (s[1:] + s[:-1]) * np.diff(t)[:, None]
-        integral = np.cumsum(seg, axis=0)
-        means[1:] = integral / t[1:, None]
+    seg = np.empty((_AVG_SLAB + 1, s.shape[1]))
+    for a in range(1, len(t), _AVG_SLAB):
+        b = min(a + _AVG_SLAB, len(t))
+        rows = seg[: b - a + 1]
+        rows[1:] = 0.5 * (s[a:b] + s[a - 1:b - 1]) * (t[a:b] - t[a - 1:b - 1])[:, None]
+        # the first slab has no integral before it (0.0 + -0.0 would be 0.0)
+        lo = 1 if a == 1 else 0
+        integral = np.cumsum(rows[lo:], axis=0)[1 - lo:]
+        np.divide(integral, t[a:b, None], out=means[a:b])
+        seg[0] = integral[-1]
     return means
 
 

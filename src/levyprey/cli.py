@@ -15,7 +15,8 @@ rounding carries to 1e17, or that lies outside the range or is not finite
 is formatted by ``'%.17g' % v`` itself. _write_csv gives the argument.
 
 Exit codes: 0 success (a hypothesis that fails to hold is still success),
-1 usage or configuration error, 2 runtime fault.
+1 usage or configuration error, 2 runtime fault, 130 interrupted (Ctrl-C,
+128 + SIGINT).
 """
 
 from __future__ import annotations
@@ -484,6 +485,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # run_tasks has reaped any child by now
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

@@ -10,8 +10,9 @@ Config text and RunConfig.replaced type a value by its key in one place
 (an integral int for seed and n_reps, a float otherwise). Values are
 checked by building the typed parts the engine consumes: the model types
 own every range rule, engine.lag_steps the delay grid and StepConfig the
-horizon grid and the seed, and model._in_range the replicate count (the
-rule run_ensemble states too). The parser only adds the offending key and
+horizon grid and the seed, engine._check_jump_rate numpy's limit on a step's
+Poisson mean lambda * dt, and model._in_range the replicate count (the rule
+run_ensemble states too). The parser only adds the offending key and
 its line. Regime-hypothesis
 failures are never parse errors; the one soft condition surfaced here
 (ModelParams.well_posed, predator death rate above predator competition)
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .engine import StepConfig, lag_steps
+from .engine import StepConfig, _check_jump_rate, lag_steps
 from .model import DelaySpec, FieldError, HistorySpec, ModelParams, NoiseSpec, _in_range
 from .presets import PRESETS
 
@@ -156,7 +157,7 @@ def _check(cfg: RunConfig, lines: dict[str, int]) -> ModelParams:
         return f" (line {ln})" if ln else ""
 
     try:
-        cfg.to_noise()
+        noise = cfg.to_noise()
         delays = cfg.to_delays()
         cfg.to_history()
         params = cfg.to_params()
@@ -168,6 +169,7 @@ def _check(cfg: RunConfig, lines: dict[str, int]) -> ModelParams:
                 lag_steps(delays, cfg["dt"])  # type: ignore[arg-type]
             raise
         lag_steps(delays, cfg["dt"])  # type: ignore[arg-type]
+        _check_jump_rate(noise, cfg["dt"])  # type: ignore[arg-type]
     except FieldError as exc:
         key = _KEY_OF[exc.field]
         raise ConfigError(f"{key} {exc.rule}{where(key)}: got {cfg[key]}") from None

@@ -37,9 +37,12 @@ ones when lambda is 0; it steps on zeros instead, with the same result.
 simulate always builds both, so its stream count and a fault's reported
 normals do not depend on the noise; a faulting block that drew no normals
 draws the named replicate's, so both drivers report a fault in the same
-words (_fault_text). simulate steps one replicate on Python floats and
-keeps its whole path, so it refuses a horizon whose grid record and path
-would exceed 1 GiB (_check_horizon). _simulate_batch steps a block of
+words (_fault_text). simulate steps one replicate on Python floats. It
+keeps only a window of its grid record, the kmax + 1 rows a step reads and
+a bounded spare (_window), and writes each draw chunk's rows straight into
+the returned path, so it holds about 32 bytes per step; it refuses a
+horizon whose window and path would exceed 1 GiB (_check_horizon).
+_simulate_batch steps a block of
 replicates on arrays and writes its stats-grid rows and running averages
 straight into the caller's rows; ensemble.run_ensemble decides which driver
 runs. It reads delay taps from a ring buffer of kmax + 1 grid rows, so its
@@ -73,7 +76,7 @@ _GRID_TOL = 1e-9
 # value a positive component is clamped to when its update falls below it
 _POSITIVITY_FLOOR = 1e-12
 
-# memory a run may claim up front: simulate's grid record and path, and an
+# memory a run may claim up front: simulate's record window and path, and an
 # ensemble's path statistics and delay ring
 _MAX_BYTES = 1 << 30
 
@@ -81,16 +84,20 @@ _MAX_BYTES = 1 << 30
 # species
 _ROW_BYTES = 3 * (8 + 24)
 
-# bytes simulate holds per step at its peak: the grid record row (96), the
-# returned path's row (24 for the states, 8 for the time), the 8-byte integer
-# row np.arange makes on the way, and 8 for list growth. tracemalloc's peak
-# over a fig1 run, divided by its steps, reads 139.7 at 10^5 steps and 137.4
-# at 10^6; the draws, made _DRAW_CHUNK steps at a time, add a fixed amount
-# that does not grow with the horizon
-_STEP_BYTES = _ROW_BYTES + 24 + 8 + 8 + 8
+# bytes simulate holds per step at its peak: the returned path's row (24 for
+# the states, 8 for the time) and 8 that pays for the record rows its window
+# keeps past the kmax + 1 a step reads (_window) and for list growth.
+# tracemalloc's peak over a fig1 run, divided by its steps, reads 32.5 at
+# 10^5 steps and 32.0 at 10^6; the draws and the window's spare rows, made
+# _DRAW_CHUNK steps at a time, add a fixed amount that does not grow with
+# the horizon
+_STEP_BYTES = 24 + 8 + 8
 
 # steps of draws materialised at once, by both drivers
 _DRAW_CHUNK = 512
+
+# numpy's POISSON_LAM_MAX: Generator.poisson refuses a larger mean
+_POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 class SimulationError(RuntimeError):
@@ -130,17 +137,6 @@ class Trajectory:
     states: np.ndarray
     jump_events: int
     floor_hits: int
-
-    @classmethod
-    def from_grid(cls, xs: list[float], ys: list[float], zs: list[float], start: int,
-                  dt: float, jump_events: int, floor_hits: int) -> "Trajectory":
-        """The grid record from index ``start`` (t = 0) onward, as a path."""
-        n = len(xs) - start
-        states = np.empty((n, 3))
-        states[:, 0] = xs[start:]
-        states[:, 1] = ys[start:]
-        states[:, 2] = zs[start:]
-        return cls(np.arange(n) * dt, states, jump_events, floor_hits)
 
     @property
     def x(self) -> np.ndarray:
@@ -190,12 +186,31 @@ def init_history(
     """The grid record (xs, ys, zs) at every grid point of [-tau_max, 0],
     each the history's constant; the last one is t = 0.
 
-    Callers append each new state, and nothing is evicted: at the horizons
-    this engine targets the full record is a few megabytes, and the path is
-    read straight out of it (Trajectory.from_grid).
+    Callers append each new state and copy the rows into their path, and
+    _window drops the rows no step reads again, so the record holds about
+    kmax + 1 rows whatever the horizon.
     """
     rows = max(lag_steps(d, c.dt)) + 1
     return [h.x0] * rows, [h.y0] * rows, [h.z0] * rows
+
+
+def _window(record: tuple[list[float], ...], path: np.ndarray, a: int, b: int, keep: int) -> None:
+    """Copy the last b - a rows of the grid record (xs, ys, zs) into path[a:b],
+    then drop all but the last ``keep`` once max(_DRAW_CHUNK, keep // 32)
+    more have piled up: a drop moves the kept rows, so spacing the drops by
+    keep // 32 steps or more keeps the cost O(1) per step at any delay."""
+    for col, series in enumerate(record):
+        path[a:b, col] = series[len(series) - (b - a):]
+        if len(series) >= keep + max(_DRAW_CHUNK, keep // 32):
+            del series[:-keep]
+
+
+def _path(states: np.ndarray, dt: float, jump_events: int, floor_hits: int) -> Trajectory:
+    """``states`` as a Trajectory on the grid t = 0, dt, ...; the times are
+    scaled in place, so they cost 8 bytes per row at their peak."""
+    times = np.arange(len(states), dtype=float)
+    times *= dt
+    return Trajectory(times, states, jump_events, floor_hits)
 
 
 def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:
@@ -211,15 +226,15 @@ def _check_bytes(what: str, nbytes: int, of: str, remedy: str) -> None:
 
 
 def _trajectory_bytes(c: StepConfig, d: DelaySpec) -> int:
-    """Bytes simulate holds at its peak: its grid record (the kmax + 1
-    history rows init_history fills, then one row per step) and path."""
+    """Bytes simulate holds at its peak: the window of its grid record (the
+    kmax + 1 rows init_history fills, then _window's spare) and path."""
     return c.n_steps * _STEP_BYTES + (max(lag_steps(d, c.dt)) + 1) * _ROW_BYTES
 
 
 def _check_horizon(
     c: StepConfig, d: DelaySpec, remedy: str = "lower t_end or the delays, or raise dt"
 ) -> int:
-    """simulate's grid record and path bytes (_trajectory_bytes); ValueError
+    """simulate's window and path bytes (_trajectory_bytes); ValueError
     naming t_end and dt when they would exceed _MAX_BYTES, FieldError when a
     positive delay is off the dt grid."""
     rows = max(lag_steps(d, c.dt)) + 1
@@ -283,6 +298,14 @@ def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int
         yield normals[:, :m], counts[:m]
 
 
+def _check_jump_rate(n: NoiseSpec, dt: float) -> None:
+    """FieldError on lam when _draws' Poisson mean lam * dt is over numpy's
+    limit, which numpy would report only at the first draw."""
+    if n.lam * dt > _POISSON_LAM_MAX:
+        raise FieldError("NoiseSpec", "lam", "* dt must be at most numpy's Poisson limit "
+                         f"{_POISSON_LAM_MAX!r}", n.lam)
+
+
 def _fault_text(i: int, dt: float, state, normals, j: int) -> str:
     """simulate's message for a state that turns non-finite in step i (from
     t = i*dt), given the state before the step and the step's draws."""
@@ -312,44 +335,46 @@ def simulate(
     k1, k2, k3 = lag_steps(d, c.dt)
     n_steps = c.n_steps
     _check_horizon(c, d)
-    xs, ys, zs = init_history(h, d, c)
+    xs, ys, zs = record = init_history(h, d, c)
+    keep = len(xs)
+    states = np.empty((n_steps + 1, 3))
+    states[0] = xs[-1], ys[-1], zs[-1]
     dt = c.dt
     floor = _POSITIVITY_FLOOR
     advance = _stepper(p, n, dt)
-    base = len(xs) - 1  # index of t = 0
     jump_events = 0
     floor_hits = 0
     isfinite = math.isfinite
+    done = 0  # steps taken, and the path row of the current state
     # both streams, even one whose draws cannot move a state: the fault
     # message names the normals, and perfbench/test_perfbench.py pins two
     # rng.stream calls per replicate on a scalar ensemble with sigma = 0
-    steps = chain.from_iterable(
-        zip(*normals[:, :, 0].tolist(), counts[:, 0].tolist())
-        for normals, counts in _draws(c.seed, [replicate], n, dt, n_steps)
-    )
+    for normals, counts in _draws(c.seed, [replicate], n, dt, n_steps):
+        base = len(xs) - 1 - done  # the record index of t = 0
+        js = counts[:, 0].tolist()
+        for i, z1, z2, z3, j in zip(range(done, done + len(js)), *normals[:, :, 0].tolist(), js):
+            m = base + i
+            x, y, z = xs[m], ys[m], zs[m]
+            nx, ny, nz = advance(x, y, z, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], z1, z2, z3, j)
+            if not (isfinite(nx) and isfinite(ny) and isfinite(nz)):
+                raise SimulationError(_fault_text(i, dt, (x, y, z), (z1, z2, z3), j))
+            if nx < floor and x > 0.0:
+                nx = floor
+                floor_hits += 1
+            if ny < floor and y > 0.0:
+                ny = floor
+                floor_hits += 1
+            if nz < floor and z > 0.0:
+                nz = floor
+                floor_hits += 1
+            xs.append(nx)
+            ys.append(ny)
+            zs.append(nz)
+        jump_events += np.count_nonzero(counts)
+        _window(record, states, done + 1, done + 1 + len(js), keep)
+        done += len(js)
 
-    for i, (z1, z2, z3, j) in enumerate(steps):
-        m = base + i
-        x, y, z = xs[m], ys[m], zs[m]
-        nx, ny, nz = advance(x, y, z, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], z1, z2, z3, j)
-        if not (isfinite(nx) and isfinite(ny) and isfinite(nz)):
-            raise SimulationError(_fault_text(i, dt, (x, y, z), (z1, z2, z3), j))
-        if nx < floor and x > 0.0:
-            nx = floor
-            floor_hits += 1
-        if ny < floor and y > 0.0:
-            ny = floor
-            floor_hits += 1
-        if nz < floor and z > 0.0:
-            nz = floor
-            floor_hits += 1
-        xs.append(nx)
-        ys.append(ny)
-        zs.append(nz)
-        if j:
-            jump_events += 1
-
-    return Trajectory.from_grid(xs, ys, zs, base, dt, jump_events, floor_hits)
+    return _path(states, dt, jump_events, floor_hits)
 
 
 # an overflow shows as a non-finite state, as it does in simulate

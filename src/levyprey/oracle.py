@@ -23,8 +23,12 @@ stencils of a piece have the same number of nodes, so a table built once per
 solve holds, per stencil node, every offset's weight and node index, and a
 piece's midpoints are one array sum over its gs + 1 nodes, with the IEEE
 operations of a scalar sum in its order. A window that drops a piece once no
-lag reads it again holds at most kmax + gs values per series (kmax the
+lag reads it again holds at most kmax + gs midpoints per series (kmax the
 longest lag), whatever the horizon, plus the table and O(gs) transient arrays.
+The stored solution is kept as simulate keeps its grid record
+(engine._window): every engine._DRAW_CHUNK steps the new rows are copied
+into the returned path, and the record keeps the kmax + 1 rows a step reads,
+which also hold the gs + 1 interpolation nodes of the piece before.
 
 A zero lag reads the stage value itself, which is ordinary RK4. Two details
 keep the observed order near four despite the limited smoothness of delay
@@ -41,10 +45,10 @@ The rate function is model.drift, on plain floats; the engine's step update
 (1/K1)`` where drift has ``xd1 / K1``) until ROADMAP item 1 merges the two.
 Finiteness is checked once per step, on the new state. With the stochastic
 engine this solver shares the grid rules (step count, delay taps), the history
-fill (engine.init_history) and the path type (a Trajectory with no jumps and
-no floor clamps). The integration machinery (RK4 stages and the midpoint
-interpolation) is separate on purpose, so it can serve as the engine's
-convergence oracle.
+fill (engine.init_history), the record window and the path type (a
+Trajectory with no jumps and no floor clamps). The integration machinery (RK4
+stages and the midpoint interpolation) is separate on purpose, so it can
+serve as the engine's convergence oracle.
 """
 
 from __future__ import annotations
@@ -112,14 +116,18 @@ def solve_deterministic(
     rate component non-finite, and that component enters the step's
     weighted sum. A horizon over simulate's limit (engine._check_horizon)
     raises ValueError before anything is allocated, since the solver holds
-    the same grid record and path.
+    the same record window and path.
     """
     c = _engine.StepConfig(dt=dt, t_end=t_end)
     _engine._check_horizon(c, d)
     n_steps = c.n_steps
     k1, k2, k3 = _engine.lag_steps(d, dt)
-    xs, ys, zs = _engine.init_history(h, d, c)
-    kmax = len(xs) - 1  # the longest lag, and the index of t = 0
+    xs, ys, zs = record = _engine.init_history(h, d, c)
+    kmax = len(xs) - 1  # the longest lag
+    states = np.empty((n_steps + 1, 3))
+    states[0] = h.x0, h.y0, h.z0
+    written = 0  # the last step whose row is in states
+    chunk = _engine._DRAW_CHUNK
 
     # smooth pieces are bounded by multiples of the common divisor of the lags
     # (with no positive lag the run is one piece); a series that no positive
@@ -145,14 +153,16 @@ def solve_deterministic(
     half, sixth = dt / 2.0, dt / 6.0
     for lo in range(0, n_steps, piece):
         if lo:
-            # the piece before is stored, and a lag of k >= gs steps first
-            # reads it at step lo - gs + k >= lo; the oldest is read no more
-            xm += _interpolate(xs, kmax + lo - gs, x_table)
-            ym += _interpolate(ys, kmax + lo - gs, y_table)
+            # the piece before is stored, its first node gs rows before the
+            # last, and a lag of k >= gs steps first reads it at step
+            # lo - gs + k >= lo; the oldest is read no more
+            xm += _interpolate(xs, len(xs) - 1 - gs, x_table)
+            ym += _interpolate(ys, len(ys) - 1 - gs, y_table)
             del xm[:gs], ym[:gs]
         taps = zip(reads(xm, k1), reads(ym, k2), reads(xm, k3), reads(ym, k3))
+        base = len(xs) - 1 - lo  # the record index of t = 0
         for i, (xm1, ym2, xm3, ym3) in zip(range(lo, min(lo + piece, n_steps)), taps):
-            m = kmax + i
+            m = base + i
             x0, y0, z0 = xs[m], ys[m], zs[m]
             # step start: xs[m - 0] is x0 itself, so zero lags need no care here
             f1 = drift(x0, y0, z0, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], p)
@@ -182,8 +192,14 @@ def solve_deterministic(
             xs.append(nx)
             ys.append(ny)
             zs.append(nz)
+            if i + 1 - written == chunk:
+                # the run's rows go into the path, and the record keeps its window
+                _engine._window(record, states, written + 1, i + 2, kmax + 1)
+                written = i + 1
+                base = len(xs) - 1 - written
 
-    return _engine.Trajectory.from_grid(xs, ys, zs, kmax, dt, jump_events=0, floor_hits=0)
+    _engine._window(record, states, written + 1, n_steps + 1, kmax + 1)
+    return _engine._path(states, dt, jump_events=0, floor_hits=0)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from levyprey import (
     simulate,
     time_average,
 )
-from levyprey import engine
+from levyprey import analysis, engine
 
 
 def _traj(times, states):
@@ -80,6 +80,23 @@ class TestTimeAverage:
                 assert np.all(ta[:, j] <= s[:, j].max() + 1e-12)
                 assert np.all(ta[:, j] >= s[:, j].min() - 1e-12)
 
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None], ids=["slab-1", "slab", "slab+1", "3slab+7"])
+    def test_slabs_give_the_whole_cumsum_bits(self, extra):
+        # steps = len - 1: one slab short, exactly one, one over, and a
+        # partial fourth slab; the first trapezoid is -0.0, whose sign a sum
+        # started from 0.0 would lose, and the values span many magnitudes
+        slab = analysis._AVG_SLAB
+        n = 3 * slab + 7 if extra is None else slab + extra
+        rng = np.random.default_rng(n)
+        t = np.arange(n + 1) * 0.01
+        s = rng.lognormal(0.0, 5.0, (n + 1, 3)) * rng.choice([-1.0, 1.0], (n + 1, 3))
+        s[:2] = -0.0
+        seg = 0.5 * (s[1:] + s[:-1]) * np.diff(t)[:, None]
+        want = np.concatenate([s[:1], np.cumsum(seg, axis=0) / t[1:, None]])
+        got = time_average(_traj(t, s))
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[1]).all()
 
 class TestExtinctionCoefficients:
     def test_noise_off_reduction(self):

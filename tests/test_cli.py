@@ -3,6 +3,10 @@
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -656,6 +660,56 @@ class TestErrors:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_huge_jump_rate_is_config_error_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # numpy would refuse lambda * dt only at its first draw, after the
+        # layout and any fork, in its own words; the config check names the key
+        def ran(*args, **kwargs):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(ensemble, "_layout", ran)
+        monkeypatch.setattr(os, "fork", ran)
+        cfg = _write(tmp_path, "rate.cfg", "preset = persist\nlambda = 1e300\nn_reps = 200\n")
+        out = tmp_path / "e.csv"
+        assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: lambda * dt must be at most numpy's Poisson limit "
+            f"{engine._POISSON_LAM_MAX!r} (line 2): got 1e+300"
+        ]
+        assert not out.exists()
+
+    def test_interrupt_is_one_line_and_status_130(self, tmp_path):
+        # SIGINT, as Ctrl-C sends, to an ensemble that spreads its
+        # replicates over the cores: it stops with one line and status 130,
+        # writes no CSV, and its forked share is gone by the time it exits
+        cfg = _write(tmp_path, "int.cfg", "preset = persist\ndelta = 0.3\nt_end = 5000\nn_reps = 16\n")
+        out = tmp_path / "int.csv"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-m", "levyprey", "ensemble", "--config", cfg,
+                                 "--out", str(out)], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env, text=True)
+        listing = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        spread = len(os.sched_getaffinity(0)) > 1 and os.path.exists(listing)
+        children = []
+        start = time.monotonic()
+        # wait for the fork, which comes after the config and the layout; on
+        # one core, or without the listing, give the imports 2 s
+        while proc.poll() is None and time.monotonic() - start < (30 if spread else 2):
+            if spread:
+                with open(listing) as fh:
+                    children = [int(pid) for pid in fh.read().split()]
+                if children:
+                    break
+            time.sleep(0.05)
+        assert proc.poll() is None and (children or not spread)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
+        assert not out.exists()
+        for pid in children:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
     def test_blank_list_entry_is_config_error(self, tmp_path, capsys):
         # a typo must not run fewer values or steps than written
         cfg = _write(tmp_path, "f3.cfg", "preset = fig3\nt_end = 1\n")
@@ -782,7 +836,7 @@ class TestErrors:
         assert len(err) == 2 and err[0].startswith("warning: delta = 0.1")
         assert err[1] == (
             "config error: simulation too large: 100000000000 steps (t_end=1000000000.0, "
-            "dt=0.01) needs 13411.05 GiB of grid record (151 history rows) and path "
+            "dt=0.01) needs 3725.29 GiB of grid record (151 history rows) and path "
             "(limit 1 GiB); lower t_end or the delays, or raise dt"
         )
         assert not out.exists()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyprey import PRESETS, cli
+from levyprey import PRESETS, cli, engine
 from levyprey.config import KEYS, ConfigError, parse_config
 
 
@@ -107,6 +107,28 @@ class TestParsing:
             parse_config(f"seed = 1\n{line}\n")
         assert str(exc.value) == message
 
+    def test_jump_rate_over_numpys_poisson_limit_names_lambda(self):
+        # the limit is the installed numpy's: it draws at lambda * dt = limit
+        # and refuses the next double up, which the config refuses first
+        limit = engine._POISSON_LAM_MAX
+        over = float(np.nextafter(limit, np.inf))
+        np.random.default_rng(0).poisson(limit)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(over)
+        # at dt = 0.5, lambda * dt halves lambda exactly
+        assert parse_config(f"dt = 0.5\nlambda = {2 * limit!r}\n")["lambda"] == 2 * limit
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"dt = 0.5\nlambda = {2 * over!r}\n")
+        assert str(exc.value) == (
+            f"lambda * dt must be at most numpy's Poisson limit {limit!r} (line 2): got {2 * over!r}"
+        )
+        # the product is checked: at dt = 0.01 (fig1's) lambda may be 100 times higher
+        parse_config(f"lambda = {over!r}\n")
+        with pytest.raises(ConfigError, match="lambda"):
+            parse_config("lambda = 1e300\n")
+        with pytest.raises(ConfigError, match="lambda"):
+            parse_config("").replaced(**{"lambda": 1e300})
+
     def test_integers_beyond_float_range_are_in_range(self):
         # the range rule compares, so an int no float can hold is still finite
         big = 10**400
@@ -189,8 +211,10 @@ def _valid_configs(draw):
         dt = draw(st.sampled_from([1e-3, 0.01, 0.025, 0.1, 0.5]))
     values = {key: draw(_NONNEG) for key in (
         "r1", "r2", "alpha1", "alpha2", "alpha3", "beta", "delta", "a1", "a2",
-        "sigma1", "sigma2", "sigma3", "lambda", "x0", "y0", "z0")}
+        "sigma1", "sigma2", "sigma3", "x0", "y0", "z0")}
     values.update({key: draw(_POS) for key in ("K1", "K2")})
+    # every dt here is below 1, so lambda * dt stays within numpy's Poisson limit
+    values["lambda"] = draw(st.floats(min_value=0.0, max_value=engine._POISSON_LAM_MAX))
     values.update({key: draw(_MARK) for key in ("q1", "q2", "q3")})
     steps = st.integers(min_value=1, max_value=10_000)
     values.update({key: draw(st.sampled_from([0, 1]) | steps) * dt

@@ -1,6 +1,7 @@
 """Unit tests for the stochastic integrator."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from levyprey import (
 )
 from levyprey import engine
 from levyprey import rng as lrng
-from levyprey.engine import init_history
+from levyprey.engine import SimulationError, init_history
 from levyprey.model import FieldError, drift
 
 FIG1_PARAMS = ModelParams(
@@ -306,6 +307,108 @@ class TestSimulate:
                 assert np.all(traj.states >= 1e-12)
                 clean += traj.floor_hits == 0
             assert clean >= int(50 * 0.99)
+
+
+def _keep_everything(p, n, d, h, c, replicate=0):
+    """simulate's numbers from a loop that keeps every grid row and draws
+    each stream once over the whole horizon: (states, jump_events,
+    floor_hits), or SimulationError with simulate's message."""
+    k1, k2, k3 = engine.lag_steps(d, c.dt)
+    xs, ys, zs = init_history(h, d, c)
+    base = len(xs) - 1
+    normals = lrng.stream(c.seed, replicate, lrng.GAUSSIAN).standard_normal((c.n_steps, 3))
+    counts = lrng.stream(c.seed, replicate, lrng.JUMPS).poisson(n.lam * c.dt, c.n_steps)
+    advance = engine._stepper(p, n, c.dt)
+    hits = 0
+    for i, (z, j) in enumerate(zip(normals.tolist(), counts.tolist())):
+        m = base + i
+        old = (xs[m], ys[m], zs[m])
+        new = advance(*old, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], *z, j)
+        if not all(map(math.isfinite, new)):
+            raise SimulationError(engine._fault_text(i, c.dt, old, z, j))
+        clamped = [v < 1e-12 and s > 0.0 for v, s in zip(new, old)]
+        hits += sum(clamped)
+        for series, v, low in zip((xs, ys, zs), new, clamped):
+            series.append(1e-12 if low else v)
+    return np.array([xs[base:], ys[base:], zs[base:]]).T, np.count_nonzero(counts), hits
+
+
+class TestRecordWindow:
+    """simulate keeps a window of its grid record and writes each draw
+    chunk's rows into the path: the numbers are those of keeping every row."""
+
+    # sigma = 3 overshoots below zero, so the floor clamps count too
+    NOISY = NoiseSpec(3.0, 1e-3, 3.0, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0)
+
+    @pytest.mark.parametrize("delays", [TABLE_DELAYS, DelaySpec(0, 0, 0), DelaySpec(0, 0, 6.0)],
+                             ids=["kmax-150", "zero-lags", "kmax-600-over-a-chunk"])
+    @pytest.mark.parametrize("n_steps", [511, 512, 513, 1025])
+    def test_equals_keeping_every_row(self, delays, n_steps):
+        c = StepConfig(dt=0.01, t_end=n_steps * 0.01, seed=9)
+        h = HistorySpec(10, 10, 5)
+        traj = simulate(FIG1_PARAMS, self.NOISY, delays, h, c, replicate=2)
+        states, jumps, hits = _keep_everything(FIG1_PARAMS, self.NOISY, delays, h, c, replicate=2)
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.times.tobytes() == (np.arange(n_steps + 1) * 0.01).tobytes()
+        assert (traj.jump_events, traj.floor_hits) == (jumps, hits)
+
+    @pytest.mark.parametrize("tau1, n_steps", [(1.5, 1025), (200.0, 2600)],
+                             ids=["spare-a-chunk", "spare-a-32nd"])
+    def test_window_stays_bounded(self, monkeypatch, tau1, n_steps):
+        # kmax = 150 drops rows after every chunk; kmax = 20000 keeps
+        # 20001 // 32 = 625 spare rows, so it drops after every second chunk
+        # and the rows move only every 625 steps or more
+        seen = []
+        real = engine._window
+
+        def window(record, path, a, b, keep):
+            seen.append(len(record[0]))
+            real(record, path, a, b, keep)
+            seen.append(len(record[0]))
+
+        monkeypatch.setattr(engine, "_window", window)
+        d = DelaySpec(tau1, 0, 0)
+        c = StepConfig(dt=0.01, t_end=n_steps * 0.01, seed=1)
+        h = HistorySpec(10, 10, 5)
+        traj = simulate(FIG1_PARAMS, FIG1_NOISE, d, h, c)
+        keep = round(tau1 / 0.01) + 1
+        spare = max(engine._DRAW_CHUNK, keep // 32)
+        assert max(seen) <= keep + spare - 1 + engine._DRAW_CHUNK
+        assert seen.count(keep) >= 2 and seen[-1] < keep + spare
+        assert traj.states.tobytes() == _keep_everything(FIG1_PARAMS, FIG1_NOISE, d, h, c)[0].tobytes()
+
+    def test_fault_in_the_second_chunk_keeps_its_message(self):
+        # x doubles every step (dt = 1, r1 = 1, K1 = 1e308, and its 600-step
+        # delayed tap stays far below K1), so it overflows in step 1023, the
+        # second chunk's last, while the record's window has dropped rows
+        p = ModelParams(r1=1.0, r2=0, k1=1e308, k2=1, alpha1=0, alpha2=0,
+                        alpha3=0, beta=0, delta=0, a1=0, a2=0)
+        c = StepConfig(dt=1.0, t_end=2000.0, seed=4)
+        args = (p, NOISE_OFF, DelaySpec(600.0, 0, 0), HistorySpec(1, 1, 1), c)
+        with pytest.raises(SimulationError) as want:
+            _keep_everything(*args)
+        with pytest.raises(SimulationError) as got:
+            simulate(*args)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("non-finite state at t=1024: from (8.98847e+307,1,1), normals=(")
+
+    def test_memory_per_step_within_budget(self):
+        # 10^5 fig1 steps hold the path, 32 bytes a step, under _STEP_BYTES
+        # (40); the draw chunk and the window's spare rows are a fixed
+        # allowance, 128 kB, whatever the horizon
+        from levyprey import PRESETS
+
+        sc = PRESETS["fig1"]
+        c = StepConfig(dt=sc.dt, t_end=1000.0)
+        assert c.n_steps == 100_000
+        tracemalloc.start()
+        try:
+            simulate(sc.params, sc.noise, sc.delays, sc.history, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = engine._trajectory_bytes(c, sc.delays) + (128 << 10)
+        assert peak <= budget, f"{peak / c.n_steps:.1f} B/step, budget {budget / c.n_steps:.1f}"
 
 
 class TestStreams:

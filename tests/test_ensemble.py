@@ -128,7 +128,9 @@ class TestRunEnsemble:
         finally:
             tracemalloc.stop()
         stats_bytes = 2000 * len(stats.stat_times) * 3 * 8
-        assert peak <= 1.25 * stats_bytes
+        assert peak <= 1.25 * stats_bytes, (
+            f"{peak / stats_bytes:.2f}x the statistics, {peak / (2000 * cfg.n_steps):.1f} B/step"
+        )
 
     def test_long_horizon_decimates_stats_grid(self):
         # 20000 integration steps decimate to <= ~2000 stats points; the

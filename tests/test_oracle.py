@@ -173,6 +173,33 @@ class TestSolveDeterministic:
         digest = hashlib.sha256(sol.states.astype("<f8").tobytes()).hexdigest()
         assert digest == "24ddd2844f51e42492d9bd75f66331d437e12d56783fa97d073bd9dc41002169"
 
+    @pytest.mark.parametrize("delays, t_end, digest", [
+        (FIG3.delays, 10.0, "5f75f52c98038d227642b623b424a11a96fee2166cd972726f9b61f46881d93f"),
+        (DelaySpec(0.01, 0.02, 0.03), 10.25,
+         "3f37724a18678e5ad7ad8783b9cd5fb3895f5b5a8c76e2004fdf238796f02496"),
+        (DelaySpec(0.02, 0.04, 0.06), 10.25,
+         "5eccd01c9f5efbc31a0f139c046705d8cf318f2d77dca8f902586a3ecfa96c01"),
+        (DelaySpec(8.0, 16.0, 0.0), 20.0,
+         "f16f1ddf766c678772bb834665df50c4d418c0d84b8548dcb88ea284c51b2e15"),
+    ], ids=["fig3", "gs-1", "gs-2", "gs-800"])
+    def test_window_keeps_the_whole_record_bits(self, monkeypatch, delays, t_end, digest):
+        # states pinned from a solve that kept every grid row, at dt = 0.01:
+        # pieces of 1, 2, 50 and 800 steps, over several draw chunks, the
+        # last one partial; the record never holds more than a chunk and a
+        # spare past the kmax + 1 rows a step reads
+        seen = []
+        real = engine._window
+
+        def window(record, path, a, b, keep):
+            seen.append(len(record[0]) - keep)
+            real(record, path, a, b, keep)
+
+        monkeypatch.setattr(engine, "_window", window)
+        sol = solve_deterministic(FIG3.params, delays, FIG3.history, dt=0.01, t_end=t_end)
+        assert hashlib.sha256(sol.states.astype("<f8").tobytes()).hexdigest() == digest
+        assert len(seen) == -(-round(t_end / 0.01) // engine._DRAW_CHUNK)
+        assert max(seen) <= 2 * engine._DRAW_CHUNK - 1
+
     @pytest.mark.parametrize("delays, dt, t_end, history", [
         (DelaySpec(0, 0, 0), 0.25, 5.0, FIG3.history),
         (DelaySpec(0.5, 1.0, 0.75), 0.25, 5.0, FIG3.history),
@@ -255,7 +282,7 @@ class TestSolveDeterministic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20_000 * engine._STEP_BYTES
+        assert peak <= 20_000 * engine._STEP_BYTES, f"{peak / 20_000:.1f} B/step"
 
     def test_horizon_over_the_limit_is_refused(self, monkeypatch):
         # the solver holds simulate's grid record and path, so it obeys
