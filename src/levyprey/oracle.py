@@ -26,9 +26,12 @@ operations of a scalar sum in its order. A window that drops a piece once no
 lag reads it again holds at most kmax + gs midpoints per series (kmax the
 longest lag), whatever the horizon, plus the table and O(gs) transient arrays.
 The stored solution is kept as simulate keeps its grid record
-(engine._window): every engine._DRAW_CHUNK steps the new rows are copied
-into the returned path, and the record keeps the kmax + 1 rows a step reads,
-which also hold the gs + 1 interpolation nodes of the piece before.
+(engine._window): at the start of a piece, once engine._DRAW_CHUNK steps or
+more have passed since the last copy, their rows are copied into the
+returned path, and the record keeps the kmax + 1 rows a step reads, which
+also hold the gs + 1 interpolation nodes of the piece before. Between
+copies it grows by less than a chunk and a piece, at most kmax + gs rows,
+the bound the midpoints already have.
 
 A zero lag reads the stage value itself, which is ordinary RK4. Two details
 keep the observed order near four despite the limited smoothness of delay
@@ -130,10 +133,10 @@ def solve_deterministic(
     chunk = _engine._DRAW_CHUNK
 
     # smooth pieces are bounded by multiples of the common divisor of the lags
-    # (with no positive lag the run is one piece); a series that no positive
-    # lag reads needs no midpoints
+    # (with no positive lag the run is one smooth piece, taken a chunk at a
+    # time); a series that no positive lag reads needs no midpoints
     gs = math.gcd(k1, k2, k3)
-    piece = gs or n_steps
+    piece = gs or chunk
     # per offset j in a piece, the stencil of the query at j + 1/2: its first
     # node from the piece's start, and its weights. All of a piece's stencils
     # have min(gs, 3) + 1 nodes, so the table holds, per node i, every
@@ -152,6 +155,11 @@ def solve_deterministic(
 
     half, sixth = dt / 2.0, dt / 6.0
     for lo in range(0, n_steps, piece):
+        if lo - written >= chunk:
+            # the pieces since the last copy go into the path, and the record
+            # keeps its window, which holds the piece before's nodes
+            _engine._window(record, states, written + 1, lo + 1, kmax + 1)
+            written = lo
         if lo:
             # the piece before is stored, its first node gs rows before the
             # last, and a lag of k >= gs steps first reads it at step
@@ -192,11 +200,6 @@ def solve_deterministic(
             xs.append(nx)
             ys.append(ny)
             zs.append(nz)
-            if i + 1 - written == chunk:
-                # the run's rows go into the path, and the record keeps its window
-                _engine._window(record, states, written + 1, i + 2, kmax + 1)
-                written = i + 1
-                base = len(xs) - 1 - written
 
     _engine._window(record, states, written + 1, n_steps + 1, kmax + 1)
     return _engine._path(states, dt, jump_events=0, floor_hits=0)

@@ -709,6 +709,7 @@ class TestErrors:
         for pid in children:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+        assert_no_children()
 
     def test_blank_list_entry_is_config_error(self, tmp_path, capsys):
         # a typo must not run fewer values or steps than written
