@@ -172,7 +172,7 @@ def _csv_rows(block: np.ndarray) -> bytes:
 
 
 def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
-               header: str, table: np.ndarray) -> None:
+               header: str, columns: Sequence[np.ndarray]) -> None:
     """Write one output CSV: the ``#`` metadata block, the header row, the rows.
 
     The metadata block records ``command``, ``preset`` (``none`` without
@@ -182,8 +182,9 @@ def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
     ``t_end``, and last the command's own ``extra`` lines: ``floor_hits`` and
     ``jump_events`` (simulate), ``n_reps``, ``floor_hits_total`` and the
     ``verify:`` lines (ensemble), ``observed_order`` (convergence).
-    ``table`` is a 2-D float array, one CSV row per array row, and lines end
-    in ``\\n``. Every number is written as ``'%.17g'`` writes it, which
+    ``columns`` are the table's equal-length float columns, one CSV row per
+    index, stacked a slab at a time, so a path is written without a stacked
+    copy of it; lines end in ``\\n``. Every number is written as ``'%.17g'`` writes it, which
     round-trips a double exactly, and a NaN is an empty cell (only a missing
     value is NaN).
 
@@ -216,11 +217,11 @@ def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
         f"t_end = {cfg['t_end']!r}",
         *extra,
     ]
-    slab = max(1, _SLAB_CELLS // table.shape[1])
+    slab = max(1, _SLAB_CELLS // len(columns))
     with open(path, "wb") as fh:
         fh.write("".join([*(f"# {line}\n" for line in meta), f"{header}\n"]).encode())
-        for start in range(0, len(table), slab):
-            fh.write(_csv_rows(table[start:start + slab]))
+        for start in range(0, len(columns[0]), slab):
+            fh.write(_csv_rows(np.column_stack([c[start:start + slab] for c in columns])))
 
 
 def _write_ensemble(
@@ -234,8 +235,7 @@ def _write_ensemble(
     bands = ("mean", "sd", "q025", "q500", "q975")
     header = ",".join(["t", *(f"{b}_{s}" for s in "xyz" for b in bands)])
     columns = [getattr(stats, b)[:, i] for i in range(3) for b in bands]
-    table = np.column_stack((stats.stat_times, *columns))
-    _write_csv(path, cfg, "ensemble", extra, header, table)
+    _write_csv(path, cfg, "ensemble", extra, header, (stats.stat_times, *columns))
 
 
 def _load_config(args: argparse.Namespace, default: str = "") -> RunConfig:
@@ -273,8 +273,7 @@ def _simulate(path: str, cfg: RunConfig) -> engine.Trajectory:
         cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config()
     )
     extra = [f"floor_hits = {traj.floor_hits}", f"jump_events = {traj.jump_events}"]
-    table = np.column_stack((traj.times, traj.states))
-    _write_csv(path, cfg, "simulate", extra, "t,x,y,z", table)
+    _write_csv(path, cfg, "simulate", extra, "t,x,y,z", (traj.times, *traj.states.T))
     return traj
 
 
@@ -351,7 +350,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     extra = [] if order is None else [f"observed_order = {order:.17g}"]
     # a missing pair_order (None) becomes nan, which the writer leaves empty
     rows = np.array([(r.dt, r.max_err, r.pair_order) for r in table.rows], dtype=float)
-    _write_csv(out, cfg, "convergence", extra, "dt,max_err,pair_order", rows)
+    _write_csv(out, cfg, "convergence", extra, "dt,max_err,pair_order", rows.T)
     if order is not None:
         print(f"observed order: {order:.3f}")
     print(f"wrote {out}")

@@ -47,13 +47,14 @@ by the horizon: the ring holds kmax + 1 grid rows of 3 floats per replicate
 
 The 1 GiB limit holds in total over the processes, for both drivers. Each
 process is charged the widest block's ring, or with no blocks one
-trajectory of simulate, and the statistics are charged twice, here and for
-the children's shares of rows; parallel.run_tasks applies the rule and runs
-the tasks here one after another when the charges do not fit. _layout does
-this arithmetic, also for ``sweep --mode ensemble``, whose value may spread
+trajectory of simulate and its running averages (time_average's (n + 1, 3)
+array), and the statistics are charged twice, here and for the children's
+shares of rows; parallel.run_tasks applies the rule and runs the tasks here
+one after another when the charges do not fit. _layout does this
+arithmetic, also for ``sweep --mode ensemble``, whose value may spread
 again and is charged both statistics and a hold per task. simulate keeps a
-replicate's path while it runs, so below 64 replicates a run whose paths
-would not fit its horizon limit steps as one block; a block keeps none,
+replicate's path while it runs, so below 64 replicates a run whose path and
+averages would not fit the limit steps as one block; a block keeps none,
 whatever the horizon, so the horizon alone refuses no ensemble. A replicate
 in a block that meets a non-finite state is held at 0 while the block steps
 on, and the block names the lowest one itself, the same on any core count.
@@ -163,7 +164,8 @@ def _layout(c: StepConfig, d: DelaySpec, n_reps: int) -> tuple[np.ndarray, int, 
     # are consecutive runs of indices, at most _BATCH_MAX long and as even as
     # possible; a block holds a delay ring of kmax + 1 grid rows per replicate
     n_blocks = -(-n_reps // _BATCH_MAX)
-    path = engine._trajectory_bytes(c, d)
+    # a replicate run through simulate holds its path and time_average's running means
+    path = engine._trajectory_bytes(c, d) + n_points * 3 * 8
     scalar = n_reps < _BATCH_MIN and path <= engine._MAX_BYTES
     width = 0 if scalar else -(-n_reps // n_blocks)
     stats = n_reps * len(stat_idx) * 3 * 8

@@ -532,7 +532,7 @@ class TestOutputFormat:
         if rows:  # a missing value in the first slab and in the last
             table[0, width // 2] = table[-1, -1] = math.nan
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), parse_config(""), "test", [], "HEADER", table)
+        cli._write_csv(str(path), parse_config(""), "test", [], "HEADER", table.T)
         _assert_rows(path.read_text().partition("HEADER\n")[2].splitlines(keepends=True), table)
 
     @settings(max_examples=300, deadline=None)
@@ -581,7 +581,7 @@ class TestOutputFormat:
         table = np.random.default_rng(0).random((rows, width)) * 100
         tracemalloc.start()
         try:
-            cli._write_csv(str(tmp_path / "t.csv"), parse_config(""), "test", [], "HEADER", table)
+            cli._write_csv(str(tmp_path / "t.csv"), parse_config(""), "test", [], "HEADER", table.T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

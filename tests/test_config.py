@@ -17,7 +17,7 @@ def _from_header(cfg):
     and override lines, parsed back."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.csv")
-        cli._write_csv(path, cfg, "test", [], "t", np.zeros((0, 1)))
+        cli._write_csv(path, cfg, "test", [], "t", [np.zeros(0)])
         with open(path, encoding="utf-8") as fh:
             meta = [line[2:] for line in fh.read().splitlines() if line.startswith("# ")]
     text = "".join(
