@@ -184,9 +184,9 @@ def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
     ``verify:`` lines (ensemble), ``observed_order`` (convergence).
     ``columns`` are the table's equal-length float columns, one CSV row per
     index, stacked a slab at a time, so a path is written without a stacked
-    copy of it; lines end in ``\\n``. Every number is written as ``'%.17g'`` writes it, which
-    round-trips a double exactly, and a NaN is an empty cell (only a missing
-    value is NaN).
+    copy of it; lines end in ``\\n``. Every number is written as ``'%.17g'``
+    writes it, which round-trips a double exactly, and a NaN is an empty cell
+    (only a missing value is NaN).
 
     The rows are formatted on arrays, ``_SLAB_CELLS`` cells at a time, by
     _csv_rows, and equal ``'%.17g'`` byte for byte by construction. For a

@@ -689,19 +689,22 @@ class TestErrors:
                                  "--out", str(out)], stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, env=env, text=True)
         listing = f"/proc/{proc.pid}/task/{proc.pid}/children"
-        spread = len(os.sched_getaffinity(0)) > 1 and os.path.exists(listing)
+        shares = min(len(os.sched_getaffinity(0)), 16)
+        spread = shares > 1 and os.path.exists(listing)
         children = []
         start = time.monotonic()
-        # wait for the fork, which comes after the config and the layout; on
-        # one core, or without the listing, give the imports 2 s
+        # wait for every share's fork, which comes after the config and the
+        # layout, and a little more, so the interrupt lands while the shares
+        # step; on one core, or without the listing, give the imports 2 s
         while proc.poll() is None and time.monotonic() - start < (30 if spread else 2):
             if spread:
                 with open(listing) as fh:
                     children = [int(pid) for pid in fh.read().split()]
-                if children:
+                if len(children) == shares - 1:
+                    time.sleep(0.2)
                     break
             time.sleep(0.05)
-        assert proc.poll() is None and (children or not spread)
+        assert proc.poll() is None and len(children) == (shares - 1 if spread else 0)
         proc.send_signal(signal.SIGINT)
         stdout, stderr = proc.communicate(timeout=60)
         assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
