@@ -4,7 +4,10 @@ Reads a flat ``key = value`` config (see the config module), runs the
 requested operation, and emits plot-ready CSV through _write_csv, whose
 docstring describes the ``#`` metadata block that makes each file
 reproducible from its own header. No timestamps are embedded: identical
-runs produce identical bytes.
+runs produce identical bytes. Every file is written under ``<path>.partial``,
+renamed onto ``<path>`` when whole (_staged) and unlinked on any exception,
+an interrupt included; a sweep renames only the values before its lowest
+fault. So a failed run leaves no partial file and an older ``<path>`` as is.
 
 The rows are formatted on arrays by _csv_rows and equal ``'%.17g' % v``
 per cell byte for byte. A cell with 1e-28 <= |v| < 1e16 is scaled into
@@ -22,6 +25,7 @@ Exit codes: 0 success (a hypothesis that fails to hold is still success),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from functools import partial
@@ -224,6 +228,19 @@ def _write_csv(path: str, cfg: RunConfig, command: str, extra: Sequence[str],
             fh.write(_csv_rows(np.column_stack([c[start:start + slab] for c in columns])))
 
 
+@contextlib.contextmanager
+def _staged(path: str):
+    """Yield the staging name ``<path>.partial`` to write; it replaces
+    ``path`` once the block completes and is unlinked on any exception."""
+    part = f"{path}.partial"
+    try:
+        yield part
+        os.replace(part, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(part)
+
+
 def _write_ensemble(
     path: str, cfg: RunConfig, stats: ensemble.EnsembleStats, summary: Sequence[str]
 ) -> None:
@@ -295,7 +312,8 @@ def _ensemble(cfg: RunConfig) -> tuple[ensemble.EnsembleStats, list[str]]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _require_out(args, cfg)
-    traj = _simulate(out, cfg)
+    with _staged(out) as part:
+        traj = _simulate(part, cfg)
     print(f"wrote {out} ({len(traj.times)} points, floor_hits={traj.floor_hits})")
     return 0
 
@@ -304,7 +322,8 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _require_out(args, cfg)
     stats, summary = _ensemble(cfg)
-    _write_ensemble(out, cfg, stats, summary)
+    with _staged(out) as part:
+        _write_ensemble(part, cfg, stats, summary)
     for line in summary:
         print(line)
     print(f"wrote {out}")
@@ -350,7 +369,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     extra = [] if order is None else [f"observed_order = {order:.17g}"]
     # a missing pair_order (None) becomes nan, which the writer leaves empty
     rows = np.array([(r.dt, r.max_err, r.pair_order) for r in table.rows], dtype=float)
-    _write_csv(out, cfg, "convergence", extra, "dt,max_err,pair_order", rows.T)
+    with _staged(out) as part:
+        _write_csv(part, cfg, "convergence", extra, "dt,max_err,pair_order", rows.T)
     if order is not None:
         print(f"observed order: {order:.3f}")
     print(f"wrote {out}")
@@ -394,25 +414,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _, _, pairs, stats, hold = ensemble._layout(c, d, cfg_v.n_reps)
         return c.n_steps * cfg_v.n_reps, 2 * stats + len(pairs) * hold
 
-    def write(path: str, cfg_v: RunConfig) -> str:
+    def write(path: str, cfg_v: RunConfig) -> None:
         if args.mode == "simulate":
             _simulate(path, cfg_v)
         else:  # sweep files record the prediction and verdict, not the details
             stats, summary = _ensemble(cfg_v)
             _write_ensemble(path, cfg_v, stats, summary[:2])
-        return path
 
-    # a fault leaves the files and lines that a loop over the values would
+    # only the values before the lowest fault are renamed from their staging
+    # names, so a fault leaves the files and lines that a loop over them would
     works, helds = zip(*map(charge, cfgs))
-    tasks = [partial(write, path, cfg_v) for path, cfg_v in zip(paths, cfgs)]
-    written, fault = parallel.run_tasks(tasks, sum(works), max(helds), engine._MAX_BYTES, undo=os.remove)
-    for path in written:
-        print(f"wrote {path}")
+    tasks = [partial(write, f"{path}.partial", cfg_v) for path, cfg_v in zip(paths, cfgs)]
+    try:
+        done, fault = parallel.run_tasks(tasks, sum(works), max(helds), engine._MAX_BYTES)
+        for path in paths[:len(done)]:
+            os.replace(f"{path}.partial", path)
+            print(f"wrote {path}")
+    finally:
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(f"{path}.partial")
     if fault is not None:
         raise fault
 
     index_path = f"{stem}_index.csv"
-    with open(index_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _staged(index_path) as part, open(part, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("variable,value,file\n")
         fh.writelines(f"{var},{value:g},{path}\n" for value, path in zip(values, paths))
     print(f"wrote {index_path}")

@@ -1,8 +1,9 @@
 """Flat ``key = value`` run configuration.
 
 UTF-8 text, ``#`` comments, one assignment per line, processed top to
-bottom: a ``preset = NAME`` line bulk-applies that scenario's values, over
-any line before it, and any line after it overrides individual keys.
+bottom: a ``preset = NAME`` line bulk-applies that scenario's values, and a
+line after it overrides individual keys. A key is given at most once, and
+a preset line may not follow a key that its scenario sets.
 Unknown keys are rejected by name; missing keys fall back to documented
 defaults (the ``fig1`` scenario, seed 0, 100 replicates).
 
@@ -179,8 +180,8 @@ def _check(cfg: RunConfig, lines: dict[str, int]) -> ModelParams:
 def parse_config(text: str) -> RunConfig:
     """Parse a key=value document into a fully resolved RunConfig."""
     values: dict[str, object] = dict(_DEFAULTS)
-    lines: dict[str, int] = {}
-    explicit: set[str] = set()
+    lines: dict[str, int] = {}  # the line that set each value, a preset's included
+    given: dict[str, int] = {}  # the line of each key written out
     preset: str | None = None
     output: str | None = None
 
@@ -197,27 +198,32 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
+        if key in given:
+            raise ConfigError(f"line {lineno}: {key!r} is already given on line {given[key]}")
+        given[key] = lineno
         if key == "preset":
             if value not in PRESETS:
                 raise ConfigError(
                     f"line {lineno}: unknown preset {value!r} "
                     f"(available: {', '.join(sorted(PRESETS))})"
                 )
-            # a preset's keys are not overrides, even if an earlier line set them
             preset = value
             scen = _scenario_values(value)
             values.update(scen)
             for k in scen:
+                if k in given:
+                    raise ConfigError(
+                        f"line {lineno}: preset {value!r} sets {k!r}, already given on line {given[k]}"
+                    )
                 lines[k] = lineno
-            explicit -= scen.keys()
         elif key == "output":
             output = value
         else:
             values[key] = _typed(key, value, f"line {lineno}: ")
             lines[key] = lineno
-            explicit.add(key)
 
-    cfg = RunConfig(values=values, preset=preset, output=output, explicit=frozenset(explicit))
+    explicit = frozenset(given.keys() - {"preset", "output"})
+    cfg = RunConfig(values=values, preset=preset, output=output, explicit=explicit)
     p = _check(cfg, lines)
     if p.well_posed:
         return cfg

@@ -232,16 +232,19 @@ def _trajectory_bytes(c: StepConfig, d: DelaySpec) -> int:
 
 
 def _check_horizon(
-    c: StepConfig, d: DelaySpec, remedy: str = "lower t_end or the delays, or raise dt"
+    c: StepConfig, d: DelaySpec, remedy: str = "lower t_end or the delays, or raise dt",
+    midpoints: int = 0,
 ) -> int:
-    """simulate's window and path bytes (_trajectory_bytes); ValueError
-    naming t_end and dt when they would exceed _MAX_BYTES, FieldError when a
-    positive delay is off the dt grid."""
+    """simulate's window and path bytes (_trajectory_bytes), plus the
+    reference solver's ``midpoints`` bytes; ValueError naming t_end and dt
+    when they would exceed _MAX_BYTES, FieldError when a positive delay is
+    off the dt grid."""
     rows = max(lag_steps(d, c.dt)) + 1
-    nbytes = _trajectory_bytes(c, d)
+    nbytes = _trajectory_bytes(c, d) + midpoints
     _check_bytes(
         f"simulation too large: {c.n_steps} steps (t_end={c.t_end!r}, dt={c.dt!r})",
-        nbytes, f"grid record ({rows} history rows) and path", remedy,
+        nbytes, f"grid record ({rows} history rows){', midpoints' if midpoints else ''} and path",
+        remedy,
     )
     return nbytes
 

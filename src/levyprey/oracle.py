@@ -24,7 +24,8 @@ solve holds, per stencil node, every offset's weight and node index, and a
 piece's midpoints are one array sum over its gs + 1 nodes, with the IEEE
 operations of a scalar sum in its order. A window that drops a piece once no
 lag reads it again holds at most kmax + gs midpoints per series (kmax the
-longest lag), whatever the horizon, plus the table and O(gs) transient arrays.
+longest lag), whatever the horizon, plus the table and O(gs) transient
+arrays; the horizon check charges them (_midpoint_bytes).
 The stored solution is kept as simulate keeps its grid record
 (engine._window): at the start of a piece, once engine._DRAW_CHUNK steps or
 more have passed since the last copy, their rows are copied into the
@@ -107,6 +108,16 @@ def _interpolate(series: list[float], at: int, table: list) -> list[float]:
     return acc.tolist()
 
 
+def _midpoint_bytes(c: _engine.StepConfig, d: DelaySpec) -> int:
+    """Bytes solve_deterministic holds beyond simulate's charge
+    (engine._trajectory_bytes): kmax + gs midpoints of x and of y, a list
+    slot and a float each; the midpoint table, a weight and a node index per
+    offset for up to four stencil nodes; and a piece of record growth."""
+    ks = _engine.lag_steps(d, c.dt)
+    gs = math.gcd(*ks)
+    return 2 * 32 * (max(ks) + gs) + (4 * 16 + _engine._ROW_BYTES) * gs
+
+
 def solve_deterministic(
     p: ModelParams, d: DelaySpec, h: HistorySpec, dt: float, t_end: float
 ) -> _engine.Trajectory:
@@ -117,12 +128,12 @@ def solve_deterministic(
     one needed: every term of f_x has x as a factor, every term of f_y has y
     and every term of f_z has z, so a non-finite stage value always makes a
     rate component non-finite, and that component enters the step's
-    weighted sum. A horizon over simulate's limit (engine._check_horizon)
-    raises ValueError before anything is allocated, since the solver holds
-    the same record window and path.
+    weighted sum. A horizon whose record window, path and midpoints
+    (_midpoint_bytes) would be over simulate's limit (engine._check_horizon)
+    raises ValueError before anything is allocated.
     """
     c = _engine.StepConfig(dt=dt, t_end=t_end)
-    _engine._check_horizon(c, d)
+    _engine._check_horizon(c, d, midpoints=_midpoint_bytes(c, d))
     n_steps = c.n_steps
     k1, k2, k3 = _engine.lag_steps(d, dt)
     xs, ys, zs = record = _engine.init_history(h, d, c)
@@ -234,12 +245,13 @@ def _order_table(dts: list[float], errs: list[float]) -> ConvergenceTable:
     return ConvergenceTable(rows=tuple(rows), observed_order=observed)
 
 
-def _check_step(field: str, dt: float, t_end: float, d: DelaySpec) -> None:
-    """_check_horizon for one study step, whose size error names ``field``."""
+def _check_step(field: str, dt: float, t_end: float, d: DelaySpec, solver: bool = False) -> None:
+    """_check_horizon for one study step, whose size error names ``field``;
+    a ``solver`` step is charged solve_deterministic's midpoints too."""
     try:
-        _engine._check_horizon(
-            _engine.StepConfig(dt=dt, t_end=t_end), d, "raise it, or lower t_end or the delays"
-        )
+        c = _engine.StepConfig(dt=dt, t_end=t_end)
+        _engine._check_horizon(c, d, "raise it, or lower t_end or the delays",
+                               _midpoint_bytes(c, d) if solver else 0)
     except FieldError:
         raise
     except ValueError as exc:
@@ -258,9 +270,9 @@ def convergence_study(
     """Max-norm error of the engine's noise-off path against a fine reference
     solution (ref_dt, by default min(dt_list) / 4), for each step size in
     dt_list, with observed order. A dt_list that is empty or not strictly
-    descending, and a dt or ref_dt that breaks the grid rules or simulate's
-    horizon limit, raise FieldError on "dt" or "ref_dt" before the reference
-    is solved."""
+    descending, and a dt or ref_dt that breaks the grid rules or the horizon
+    limit (simulate's for a dt, solve_deterministic's for ref_dt), raise
+    FieldError on "dt" or "ref_dt" before the reference is solved."""
     if len(dt_list) == 0:
         raise FieldError("convergence_study", "dt", "must be nonempty", dt_list)
     if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
@@ -274,7 +286,7 @@ def convergence_study(
     for dt, k in zip(dt_list, strides):
         if k is None:
             raise FieldError("convergence_study", "ref_dt", f"must divide dt = {dt:g}", ref_dt)
-    _check_step("ref_dt", ref_dt, t_end, d)
+    _check_step("ref_dt", ref_dt, t_end, d, solver=True)
     ref = solve_deterministic(p, d, h, ref_dt, t_end).states
     noise_off = NoiseSpec(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, lam=0.0)
     errs = []

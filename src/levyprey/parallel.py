@@ -112,7 +112,6 @@ def run_tasks(
     work: int,
     held: int,
     room: int,
-    undo: Callable[[T], object] | None = None,
     fill: Sequence[Sequence[Any]] = (),
 ) -> tuple[list[T], Exception | None]:
     """Run every task (a zero-argument callable) and return (done, fault).
@@ -120,16 +119,14 @@ def run_tasks(
     ``done`` holds the results of the tasks before the lowest-index task that
     raised, in task order (every result when none raised), and ``fault`` is
     that task's exception, or None. A share stops at its first fault, as a
-    loop over the tasks would stop there. ``undo`` is called on the result of
-    every task after the fault that a child ran, so that a fault leaves
-    behind what the loop would have. ``work`` counts the step-replicates of
-    all the tasks. The tasks spread only while ``n_shares * held <= room``:
-    ``held`` is the bytes one process holds while it runs a task, ``room``
-    the bytes the shares may hold together. ``fill[i]``, when given, is the
-    tuple of C-contiguous arrays that task i writes into instead of
-    returning what it writes, and they come back from a child into the
-    caller's arrays. After a fault, the arrays of the tasks from the fault
-    on are undefined.
+    loop over the tasks would stop there, and the results of later tasks are
+    dropped. ``work`` counts the step-replicates of all the tasks. The tasks
+    spread only while ``n_shares * held <= room``: ``held`` is the bytes one
+    process holds while it runs a task, ``room`` the bytes the shares may
+    hold together. ``fill[i]``, when given, is the tuple of C-contiguous
+    arrays that task i writes into instead of returning what it writes, and
+    they come back from a child into the caller's arrays. After a fault, the
+    arrays of the tasks from the fault on are undefined.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     budget = _budget or 2 * cores
@@ -155,12 +152,8 @@ def run_tasks(
             os.kill(pid, signal.SIGKILL)  # a child that sent its results is exiting anyway
             os.waitpid(pid, 0)
     done: list[T] = []
-    fault = None
-    for results, exc in outcomes:
-        if fault is None:
-            done += results
-            fault = exc
-        elif undo is not None:
-            for result in results:
-                undo(result)
+    for results, fault in outcomes:
+        done += results
+        if fault is not None:
+            break
     return done, fault

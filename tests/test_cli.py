@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line surface."""
 
+import errno
 import math
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -513,6 +515,128 @@ def _in_range(gen, cells):
     return gen.choice([-1.0, 1.0], cells) * 10.0 ** gen.uniform(-28, 16, cells)
 
 
+class _Capped:
+    """A file that takes ``room`` bytes, writes what fits of the next write
+    and then raises ``error()``, as a full disk or an interrupt would."""
+
+    def __init__(self, fh, room, error):
+        self.fh, self.room, self.error = fh, room, error
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.fh.write(data[:self.room])
+            self.room = 0
+            raise self.error()
+        self.room -= len(data)
+        return self.fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _disk_full():
+    return OSError(errno.ENOSPC, f"no space left in process {os.getpid()}")
+
+
+def _capped_open(room, error=_disk_full, match=""):
+    """An open for the cli module whose files with ``match`` in their name
+    fail after ``room`` bytes (_Capped)."""
+    def capped(name, *args, **kwargs):
+        fh = open(name, *args, **kwargs)
+        return _Capped(fh, room, error) if match in str(name) else fh
+    return capped
+
+
+class TestPublish:
+    """A file appears under its name whole or not at all: it is written
+    under a staging name, renamed when whole and unlinked on any fault."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["simulate"], "preset = persist\ndelta = 0.3\nt_end = 20\n"),
+        (["ensemble"], "preset = persist\ndelta = 0.3\nt_end = 20\nn_reps = 4\n"),
+        (["convergence", "--dts", "1e-2,5e-3"], "preset = fig3\nt_end = 2\n"),
+    ], ids=["simulate", "ensemble", "convergence"])
+    @pytest.mark.parametrize("error, code, line", [
+        (_disk_full, 2, f"runtime fault: [Errno 28] no space left in process {os.getpid()}"),
+        (KeyboardInterrupt, 130, "interrupted"),
+    ], ids=["disk-full", "interrupt"])
+    @pytest.mark.parametrize("older", [False, True], ids=["new", "older"])
+    def test_a_write_failing_halfway_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch, argv,
+                                                            text, error, code, line, older):
+        # a first run gives the file's size, and the older file, if kept;
+        # the second run's write fails halfway through its bytes
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, "w.cfg", text)
+        assert main([*argv, "--config", "w.cfg", "--out", "o.csv"]) == 0
+        before = (tmp_path / "o.csv").read_bytes()
+        if not older:
+            os.remove("o.csv")
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "open", _capped_open(len(before) // 2, error), raising=False)
+        assert main([*argv, "--config", "w.cfg", "--seed", "1", "--out", "o.csv"]) == code
+        out, err = capsys.readouterr()
+        assert (out, [ln for ln in err.splitlines() if not ln.startswith("warning: ")]) == ("", [line])
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert files == {"w.cfg": text.encode(), **({"o.csv": before} if older else {})}
+
+    def test_a_sweep_index_failing_halfway_leaves_no_index(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "open", _capped_open(30, match="_index"), raising=False)
+        assert main(["sweep", "--var", "t_end", "--values", "0.01,0.02", "--out", "sw.csv"]) == 2
+        assert capsys.readouterr().out == "wrote sw_t_end=0.01.csv\nwrote sw_t_end=0.02.csv\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sw_t_end=0.01.csv", "sw_t_end=0.02.csv"]
+
+    def test_a_value_failing_in_the_child_share_leaves_the_values_before(self, tmp_path, capsys, cores,
+                                                                        monkeypatch):
+        # two values of 10,000 steps on two cores, above _FORK_MIN: the
+        # child runs the second, whose write fails; the first value's file
+        # is published, the second's older file is kept, and neither a
+        # staging name nor a child is left
+        cores(2)
+        monkeypatch.setattr(parallel, "_FORK_MIN", 10000)
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, "sw.cfg", "preset = persist\ndelta = 0.3\nt_end = 100\n")
+        (tmp_path / "sw_tau1=2.csv").write_bytes(b"an older run\n")
+        monkeypatch.setattr(cli, "open", _capped_open(10_000, match="tau1=2"), raising=False)
+        argv = ["sweep", "--config", "sw.cfg", "--out", "sw.csv", "--var", "tau1", "--values", "0.5,2"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "wrote sw_tau1=0.5.csv\n"
+        pid = int(re.fullmatch(r"runtime fault: \[Errno 28\] no space left in process (\d+)\n", err)[1])
+        assert pid != os.getpid()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.cfg", "sw_tau1=0.5.csv", "sw_tau1=2.csv"]
+        assert (tmp_path / "sw_tau1=2.csv").read_bytes() == b"an older run\n"
+        assert_no_children()
+
+    @pytest.mark.parametrize("argv, kept", [
+        (["simulate"], "a.csv"), (["sweep", "--sweep", "fig6"], "a_tau1=0.5.csv"),
+    ], ids=["simulate", "sweep"])
+    def test_a_file_size_limit_leaves_no_file(self, tmp_path, argv, kept):
+        # persist at T = 500 writes 3.6 MB per path; under a 1,000,000-byte
+        # file-size limit, set in the child process alone, every write fails
+        # partway, and the run exits 2 with an older file as it was
+        cfg = _write(tmp_path, "big.cfg", "preset = persist\ndelta = 0.3\nt_end = 500\n")
+        (tmp_path / kept).write_bytes(b"an older run\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "levyprey", *argv, "--config", cfg, "--out", str(tmp_path / "a.csv")],
+            capture_output=True, env=env, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1_000_000, 1_000_000)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "runtime fault: [Errno 27] File too large\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["big.cfg", kept])
+        assert (tmp_path / kept).read_bytes() == b"an older run\n"
+
+
 class TestOutputFormat:
     @pytest.mark.parametrize("width", [1, 3, 16])
     # the row count at width 1; at width w, a slab of cli._SLAB_CELLS cells
@@ -624,7 +748,10 @@ class TestErrors:
         (["sweep", "--sweep", "nosuch"], "preset = persist\n",
          "unknown sweep preset 'nosuch' (available: fig4_a1, fig4_a2, fig5_k1, fig5_k2, "
          "fig6, fig7, fig8, fig9)"),
-    ], ids=["no-equals", "empty-value", "unknown-sweep"])
+        (["ensemble"], "preset = persist\nx0 = 1\nx0 = 2\n", "line 3: 'x0' is already given on line 2"),
+        (["ensemble"], "x0 = 7\npreset = persist\n",
+         "line 2: preset 'persist' sets 'x0', already given on line 1"),
+    ], ids=["no-equals", "empty-value", "unknown-sweep", "key-twice", "preset-after-its-key"])
     def test_bad_input_is_one_config_error_line(self, tmp_path, capsys, argv, text, error):
         cfg = _write(tmp_path, "bad.cfg", text)
         assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
@@ -677,19 +804,26 @@ class TestErrors:
         ]
         assert not out.exists()
 
-    def test_interrupt_is_one_line_and_status_130(self, tmp_path):
+    @pytest.mark.parametrize("argv, text, tasks", [
+        (["ensemble"], "preset = persist\ndelta = 0.3\nt_end = 5000\nn_reps = 16\n", 16),
+        (["sweep", "--sweep", "fig6"], "preset = persist\ndelta = 0.3\nt_end = 10000\n", 2),
+    ], ids=["ensemble", "sweep"])
+    def test_interrupt_is_one_line_and_status_130(self, tmp_path, argv, text, tasks):
         # SIGINT, as Ctrl-C sends, to an ensemble that spreads its
-        # replicates over the cores: it stops with one line and status 130,
-        # writes no CSV, and its forked share is gone by the time it exits
-        cfg = _write(tmp_path, "int.cfg", "preset = persist\ndelta = 0.3\nt_end = 5000\nn_reps = 16\n")
-        out = tmp_path / "int.csv"
+        # replicates, or a sweep that spreads its values, over the cores: it
+        # stops with one line and status 130, leaves no file, staging names
+        # included, and its forked share is gone by the time it exits. The
+        # child starts with SIGINT at its default, as a shell's foreground
+        # job does, whatever the test runner's disposition is
+        cfg = _write(tmp_path, "int.cfg", text)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.Popen([sys.executable, "-m", "levyprey", "ensemble", "--config", cfg,
-                                 "--out", str(out)], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=env, text=True)
+        proc = subprocess.Popen([sys.executable, "-m", "levyprey", *argv, "--config", cfg,
+                                 "--out", str(tmp_path / "int.csv")], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env, text=True,
+                                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         listing = f"/proc/{proc.pid}/task/{proc.pid}/children"
-        shares = min(len(os.sched_getaffinity(0)), 16)
+        shares = min(len(os.sched_getaffinity(0)), tasks)
         spread = shares > 1 and os.path.exists(listing)
         children = []
         start = time.monotonic()
@@ -708,7 +842,7 @@ class TestErrors:
         proc.send_signal(signal.SIGINT)
         stdout, stderr = proc.communicate(timeout=60)
         assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["int.cfg"]
         for pid in children:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)

@@ -57,12 +57,24 @@ class TestParsing:
         assert "a1" not in cfg2.assumed_keys
 
     def test_preset_replaces_keys_set_before_it(self):
-        # a1 takes the preset's value, so it is an assumption again, not an
-        # override; seed is not a preset key and stays explicit
-        cfg = parse_config("a1 = 0.3\nseed = 4\npreset = fig1\nt_end = 1\n")
-        assert cfg["a1"] == 0.05
+        # a preset line after a key it sets would drop that key's value, so
+        # it is refused, naming the key and both lines; seed and output are
+        # not preset keys and may come before it
+        with pytest.raises(ConfigError) as err:
+            parse_config("a1 = 0.3\nseed = 4\npreset = fig1\nt_end = 1\n")
+        assert str(err.value) == "line 3: preset 'fig1' sets 'a1', already given on line 1"
+        cfg = parse_config("seed = 4\noutput = o.csv\npreset = fig1\nt_end = 1\n")
+        assert (cfg.seed, cfg.output, cfg["t_end"]) == (4, "o.csv", 1.0)
         assert cfg.explicit == {"seed", "t_end"}
         assert cfg.assumed_keys == ("a1", "a2", "lambda")
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("x0", "1", "2"), ("seed", "1", "2"), ("preset", "fig1", "persist"), ("output", "a", "b"),
+    ])
+    def test_key_given_twice_is_refused(self, key, first, second):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = {first}\nr1 = 0.5\n{key} = {second}\n")
+        assert str(err.value) == f"line 3: {key!r} is already given on line 1"
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nr1 = 0.9  # inline comment\n")

@@ -284,11 +284,30 @@ class TestSolveDeterministic:
             tracemalloc.stop()
         assert peak <= 20_000 * engine._STEP_BYTES, f"{peak / 20_000:.1f} B/step"
 
-    def test_horizon_over_the_limit_is_refused(self, monkeypatch):
-        # the solver holds simulate's grid record and path, so it obeys
-        # simulate's limit: one byte under them it refuses, at them it runs
+    def test_one_long_delay_within_its_charge(self):
+        # one lag of 20,000 steps is one piece of that length: the solve
+        # holds the midpoint table, the kmax + gs midpoints of x and y and a
+        # piece of record growth, twice simulate's charge; the horizon check
+        # charges them, and the peak must fit that charge
         sc = PRESETS["persist"]
-        need = engine._trajectory_bytes(StepConfig(dt=0.01, t_end=10.0), sc.delays)
+        delays, c = DelaySpec(200.0, 0.0, 0.0), StepConfig(dt=0.01, t_end=200.0)
+        charge = engine._trajectory_bytes(c, delays) + oracle._midpoint_bytes(c, delays)
+        tracemalloc.start()
+        try:
+            solve_deterministic(sc.params, delays, sc.history, dt=0.01, t_end=200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak > engine._trajectory_bytes(c, delays)
+        assert peak <= charge, f"peak {peak} B, charge {charge} B ({peak / charge:.2f})"
+
+    def test_horizon_over_the_limit_is_refused(self, monkeypatch):
+        # the solver holds simulate's grid record and path and its
+        # midpoints, so it is charged both: one byte under them it refuses,
+        # at them it runs
+        sc = PRESETS["persist"]
+        c = StepConfig(dt=0.01, t_end=10.0)
+        need = engine._trajectory_bytes(c, sc.delays) + oracle._midpoint_bytes(c, sc.delays)
         monkeypatch.setattr(engine, "_MAX_BYTES", need - 1)
         with pytest.raises(ValueError, match="simulation too large"):
             solve_deterministic(sc.params, sc.delays, sc.history, dt=0.01, t_end=10.0)

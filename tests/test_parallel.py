@@ -84,19 +84,17 @@ def test_beside_another_thread_tasks_run_in_process(cores):
 
 
 @pytest.mark.parametrize("n_cores", [1, 2])
-def test_lowest_fault_wins_and_later_results_are_undone(cores, n_cores):
+def test_lowest_fault_wins_with_its_type_and_message(cores, n_cores):
     # shares [0, 1, 2] and [3, 4, 5]: task 4 faults in the child, task 1 in
     # the parent; task 1 is reported, with the type and message it has
-    # in-process, and the child's results before its fault are undone
+    # in-process, and no result after it comes back
     cores(n_cores)
     tasks = [partial(_value, i) for i in range(6)]
     tasks[1], tasks[4] = partial(_fail, 1), partial(_fail, 4)
-    undone = []
-    done, fault = parallel.run_tasks(tasks, 1, 0, 0, undo=undone.append)
+    done, fault = parallel.run_tasks(tasks, 1, 0, 0)
     assert done == [0]
     assert type(fault) is FieldError and str(fault) == "StepConfig.dt must be > 0, got -1"
     assert (fault.field, fault.value) == ("dt", -1)
-    assert undone == ([9] if n_cores == 2 else [])
     assert_no_children()
 
 
