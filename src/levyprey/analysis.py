@@ -28,9 +28,10 @@ Indeterminate: the sufficient conditions simply do not apply, and no regime
 is predicted.
 
 ``classify`` is the one place these terms are computed: a single pass
-evaluates each once and returns them all in a RegimeReport. A term that is
-undefined for the parameters (c3 when r_i = 0, a prey bound with a zero
-denominator, Lz when alpha3 = 0) is None there, and the trace says why.
+evaluates each once and returns them in a RegimeReport, with whether each
+hypothesis holds in its trace. A term that is undefined for the parameters
+(c3 when r_i = 0, a prey bound with a zero denominator, Lz when alpha3 = 0)
+is None there, and the trace says why.
 """
 
 from __future__ import annotations
@@ -101,32 +102,24 @@ def _sq(v: float) -> float:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Every threshold value, which hypotheses hold, and the predicted regime.
+    """Every threshold term and the predicted regime, with the trace.
 
     Bounds that are undefined for the given parameters (zero denominator,
-    alpha3 = 0, r_i = 0) are None, with the reason recorded in the trace.
+    alpha3 = 0, r_i = 0) are None, with the reason recorded in the trace,
+    which also says whether each hypothesis holds.
     """
 
     c1: float | None
     c2: float | None
     c3: float | None
     c4: float
-    prey_min: float  # min{c1, c2, denom1, denom2} entering the predator-extinction test
-    denom1: float
-    denom2: float
     lx: float | None
     ly: float | None
     lz: float | None
     b1: float
     b2: float
     b3: float
-    bounded: bool
-    well_posed_ok: bool  # delta > alpha3
-    extinction_ok: bool
-    predator_extinction_ok: bool
-    persistence_ok: bool
     predicted: Regime
-    overlap: tuple[str, ...]
     trace: tuple[str, ...]
     provenance: str
 
@@ -141,14 +134,13 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
     Pure function; never faults. Sub-checks that cannot be evaluated become
     trace entries. When several hypotheses hold simultaneously (possible for
     contrived parameters) the precedence is extinction > full persistence >
-    predator extinction, and the overlap is flagged.
+    predator extinction, and the trace names the overlap.
     """
     trace = [f"delays: tau = ({d.tau1:g}, {d.tau2:g}, {d.tau3:g}) days"]
 
-    well_posed = p.well_posed
     trace.append(
         f"unique-global-solution condition delta > alpha3: "
-        f"{p.delta:.10g} > {p.alpha3:.10g} -> {'holds' if well_posed else 'fails'}"
+        f"{p.delta:.10g} > {p.alpha3:.10g} -> {'holds' if p.well_posed else 'fails'}"
     )
 
     # terms shared by several hypotheses, each computed once
@@ -234,9 +226,7 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
         if ok
     ]
     predicted = Regime(holding[0]) if holding else Regime.INDETERMINATE
-    overlap: tuple[str, ...] = ()
     if len(holding) > 1:
-        overlap = tuple(holding)
         trace.append(
             f"overlapping hypotheses {holding}; precedence picks {predicted.value}"
         )
@@ -248,22 +238,13 @@ def classify(p: ModelParams, n: NoiseSpec, d: DelaySpec) -> RegimeReport:
         c2=c2 if defined else None,
         c3=c3,
         c4=c4,
-        prey_min=prey_min,
-        denom1=denom1,
-        denom2=denom2,
         lx=lx,
         ly=ly,
         lz=lz,
         b1=b1,
         b2=b2,
         b3=b3,
-        bounded=bounded,
-        well_posed_ok=well_posed,
-        extinction_ok=extinction_ok,
-        predator_extinction_ok=predator_ok,
-        persistence_ok=persistence_ok,
         predicted=predicted,
-        overlap=overlap,
         trace=tuple(trace),
         provenance=parameter_fingerprint(p, n, d),
     )

@@ -19,7 +19,8 @@ is formatted by ``'%.17g' % v`` itself. _write_csv gives the argument.
 
 Exit codes: 0 success (a hypothesis that fails to hold is still success),
 1 usage or configuration error, 2 runtime fault, 130 interrupted (Ctrl-C,
-128 + SIGINT).
+128 + SIGINT), 143 terminated (128 + SIGTERM). main turns SIGTERM into the
+unwinding Ctrl-C starts, so either leaves no staging name and no child.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import signal
 import sys
+import threading
 from functools import partial
 from typing import Sequence
 
@@ -301,10 +304,10 @@ def _ensemble(cfg: RunConfig) -> tuple[ensemble.EnsembleStats, list[str]]:
     stats = ensemble.run_ensemble(p, n, d, cfg.to_history(), cfg.to_step_config(), cfg.n_reps)
     report = analysis.classify(p, n, d)
     outcome = ensemble.verify_regime(stats, report)
-    if outcome.checkable:
-        verdict = "PASS" if outcome.passed else "FAIL"
-    else:
+    if outcome.passed is None:
         verdict = "NOT CHECKABLE"
+    else:
+        verdict = "PASS" if outcome.passed else "FAIL"
     summary = [f"predicted = {report.predicted.value}", f"outcome = {verdict}", *outcome.details]
     return stats, summary
 
@@ -496,12 +499,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised where the signal lands so that it unwinds as Ctrl-C does."""
+
+
+def _terminate(signum, frame) -> None:
+    raise _Terminated
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    # only the main thread may set a handler; a caller's is back on return
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)
     except (SimulationError, OSError) as exc:
@@ -510,9 +525,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # run_tasks has reaped any child by now
-        print("interrupted", file=sys.stderr)
-        return 130
+    except KeyboardInterrupt as exc:  # run_tasks has reaped any child by now
+        term = isinstance(exc, _Terminated)
+        print("terminated" if term else "interrupted", file=sys.stderr)
+        return 143 if term else 130
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def entry() -> None:

@@ -138,18 +138,6 @@ class Trajectory:
     jump_events: int
     floor_hits: int
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.states[:, 2]
-
 
 def grid_steps(value: float, dt: float) -> int | None:
     """Whole number of steps k >= 1 with k*dt equal to value within the grid

@@ -242,7 +242,6 @@ def run_ensemble(
 class VerificationOutcome:
     """Empirical check of a predicted regime against ensemble medians."""
 
-    checkable: bool
     passed: bool | None
     details: tuple[str, ...]
 
@@ -250,9 +249,9 @@ class VerificationOutcome:
 def verify_regime(stats: EnsembleStats, report: RegimeReport) -> VerificationOutcome:
     """Compare ensemble medians of terminal time averages to the prediction.
 
-    Indeterminate predictions are not checkable (no sufficient condition
-    applies), never pass/fail. Stats and report must come from the same
-    parameter set.
+    An Indeterminate prediction is not checkable (no sufficient condition
+    applies): passed is None, neither pass nor fail. Stats and report must
+    come from the same parameter set.
     """
     if stats.provenance != report.provenance:
         raise ValueError(
@@ -267,7 +266,7 @@ def verify_regime(stats: EnsembleStats, report: RegimeReport) -> VerificationOut
 
     if report.predicted is Regime.INDETERMINATE:
         details.append("no sufficient condition applies; nothing to verify")
-        return VerificationOutcome(checkable=False, passed=None, details=tuple(details))
+        return VerificationOutcome(passed=None, details=tuple(details))
 
     if report.predicted is Regime.EXTINCTION_ALL:
         checks = [
@@ -293,4 +292,4 @@ def verify_regime(stats: EnsembleStats, report: RegimeReport) -> VerificationOut
 
     passed = all(ok for _, ok in checks)
     details.extend(f"{text} -> {'ok' if ok else 'FAIL'}" for text, ok in checks)
-    return VerificationOutcome(checkable=True, passed=passed, details=tuple(details))
+    return VerificationOutcome(passed=passed, details=tuple(details))

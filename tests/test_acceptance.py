@@ -41,14 +41,16 @@ def test_01_threshold_exactness():
     c1_ok = abs(r1.c1 - (0.7 - 5e-9)) < 1e-15
     b1_expected = 1e-8 + 0.0016 + 1.4 + 0.01 - 30  # hand sum, rounds to -28.588
     b1_ok = abs(r1.b1 - b1_expected) <= 1e-12
-    wp_ok = not r1.well_posed_ok  # delta = 0.1 does not exceed alpha3 = 0.5
+    # delta = 0.1 does not exceed alpha3 = 0.5
+    wp_line = "unique-global-solution condition delta > alpha3: 0.1 > 0.5 -> fails"
+    wp_ok = wp_line in r1.trace
     fast = elapsed < 1.0
     _report(
         1,
         "threshold-exactness",
         c1_ok and b1_ok and wp_ok and fast,
         f"c1={r1.c1!r}, B1={r1.b1!r} (target {b1_expected!r}), "
-        f"delta>alpha3 fails={not r1.well_posed_ok}, runtime={elapsed:.3f}s",
+        f"delta>alpha3 fails={wp_ok}, runtime={elapsed:.3f}s",
     )
 
 
@@ -59,7 +61,7 @@ def test_02_constructed_extinction_scenario():
     max_c = max(report.c1, report.c2, report.c3)
     value_ok = abs(max_c - (-0.4)) < 1e-12
     outcome = lp.verify_regime(stats, report)
-    medians_ok = outcome.checkable and outcome.passed and np.all(med < 0.05)
+    medians_ok = outcome.passed is True and np.all(med < 0.05)
     _report(
         2,
         "extinction-scenario",
@@ -78,7 +80,7 @@ def test_03_constructed_persistence_scenario():
     lz_ok = abs(report.lz - 0.8804) < 1e-4
     outcome = lp.verify_regime(stats, report)
     bounds = 0.8 * np.array([report.lx, report.ly, report.lz])
-    medians_ok = outcome.checkable and outcome.passed and np.all(med >= bounds)
+    medians_ok = outcome.passed is True and np.all(med >= bounds)
     _report(
         3,
         "persistence-scenario",
@@ -133,7 +135,7 @@ def test_06_logistic_closed_form():
     h = lp.HistorySpec(10.0, 0.0, 0.0)
     sol = lp.solve_deterministic(p, lp.DelaySpec(0, 0, 0), h, dt=1e-3, t_end=10.0)
     exact = 100.0 / (1.0 + 9.0 * np.exp(-sol.times))
-    rel = float(np.max(np.abs(sol.x - exact) / exact))
+    rel = float(np.max(np.abs(sol.states[:, 0] - exact) / exact))
     _report(6, "logistic-closed-form", rel <= 1e-6, f"max relative error {rel:.3g} <= 1e-6")
 
 
@@ -220,7 +222,8 @@ def test_10_delay_amplitude_qualitative():
         for tau1 in (0.5, 2.0):
             d = lp.DelaySpec(tau1, sc.delays.tau2, sc.delays.tau3)
             traj = lp.simulate(sc.params, sc.noise, d, sc.history, cfg, replicate=k)
-            amp[tau1] = float(traj.x.max() - traj.x.min())
+            x = traj.states[:, 0]
+            amp[tau1] = float(x.max() - x.min())
         wins += amp[2.0] > amp[0.5]
     _report(
         10,

@@ -44,6 +44,36 @@ def _classify(p, n):
     return classify(p, n, NO_DELAYS)
 
 
+def _line(rep, prefix):
+    """The one trace line that starts with ``prefix``."""
+    (line,) = [line for line in rep.trace if line.startswith(prefix)]
+    return line
+
+
+def _holds(rep, prefix):
+    """Whether the condition whose verdict line starts with ``prefix`` holds:
+    that line ends in ``-> holds`` (a hypothesis that cannot be evaluated
+    has only a "not evaluable" line and does not hold)."""
+    lines = [line for line in rep.trace
+             if line.startswith(prefix) and line.endswith(("-> holds", "-> fails"))]
+    assert len(lines) <= 1
+    return lines != [] and lines[0].endswith("-> holds")
+
+
+def _denoms(p):
+    """The prey denominators 1 - r1 + 2*r1/K1 and 1 - r2 + 2*r2/K2."""
+    return 1 - p.r1 + 2 * p.r1 / p.k1, 1 - p.r2 + 2 * p.r2 / p.k2
+
+
+def _prey_min(p, rep):
+    """min{c1, c2, denominators} of the predator-extinction test, as its
+    trace line prints it."""
+    m = min(rep.c1, rep.c2, *_denoms(p))
+    line = _line(rep, "predator-extinction test:")
+    assert f"min{{c1, c2, 1-r1+2r1/K1, 1-r2+2r2/K2}} = {m:.10g} (need > 0)" in line
+    return m
+
+
 class TestTimeAverage:
     def test_constant_trajectory(self):
         t = np.linspace(0, 10, 101)
@@ -118,7 +148,7 @@ class TestExtinctionCoefficients:
         # c3 divides by r1: undefined, so c1 = c2 = c3 = None with the reason traced
         rep = _classify(_params(r1=0.0), QUIET)
         assert (rep.c1, rep.c2, rep.c3) == (None, None, None)
-        assert not rep.extinction_ok
+        assert not _holds(rep, "extinction margins")
         assert (
             "extinction margins not evaluable: c3 is undefined when r1 or r2 is zero "
             "(divides by the growth rate)"
@@ -135,23 +165,23 @@ class TestPredatorExtinction:
     def test_denominator_contribution(self):
         # 1 - 0.5 + 2*0.5/100 = 0.51 is the binding minimum here
         p = _params(r1=0.5, k1=100.0, r2=0.4)
-        m = _classify(p, QUIET).prey_min
+        m = _prey_min(p, _classify(p, QUIET))
         assert m == pytest.approx(min(0.4, 0.51, 1 - 0.4 + 0.008), rel=1e-12)
 
     def test_fig3_denominator_is_negative(self):
         sc = PRESETS["fig3"]
         rep = classify(sc.params, sc.noise, sc.delays)
         # prey-1 denominator is 1 - 2 + 2*2/100 = -0.96; prey-2's is lower still
-        assert rep.denom1 == pytest.approx(-0.96, abs=1e-12)
-        assert rep.prey_min <= -0.96
-        assert rep.prey_min < 0
+        assert _denoms(sc.params)[0] == pytest.approx(-0.96, abs=1e-12)
+        assert _prey_min(sc.params, rep) <= -0.96
+        assert not _holds(rep, "predator-extinction test")
 
 
 class TestPersistence:
     def test_noise_off_prey_bound(self):
         rep = _classify(_params(a1=0.1, a2=0.1, delta=0.02), QUIET)
         assert rep.lx == pytest.approx(0.5 / 0.51, rel=1e-12)
-        assert rep.persistence_ok
+        assert _holds(rep, "persistence bounds")
 
     def test_canonical_all_persist_values(self):
         p = _params(a1=0.1, a2=0.1, delta=0.02, alpha3=0.2)
@@ -161,22 +191,23 @@ class TestPersistence:
         assert ly == pytest.approx(0.980392156862745, rel=1e-12)
         assert lz == pytest.approx((0.1 * lx + 0.1 * ly - 0.02) / 0.2, rel=1e-12)
         assert lz == pytest.approx(0.880392156862745, rel=1e-9)
-        assert rep.persistence_ok
+        assert _holds(rep, "persistence bounds")
 
     def test_critical_noise_kills_hypothesis(self):
         # sigma1 = sqrt(2*r1) makes the prey-1 margin exactly zero
         n = NoiseSpec(1.0, 0, 0, 0, 0, 0, lam=0)  # sqrt(2*0.5) = 1 exactly
         rep = _classify(_params(a1=0.1, a2=0.1, delta=0.02), n)
         assert rep.lx == 0.0
-        assert not rep.persistence_ok
+        assert not _holds(rep, "persistence bounds")
 
     def test_zero_denominator_rejected(self):
         # K = 4, r = 2 gives 1 - 2 + 1 = 0 exactly: Lx and Lz are undefined
-        rep = _classify(_params(r1=2.0, k1=4.0), QUIET)
-        assert rep.denom1 == 0.0
+        p = _params(r1=2.0, k1=4.0)
+        rep = _classify(p, QUIET)
+        assert _denoms(p)[0] == 0.0
         assert (rep.lx, rep.lz) == (None, None)
         assert rep.ly == pytest.approx(0.5 / 0.51, rel=1e-12)
-        assert not rep.persistence_ok
+        assert not _holds(rep, "persistence bounds")
         assert (
             "persistence bounds not evaluable: "
             "prey-1 denominator 1 - r1 + 2*r1/K1 is zero; bound undefined"
@@ -186,7 +217,7 @@ class TestPersistence:
         rep = _classify(_params(alpha3=0.0), QUIET)
         assert rep.lz is None
         assert rep.lx is not None and rep.ly is not None
-        assert not rep.persistence_ok
+        assert not _holds(rep, "persistence bounds")
         assert (
             "persistence bounds not evaluable: alpha3 is zero; predator bound Lz undefined"
         ) in rep.trace
@@ -197,7 +228,8 @@ class TestBoundedness:
         sc = PRESETS["fig1"]
         rep = classify(sc.params, sc.noise, sc.delays)
         assert rep.b1 == pytest.approx(1e-8 + 0.0016 + 1.4 + 0.01 - 30, abs=1e-12)
-        assert rep.b1 < 0 and rep.bounded
+        assert max(rep.b1, rep.b2, rep.b3) < 0
+        assert _holds(rep, "boundedness margins")
 
     def test_single_term(self):
         p = ModelParams(r1=0, r2=0, k1=1.0, k2=1.0, alpha1=1.0, alpha2=0,
@@ -208,7 +240,8 @@ class TestBoundedness:
         p = _params(beta=10.0)  # beta*K2 = 1000 overwhelms alpha1*K1
         rep = _classify(p, QUIET)
         assert rep.b1 > 0
-        assert not rep.bounded
+        assert not max(rep.b1, rep.b2, rep.b3) < 0
+        assert not _holds(rep, "boundedness margins")
 
 
 class TestClassify:
@@ -230,13 +263,15 @@ class TestClassify:
         rep = classify(sc.params, sc.noise, sc.delays)
         assert rep.predicted is Regime.PREDATOR_EXTINCT_PREY_PERSIST
         assert rep.c4 <= 0
-        assert rep.prey_min > 0
+        assert _prey_min(sc.params, rep) > 0
+        assert _holds(rep, "predator-extinction test")
 
     def test_fig2_indeterminate_with_trace(self):
         sc = PRESETS["fig2"]
         rep = classify(sc.params, sc.noise, sc.delays)
         assert rep.predicted is Regime.INDETERMINATE
-        assert not rep.well_posed_ok
+        assert not sc.params.well_posed
+        assert not _holds(rep, "unique-global-solution condition")
         text = "\n".join(rep.trace)
         assert "fails" in text
 
@@ -244,7 +279,9 @@ class TestClassify:
         sc = PRESETS["fig1"]
         rep = classify(sc.params, sc.noise, sc.delays)
         assert rep.c1 == pytest.approx(0.7 - 5e-9, abs=1e-15)
-        assert not rep.well_posed_ok  # delta = 0.1 < alpha3 = 0.5
+        # delta = 0.1 < alpha3 = 0.5
+        assert not sc.params.well_posed
+        assert not _holds(rep, "unique-global-solution condition")
         assert rep.c1 > 0  # extinction hypothesis cannot apply
 
     def test_classifier_is_pure(self):
@@ -263,9 +300,9 @@ class TestClassify:
         sc = PRESETS["persist"]
         rep = classify(p, sc.noise, sc.delays)
         assert rep.lx == pytest.approx(2550, rel=1e-5) and rep.c4 == pytest.approx(-1.0)
-        assert rep.persistence_ok and rep.predator_extinction_ok and not rep.extinction_ok
+        assert _holds(rep, "persistence bounds") and _holds(rep, "predator-extinction test")
+        assert not _holds(rep, "extinction margins")
         assert rep.predicted is Regime.ALL_PERSIST
-        assert rep.overlap == ("AllPersist", "PredatorExtinctPreyPersist")
         assert rep.trace[-2] == (
             "overlapping hypotheses ['AllPersist', 'PredatorExtinctPreyPersist']; "
             "precedence picks AllPersist"
@@ -373,7 +410,7 @@ class TestClassifyProperty:
         p, n, _ = inputs
         rep = classify(*inputs)
         assert rep.predicted in Regime
-        assert rep.well_posed_ok == (p.delta > p.alpha3)
+        assert _holds(rep, "unique-global-solution condition") == (p.delta > p.alpha3)
 
         # every number against the README formulas, written out here in the
         # README's operand order so the two agree bit for bit
@@ -399,8 +436,7 @@ class TestClassifyProperty:
         expected = {
             "c1": c1 if c3 is not None else None,
             "c2": c2 if c3 is not None else None,
-            "c3": c3, "c4": c4, "prey_min": min(c1, c2, d1, d2),
-            "denom1": d1, "denom2": d2, "lx": lx, "ly": ly, "lz": lz,
+            "c3": c3, "c4": c4, "lx": lx, "ly": ly, "lz": lz,
             "b1": b1, "b2": b2, "b3": b3,
         }
         for name, want in expected.items():
@@ -409,15 +445,21 @@ class TestClassifyProperty:
         extinction = c3 is not None and max(c1, c2, c3) < 0
         persistence = margin is not None and all(v > 0 for v in (lx, ly, margin, d1, d2))
         predator = min(c1, c2, d1, d2) > 0 and c4 <= 0
-        assert rep.extinction_ok == extinction
-        assert rep.persistence_ok == persistence
-        assert rep.predator_extinction_ok == predator
-        assert rep.bounded == (b1 < 0 and b2 < 0 and b3 < 0)
+        assert _holds(rep, "extinction margins") == extinction
+        assert _holds(rep, "persistence bounds") == persistence
+        assert _holds(rep, "predator-extinction test") == predator
+        assert _holds(rep, "boundedness margins") == (b1 < 0 and b2 < 0 and b3 < 0)
+        prey = _line(rep, "predator-extinction test:")
+        assert f"1-r2+2r2/K2}} = {min(c1, c2, d1, d2):.10g} (need > 0)" in prey
         holding = [r for r, ok in ((Regime.EXTINCTION_ALL, extinction),
                                    (Regime.ALL_PERSIST, persistence),
                                    (Regime.PREDATOR_EXTINCT_PREY_PERSIST, predator)) if ok]
         assert rep.predicted is (holding[0] if holding else Regime.INDETERMINATE)
-        assert rep.overlap == (tuple(r.value for r in holding) if len(holding) > 1 else ())
+        overlap = [line for line in rep.trace if line.startswith("overlapping hypotheses")]
+        assert overlap == ([
+            f"overlapping hypotheses {[r.value for r in holding]}; "
+            f"precedence picks {holding[0].value}"
+        ] if len(holding) > 1 else [])
 
 
 class TestLogGrowthBalance:

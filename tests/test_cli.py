@@ -8,6 +8,7 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from decimal import Decimal
@@ -804,17 +805,24 @@ class TestErrors:
         ]
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, text, tasks", [
-        (["ensemble"], "preset = persist\ndelta = 0.3\nt_end = 5000\nn_reps = 16\n", 16),
-        (["sweep", "--sweep", "fig6"], "preset = persist\ndelta = 0.3\nt_end = 10000\n", 2),
-    ], ids=["ensemble", "sweep"])
-    def test_interrupt_is_one_line_and_status_130(self, tmp_path, argv, text, tasks):
-        # SIGINT, as Ctrl-C sends, to an ensemble that spreads its
-        # replicates, or a sweep that spreads its values, over the cores: it
-        # stops with one line and status 130, leaves no file, staging names
-        # included, and its forked share is gone by the time it exits. The
-        # child starts with SIGINT at its default, as a shell's foreground
-        # job does, whatever the test runner's disposition is
+    @pytest.mark.parametrize("argv, text, tasks, sig", [
+        pytest.param(argv, text, tasks, sig, id=name + ("-sigterm" if sig == signal.SIGTERM else ""))
+        for name, argv, text, tasks in (
+            ("simulate", ["simulate"], "preset = persist\ndelta = 0.3\nt_end = 5000\n", 1),
+            ("ensemble", ["ensemble"], "preset = persist\ndelta = 0.3\nt_end = 5000\nn_reps = 16\n", 16),
+            ("sweep", ["sweep", "--sweep", "fig6"], "preset = persist\ndelta = 0.3\nt_end = 10000\n", 2),
+        )
+        for sig in (signal.SIGINT, signal.SIGTERM)
+    ])
+    def test_interrupt_is_one_line_and_status_130(self, tmp_path, argv, text, tasks, sig):
+        # SIGINT, as Ctrl-C sends, or SIGTERM, as kill sends, to a simulate
+        # that writes its path, an ensemble that spreads its replicates, or
+        # a sweep that spreads its values, over the cores: it stops with one
+        # line and status 130 (SIGINT) or 143 (SIGTERM), leaves no file,
+        # staging names included, and its forked share is gone by the time
+        # it exits. The child starts with SIGINT at its default, as a
+        # shell's foreground job does, whatever the test runner's
+        # disposition is
         cfg = _write(tmp_path, "int.cfg", text)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -825,28 +833,58 @@ class TestErrors:
         listing = f"/proc/{proc.pid}/task/{proc.pid}/children"
         shares = min(len(os.sched_getaffinity(0)), tasks)
         spread = shares > 1 and os.path.exists(listing)
+        writing = argv == ["simulate"]
         children = []
         start = time.monotonic()
-        # wait for every share's fork, which comes after the config and the
-        # layout, and a little more, so the interrupt lands while the shares
+        # simulate: wait for its staging name, so the signal lands mid-write;
+        # else wait for every share's fork, which comes after the config and
+        # the layout, and a little more, so the signal lands while the shares
         # step; on one core, or without the listing, give the imports 2 s
-        while proc.poll() is None and time.monotonic() - start < (30 if spread else 2):
+        while proc.poll() is None and time.monotonic() - start < (30 if spread or writing else 2):
+            if writing and (tmp_path / "int.csv.partial").exists():
+                break
             if spread:
                 with open(listing) as fh:
                     children = [int(pid) for pid in fh.read().split()]
                 if len(children) == shares - 1:
                     time.sleep(0.2)
                     break
-            time.sleep(0.05)
+            time.sleep(0.01 if writing else 0.05)
         assert proc.poll() is None and len(children) == (shares - 1 if spread else 0)
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(sig)
         stdout, stderr = proc.communicate(timeout=60)
-        assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
+        word = "terminated" if sig == signal.SIGTERM else "interrupted"
+        assert (proc.returncode, stdout, stderr) == (128 + sig, "", f"{word}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["int.cfg"]
         for pid in children:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
         assert_no_children()
+
+    def test_sigterm_handler_lasts_only_for_main(self, tmp_path, capsys, monkeypatch):
+        # main sets its SIGTERM handler for its own run and puts the
+        # caller's back; off the main thread, where Python refuses a
+        # handler, it runs without one
+        cfg = _write(tmp_path, "c.cfg", "preset = extinct\n")
+        before = signal.getsignal(signal.SIGTERM)
+        classify = cli.analysis.classify
+
+        def terminated(*args):
+            assert signal.getsignal(signal.SIGTERM) is cli._terminate
+            os.kill(os.getpid(), signal.SIGTERM)
+            return classify(*args)
+
+        monkeypatch.setattr(cli.analysis, "classify", terminated)
+        assert main(["classify", "--config", cfg]) == 143
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1:] == ["terminated"]
+        assert signal.getsignal(signal.SIGTERM) is before
+        monkeypatch.setattr(cli.analysis, "classify", classify)
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(["classify", "--config", cfg])))
+        thread.start()
+        thread.join()
+        assert codes == [0] and signal.getsignal(signal.SIGTERM) is before
 
     def test_blank_list_entry_is_config_error(self, tmp_path, capsys):
         # a typo must not run fewer values or steps than written

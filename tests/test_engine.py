@@ -62,7 +62,7 @@ class TestDelayedLookup:
             x, y, z = xs[-1]
             f = drift(x, y, z, x, y, x, y, FIG1_PARAMS)
             xs.append((x + 0.01 * f[0], y + 0.01 * f[1], z + 0.01 * f[2]))
-        assert abs(traj.x[-1] - 30.0) > 1.0
+        assert abs(traj.states[-1, 0] - 30.0) > 1.0
         assert np.allclose(traj.states, np.array(xs), rtol=1e-13, atol=0)
 
     def test_grid_aligned_is_bit_exact(self):
@@ -73,7 +73,7 @@ class TestDelayedLookup:
                         alpha3=0, beta=0, delta=0, a1=0, a2=0)
         traj = simulate(p, NOISE_OFF, DelaySpec(0.5, 0, 0), HistorySpec(2, 1, 1),
                         StepConfig(dt=0.5, t_end=1.5))
-        assert traj.x.tolist() == [2.0, 2.5, 3.125, 3.125 + 0.5 * 3.125 * 0.375]
+        assert traj.states[:, 0].tolist() == [2.0, 2.5, 3.125, 3.125 + 0.5 * 3.125 * 0.375]
 
 
 class TestSampleJumps:
@@ -122,18 +122,18 @@ class TestStep:
         traj = simulate(FIG1_PARAMS, n, TABLE_DELAYS, HistorySpec(50, 50, 10), c)
         assert traj.floor_hits == 0
         assert traj.jump_events == 0
-        assert traj.x[-1] == pytest.approx(48.72, abs=1e-12)
-        assert traj.y[-1] == pytest.approx(48.4405, abs=1e-12)
-        assert traj.z[-1] == pytest.approx(9.9908, abs=1e-12)
+        assert traj.states[-1, 0] == pytest.approx(48.72, abs=1e-12)
+        assert traj.states[-1, 1] == pytest.approx(48.4405, abs=1e-12)
+        assert traj.states[-1, 2] == pytest.approx(9.9908, abs=1e-12)
 
     def test_noise_off_equals_explicit_euler(self):
         c = StepConfig(dt=0.01, t_end=0.01)
         h = HistorySpec(30, 20, 4)
         traj = simulate(FIG1_PARAMS, NOISE_OFF, TABLE_DELAYS, h, c)
         f = drift(30, 20, 4, 30, 20, 30, 20, FIG1_PARAMS)
-        assert traj.x[-1] == pytest.approx(30 + 0.01 * f[0], rel=1e-15)
-        assert traj.y[-1] == pytest.approx(20 + 0.01 * f[1], rel=1e-15)
-        assert traj.z[-1] == pytest.approx(4 + 0.01 * f[2], rel=1e-15)
+        assert traj.states[-1, 0] == pytest.approx(30 + 0.01 * f[0], rel=1e-15)
+        assert traj.states[-1, 1] == pytest.approx(20 + 0.01 * f[1], rel=1e-15)
+        assert traj.states[-1, 2] == pytest.approx(4 + 0.01 * f[2], rel=1e-15)
 
     def test_origin_stays_at_origin(self):
         hot = NoiseSpec(1.0, 2.0, 0.5, q1=-0.04, q2=-0.006, q3=-0.008, lam=50.0)
@@ -149,8 +149,8 @@ class TestStep:
                         alpha3=0, beta=0, delta=0, a1=0, a2=0)
         c = StepConfig(dt=0.1, t_end=0.1)
         traj = simulate(p, NOISE_OFF, DelaySpec(0, 0, 0), HistorySpec(1, 0, 100), c)
-        assert traj.x[-1] == 1e-12
-        assert traj.y[-1] == 0.0  # a true zero is not clamped upward
+        assert traj.states[-1, 0] == 1e-12
+        assert traj.states[-1, 1] == 0.0  # a true zero is not clamped upward
         assert traj.floor_hits == 1
 
 
@@ -160,9 +160,9 @@ class TestSimulate:
         p = FIG1_PARAMS
         cfg = StepConfig(dt=0.01, t_end=20.0)
         traj = simulate(p, NOISE_OFF, TABLE_DELAYS, HistorySpec(100, 100, 0), cfg)
-        assert np.max(np.abs(traj.x - 100.0) / 100.0) <= 1e-9
-        assert np.max(np.abs(traj.y - 100.0) / 100.0) <= 1e-9
-        assert np.max(np.abs(traj.z)) <= 1e-9
+        assert np.max(np.abs(traj.states[:, 0] - 100.0) / 100.0) <= 1e-9
+        assert np.max(np.abs(traj.states[:, 1] - 100.0) / 100.0) <= 1e-9
+        assert np.max(np.abs(traj.states[:, 2])) <= 1e-9
 
     def test_same_seed_bit_identical(self):
         sc = StepConfig(dt=0.01, t_end=5.0, seed=42)
@@ -212,7 +212,8 @@ class TestSimulate:
         n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.04, q3=-0.04, lam=5.0)
         traj = simulate(ZERO_RATES, n, DelaySpec(0, 0, 0), HistorySpec(10, 10, 10), sc)
         assert traj.jump_events > 0
-        assert np.all(traj.x == traj.y) and np.all(traj.y == traj.z)
+        x, y, z = traj.states.T
+        assert np.all(x == y) and np.all(y == z)
 
     def test_multi_arrival_step_is_linear_in_the_count(self):
         # a step applies its count j as q*S*(j - lambda*dt), so it scales S by
@@ -233,7 +234,7 @@ class TestSimulate:
             rows.append(tuple(max(v, 1e-12) for v in new))
         assert np.array_equal(traj.states, np.array(rows))
         assert traj.floor_hits == hits
-        assert np.all(traj.x[1:][counts >= 2] == 1e-12)
+        assert np.all(traj.states[1:, 0][counts >= 2] == 1e-12)
 
     def test_noise_off_simulate_equals_manual_euler(self):
         # hand-rolled explicit Euler over the same grid, built on drift()
@@ -420,6 +421,17 @@ class TestStreams:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: lrng.stream(1, -1, lrng.GAUSSIAN), "replicate index must be >= 0, got -1"),
+        (lambda: lrng.stream(1, 0, 2), "unknown stream purpose 2"),
+        # two replicates in [0, 2**32) take the vectorised path
+        (lambda: lrng.streams(1, [0, 1], 2), "unknown stream purpose 2"),
+    ], ids=["negative-replicate", "stream-purpose", "streams-purpose"])
+    def test_bad_triples_are_refused(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
     @settings(max_examples=60, deadline=None)
     @given(

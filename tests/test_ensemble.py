@@ -295,6 +295,27 @@ class TestBatchedDriver:
             run_ensemble(*parts, 100)
         assert str(got.value) == f"replicate 3: {want.value}"
 
+    @pytest.mark.parametrize("reps", [range(3, 67), range(24, 88)])
+    def test_a_block_whose_first_replicate_faults_names_it(self, reps):
+        # fig3 over 20 days, seed 0: a block's first replicate, 3 (at
+        # t = 19.37) or 24 (at t = 19.92), faults after replicate 39 does
+        # (t = 12.46). The block steps on past 39's fault, stops at its first
+        # replicate's and names that one, in simulate's words
+        cfg = parse_config("preset = fig3\nt_end = 20\n")
+        parts = (cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config())
+        with pytest.raises(SimulationError) as early:
+            simulate(*parts, replicate=39)
+        assert str(early.value).startswith("non-finite state at t=12.46: ")
+        with pytest.raises(SimulationError) as want:
+            simulate(*parts, replicate=reps[0])
+        paths, terminal = np.empty((len(reps), 2, 3)), np.empty((len(reps), 3))
+        with pytest.raises(SimulationError) as got:
+            engine._simulate_batch(*parts, reps, [0, parts[4].n_steps], paths, terminal)
+        assert str(got.value) == f"replicate {reps[0]}: {want.value}"
+        assert str(got.value).startswith(
+            {3: "replicate 3: non-finite state at t=19.37: ",
+             24: "replicate 24: non-finite state at t=19.92: "}[reps[0]])
+
     def test_blocks_are_even_consecutive_slices_of_the_schedule(self, monkeypatch):
         blocks = []
         real = engine._simulate_batch
@@ -550,7 +571,6 @@ class TestVerifyRegime:
         report = classify(sc.params, sc.noise, sc.delays)
         stats = self._stats_with([[1, 1, 1]], report.provenance)
         out = verify_regime(stats, report)
-        assert not out.checkable
         assert out.passed is None
 
     def test_all_persist_slack_arithmetic(self):
@@ -559,21 +579,21 @@ class TestVerifyRegime:
         # observed medians at 0.95 clear (1 - 0.2) * 0.98039 = 0.78431
         stats = self._stats_with([[0.95, 0.95, 0.95]], report.provenance)
         out = verify_regime(stats, report)
-        assert out.checkable and out.passed
+        assert out.passed is True
 
     def test_all_persist_failure_detected(self):
         sc = PRESETS["persist"]
         report = classify(sc.params, sc.noise, sc.delays)
         stats = self._stats_with([[0.95, 0.5, 0.95]], report.provenance)
         out = verify_regime(stats, report)
-        assert out.checkable and not out.passed
+        assert out.passed is False
 
     def test_extinction_pass(self):
         sc = PRESETS["extinct"]
         report = classify(sc.params, sc.noise, sc.delays)
         stats = self._stats_with([[0.01, 0.02, 0.01]], report.provenance)
         out = verify_regime(stats, report)
-        assert out.checkable and out.passed
+        assert out.passed is True
 
     def test_provenance_mismatch_rejected(self):
         sc = PRESETS["extinct"]

@@ -187,18 +187,26 @@ class TestTypeInvariants:
         assert str(back) == str(err) == "StepConfig.dt must be positive, got -1.0"
 
 
+def _well_posed_holds(p):
+    """classify's verdict on delta > alpha3, read from its one trace line."""
+    report = classify(p, FIG1_NOISE, TABLE_DELAYS)
+    (line,) = [line for line in report.trace if line.startswith("unique-global-solution")]
+    assert line.startswith("unique-global-solution condition delta > alpha3: ")
+    assert line.endswith(("-> holds", "-> fails"))
+    return line.endswith("-> holds")
+
+
 class TestValidate:
     """The unique-global-solution condition delta > alpha3, as classify reports it."""
 
     def test_fig1_fails_unique_solution_condition(self):
-        report = classify(FIG1_PARAMS, FIG1_NOISE, TABLE_DELAYS)
-        assert not report.well_posed_ok
-        assert any("delta > alpha3" in line and "fails" in line for line in report.trace)
+        assert not FIG1_PARAMS.well_posed
+        assert not _well_posed_holds(FIG1_PARAMS)
 
     def test_passes_when_delta_exceeds_alpha3(self):
         p = ModelParams(r1=0.7, r2=0.65, k1=100, k2=100, alpha1=0.3, alpha2=0.35,
                         alpha3=0.5, beta=1e-4, delta=0.6, a1=0.05, a2=0.05)
-        assert classify(p, FIG1_NOISE, TABLE_DELAYS).well_posed_ok
+        assert p.well_posed and _well_posed_holds(p)
 
     def test_overall_pass_iff_every_check_passes(self):
         rng = np.random.default_rng(3)
@@ -210,4 +218,4 @@ class TestValidate:
                 alpha3=rng.uniform(0, 1), beta=rng.uniform(0, 0.01),
                 delta=rng.uniform(0, 1), a1=rng.uniform(0, 0.2), a2=rng.uniform(0, 0.2),
             )
-            assert classify(p, FIG1_NOISE, TABLE_DELAYS).well_posed_ok == (p.delta > p.alpha3)
+            assert p.well_posed == _well_posed_holds(p) == (p.delta > p.alpha3)

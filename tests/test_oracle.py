@@ -19,7 +19,7 @@ from levyprey import (
     solve_deterministic,
 )
 from levyprey import engine, oracle
-from levyprey.model import drift
+from levyprey.model import FieldError, drift
 
 FIG1_PARAMS = PRESETS["fig1"].params
 TABLE_DELAYS = DelaySpec(0.5, 1.0, 1.5)
@@ -94,9 +94,9 @@ class TestSolveDeterministic:
     def test_capacity_equilibrium_preserved(self):
         h = HistorySpec(100.0, 100.0, 0.0)
         sol = solve_deterministic(FIG1_PARAMS, TABLE_DELAYS, h, dt=0.1, t_end=500.0)
-        assert np.max(np.abs(sol.x - 100.0) / 100.0) <= 1e-9
-        assert np.max(np.abs(sol.y - 100.0) / 100.0) <= 1e-9
-        assert np.max(np.abs(sol.z)) <= 1e-9
+        assert np.max(np.abs(sol.states[:, 0] - 100.0) / 100.0) <= 1e-9
+        assert np.max(np.abs(sol.states[:, 1] - 100.0) / 100.0) <= 1e-9
+        assert np.max(np.abs(sol.states[:, 2])) <= 1e-9
 
     def test_origin_equilibrium_preserved(self):
         h = HistorySpec(0.0, 0.0, 0.0)
@@ -108,8 +108,8 @@ class TestSolveDeterministic:
         h = HistorySpec(10.0, 0.0, 0.0)
         sol = solve_deterministic(LOGISTIC, DelaySpec(0, 0, 0), h, dt=1e-3, t_end=1.0)
         exact = 100.0 / (1.0 + 9.0 * np.exp(-sol.times))
-        assert np.max(np.abs(sol.x - exact) / exact) <= 1e-6
-        assert sol.x[-1] == pytest.approx(23.1969, abs=1e-3)
+        assert np.max(np.abs(sol.states[:, 0] - exact) / exact) <= 1e-6
+        assert sol.states[-1, 0] == pytest.approx(23.1969, abs=1e-3)
 
     def test_halving_dt_sixteenfold_on_smooth_problem(self):
         h = HistorySpec(10.0, 0.0, 0.0)
@@ -336,6 +336,13 @@ class TestConvergenceStudy:
         table = convergence_study(sc.params, sc.delays, h, [1e-2], t_end=2.0)
         assert len(table.rows) == 1
         assert table.rows[0].pair_order is None
+
+    def test_dt_list_must_be_nonempty(self):
+        sc = PRESETS["fig3"]
+        h = HistorySpec(28.0, 25.0, 13.0)
+        with pytest.raises(FieldError) as info:
+            convergence_study(sc.params, sc.delays, h, [], t_end=2.0)
+        assert str(info.value) == "convergence_study.dt must be nonempty, got []"
 
     def test_dt_list_must_descend(self):
         sc = PRESETS["fig3"]
