@@ -30,24 +30,29 @@ upward would re-seed an extinct population.
 Two drivers run this update through the function _stepper returns, its one
 definition, with the run's constants bound in once, and give the same
 numbers bit for bit. Both take their random numbers from _draws, the only
-code that draws them, _DRAW_CHUNK steps at a time from each replicate's own
-streams. A block builds and draws only the streams whose draws can move its
-states: none of the Gaussian ones when every sigma is 0, none of the jump
-ones when lambda is 0; it steps on zeros instead, with the same result.
-simulate always builds both, so its stream count and a fault's reported
-normals do not depend on the noise; a faulting block that drew no normals
-draws the named replicate's, so both drivers report a fault in the same
-words (_fault_text). simulate steps one replicate on Python floats. It
-keeps only a window of its grid record, the kmax + 1 rows a step reads and
-a bounded spare (_window), and writes each draw chunk's rows straight into
-the returned path, so it holds about 32 bytes per step; it refuses a
-horizon whose window and path would exceed 1 GiB (_check_horizon).
-_simulate_batch steps a block of
-replicates on arrays and writes its stats-grid rows and running averages
-straight into the caller's rows; ensemble.run_ensemble decides which driver
-runs. It reads delay taps from a ring buffer of kmax + 1 grid rows, so its
-own memory is bounded by the block size, the delays and the draw chunk, not
-by the horizon or the stats grid, also when a replicate faults.
+code that draws them, a chunk of steps at a time from each replicate's own
+streams: _DRAW_CHUNK = 512 steps for up to 256 replicates, and for a wider
+block of B 512 * 256 // B steps (_chunk_steps), so that its draw arrays
+stay the size of a 256-wide block's. A generator draws its chunks in
+sequence, so the chunk length moves no value. A run of one chunk builds
+each generator, draws from it and drops it before building the next; a
+longer run keeps them between chunks. A block builds and draws only the
+streams whose draws can move its states: none of the Gaussian ones when
+every sigma is 0, none of the jump ones when lambda is 0; it steps on zeros
+instead, with the same result. simulate always builds both, so its stream
+count and a fault's reported normals do not depend on the noise; a faulting
+block that drew no normals draws the named replicate's, so both drivers
+report a fault in the same words (_fault_text). simulate steps one
+replicate on Python floats. It keeps only a window of its grid record, the
+kmax + 1 rows a step reads and a bounded spare (_window), and writes each
+draw chunk's rows straight into the returned path, so it holds about 32
+bytes per step; it refuses a horizon whose window and path would exceed 1
+GiB (_check_horizon). _simulate_batch steps a block of replicates on arrays
+and writes its stats-grid rows and running averages straight into the
+caller's rows; ensemble.run_ensemble decides which driver runs. It reads
+delay taps from a ring buffer of kmax + 1 grid rows, so its own memory is
+bounded by the block size and the delays, not by the horizon or the stats
+grid, also when a replicate faults; _block_bytes gives that bound.
 """
 
 from __future__ import annotations
@@ -93,8 +98,21 @@ _ROW_BYTES = 3 * (8 + 24)
 # the horizon
 _STEP_BYTES = 24 + 8 + 8
 
-# steps of draws materialised at once, by both drivers
+# steps of draws materialised at once by both drivers, for a block of up to
+# _DRAW_WIDTH replicates; a wider block draws proportionally fewer steps at
+# a time (_chunk_steps), so its draw arrays stay the size of a 256-wide one's
 _DRAW_CHUNK = 512
+_DRAW_WIDTH = 256
+
+# bytes one generator holds, as tracemalloc counts them (777 to 796 per
+# generator in blocks of 256 to 2048)
+_STREAM_BYTES = 1 << 10
+
+# bytes per replicate of _simulate_batch's per-step arrays (the update's
+# temporaries, the new state and the running sums) and of rng.streams' hash
+# lanes: tracemalloc reads 130 to 155 at 2048 to 5000 replicates, and 512
+# also covers the block's fixed lists (its stats-grid marks) over 64
+_STEP_ARRAY_BYTES = 1 << 9
 
 # numpy's POISSON_LAM_MAX: Generator.poisson refuses a larger mean
 _POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
@@ -261,23 +279,45 @@ def _stepper(p: ModelParams, n: NoiseSpec, dt: float):
     return advance
 
 
+def _chunk_steps(width: int) -> int:
+    """Steps _draws draws at once for a block of width replicates."""
+    return max(1, _DRAW_CHUNK * _DRAW_WIDTH // max(width, _DRAW_WIDTH))
+
+
+def _block_bytes(width: int, n_steps: int, rows: int) -> int:
+    """Bytes _simulate_batch holds for a block of width replicates over
+    n_steps with a ring of rows grid rows: the ring, a draw chunk, the
+    per-step arrays and, when the run takes more than one chunk, the
+    generators (two per replicate at most), which a one-chunk run builds and
+    drops one at a time. It grows with width: a wider block draws fewer
+    steps at a time, but never more step-replicates than a 256-wide one."""
+    draws = min(n_steps * width, _DRAW_CHUNK * min(width, _DRAW_WIDTH)) * 4 * 8
+    streams = 2 * _STREAM_BYTES if n_steps > _chunk_steps(width) else 0
+    return draws + width * (rows * 3 * 8 + _STEP_ARRAY_BYTES + streams)
+
+
 def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int,
            gauss: bool = True, jumps: bool = True):
-    """Every random number of a run: yields chunks of at most _DRAW_CHUNK
-    steps, a (3, steps, B) float array of normals, species first so that a
-    driver unpacks a step into three columns, and a (steps, B) int64 array
-    of Poisson counts, one per step shared by all species, with column b
-    from replicate reps[b]'s own (seed, k) streams. Drawing in chunks gives
+    """Every random number of a run: yields chunks of at most
+    _chunk_steps(B) steps, a (3, steps, B) float array of normals, species
+    first so that a driver unpacks a step into three columns, and a
+    (steps, B) int64 array of Poisson counts, one per step shared by all
+    species, with column b from replicate reps[b]'s own (seed, k) streams.
+    A generator draws its chunks in sequence, so chunks of any length give
     the same values as one full-horizon draw; a yielded chunk is valid
     until the next one. The generators come from rng.streams, one
     vectorised pass per purpose for a block and rng.stream for a single
-    replicate, the same streams either way. With gauss false the normals,
-    and with jumps false the counts, are zeros: their streams are neither
-    built nor drawn."""
-    gaussians = rng.streams(seed, reps, rng.GAUSSIAN) if gauss else []
-    poissons = rng.streams(seed, reps, rng.JUMPS) if jumps else []
+    replicate, the same streams either way. A run of one chunk builds each
+    generator, draws from it and drops it before building the next, so it
+    holds one at a time; a longer run keeps them all between its chunks.
+    With gauss false the normals, and with jumps false the counts, are
+    zeros: their streams are neither built nor drawn."""
+    size = min(_chunk_steps(len(reps)), n_steps)
+    gaussians = rng.streams(seed, reps, rng.GAUSSIAN) if gauss else ()
+    poissons = rng.streams(seed, reps, rng.JUMPS) if jumps else ()
+    if n_steps > size:  # each later chunk draws from them again
+        gaussians, poissons = list(gaussians), list(poissons)
     lam_dt = n.lam * dt
-    size = min(_DRAW_CHUNK, n_steps)
     normals = np.zeros((3, size, len(reps)))
     counts = np.zeros((size, len(reps)), dtype=np.int64)
     for start in range(0, n_steps, size):
@@ -393,9 +433,9 @@ def _simulate_batch(
     applies by mask, and the trapezoid sums keep time_average's operation
     order, 0.5*(s1 + s0)*(t1 - t0) added in sequence and divided by N*dt at
     the end. Delay taps read a ring buffer of kmax + 1 grid rows, filled
-    from the history's constants (run_ensemble counts it toward its 1 GiB
-    limit), so the driver's own memory is bounded by B, the delays and the
-    draw chunk, not by the horizon or the stats grid. A replicate whose
+    from the history's constants, so the driver's own memory is bounded by
+    B and the delays (_block_bytes, which run_ensemble charges), not by the
+    horizon or the stats grid. A replicate whose
     state turns non-finite is set to 0 in the step and in every ring row,
     where it stays, since the origin is absorbing; the block steps on, up
     to its first replicate's fault, and then raises SimulationError for the

@@ -11,48 +11,64 @@ integration grid, since those are what the regime predictions speak about.
 
 Replicates run as a list of tasks, each filling a consecutive run of rows:
 one replicate per task below _BATCH_MIN = 64 while simulate can keep their
-paths (below), and otherwise blocks of at most _BATCH_MAX = 256, which
-bounds the generators (two per replicate at most) and the draws a block
-holds, split evenly, so from 64 up each has at least 64 (257 runs as 129 +
-128). A block steps its replicates together through engine._simulate_batch,
-on arrays; a task of one replicate runs it through engine.simulate. The
-batched driver's numpy calls cost about the same per step whatever the
-block size, so on one core it overtakes the scalar loop between 32 and 50
-replicates (persist, ns per step-replicate, scalar vs batched: 1842 vs 1887
-at 32, 1871 vs 1296 at 50, 1852 vs 1050 at 64). 64 is the first power of
-two past that crossover.
+paths (below), and otherwise blocks, split evenly. A block steps its
+replicates together through engine._simulate_batch, on arrays; a task of
+one replicate runs it through engine.simulate. The batched driver's numpy
+calls cost about the same per step whatever the block size, so on one core
+it overtakes the scalar loop between 32 and 50 replicates (persist, ns per
+step-replicate, scalar vs batched: 1842 vs 1887 at 32, 1871 vs 1296 at 50,
+1852 vs 1050 at 64). 64 is the first power of two past that crossover. For
+the same reason a wide block costs less per replicate: on one core
+(persist, T = 20) a block took 253 ns per step-replicate at 256 replicates,
+about 150 from 1024 to 2048 and 182 at 4096, where its delay ring outgrows
+the cache. So a batched run takes the fewest blocks of at most _BATCH_MAX =
+2048, rounded up to a multiple of the shares that parallel.run_tasks will
+run (parallel._shares) while each block stays at least 64 wide, so the
+shares balance: 257 replicates run as one block here on one core and as 129
++ 128 on two, 5000 as three blocks on one core and four of 1250 on two.
 
 The tasks run in contiguous shares over the usable cores
 (len(os.sched_getaffinity(0))): parallel.run_tasks runs the first share
 here and each other in a forked child, whose tasks write into its copy of
-their rows, sent as raw bytes when the share is done and read straight
-into this process's arrays. A replicate draws only
-from its own streams, so the numbers do not depend on the cores. Work below
+their rows, sent as raw bytes when the share is done and read straight into
+this process's arrays. A replicate draws only from its own streams, so the
+numbers do not depend on the cores or the blocks. Work below
 parallel._FORK_MIN = 10000 step-replicates (replicates times steps), where
-a fork costs more than it saves, runs here, as does everything on one core
-and a single block (64 to 256 replicates), whose fixed per-step numpy cost
-a split would pay twice. Apart from stepping, a replicate's main cost is
+a fork costs more than it saves, runs here in the fewest blocks, as does
+everything on one core. Apart from stepping, a replicate's main cost is
 building its generators: a block builds them with rng.streams in one
 vectorised pass per purpose, about 4 µs per generator, where the scalar
-driver's rng.stream takes about 24 µs. A block builds and draws only the
-streams whose draws can move its states: no Gaussian ones when every sigma
-is 0, no jump ones when lambda is 0, so criterion 07's compensator check
-(sigma 0) builds half of them. engine.simulate, the scalar driver, builds
-both for every replicate, and its fault message names the normals it drew.
-Both drivers write straight into the ensemble's rows and give the same
-numbers, and the same fault message, bit for bit. A block's
-own memory is bounded by the block, its draw chunk and its delay ring, not
-by the horizon: the ring holds kmax + 1 grid rows of 3 floats per replicate
-(about 6 KB per row for a block of 256).
+driver's rng.stream takes about 24 µs. A generator holds about 1.7 KB of
+resident memory (777 B as tracemalloc counts it), so a run of one draw
+chunk builds each one, draws from it and drops it, and its block holds one
+at a time; a longer run keeps its block's generators between chunks. A
+block builds and draws only the streams whose draws can move its states: no
+Gaussian ones when every sigma is 0, no jump ones when lambda is 0, so
+criterion 07's compensator check (sigma 0) builds half of them.
+engine.simulate, the scalar driver, builds both for every replicate, and
+its fault message names the normals it drew. Both drivers write straight
+into the ensemble's rows and give the same numbers, and the same fault
+message, bit for bit. A block's own memory is bounded by the block, its
+draw chunk and its delay ring, not by the horizon: the ring holds kmax + 1
+grid rows of 3 floats per replicate (about 6 KB per row for a block of
+256).
 
-The 1 GiB limit holds in total over the processes, for both drivers. Each
-process is charged the widest block's ring, or with no blocks one
-trajectory of simulate and its running averages (time_average's (n + 1, 3)
-array), and the statistics are charged twice, here and for the children's
-shares of rows; parallel.run_tasks applies the rule and runs the tasks here
-one after another when the charges do not fit. _layout does this
-arithmetic, also for ``sweep --mode ensemble``, whose value may spread
-again and is charged both statistics and a hold per task. simulate keeps a
+The 1 GiB limit holds in total over the processes, for both drivers. It is
+reckoned on blocks of at most _BATCH_NARROW = 256: the path statistics and
+the delay ring of the widest such block must fit, so no config is refused
+or accepted by the cores or the cap. Each process is charged the widest
+block's hold (engine._block_bytes: its ring, a draw chunk, its per-step
+arrays and, for a run longer than one chunk, its generators), or with no
+blocks one trajectory of simulate and its running averages (time_average's
+(n + 1, 3) array), and the statistics are charged twice, here and for the
+children's shares of rows; parallel.run_tasks applies the rule and runs the
+tasks here one after another when the charges do not fit. The wide blocks
+run only where the widest of them fits on every core beside the statistics
+twice; otherwise the blocks are cut at 256, where the limit is reckoned.
+_layout does this arithmetic, also for ``sweep --mode ensemble``, whose
+value may spread again and is charged both statistics and a hold per task;
+a value that runs in a share with a smaller process budget may take fewer,
+wider blocks, and the widest block's hold bounds them too. simulate keeps a
 replicate's path while it runs, so below 64 replicates a run whose path and
 averages would not fit the limit steps as one block; a block keeps none,
 whatever the horizon, so the horizon alone refuses no ensemble. A replicate
@@ -89,9 +105,12 @@ __all__ = [
 # cap on stats-grid points per ensemble; full grid is used when shorter
 _MAX_STAT_POINTS = 2001
 
-# the fewest replicates that run batched, and the most in one block
+# the fewest replicates that run batched, the most in one block, and the
+# most in one block of the layout the 1 GiB limit is reckoned on, which
+# runs when the wider one does not fit
 _BATCH_MIN = 64
-_BATCH_MAX = 256
+_BATCH_MAX = 2048
+_BATCH_NARROW = 256
 
 # most bytes of path statistics reduced at once into the pointwise statistics
 _STAT_SLAB_BYTES = 8 << 20
@@ -153,33 +172,46 @@ def _path_stats(paths: np.ndarray) -> tuple[np.ndarray, ...]:
     return (mean, sd, *quantiles)
 
 
-def _layout(c: StepConfig, d: DelaySpec, n_reps: int) -> tuple[np.ndarray, int, list, int, int]:
-    """run_ensemble's stats-grid indices, block width (0: a task per replicate), each task's rows
-    (a, b), statistics bytes and bytes held per task; ValueError when they exceed the limit."""
+def _layout(c: StepConfig, d: DelaySpec, n_reps: int) -> tuple[np.ndarray, bool, list, int, int]:
+    """run_ensemble's stats-grid indices, whether its tasks are blocks (else one replicate each),
+    each task's rows (a, b), statistics bytes and bytes held per task; ValueError when they
+    exceed the limit."""
     _in_range("run_ensemble", "n_reps", n_reps, low=1, any_int=True)
     n_points = c.n_steps + 1
     stats_stride = max(1, math.ceil(n_points / _MAX_STAT_POINTS))
     stat_idx = np.unique(np.append(np.arange(0, n_points, stats_stride), n_points - 1))
-    # from _BATCH_MIN up, or when simulate could not keep the paths, blocks
-    # are consecutive runs of indices, at most _BATCH_MAX long and as even as
-    # possible; a block holds a delay ring of kmax + 1 grid rows per replicate
-    n_blocks = -(-n_reps // _BATCH_MAX)
     # a replicate run through simulate holds its path and time_average's running means
     path = engine._trajectory_bytes(c, d) + n_points * 3 * 8
-    scalar = n_reps < _BATCH_MIN and path <= engine._MAX_BYTES
-    width = 0 if scalar else -(-n_reps // n_blocks)
+    batched = n_reps >= _BATCH_MIN or path > engine._MAX_BYTES
     stats = n_reps * len(stat_idx) * 3 * 8
-    ring = width * (max(engine.lag_steps(d, c.dt)) + 1) * 3 * 8
+    # blocks are consecutive runs of indices, as even as possible, each with
+    # a delay ring of kmax + 1 grid rows per replicate; the limit is reckoned
+    # on blocks of at most _BATCH_NARROW
+    rows = max(engine.lag_steps(d, c.dt)) + 1
+    n_blocks = -(-n_reps // _BATCH_NARROW)
+    narrow = -(-n_reps // n_blocks) if batched else 0
     engine._check_bytes(
         f"ensemble too large: n_reps={n_reps} x {len(stat_idx)} stat points",
-        stats + ring, "path statistics and delay ring", "lower n_reps",
+        stats + narrow * rows * 3 * 8, "path statistics and delay ring", "lower n_reps",
     )
+    hold = engine._block_bytes(narrow, c.n_steps, rows) if batched else path
+    # blocks of up to _BATCH_MAX, a multiple of the shares while each stays
+    # _BATCH_MIN wide, when a block of the fewest fits on every core beside
+    # the statistics twice; its hold bounds any layout with more blocks,
+    # also the one a share with a smaller process budget picks for a
+    # sweep's value
+    fewest = -(-n_reps // _BATCH_MAX)
+    widest = engine._block_bytes(-(-n_reps // fewest), c.n_steps, rows)
+    if batched and 2 * stats + parallel._cores() * widest <= engine._MAX_BYTES:
+        n_shares = parallel._shares(n_reps // _BATCH_MIN or 1, n_reps * c.n_steps)
+        balanced = -(-fewest // n_shares) * n_shares
+        n_blocks, hold = balanced if balanced * _BATCH_MIN <= n_reps else fewest, widest
     # a task per block, else per replicate, in np.array_split's layout: the
     # first n_reps % n_tasks are one longer
-    n_tasks = n_blocks if width else n_reps
+    n_tasks = n_blocks if batched else n_reps
     size, longer = divmod(n_reps, n_tasks)
     bounds = [i * size + min(i, longer) for i in range(n_tasks + 1)]
-    return stat_idx, width, list(zip(bounds, bounds[1:])), stats, ring if width else path
+    return stat_idx, batched, list(zip(bounds, bounds[1:])), stats, hold
 
 
 def run_ensemble(
@@ -197,14 +229,14 @@ def run_ensemble(
     state raises SimulationError naming it; when several would, the lowest
     index is named.
     """
-    stat_idx, width, pairs, stats, hold = _layout(c, d, n_reps)
+    stat_idx, batched, pairs, stats, hold = _layout(c, d, n_reps)
     paths = np.empty((n_reps, len(stat_idx), 3))
     terminal = np.empty((n_reps, 3))
 
     def task(a: int, b: int) -> int:
         """Fills rows a to b - 1 of paths and terminal (a block, or replicate
         a alone); returns their floor clamps."""
-        if width:
+        if batched:
             return engine._simulate_batch(
                 p, n, d, h, c, range(a, b), stat_idx, paths[a:b], terminal[a:b]
             )

@@ -107,6 +107,21 @@ def _spawn(tasks: Sequence[Callable[[], T]], arrays: list[memoryview], budget: i
         os._exit(code)
 
 
+def _cores() -> int:
+    """The usable cores: at least as many as the shares of any spread."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _shares(n_tasks: int, work: int) -> int:
+    """The shares run_tasks splits n_tasks tasks of ``work`` step-replicates
+    into when their memory fits, 1 when they would run here one after
+    another anyway: a share per usable core, within the process budget and
+    at most one per task."""
+    if work < _FORK_MIN or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_cores(), _budget or 2 * _cores(), n_tasks)
+
+
 def run_tasks(
     tasks: Sequence[Callable[[], T]],
     work: int,
@@ -128,12 +143,10 @@ def run_tasks(
     they come back from a child into the caller's arrays. After a fault, the
     arrays of the tasks from the fault on are undefined.
     """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    budget = _budget or 2 * cores
-    n_shares = min(cores, budget, len(tasks))
-    if (n_shares < 2 or work < _FORK_MIN or n_shares * held > room or not hasattr(os, "fork")
-            or threading.active_count() > 1):
+    n_shares = _shares(len(tasks), work)
+    if n_shares < 2 or n_shares * held > room:
         return _run(tasks, _budget)
+    budget = _budget or 2 * _cores()
     bounds = [-(-len(tasks) * i // n_shares) for i in range(n_shares + 1)]
     parts = [budget // n_shares + (i < budget % n_shares) for i in range(n_shares)]
     children = []

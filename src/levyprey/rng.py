@@ -10,10 +10,11 @@ Streams are materialized with numpy's ``SeedSequence`` spawn keys, so a
 replicate's stream depends only on its index, never on how many replicates
 run or in what order. There are two ways to build them, and they give the
 same streams bit for bit. ``stream`` builds one generator through
-``SeedSequence`` and ``PCG64``, about 24 µs each. ``streams`` builds a block
-at once: it runs the ``SeedSequence`` hash (O'Neill's ``seed_seq_fe``) on
-arrays, one lane per replicate, and hands each ``PCG64`` its four state
-words, about 3 to 5 µs per generator. Only a seed and replicates below 2**32
+``SeedSequence`` and ``PCG64``, about 24 µs each. ``streams`` serves a block:
+it runs the ``SeedSequence`` hash (O'Neill's ``seed_seq_fe``) on arrays, one
+lane per replicate, and hands each ``PCG64`` its four state words as the
+caller iterates, about 3 to 5 µs per generator, so a caller need not hold
+every generator of the block at once. Only a seed and replicates below 2**32
 hash the six entropy words ``[seed, 0, 0, 0, k, purpose]`` it computes, so a
 block with a larger one, or a single replicate (where the array pass costs
 more than one ``stream`` call), goes through ``stream``.
@@ -21,7 +22,7 @@ more than one ``stream`` call), goes through ``stream``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -55,16 +56,18 @@ def stream(seed: int, replicate: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def streams(seed: int, reps: Sequence[int], purpose: int) -> list[np.random.Generator]:
-    """``[stream(seed, k, purpose) for k in reps]``, the same generators
-    built in one vectorised pass when there are two or more replicates and
-    the seed and every k lie in [0, 2**32)."""
-    if len(reps) <= 1 or not (0 <= seed < _WORD and 0 <= min(reps) and max(reps) < _WORD):
-        return [stream(seed, k, purpose) for k in reps]
+def streams(seed: int, reps: Sequence[int], purpose: int) -> Iterator[np.random.Generator]:
+    """``stream(seed, k, purpose) for k in reps``, each generator built as
+    the iterator reaches it, so a caller that drops one before taking the
+    next holds one at a time. With two or more replicates and the seed and
+    every k in [0, 2**32), their seeds are hashed at once, in one
+    vectorised pass, when streams is called."""
     if purpose not in (GAUSSIAN, JUMPS):
         raise ValueError(f"unknown stream purpose {purpose}")
+    if len(reps) <= 1 or not (0 <= seed < _WORD and 0 <= min(reps) and max(reps) < _WORD):
+        return (stream(seed, k, purpose) for k in reps)
     words = _state_words(int(seed), np.asarray(reps, dtype=np.uint64), purpose)
-    return [np.random.Generator(np.random.PCG64(_Fixed(row))) for row in words]
+    return (np.random.Generator(np.random.PCG64(_Fixed(row))) for row in words)
 
 
 class _Fixed(ISeedSequence):

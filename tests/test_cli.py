@@ -346,9 +346,10 @@ class TestSweep:
                                                   mode, text, var, values, largest, code):
         # spread, each of two processes holds up to the largest charge of the
         # values: a trajectory, or an ensemble's statistics twice and a hold
-        # (ring or trajectory) per task, here two blocks or three replicates.
-        # With the limit one byte under two charges nothing forks, and the
-        # files, stdout, stderr and exit code equal those of the spread run
+        # (block or trajectory) per task, here one block (a value's work is
+        # too small to spread) or three replicates. With the limit one byte
+        # under two charges nothing forks, and the files, stdout, stderr and
+        # exit code equal those of the spread run
         forks = []
         real_fork = os.fork
 
@@ -362,11 +363,11 @@ class TestSweep:
         c, d = cfg.to_step_config(), cfg.to_delays()
         held = engine._trajectory_bytes(c, d)
         if mode == "ensemble":
-            _, _, pairs, stats, hold = ensemble._layout(c, d, cfg.n_reps)
-            held = 2 * stats + len(pairs) * hold
             # one value's work is below the spread threshold, the sweep's is
             # not: only the sweep may fork
             monkeypatch.setattr(parallel, "_FORK_MIN", c.n_steps * cfg.n_reps + 1)
+            _, _, pairs, stats, hold = ensemble._layout(c, d, cfg.n_reps)
+            held = 2 * stats + len(pairs) * hold
         runs = []
         for limit in (engine._MAX_BYTES, 2 * held - 1):
             monkeypatch.setattr(engine, "_MAX_BYTES", limit)

@@ -447,7 +447,7 @@ class TestStreams:
         # rng.streams hashes numpy's SeedSequence itself; a numpy release that
         # changes SeedSequence or PCG64 seeding fails here rather than moving
         # every stream
-        got = lrng.streams(seed, reps, purpose)
+        got = list(lrng.streams(seed, reps, purpose))
         want = [lrng.stream(seed, k, purpose) for k in reps]
         assert len(got) == len(want)
         for g, w in zip(got, want):

@@ -114,10 +114,11 @@ class TestRunEnsemble:
         assert np.array_equal(np.stack([q025, q500, q975]), whole)
 
     def test_peak_memory_near_path_statistics(self):
-        # 2000 replicates in 8 blocks: the path statistics, which each block
-        # writes its rows into, and one block's draw chunk (about 1/16) at
-        # most (1.10x on Python 3.11); reducing the whole array at once used
-        # to add a second full copy
+        # 2000 replicates as one block on one core, two on two: the path
+        # statistics, which each block writes its rows into, and one block's
+        # ring, draw chunk (the size of a 256-wide block's) and generators
+        # (1.17x on one core, 1.11x on two, on Python 3.11); reducing the
+        # whole array at once used to add a second full copy
         sc = PRESETS["persist"]
         cfg = StepConfig(dt=sc.dt, t_end=20.0)
         tracemalloc.start()
@@ -279,6 +280,49 @@ class TestBatchedDriver:
             tracemalloc.stop()
         assert peak <= 1_000_001 * 3 * 8 + (64 << 10)
 
+    def test_a_block_at_the_cap_peaks_within_its_hold(self, cores):
+        # persist over 20 days is 2000 steps, several draw chunks, so the
+        # block keeps its generators; its ring, draw chunk, generators and
+        # per-step arrays stay within what _layout charges it
+        cores(1)
+        sc = PRESETS["persist"]
+        cfg = StepConfig(dt=sc.dt, t_end=20.0)
+        stat_idx, _, pairs, _, hold = ensemble._layout(cfg, sc.delays, ensemble._BATCH_MAX)
+        assert pairs == [(0, ensemble._BATCH_MAX)]
+        assert cfg.n_steps > engine._chunk_steps(ensemble._BATCH_MAX)
+        paths, terminal = np.empty((ensemble._BATCH_MAX, len(stat_idx), 3)), np.empty((ensemble._BATCH_MAX, 3))
+        tracemalloc.start()
+        try:
+            engine._simulate_batch(sc.params, sc.noise, sc.delays, sc.history, cfg,
+                                   range(ensemble._BATCH_MAX), stat_idx, paths, terminal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= hold
+
+    def test_a_one_chunk_block_holds_one_generator_at_a_time(self):
+        # criterion 07's compensator config, 10 steps: one draw chunk, so a
+        # block of 5000 builds, draws and drops each replicate's jump
+        # generator (777 B under tracemalloc) in turn. Beside its ring and
+        # draw chunk it holds its hash lanes and per-step arrays, about
+        # 150 B per replicate; holding every generator would add 5000 x 777 B
+        p = ModelParams(r1=0, r2=0, k1=1, k2=1, alpha1=0, alpha2=0,
+                        alpha3=0, beta=0, delta=0, a1=0, a2=0)
+        n = NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0)
+        delays, cfg = DelaySpec(0, 0, 0), StepConfig(dt=0.1, t_end=1.0, seed=2026)
+        assert cfg.n_steps <= engine._chunk_steps(5000)
+        paths, terminal = np.empty((5000, 11, 3)), np.empty((5000, 3))
+        tracemalloc.start()
+        try:
+            engine._simulate_batch(p, n, delays, HistorySpec(10, 10, 10), cfg, range(5000), range(11),
+                                   paths, terminal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ring_and_draws = 5000 * 3 * 8 + cfg.n_steps * 5000 * 4 * 8
+        assert peak - ring_and_draws < 5000 * 777 / 2
+        assert peak <= engine._block_bytes(5000, cfg.n_steps, 1)
+
     def test_a_faulting_block_names_its_replicate_without_simulate(self, monkeypatch):
         # fig3 over 20 days: replicate 3 is the lowest of 100 to explode. The
         # block names it with simulate's message and never calls simulate
@@ -317,6 +361,8 @@ class TestBatchedDriver:
              24: "replicate 24: non-finite state at t=19.92: "}[reps[0]])
 
     def test_blocks_are_even_consecutive_slices_of_the_schedule(self, monkeypatch):
+        # two steps are too little work to spread, so one share runs the
+        # fewest blocks of at most the cap
         blocks = []
         real = engine._simulate_batch
 
@@ -326,12 +372,17 @@ class TestBatchedDriver:
 
         monkeypatch.setattr(engine, "_simulate_batch", recorded)
         short = StepConfig(dt=0.01, t_end=0.02)
-        run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=257)
-        assert blocks == [list(range(129)), list(range(129, 257))]
-        blocks.clear()
-        run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=600)
-        assert [len(b) for b in blocks] == [200, 200, 200]
-        assert sum(blocks, []) == list(range(600))
+        for cap, widths in [
+            (64, {257: [52, 52, 51, 51, 51], 600: [60] * 10}),
+            (256, {257: [129, 128], 600: [200, 200, 200]}),
+            (ensemble._BATCH_MAX, {257: [257], 600: [600]}),
+        ]:
+            monkeypatch.setattr(ensemble, "_BATCH_MAX", cap)
+            for n_reps, want in widths.items():
+                blocks.clear()
+                run_ensemble(PARAMS, NOISE, DELAYS, HIST, short, n_reps=n_reps)
+                assert [len(b) for b in blocks] == want
+                assert sum(blocks, []) == list(range(n_reps))
 
     # a block draws no normals when every sigma is 0 and no counts when lam
     # is 0; simulate draws both, so each case must still match it exactly,
@@ -434,11 +485,15 @@ class TestSpreadBlocks:
     cores, the first in this process; every number must equal the
     in-process run's, and a fault must name the same replicate."""
 
-    @pytest.mark.parametrize("n_reps, own", [(257, [range(129)]), (600, [range(200), range(200, 400)])])
+    @pytest.mark.parametrize("n_reps, own", [
+        (257, {256: [range(129)], ensemble._BATCH_MAX: [range(129)]}),
+        (600, {256: [range(150), range(150, 300)], ensemble._BATCH_MAX: [range(300)]}),
+    ])
     def test_equals_in_process_run(self, cores, monkeypatch, n_reps, own):
-        # 257 runs as 129 + 128, one block a share; 600 as three blocks of
-        # 200, two in this process and one in the child. sigma = 3 overshoots
-        # below zero often, so the floor clamps count
+        # two shares take an even number of blocks: 257 runs as 129 + 128
+        # and 600 as two blocks of 300, one block a share, or at a cap of 256
+        # as four blocks of 150, two in this process and two in the child.
+        # sigma = 3 overshoots below zero often, so the floor clamps count
         noise = NoiseSpec(3.0, 1e-3, 3.0, -0.04, -0.006, -0.008, lam=1.0)
         blocks = []
         real = engine._simulate_batch
@@ -448,22 +503,59 @@ class TestSpreadBlocks:
             return real(p, n, d, h, c, reps, stat_idx, paths, terminal)
 
         monkeypatch.setattr(engine, "_simulate_batch", recorded)
-        runs = []
-        for n_cores in (1, 2):
-            cores(n_cores)
-            blocks.clear()
-            runs.append(run_ensemble(PARAMS, noise, DELAYS, HIST, CFG, n_reps))
-        assert blocks == own
-        assert runs[0].floor_hits_total > 0
-        for field in TestFanOut.FIELDS:
-            assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field)), field
+        for cap, mine in own.items():
+            monkeypatch.setattr(ensemble, "_BATCH_MAX", cap)
+            runs = []
+            for n_cores in (1, 2):
+                cores(n_cores)
+                blocks.clear()
+                runs.append(run_ensemble(PARAMS, noise, DELAYS, HIST, CFG, n_reps))
+            assert blocks == mine
+            assert runs[0].floor_hits_total > 0
+            for field in TestFanOut.FIELDS:
+                assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field)), field
+            assert_no_children()
+
+    # criterion 07's compensator config, and persist with sigma = 3, which
+    # overshoots below zero often, over 600 steps, more than one draw chunk
+    LAYOUTS = {
+        "compensator": (ModelParams(r1=0, r2=0, k1=1, k2=1, alpha1=0, alpha2=0, alpha3=0, beta=0,
+                                    delta=0, a1=0, a2=0),
+                        NoiseSpec(0, 0, 0, q1=-0.04, q2=-0.006, q3=-0.008, lam=1.0),
+                        DelaySpec(0, 0, 0), HistorySpec(10, 10, 10),
+                        StepConfig(dt=0.1, t_end=1.0, seed=2026), 1200),
+        "persist": (PRESETS["persist"].params, NoiseSpec(3.0, 1e-3, 3.0, -0.04, -0.006, -0.008, lam=1.0),
+                    PRESETS["persist"].delays, PRESETS["persist"].history,
+                    StepConfig(dt=0.01, t_end=6.0, seed=4), 600),
+    }
+
+    @pytest.mark.parametrize("case", LAYOUTS)
+    def test_the_layout_does_not_move_a_number(self, cores, monkeypatch, case):
+        # caps of 64, 256 and _BATCH_MAX on one core and two, five layouts
+        # (at a cap of 64 both core counts run the same blocks) from 19
+        # blocks of 63 or 64 to one of 1200, all give the same bytes
+        *parts, n_reps = self.LAYOUTS[case]
+        runs, layouts = [], set()
+        for cap in (64, 256, ensemble._BATCH_MAX):
+            monkeypatch.setattr(ensemble, "_BATCH_MAX", cap)
+            for n_cores in (1, 2):
+                cores(n_cores)
+                layouts.add(tuple(ensemble._layout(parts[4], parts[2], n_reps)[2]))
+                runs.append(run_ensemble(*parts, n_reps))
+        assert len(layouts) == 5
+        if case == "persist":
+            assert runs[0].floor_hits_total > 0
+        for run in runs[1:]:
+            for field in ("stat_times", "mean", "sd", "q025", "q500", "q975", "terminal_averages"):
+                assert getattr(run, field).tobytes() == getattr(runs[0], field).tobytes(), field
+            assert run.floor_hits_total == runs[0].floor_hits_total
         assert_no_children()
 
     def test_fault_in_the_childs_share(self, cores, monkeypatch):
         # fig3 over 13 days, seed 2: of 257 replicates only 236 and 255
-        # explode, both in the second block, which the child runs. 255 does
-        # so first, but the block steps on, without forking again, and names
-        # the lowest, 236
+        # explode, both in the second block (129 + 128 on two cores, at
+        # either cap), which the child runs. 255 does so first, but the
+        # block steps on, without forking again, and names the lowest, 236
         cfg = parse_config("preset = fig3\nt_end = 13\nseed = 2\n")
         parts = (cfg.to_params(), cfg.to_noise(), cfg.to_delays(), cfg.to_history(), cfg.to_step_config())
         parent, forks = os.getpid(), []
@@ -476,22 +568,26 @@ class TestSpreadBlocks:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
-        errors = []
-        for n_cores in (1, 2):
-            cores(n_cores)
-            with pytest.raises(SimulationError) as info:
-                run_ensemble(*parts, 257)
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
-        assert errors[0].startswith("replicate 236: non-finite state at t=12.74: ")
-        assert len(forks) == 1
-        assert_no_children()
+        for cap in (256, ensemble._BATCH_MAX):
+            monkeypatch.setattr(ensemble, "_BATCH_MAX", cap)
+            errors = []
+            forks.clear()
+            for n_cores in (1, 2):
+                cores(n_cores)
+                with pytest.raises(SimulationError) as info:
+                    run_ensemble(*parts, 257)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+            assert errors[0].startswith("replicate 236: non-finite state at t=12.74: ")
+            assert len(forks) == 1
+            assert_no_children()
 
     def test_near_the_limit_blocks_run_in_process(self, cores, monkeypatch):
-        # 257 replicates (129 + 128) with the limit at exactly what one
-        # process holds: the ensemble runs, but a second process's share of
-        # rows and ring would not fit, so nothing forks; one byte less and
-        # it is refused
+        # 257 replicates, whose limit is reckoned on blocks of at most 256
+        # (129 + 128) at any cap, with the limit at exactly what one process
+        # holds: the ensemble runs, but a second process's share of rows and
+        # block would not fit, so nothing forks; one byte less and it is
+        # refused
         def fork():
             raise AssertionError("an ensemble over the limit forked")
 
@@ -528,17 +624,18 @@ class TestSpreadBlocks:
             assert np.array_equal(getattr(want, field), getattr(got, field)), field
 
     def test_block_shares_count_their_rings_not_a_trajectory(self, cores, monkeypatch):
-        # 257 replicates (129 + 128) with delays of one step, so a trajectory
-        # outweighs the widest ring: with the limit at exactly the statistics,
-        # a second copy of them and a ring in each of two processes, the
-        # blocks still spread, since a block never holds a trajectory
-        delays = DelaySpec(0.01, 0.01, 0.01)
+        # 257 replicates (129 + 128 on two cores) whose trajectory is charged
+        # more than the widest block holds, ring, draw chunk, generators and
+        # all: with the limit at exactly the statistics, a second copy of
+        # them and a block's hold in each of two processes, the blocks still
+        # spread, since a block never holds a trajectory
         cores(1)
-        want = run_ensemble(PARAMS, NOISE, delays, HIST, CFG, 257)
-        ring_rows = max(engine.lag_steps(delays, CFG.dt)) + 1
-        stats = 257 * len(want.stat_times) * 3 * 8
-        ring = 129 * ring_rows * 3 * 8
-        assert ring < engine._trajectory_bytes(CFG, delays)
+        want = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, 257)
+        cores(2)
+        _, _, pairs, stats, hold = ensemble._layout(CFG, DELAYS, 257)
+        assert len(pairs) == 2
+        monkeypatch.setattr(engine, "_STEP_BYTES", hold)
+        assert hold < engine._trajectory_bytes(CFG, DELAYS)
         forks = []
         real_fork = os.fork
 
@@ -547,9 +644,8 @@ class TestSpreadBlocks:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(engine, "_MAX_BYTES", 2 * stats + 2 * ring)
-        cores(2)
-        got = run_ensemble(PARAMS, NOISE, delays, HIST, CFG, 257)
+        monkeypatch.setattr(engine, "_MAX_BYTES", 2 * stats + 2 * hold)
+        got = run_ensemble(PARAMS, NOISE, DELAYS, HIST, CFG, 257)
         assert len(forks) == 1
         for field in TestFanOut.FIELDS:
             assert np.array_equal(getattr(want, field), getattr(got, field)), field
