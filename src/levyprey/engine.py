@@ -43,13 +43,20 @@ instead, with the same result. simulate always builds both, so its stream
 count and a fault's reported normals do not depend on the noise; a faulting
 block that drew no normals draws the named replicate's, so both drivers
 report a fault in the same words (_fault_text). simulate steps one
-replicate on Python floats. It keeps only a window of its grid record, the
-kmax + 1 rows a step reads and a bounded spare (_window), and writes each
-draw chunk's rows straight into the returned path, so it holds about 32
-bytes per step; it refuses a horizon whose window and path would exceed 1
-GiB (_check_horizon). _simulate_batch steps a block of replicates on arrays
-and writes its stats-grid rows and running averages straight into the
-caller's rows; ensemble.run_ensemble decides which driver runs. It reads
+replicate on Python floats, carrying the state from step to step. It reads
+its four delay taps from list iterators over the record, each set once per
+draw chunk to the row its lag names and then advancing a row a step; a
+zero lag's tap reads the row the step before appended, since a list
+iterator also yields rows appended after it was made. The draws come
+first in the step's zip, so the zip stops on them and never pulls a tap
+past the chunk's last step. A step whose three values all lie in [floor,
+inf) skips the finiteness test and the clamp. simulate keeps only a window
+of its grid record, the kmax + 1 rows a step reads and a bounded spare
+(_window), and writes each draw chunk's rows straight into the returned
+path, so it holds about 32 bytes per step; it refuses a horizon whose
+window and path would exceed 1 GiB (_check_horizon). _simulate_batch
+steps a block of replicates on arrays and writes its stats-grid rows and
+running averages straight into the caller's rows; ensemble.run_ensemble decides which driver runs. It reads
 delay taps from a ring buffer of kmax + 1 grid rows, so its own memory is
 bounded by the block size and the delays, not by the horizon or the stats
 grid, also when a replicate faults; _block_bytes gives that bound.
@@ -110,9 +117,13 @@ _STREAM_BYTES = 1 << 10
 
 # bytes per replicate of _simulate_batch's per-step arrays (the update's
 # temporaries, the new state and the running sums) and of rng.streams' hash
-# lanes: tracemalloc reads 130 to 155 at 2048 to 5000 replicates, and 512
-# also covers the block's fixed lists (its stats-grid marks) over 64
+# lanes: tracemalloc reads 130 to 155 at 2048 to 5000 replicates
 _STEP_ARRAY_BYTES = 1 << 9
+
+# bytes a block holds whatever its width, mostly the one replicate's draws
+# _draws is filling (16 KB at 512 steps): tracemalloc reads up to 16.8 KB
+# over the rest of the charge on persist blocks of 1 to 4 replicates
+_BLOCK_FIXED_BYTES = 1 << 15
 
 # numpy's POISSON_LAM_MAX: Generator.poisson refuses a larger mean
 _POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
@@ -287,13 +298,14 @@ def _chunk_steps(width: int) -> int:
 def _block_bytes(width: int, n_steps: int, rows: int) -> int:
     """Bytes _simulate_batch holds for a block of width replicates over
     n_steps with a ring of rows grid rows: the ring, a draw chunk, the
-    per-step arrays and, when the run takes more than one chunk, the
-    generators (two per replicate at most), which a one-chunk run builds and
-    drops one at a time. It grows with width: a wider block draws fewer
-    steps at a time, but never more step-replicates than a 256-wide one."""
+    per-step arrays, a fixed term for the draws in flight and, when the run
+    takes more than one chunk, the generators (two per replicate at most),
+    which a one-chunk run builds and drops one at a time. It grows with
+    width: a wider block draws fewer steps at a time, but never more
+    step-replicates than a 256-wide one."""
     draws = min(n_steps * width, _DRAW_CHUNK * min(width, _DRAW_WIDTH)) * 4 * 8
     streams = 2 * _STREAM_BYTES if n_steps > _chunk_steps(width) else 0
-    return draws + width * (rows * 3 * 8 + _STEP_ARRAY_BYTES + streams)
+    return draws + _BLOCK_FIXED_BYTES + width * (rows * 3 * 8 + _STEP_ARRAY_BYTES + streams)
 
 
 def _draws(seed: int, reps: Sequence[int], n: NoiseSpec, dt: float, n_steps: int,
@@ -376,34 +388,40 @@ def simulate(
     jump_events = 0
     floor_hits = 0
     isfinite = math.isfinite
+    inf = math.inf
+    x, y, z = xs[-1], ys[-1], zs[-1]
     done = 0  # steps taken, and the path row of the current state
     # both streams, even one whose draws cannot move a state: the fault
     # message names the normals, and perfbench/test_perfbench.py pins two
     # rng.stream calls per replicate on a scalar ensemble with sigma = 0
     for normals, counts in _draws(c.seed, [replicate], n, dt, n_steps):
-        base = len(xs) - 1 - done  # the record index of t = 0
-        js = counts[:, 0].tolist()
-        for i, z1, z2, z3, j in zip(range(done, done + len(js)), *normals[:, :, 0].tolist(), js):
-            m = base + i
-            x, y, z = xs[m], ys[m], zs[m]
-            nx, ny, nz = advance(x, y, z, xs[m - k1], ys[m - k2], xs[m - k3], ys[m - k3], z1, z2, z3, j)
-            if not (isfinite(nx) and isfinite(ny) and isfinite(nz)):
-                raise SimulationError(_fault_text(i, dt, (x, y, z), (z1, z2, z3), j))
-            if nx < floor and x > 0.0:
-                nx = floor
-                floor_hits += 1
-            if ny < floor and y > 0.0:
-                ny = floor
-                floor_hits += 1
-            if nz < floor and z > 0.0:
-                nz = floor
-                floor_hits += 1
+        top = len(xs)  # record rows at the chunk's start; the last is the current state
+        taps = [iter(series) for series in (xs, ys, xs, ys)]
+        for tap, k in zip(taps, (k1, k2, k3, k3)):
+            tap.__setstate__(top - 1 - k)
+        draws = (*normals[:, :, 0].tolist(), counts[:, 0].tolist())
+        for z1, z2, z3, j, xd1, yd2, xd3, yd3 in zip(*draws, *taps):
+            nx, ny, nz = advance(x, y, z, xd1, yd2, xd3, yd3, z1, z2, z3, j)
+            if not (floor <= nx < inf and floor <= ny < inf and floor <= nz < inf):
+                if not (isfinite(nx) and isfinite(ny) and isfinite(nz)):
+                    i = done + len(xs) - top
+                    raise SimulationError(_fault_text(i, dt, (x, y, z), (z1, z2, z3), j))
+                if nx < floor and x > 0.0:
+                    nx = floor
+                    floor_hits += 1
+                if ny < floor and y > 0.0:
+                    ny = floor
+                    floor_hits += 1
+                if nz < floor and z > 0.0:
+                    nz = floor
+                    floor_hits += 1
             xs.append(nx)
             ys.append(ny)
             zs.append(nz)
+            x, y, z = nx, ny, nz
         jump_events += np.count_nonzero(counts)
-        _window(record, states, done + 1, done + 1 + len(js), keep)
-        done += len(js)
+        _window(record, states, done + 1, done + 1 + len(counts), keep)
+        done += len(counts)
 
     return _path(states, dt, jump_events, floor_hits)
 
@@ -452,9 +470,10 @@ def _simulate_batch(
     advance = _stepper(p, n, dt)
     floor = _POSITIVITY_FLOOR
 
-    marks = [int(k) for k in stat_idx]
+    marks = enumerate(stat_idx)  # (path row, grid index), row 0 being t = 0
+    next(marks)
     paths[:, 0] = ring[-1].T
-    mark = 1
+    mark, at = next(marks)
     sums = np.zeros((3, width))
     floor_hits = 0
     faults = {}  # column -> (step, state before it, normals, count) of its fault
@@ -489,9 +508,9 @@ def _simulate_batch(
             floor_hits += int(np.count_nonzero(clamp))
         sums += 0.5 * (new + cur) * ((i + 1) * dt - i * dt)
         ring[(m + 1) % rows] = new
-        if i + 1 == marks[mark]:
+        if i + 1 == at:
             paths[:, mark] = new.T
-            mark += 1
+            mark, at = next(marks, (mark, -1))
     if faults:
         b = min(faults)
         i, state, normals, j = faults[b]

@@ -15,9 +15,11 @@ paths (below), and otherwise blocks, split evenly. A block steps its
 replicates together through engine._simulate_batch, on arrays; a task of
 one replicate runs it through engine.simulate. The batched driver's numpy
 calls cost about the same per step whatever the block size, so on one core
-it overtakes the scalar loop between 32 and 50 replicates (persist, ns per
-step-replicate, scalar vs batched: 1842 vs 1887 at 32, 1871 vs 1296 at 50,
-1852 vs 1050 at 64). 64 is the first power of two past that crossover. For
+it overtakes the scalar loop between 32 and 50 replicates (persist, T =
+20, ns per step-replicate, scalar vs batched, medians of 7: 1307 vs 1347 at
+32, 1227 vs 886 at 50, 1208 vs 720 at 64; two more sets agree). 64 is the
+first power of two past that crossover, and perfbench/ pins the calls a
+scalar run of fewer makes. For
 the same reason a wide block costs less per replicate: on one core
 (persist, T = 20) a block took 253 ns per step-replicate at 256 replicates,
 about 150 from 1024 to 2048 and 182 at 4096, where its delay ring outgrows

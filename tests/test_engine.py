@@ -341,8 +341,11 @@ class TestRecordWindow:
     # sigma = 3 overshoots below zero, so the floor clamps count too
     NOISY = NoiseSpec(3.0, 1e-3, 3.0, q1=-0.04, q2=-0.006, q3=-0.008, lam=5.0)
 
-    @pytest.mark.parametrize("delays", [TABLE_DELAYS, DelaySpec(0, 0, 0), DelaySpec(0, 0, 6.0)],
-                             ids=["kmax-150", "zero-lags", "kmax-600-over-a-chunk"])
+    @pytest.mark.parametrize("delays", [TABLE_DELAYS, DelaySpec(0, 0, 0), DelaySpec(0, 0, 6.0),
+                                        DelaySpec(0.01, 0.01, 0.01), DelaySpec(5.12, 0, 0),
+                                        DelaySpec(0, 0.01, 0)],
+                             ids=["kmax-150", "zero-lags", "kmax-600-over-a-chunk",
+                                  "one-step-lags", "lag-of-a-chunk", "mixed-zero-and-one-step"])
     @pytest.mark.parametrize("n_steps", [511, 512, 513, 1025])
     def test_equals_keeping_every_row(self, delays, n_steps):
         c = StepConfig(dt=0.01, t_end=n_steps * 0.01, seed=9)
@@ -392,6 +395,23 @@ class TestRecordWindow:
             simulate(*args)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("non-finite state at t=1024: from (8.98847e+307,1,1), normals=(")
+
+    def test_fault_in_the_middle_of_a_chunk_keeps_its_message(self):
+        # fig3 at seed 3 overflows in step 1942, the 407th of the fourth chunk
+        from levyprey import PRESETS
+
+        sc = PRESETS["fig3"]
+        c = StepConfig(dt=sc.dt, t_end=20.0, seed=3)
+        assert 0 < 1942 % engine._DRAW_CHUNK < engine._DRAW_CHUNK - 1
+        args = (sc.params, sc.noise, sc.delays, sc.history, c)
+        with pytest.raises(SimulationError) as want:
+            _keep_everything(*args)
+        with pytest.raises(SimulationError) as got:
+            simulate(*args)
+        assert str(got.value) == str(want.value) == (
+            "non-finite state at t=19.43: from (1.17945e+174,1.17945e+174,41.2562), "
+            "normals=(0.413234,-0.382124,-0.321559), jumps=0"
+        )
 
     def test_memory_per_step_within_budget(self):
         # 10^5 fig1 steps hold the path, 32 bytes a step, under _STEP_BYTES

@@ -280,21 +280,26 @@ class TestBatchedDriver:
             tracemalloc.stop()
         assert peak <= 1_000_001 * 3 * 8 + (64 << 10)
 
-    def test_a_block_at_the_cap_peaks_within_its_hold(self, cores):
+    @pytest.mark.parametrize("width", [1, 4, 64, ensemble._BATCH_MAX])
+    def test_a_block_at_the_cap_peaks_within_its_hold(self, cores, width):
         # persist over 20 days is 2000 steps, several draw chunks, so the
-        # block keeps its generators; its ring, draw chunk, generators and
-        # per-step arrays stay within what _layout charges it
+        # block keeps its generators; its ring, draw chunk, generators,
+        # per-step arrays and draws in flight stay within _block_bytes, which
+        # _layout charges a block of 64 or more. A block of 1 or 4 (the
+        # below-64 fallback) peaks mostly on its fixed term
         cores(1)
         sc = PRESETS["persist"]
         cfg = StepConfig(dt=sc.dt, t_end=20.0)
-        stat_idx, _, pairs, _, hold = ensemble._layout(cfg, sc.delays, ensemble._BATCH_MAX)
-        assert pairs == [(0, ensemble._BATCH_MAX)]
-        assert cfg.n_steps > engine._chunk_steps(ensemble._BATCH_MAX)
-        paths, terminal = np.empty((ensemble._BATCH_MAX, len(stat_idx), 3)), np.empty((ensemble._BATCH_MAX, 3))
+        stat_idx, _, pairs, _, charged = ensemble._layout(cfg, sc.delays, width)
+        assert len(stat_idx) == 2001 and cfg.n_steps > engine._chunk_steps(width)
+        hold = engine._block_bytes(width, cfg.n_steps, max(engine.lag_steps(sc.delays, cfg.dt)) + 1)
+        if width >= ensemble._BATCH_MIN:
+            assert (pairs, charged) == ([(0, width)], hold)
+        paths, terminal = np.empty((width, len(stat_idx), 3)), np.empty((width, 3))
         tracemalloc.start()
         try:
             engine._simulate_batch(sc.params, sc.noise, sc.delays, sc.history, cfg,
-                                   range(ensemble._BATCH_MAX), stat_idx, paths, terminal)
+                                   range(width), stat_idx, paths, terminal)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
